@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import catalog
-from .singcert import classify_all
+from .singcert import SingularInCodimensionOne, classify_all
 from .zfive import ActionK, free_action_check
 
 DEFAULT_SEED = 20240501
@@ -50,7 +50,11 @@ def cmd_surface_report(args):
         report = _chart_only_report(name, poly, args.chart)
         _emit(args, report)
         return 0
-    cert = classify_all(poly, name, action=action)
+    try:
+        cert = classify_all(poly, name, action=action)
+    except SingularInCodimensionOne as ev:
+        _emit(args, {"surface": name, "pass": False, "error": str(ev)})
+        return 1
     fav = free_action_check(poly, action=action)
     invariant = (
         action.is_invariant(poly)

@@ -29,7 +29,7 @@ from .groebner import (
 )
 from .modp import CycloModP, split_primes
 from .multipoly import Poly, ProjPoint, QZ5, Ring, minors, restrict_to_plane
-from .singcert import chart_ring, to_chart
+from .singcert import chart_ring, degree_part, quadratic_matrix, to_chart
 
 
 class SquareRootFailure(Exception):
@@ -456,10 +456,6 @@ class CuspResolution:
         self.curve_rows = {k: (b, a) for k, (a, b) in self.curve_rows.items()}
 
 
-def _degree_part(p: Poly, d: int) -> Poly:
-    return p.ring.from_terms((e, c) for e, c in p.terms if sum(e) == d)
-
-
 def _local_surface(S: Poly, cusp: ProjPoint):
     ring = S.ring
     ci = cusp.chart()
@@ -470,22 +466,6 @@ def _local_surface(S: Poly, cusp: ProjPoint):
         i: cring.var(cring.vars[i]) + cring.from_scalar(aff[i]) for i in range(3)
     }
     return f.subs(shift), cring, ci, shift
-
-
-def _quadratic_matrix(quad: Poly, cring: Ring):
-    field = cring.field
-    m = [[field.zero] * 3 for _ in range(3)]
-    two_inv = field.inv(field.coerce(2))
-    for e, c in quad.terms:
-        idx = [i for i, k in enumerate(e) for _ in range(k)]
-        i, j = idx
-        if i == j:
-            m[i][i] = field.add(m[i][i], c)
-        else:
-            half = field.mul(c, two_inv)
-            m[i][j] = field.add(m[i][j], half)
-            m[j][i] = field.add(m[j][i], half)
-    return m
 
 
 def _field_sqrt(x, field):
@@ -518,10 +498,10 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     splitting needs a square root outside the working field.
     """
     field = cring.field
-    if _degree_part(flocal, 0).terms or _degree_part(flocal, 1).terms:
+    if degree_part(flocal, 0).terms or degree_part(flocal, 1).terms:
         raise ResolutionError("point is not singular on the surface")
-    quad = _degree_part(flocal, 2)
-    m = _quadratic_matrix(quad, cring)
+    quad = degree_part(flocal, 2)
+    m = quadratic_matrix(quad, cring)
     if linalg.rank(m, field) != 2:
         raise ResolutionError("tangent cone rank is not 2 (not an A2 datum)")
     kern = linalg.kernel_basis(m, field)[0]
@@ -677,7 +657,7 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
     flocal, cring, ci, _shift = _local_surface(S, cusp)
     field = cring.field
     l1, l2, kern = tangent_cone_lines(flocal, cring)
-    cubic = _degree_part(flocal, 3)
+    cubic = degree_part(flocal, 3)
     if field.is_zero(cubic.eval(list(kern), field=field)):
         raise ResolutionError(
             "not resolved by the point blow-up (cubic vanishes on the kernel "

@@ -251,6 +251,7 @@ class QuotientAlgebra:
         self.field = scheme.ring.field
         self.basis = scheme.std_monomials
         self.index = {m: i for i, m in enumerate(self.basis)}
+        self._var_columns = None
 
     def nf_coeffs(self, p: Poly):
         """Dense coefficient vector of NF(p) on the standard monomials."""
@@ -286,6 +287,29 @@ class QuotientAlgebra:
         if zero_mono in self.index:
             v[self.index[zero_mono]] = self.field.one
         return v
+
+    def generates_whole(self, vectors):
+        """Do elements with these NF vectors generate R/I as an ideal?
+
+        Their ideal is the closure of span{v} under the multiplication
+        matrices of the variables, found by exact elimination with no
+        random choices.  True means V(I + (elements)) is empty.
+        """
+        f = self.field
+        if self._var_columns is None:
+            self._var_columns = [self.mult_columns(v) for v in self.ring.gens()]
+        rows = []  # echelon rows (pivot, row, ()) as _reduce_against takes
+        pending = list(vectors)
+        while pending and len(rows) < len(self.basis):
+            red, _ = self._reduce_against(pending.pop(), (), rows)
+            piv = self._pivot(red)
+            if piv is None:
+                continue
+            inv = f.inv(red[piv])
+            red = [f.mul(x, inv) for x in red]
+            rows.append((piv, red, ()))
+            pending.extend(self.apply_columns(c, red) for c in self._var_columns)
+        return len(rows) == len(self.basis)
 
     def krylov(self, p: Poly):
         """Minimal polynomial of mult-by-p on the cyclic module generated

@@ -11,9 +11,13 @@ accounting and never needs point coordinates:
 
 * rank(projective Hessian) <= 3 at singular points (Euler), and the
   rank-3 locus is exactly the A1 stratum (tau = 1);
-* corank-2-or-worse points (rank <= 1) are excluded by an empty-stratum
-  check, so a degenerate point has rank exactly 2, hence is of type A_k
-  with k >= 2 and tau = k; tau_total = 2n then forces k = 2 everywhere.
+* corank-2-or-worse points (rank <= 1) are excluded by proving that
+  stratum empty, so a degenerate point has rank exactly 2, hence is of
+  type A_k with k >= 2 and tau = k; tau_total = 2n then forces k = 2
+  everywhere.
+
+A stratum V(I + J) is empty iff J generates R/sqrt(I) (Nullstellensatz),
+decided by linear algebra on the chart radical (docs/DECISIONS.md D2).
 """
 
 from __future__ import annotations
@@ -21,13 +25,17 @@ from __future__ import annotations
 from . import linalg
 from .groebner import (
     NotZeroDimensional,
+    QuotientAlgebra,
     ZeroDimScheme,
     buchberger,
-    normal_form,
     radical_zero_dim,
     zero_dim_analyze,
 )
 from .multipoly import Poly, ProjPoint, Ring, hessian, jacobian, minors
+
+
+class SingularInCodimensionOne(ValueError):
+    """The singular locus has a curve component: no finite certificate."""
 
 
 class ChartData:
@@ -148,17 +156,7 @@ def _piece_slice(scheme, radical, cring, var_map, later_ambient):
 
 
 class SingularityCertificate:
-    def __init__(
-        self,
-        surface_name,
-        report,
-        verdict,
-        n1,
-        n2,
-        strata,
-        orbits=None,
-        assumptions=None,
-    ):
+    def __init__(self, surface_name, report, verdict, n1, n2, strata, orbits=None):
         self.surface_name = surface_name
         self.report = report
         self.verdict = verdict  # "all_A1" | "all_A2" | "smooth" | "mixed_or_worse"
@@ -189,29 +187,11 @@ class SingularityCertificate:
         }
 
 
-def _stratum_is_empty(chart: ChartData, minor_polys, chart_index):
-    """Is Z intersect V(minors) empty in this chart?"""
-    cring = chart.ring
-    gens = list(chart.scheme.gb.polys) + [
-        to_chart(m, chart_index, cring) for m in minor_polys
-    ]
-    gb = buchberger([g for g in gens if not g.is_zero], ring=cring)
-    return gb.is_trivial()
-
-
-def _minors_vanish_on_radical(chart: ChartData, minor_polys, chart_index):
-    for m in minor_polys:
-        mc = to_chart(m, chart_index, chart.ring)
-        if not normal_form(mc, chart.radical.gb).is_zero:
-            return False
-    return True
-
-
 def classify_all(F: Poly, surface_name="surface", action=None):
     """Full scheme-level certificate for the singular locus of F."""
     report = singular_scheme(F, surface_name)
     if report.positive_dimensional is not None:
-        raise ValueError(
+        raise SingularInCodimensionOne(
             "singular in codimension one (chart %s, variable %s)"
             % (
                 report.positive_dimensional["chart"],
@@ -232,8 +212,9 @@ def classify_all(F: Poly, surface_name="surface", action=None):
         return cert
 
     H = hessian(F)
-    minors2 = [m for m in minors(H, 2) if not m.is_zero]
-    minors3 = [m for m in minors(H, 3) if not m.is_zero]
+    # the Hessian is symmetric: minors of transposed index sets coincide
+    minors2 = list(dict.fromkeys(m for m in minors(H, 2) if not m.is_zero))
+    minors3 = list(dict.fromkeys(m for m in minors(H, 3) if not m.is_zero))
 
     rank_le1_empty = True
     degenerate_empty = True
@@ -241,12 +222,16 @@ def classify_all(F: Poly, surface_name="surface", action=None):
     for chart in report.charts:
         if chart is None or chart.scheme.degree == 0:
             continue
+        # V(I + J) = V(sqrt(I) + J): every stratum is read on R/sqrt(I)
+        alg = QuotientAlgebra(chart.radical)
         ci = chart.chart_index
-        if not _stratum_is_empty(chart, minors2, ci):
+        vecs2 = [alg.nf_coeffs(to_chart(m, ci, chart.ring)) for m in minors2]
+        vecs3 = [alg.nf_coeffs(to_chart(m, ci, chart.ring)) for m in minors3]
+        if not alg.generates_whole(vecs2):
             rank_le1_empty = False
-        if not _stratum_is_empty(chart, minors3, ci):
+        if not alg.generates_whole(vecs3):
             degenerate_empty = False
-        if not _minors_vanish_on_radical(chart, minors3, ci):
+        if any(not alg.field.is_zero(c) for v in vecs3 for c in v):
             degenerate_all = False
 
     strata = {
@@ -306,11 +291,11 @@ def classify_at_point(F: Poly, point: ProjPoint):
     shift = {i: cring.var(cring.vars[i]) + cring.from_scalar(aff[i]) for i in range(3)}
     local = f.subs(shift)
     # order-by-order pieces
-    quad = _degree_part(local, 2)
-    cubic = _degree_part(local, 3)
-    if not _degree_part(local, 0).is_zero or not _degree_part(local, 1).is_zero:
+    quad = degree_part(local, 2)
+    cubic = degree_part(local, 3)
+    if not degree_part(local, 0).is_zero or not degree_part(local, 1).is_zero:
         raise ValueError("point is not singular on the surface")
-    qmat = _quadratic_matrix(quad, cring)
+    qmat = quadratic_matrix(quad, cring)
     rank = linalg.rank(qmat, field)
     if rank == 3:
         return "A1"
@@ -326,11 +311,11 @@ def classify_at_point(F: Poly, point: ProjPoint):
     return "other: quadratic rank <= 1"
 
 
-def _degree_part(p: Poly, d: int) -> Poly:
+def degree_part(p: Poly, d: int) -> Poly:
     return p.ring.from_terms((e, c) for e, c in p.terms if sum(e) == d)
 
 
-def _quadratic_matrix(quad: Poly, cring: Ring):
+def quadratic_matrix(quad: Poly, cring: Ring):
     field = cring.field
     n = cring.nvars
     m = [[field.zero] * n for _ in range(n)]

@@ -54,6 +54,27 @@ def test_surface_report_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_surface_report_codimension_one_is_certificate_failure(tmp_path, capsys):
+    f = tmp_path / "planes.txt"
+    f.write_text("x^2*y^2")
+    code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert "codimension one" in rep["error"]
+
+
+def test_surface_report_negative_control_a2_plus_a1(tmp_path, capsys):
+    f = tmp_path / "a2a1.txt"
+    f.write_text("w^2*x^2+w^2*y^2+z^3*w+x^2*y^2+x^2*z^2+y^4+z^4+3*x*y*z*w")
+    code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert rep["verdict"] == "mixed_or_worse"
+    assert rep["strata"]["degenerate"] == "mixed"
+
+
 def test_reproduce_missing_action_catalog(capsys):
     code, out, err = run_cli(
         capsys, "--json", "reproduce-construction", "--action", "1"

@@ -8,6 +8,7 @@ from cuspidal.cyclofield import CycloElem
 from cuspidal.extfield import TowerContext
 from cuspidal.groebner import (
     NotZeroDimensional,
+    QuotientAlgebra,
     buchberger,
     eliminant,
     extract_points,
@@ -157,6 +158,62 @@ def test_not_zero_dimensional_witness():
     with pytest.raises(NotZeroDimensional) as ei:
         zero_dim_analyze(gb)
     assert ei.value.witness_var == "y"
+
+
+def _whole_by_linear_algebra(gb, polys):
+    alg = QuotientAlgebra(zero_dim_analyze(gb))
+    return alg.generates_whole([alg.nf_coeffs(p) for p in polys])
+
+
+def _whole_by_buchberger(gb, polys):
+    return buchberger(list(gb.polys) + polys, ring=gb.ring).is_trivial()
+
+
+def test_generates_whole_small_ideals():
+    ring = Ring(("x", "y"))
+    x, y = ring.gens()
+    cases = [
+        # non-radical, supported at the origin only
+        ([x**2, y**2], [x], False),
+        ([x**2, y**2], [x * y, y], False),
+        ([x**2, y**2], [x + 1], True),  # nonzero constant term: a unit
+        ([x**2, y**2], [], False),
+        # two reduced points (1, 1) and (-1, -1)
+        ([x**2 - 1, y - x], [x - 1], False),
+        ([x**2 - 1, y - x], [x - 1, y + 1], True),
+        # non-radical: a double point at the origin and a simple one at (1, 1)
+        ([x**3 - x**2, y - x], [x**2], False),
+        ([x**3 - x**2, y - x], [x**2, x - 1], True),
+        ([x**3 - x**2, y - x], [x * (x - 1)], False),
+        ([x**3 - x**2, y - x], [x**3 - x**2], False),  # zero in R/I
+        # I = R: R/I = 0 is generated by nothing
+        ([x - 1, x], [], True),
+    ]
+    for gens, polys, want in cases:
+        gb = buchberger(gens, ring=ring)
+        assert _whole_by_buchberger(gb, polys) is want
+        assert _whole_by_linear_algebra(gb, polys) is want
+
+
+def test_generates_whole_agrees_with_buchberger_random():
+    rng = random.Random(2718)
+    ring = Ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    seen = set()
+    for _ in range(30):
+        # zero-dimensional: pure-power leading terms in every variable
+        gens = [
+            x**2 + rand_poly(rng, ring, deg=1),
+            y**2 + rand_poly(rng, ring, deg=1),
+            z**2 + rand_poly(rng, ring, deg=1),
+        ]
+        gb = buchberger(gens, ring=ring)
+        polys = [rand_poly(rng, ring, deg=2) for _ in range(rng.randint(0, 2))]
+        polys = [p for p in polys if not p.is_zero]
+        want = _whole_by_buchberger(gb, polys)
+        assert _whole_by_linear_algebra(gb, polys) is want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_radical_simple():

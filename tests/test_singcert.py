@@ -29,6 +29,32 @@ def test_positive_dimensional_reported():
         classify_all(x**2 * y**2)
 
 
+# negative controls: each must fail the A1/A2 verdict at the right stratum
+A2_PLUS_A1 = "w^2*x^2+w^2*y^2+z^3*w+x^2*y^2+x^2*z^2+y^4+z^4+3*x*y*z*w"
+
+
+@pytest.mark.parametrize(
+    "text, n_points, tau, strata",
+    [
+        # cone over a smooth plane cubic: corank 3 at the vertex
+        ("x^3+y^3+z^3", 1, 8, {"rank_le1": "nonempty", "degenerate": "all"}),
+        # one A3 point at (0:0:0:1)
+        ("w^2*(x^2+y^2)+z^4+x^4+y^4", 1, 3,
+         {"rank_le1": "empty", "degenerate": "all"}),
+        # A2 at (0:0:0:1) and A1 at (1:0:0:0)
+        (A2_PLUS_A1, 2, 3, {"rank_le1": "empty", "degenerate": "mixed"}),
+    ],
+    ids=["cone", "A3", "A2_plus_A1"],
+)
+def test_negative_control_strata(text, n_points, tau, strata):
+    cert = classify_all(R.parse(text))
+    assert cert.verdict == "mixed_or_worse"
+    assert cert.n1 is None and cert.n2 is None
+    assert cert.n_points == n_points
+    assert cert.tau_total == tau
+    assert cert.strata == strata
+
+
 def test_new_quartic_certificate(new_quartic_cert):
     cert = new_quartic_cert
     assert cert.verdict == "all_A1"
