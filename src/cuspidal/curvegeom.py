@@ -23,6 +23,7 @@ from . import linalg
 from .cyclofield import cyclo_sqrt, ratio
 from .groebner import (
     NotZeroDimensional,
+    QuotientAlgebra,
     buchberger,
     normal_form,
     zero_dim_analyze,
@@ -334,18 +335,6 @@ class CurveOnSurface:
         self.pa_embedded = pa_embedded
         self.double_points = double_points  # delta = 1 points resolved at cusps
 
-    def transformed(self, action, times=1):
-        gens = list(self.gens)
-        for _ in range(times % 5):
-            gens = [action.on_poly(g) for g in gens]
-        return CurveOnSurface(
-            "%s.a%d" % (self.name, times % 5),
-            gens,
-            self.degree,
-            self.pa_embedded,
-            self.double_points,
-        )
-
     def strict_pa(self):
         return self.pa_embedded - self.double_points
 
@@ -357,11 +346,6 @@ class CurveOnSurface:
         return "CurveOnSurface(%s, deg %d)" % (self.name, self.degree)
 
 
-def curve_contains_point(curve: CurveOnSurface, p: ProjPoint) -> bool:
-    f = p.field
-    return all(f.is_zero(g.eval(list(p.coords), field=f)) for g in curve.gens)
-
-
 def curve_lies_on(curve: CurveOnSurface, F: Poly) -> bool:
     gb = buchberger(curve.gens, ring=F.ring)
     return normal_form(F, gb).is_zero
@@ -369,18 +353,6 @@ def curve_lies_on(curve: CurveOnSurface, F: Poly) -> bool:
 
 # ---------------------------------------------------------------------------
 # scheme-length helpers
-
-
-def supported_degree(gens, ring, point_affine, bound):
-    """Length of the part of V(gens) supported at one affine point."""
-    extra = []
-    for i, q in enumerate(point_affine):
-        v = ring.var(ring.vars[i]) - ring.from_scalar(q)
-        extra.append(v**bound)
-    gb = buchberger(list(gens) + extra, ring=ring)
-    if gb.is_trivial():
-        return 0
-    return zero_dim_analyze(gb).degree
 
 
 def pair_intersection_away_from(curveC, curveD, excluded_points):
@@ -405,13 +377,17 @@ def pair_intersection_away_from(curveC, curveD, excluded_points):
         deg = scheme.degree
         if deg == 0:
             continue
+        alg = QuotientAlgebra(scheme)
         for p in excluded_points:
             if p.chart() != ci:
                 continue
             aff = list(p.affine())
             if not all(QZ5.is_zero(g.eval(aff)) for g in gb.polys):
                 continue
-            deg -= supported_degree(gb.polys, cring, aff, scheme.degree)
+            at_p = [
+                cring.var(v) - cring.from_scalar(q) for v, q in zip(cring.vars, aff)
+            ]
+            deg -= alg.supported_length(at_p)
         total += deg
     return total
 
@@ -449,11 +425,6 @@ class CuspResolution:
         """(a, b) with pi* C = C~ + a A + b A' as Q-divisors."""
         m1, m2 = self.curve_rows[name]
         return (ratio(2 * m1 + m2, 3), ratio(m1 + 2 * m2, 3))
-
-    def swap_labels(self):
-        """Exchange the two exceptional lines (used by the lattice search)."""
-        self.lines = (self.lines[1], self.lines[0])
-        self.curve_rows = {k: (b, a) for k, (a, b) in self.curve_rows.items()}
 
 
 def _local_surface(S: Poly, cusp: ProjPoint):
@@ -637,19 +608,12 @@ def _exceptional_supported_length(gens, bring, mchart):
     if gb0.is_trivial():
         return 0
     try:
-        total = zero_dim_analyze(gb0).degree
+        scheme = zero_dim_analyze(gb0)
     except NotZeroDimensional:
         raise ResolutionError("strict transforms share a component over the cusp")
-    if total == 0:
-        return 0
-    N = total
-    slice_gens = [bring.var("w_") ** N] + [
-        e**N for e in _partition_extras(bring, mchart)
-    ]
-    gb = buchberger(gens + slice_gens, ring=bring)
-    if gb.is_trivial():
-        return 0
-    return zero_dim_analyze(gb).degree
+    return QuotientAlgebra(scheme).supported_length(
+        [bring.var("w_")] + _partition_extras(bring, mchart)
+    )
 
 
 def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:

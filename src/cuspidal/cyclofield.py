@@ -24,10 +24,6 @@ def ratio(num, den=1) -> Rat:
     return Rat(num, den)
 
 
-def rat_is_integer(r) -> bool:
-    return r.denominator == 1
-
-
 def _isqrt_exact(n: int):
     """Integer square root of n >= 0, or None when n is not a square."""
     if n < 0:
@@ -94,11 +90,6 @@ class CycloElem:
     def is_rational(self) -> bool:
         c = self.c
         return not (c[1] or c[2] or c[3])
-
-    def rational_value(self):
-        if not self.is_rational:
-            raise ValueError("not a rational element: %s" % self)
-        return self.c[0]
 
     # -- ring operations ---------------------------------------------------
 

@@ -365,12 +365,6 @@ class TowerContext:
     def __repr__(self):
         return "TowerContext(%s)" % self.name
 
-    def describe(self):
-        """Human-readable tower description (level names and degrees)."""
-        return [
-            {"name": nm, "degree": len(mp) - 1} for nm, mp in self.levels
-        ]
-
 
 BASE_TOWER = TowerContext(())
 

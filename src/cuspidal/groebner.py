@@ -295,21 +295,59 @@ class QuotientAlgebra:
         matrices of the variables, found by exact elimination with no
         random choices.  True means V(I + (elements)) is empty.
         """
-        f = self.field
         if self._var_columns is None:
             self._var_columns = [self.mult_columns(v) for v in self.ring.gens()]
-        rows = []  # echelon rows (pivot, row, ()) as _reduce_against takes
+        rows = []
         pending = list(vectors)
         while pending and len(rows) < len(self.basis):
-            red, _ = self._reduce_against(pending.pop(), (), rows)
-            piv = self._pivot(red)
-            if piv is None:
-                continue
-            inv = f.inv(red[piv])
-            red = [f.mul(x, inv) for x in red]
-            rows.append((piv, red, ()))
-            pending.extend(self.apply_columns(c, red) for c in self._var_columns)
+            red = self._echelon_add(rows, pending.pop())
+            if red is not None:
+                pending.extend(self.apply_columns(c, red) for c in self._var_columns)
         return len(rows) == len(self.basis)
+
+    def supported_length(self, polys):
+        """Length of the part of V(I) on which every polynomial vanishes.
+
+        R/I is the product of its local rings A_p, and on A_p mult-by-g
+        is g(p) plus a nilpotent, so the stable image g^k (R/I) is the
+        sum of the A_p with g(p) != 0.  The images of the polys span the
+        A_p off the common zeros; the rest is the wanted length
+        (docs/DECISIONS.md D3).  Exact, with no random choices.
+        """
+        n = len(self.basis)
+        rows = []
+        for g in polys:
+            cols = self.mult_columns(g)
+            image = self._echelon(cols)
+            while True:  # g^(k+1) A inside g^k A: stable once the rank holds
+                nxt = self._echelon(self.apply_columns(cols, r) for _, r, _ in image)
+                if len(nxt) == len(image):
+                    break
+                image = nxt
+            for _, r, _ in image:
+                self._echelon_add(rows, r)
+            if len(rows) == n:
+                break
+        return n - len(rows)
+
+    def _echelon(self, vectors):
+        rows = []
+        for v in vectors:
+            self._echelon_add(rows, v)
+        return rows
+
+    def _echelon_add(self, rows, v):
+        """Reduce v against the echelon rows (pivot, row, ()); append and
+        return the normalised remainder, or None if v lies in their span."""
+        f = self.field
+        red, _ = self._reduce_against(v, (), rows)
+        piv = self._pivot(red)
+        if piv is None:
+            return None
+        inv = f.inv(red[piv])
+        red = [f.mul(x, inv) for x in red]
+        rows.append((piv, red, ()))
+        return red
 
     def krylov(self, p: Poly):
         """Minimal polynomial of mult-by-p on the cyclic module generated

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 LABELS = ("A1", "A1'", "A2", "A2'", "A3", "A3'", "T1", "T2", "T3")
 
@@ -147,11 +148,11 @@ def nullspace_int(m):
             v[pc] = -a[i][fc]
         den = 1
         for x in v:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
         w = [int(x * den) for x in v]
         g = 0
         for x in w:
-            g = _gcd(g, abs(x))
+            g = gcd(g, abs(x))
         if g > 1:
             w = [x // g for x in w]
         lead = next((x for x in w if x), 1)
@@ -159,12 +160,6 @@ def nullspace_int(m):
             w = [-x for x in w]
         basis.append(w)
     return basis
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class DivisibilityCertificate:
@@ -282,7 +277,7 @@ def find_divisibility_vector(lat: IntersectionLattice, basis):
                     v[i] += c * x
         g = 0
         for x in v:
-            g = _gcd(g, abs(x))
+            g = gcd(g, abs(x))
         if g == 0:
             continue
         if g > 1:
@@ -301,8 +296,6 @@ def find_divisibility_vector(lat: IntersectionLattice, basis):
             cert = divisibility_certificate(lat, v)
             return v, cert
         except NoDivisibilityPattern:
-            continue
-        except ValueError:
             continue
     raise NoDivisibilityPattern(
         "no nullspace combination matches the (2,1) cusp pattern"

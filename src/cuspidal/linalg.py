@@ -108,13 +108,3 @@ def det(m, field):
     if sign < 0:
         out = field.neg(out)
     return out
-
-
-def mat_mul_vec(m, v, field):
-    out = []
-    for row in m:
-        acc = field.zero
-        for a, b in zip(row, v):
-            acc = field.add(acc, field.mul(a, b))
-        out.append(acc)
-    return out

@@ -20,6 +20,7 @@ Two independent tools:
 from __future__ import annotations
 
 import random
+from math import gcd, isqrt
 
 from .cyclofield import CycloElem, ratio
 
@@ -331,7 +332,7 @@ class ZetaModM:
         for c in x.c:
             num = int(c.numerator) % M
             den = int(c.denominator)
-            g = _gcd_int(den, M)
+            g = gcd(den, M)
             if g != 1:
                 raise ZeroDivisionError("denominator not invertible mod M")
             out.append(num * pow(den, -1, M) % M)
@@ -346,7 +347,7 @@ class ZetaModM:
             cols.append(self.mul(a, b))
         mat = [[cols[j][i] % M for j in range(4)] for i in range(4)]
         det, adj = _det_adjugate_4x4(mat, M)
-        g = _gcd_int(det, M)
+        g = gcd(det, M)
         if g != 1:
             raise ZeroDivisionError("element not invertible mod M")
         dinv = pow(det, -1, M)
@@ -365,13 +366,6 @@ class ZetaModM:
         for c in reversed(coeffs):
             acc = self.add(self.mul(acc, x), c)
         return acc
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _det_adjugate_4x4(m, M):
@@ -403,7 +397,7 @@ def _det_adjugate_4x4(m, M):
 def rational_reconstruct(c, M):
     """a/b with c*b = a (mod M), |a|, b <= sqrt(M/2); None if impossible."""
     c %= M
-    bound = _isqrt(M // 2)
+    bound = isqrt(M // 2)
     r0, r1 = M, c
     s0, s1 = 0, 1
     while r1 > bound:
@@ -412,17 +406,11 @@ def rational_reconstruct(c, M):
         s0, s1 = s1, s0 - q * s1
     if r1 > bound or abs(s1) > bound or s1 == 0:
         return None
-    if _gcd_int(r1, abs(s1)) != 1:
+    if gcd(r1, abs(s1)) != 1:
         return None
     if s1 < 0:
         return (-r1, -s1)
     return (r1, s1)
-
-
-def _isqrt(n):
-    import math
-
-    return math.isqrt(n)
 
 
 def roots_in_qz5(coeffs, rng_seed=20240, max_lift=9, primes=None):

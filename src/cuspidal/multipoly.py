@@ -14,6 +14,7 @@ is a syntax error.
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 from .cyclofield import CycloElem, ratio
 
@@ -110,21 +111,6 @@ def _lex_key(exp):
 
 DEGREVLEX = TermOrder("degrevlex", _degrevlex_key)
 LEX = TermOrder("lex", _lex_key)
-
-
-def elimination_order(k: int) -> TermOrder:
-    """Block order eliminating the first k variables (degrevlex blocks)."""
-
-    def key(exp):
-        a, b = exp[:k], exp[k:]
-        return (
-            sum(a),
-            tuple(-e for e in reversed(a)),
-            sum(b),
-            tuple(-e for e in reversed(b)),
-        )
-
-    return TermOrder("elim(%d)" % k, key)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +382,8 @@ class Poly:
                 if r:
                     n = abs(int(r.numerator))
                     d = int(r.denominator)
-                    num_gcd = _gcd(num_gcd, n)
-                    den_lcm = den_lcm * d // _gcd(den_lcm, d)
+                    num_gcd = gcd(num_gcd, n)
+                    den_lcm = den_lcm * d // gcd(den_lcm, d)
         if num_gcd == 0:
             return self
         factor = ratio(den_lcm, num_gcd)
@@ -511,12 +497,6 @@ class Poly:
         return "Poly(%s)" % print_poly(self)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _merge(ring, a, b, sign):
     """Merge two descending term tuples; sign applies to b."""
     f = ring.field
@@ -597,6 +577,22 @@ def minors(m, k: int):
             sub = [[m[i][j] for j in ci] for i in ri]
             out.append(det_poly(sub))
     return out
+
+
+def symmetric_minors(m, k: int):
+    """The k x k minors of a symmetric matrix with row set <= column set.
+
+    The minor on (cols, rows) is the one on (rows, cols) transposed, so
+    these are all of them, in the order of their first place in minors().
+    """
+    if not (1 <= k <= len(m)):
+        raise ValueError("minor order out of range")
+    sets = list(combinations(range(len(m)), k))
+    return [
+        det_poly([[m[i][j] for j in ci] for i in ri])
+        for a, ri in enumerate(sets)
+        for ci in sets[a:]
+    ]
 
 
 def restrict_to_plane(p: Poly, plane: Poly):

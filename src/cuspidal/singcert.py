@@ -3,8 +3,11 @@
 The singular locus of a surface F = 0 in P^3 is processed per affine
 chart; the four charts are sliced into disjoint pieces matching the
 projective normalization (last nonzero coordinate = 1), so every
-singular point is counted exactly once.  Tjurina degrees come from the
-piece scheme degrees, distinct-point counts from their radicals.
+singular point is counted exactly once.  A piece's Tjurina degree is
+the length of the chart scheme supported where the later coordinates
+vanish, read from stable images of their multiplication matrices
+(docs/DECISIONS.md D3); its distinct-point count is the degree of the
+chart radical sliced by those coordinates.
 
 Classification is by Hessian rank stratification plus Tjurina
 accounting and never needs point coordinates:
@@ -31,7 +34,7 @@ from .groebner import (
     radical_zero_dim,
     zero_dim_analyze,
 )
-from .multipoly import Poly, ProjPoint, Ring, hessian, jacobian, minors
+from .multipoly import Poly, ProjPoint, Ring, hessian, jacobian, symmetric_minors
 
 
 class SingularInCodimensionOne(ValueError):
@@ -140,17 +143,12 @@ def _piece_slice(scheme, radical, cring, var_map, later_ambient):
         return scheme.degree, radical
     if scheme.degree == 0:
         return 0, radical
-    positions = [var_map.index(j) for j in later_ambient]
-    # tau: slice by high powers (N = chart degree bounds local multiplicity)
-    N = scheme.degree
-    extra = [cring.var(cring.vars[pos]) ** N for pos in positions]
-    gb = buchberger(list(scheme.gb.polys) + extra, ring=cring)
-    tau = zero_dim_analyze(gb).degree
+    later = [cring.var(cring.vars[var_map.index(j)]) for j in later_ambient]
+    tau = QuotientAlgebra(scheme).supported_length(later)
     # distinct points: slice the radical by the linear forms (exact on a
     # reduced scheme)
-    extra_lin = [cring.var(cring.vars[pos]) for pos in positions]
-    gb2 = buchberger(list(radical.gb.polys) + extra_lin, ring=cring)
-    piece = zero_dim_analyze(gb2)
+    gb = buchberger(list(radical.gb.polys) + later, ring=cring)
+    piece = zero_dim_analyze(gb)
     piece = ZeroDimScheme(piece.gb, piece.std_monomials, is_radical=True)
     return tau, piece
 
@@ -212,9 +210,8 @@ def classify_all(F: Poly, surface_name="surface", action=None):
         return cert
 
     H = hessian(F)
-    # the Hessian is symmetric: minors of transposed index sets coincide
-    minors2 = list(dict.fromkeys(m for m in minors(H, 2) if not m.is_zero))
-    minors3 = list(dict.fromkeys(m for m in minors(H, 3) if not m.is_zero))
+    minors2 = list(dict.fromkeys(m for m in symmetric_minors(H, 2) if not m.is_zero))
+    minors3 = list(dict.fromkeys(m for m in symmetric_minors(H, 3) if not m.is_zero))
 
     rank_le1_empty = True
     degenerate_empty = True

@@ -131,10 +131,6 @@ def eval_poly(p, x, field):
     return acc
 
 
-def eval_at_scalar(p, x, field):
-    return eval_poly(p, x, field)
-
-
 def peel_root(p, r, field):
     """Divide by (T - r); returns quotient or None when r is not a root."""
     d = deg(p, field)
@@ -150,10 +146,3 @@ def peel_root(p, r, field):
     if not field.is_zero(rem):
         return None
     return trim(out, field)
-
-
-def from_roots(roots, field):
-    p = [field.one]
-    for r in roots:
-        p = mul(p, [field.neg(r), field.one], field)
-    return p

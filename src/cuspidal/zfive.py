@@ -69,10 +69,6 @@ class ActionK:
         return pts
 
 
-def act_on_point(p: ProjPoint, k: int) -> ProjPoint:
-    return ActionK(k).on_point(p)
-
-
 def orbit(p: ProjPoint, k: int = 0):
     """The Z5 orbit of p as a list (size 1 or 5)."""
     act = ActionK(k)
@@ -168,7 +164,11 @@ class LinearAction:
         return p.subs(subs)
 
     def fixed_points(self):
-        """Eigenvector points (requires semisimple action, e.g. order 5)."""
+        """Eigenvector points (requires semisimple action, e.g. order 5).
+
+        Raises ValueError on an eigenspace of dimension 2 or more: its
+        whole projective line or plane is fixed, not just a basis of it.
+        """
         pts = []
         for k in range(5):
             lam = CycloElem.e_power(k)
@@ -179,7 +179,13 @@ class LinearAction:
                 ]
                 for i in range(4)
             ]
-            for v in kernel_basis(m, QZ5):
+            kernel = kernel_basis(m, QZ5)
+            if len(kernel) > 1:
+                raise ValueError(
+                    "eigenvalue zeta^%d has a %d-dimensional eigenspace; its "
+                    "fixed locus is not finite" % (k, len(kernel))
+                )
+            for v in kernel:
                 if any(not QZ5.is_zero(c) for c in v):
                     pts.append(ProjPoint(v))
         # deduplicate projectively

@@ -147,6 +147,22 @@ def test_pair_intersection_away_from():
     assert pair_intersection_away_from(c1, c2, [meet]) == 0
 
 
+def test_pair_intersection_tangential():
+    # in the plane x = 0 the line y = 0 is tangent to the conic y w = z^2
+    # at (0:0:0:1); the line y = z meets it there and at (0:1:1:1)
+    x, y, z, w = R.gens()
+    conic = CurveOnSurface("conic", [x, y * w - z**2], 2, 0)
+    tangent = CurveOnSurface("tangent", [x, y], 1, 0)
+    secant = CurveOnSurface("secant", [x, y - z], 1, 0)
+    p0 = ProjPoint([0, 0, 0, 1])
+    p1 = ProjPoint([0, 1, 1, 1])
+    assert pair_intersection_away_from(conic, tangent, []) == 2
+    assert pair_intersection_away_from(conic, tangent, [p0]) == 0
+    assert pair_intersection_away_from(conic, secant, []) == 2
+    assert pair_intersection_away_from(conic, secant, [p0]) == 1
+    assert pair_intersection_away_from(conic, secant, [p1]) == 1
+
+
 def test_t3_member_has_five_double_points(new_divisibility):
     fam3 = new_divisibility.families[2]
     sing = curve_singular_points(fam3[0])

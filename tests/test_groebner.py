@@ -216,6 +216,81 @@ def test_generates_whole_agrees_with_buchberger_random():
     assert seen == {True, False}
 
 
+def _supported_by_linear_algebra(gb, polys):
+    return QuotientAlgebra(zero_dim_analyze(gb)).supported_length(polys)
+
+
+def _supported_by_buchberger(gb, polys):
+    # slice by g^deg: deg bounds every local multiplicity
+    deg = zero_dim_analyze(gb).degree
+    sliced = buchberger(list(gb.polys) + [g**deg for g in polys], ring=gb.ring)
+    return 0 if sliced.is_trivial() else zero_dim_analyze(sliced).degree
+
+
+def test_supported_length_small_ideals():
+    ring = Ring(("x", "y"))
+    x, y = ring.gens()
+    cases = [
+        # empty piece: x vanishes at neither of (1, 1), (-1, -1)
+        ([x**2 - 1, y - x], [x], 0),
+        ([x**2, y**2], [x + 1], 0),  # a unit
+        # the whole scheme: a fat point at the origin
+        ([x**2, y**2], [x], 4),
+        ([x**2, y**2], [x * y, y], 4),
+        ([x**2, y**2], [], 4),
+        ([x**3 - x**2, y - x], [x**3 - x**2], 3),  # zero in R/I
+        # non-radical: a double point at the origin and a simple one at (1, 1)
+        ([x**3 - x**2, y - x], [x], 2),
+        ([x**3 - x**2, y - x], [x - 1], 1),
+        ([x**3 - x**2, y - x], [x * (x - 1)], 3),
+        # several polynomials: lengths 2, 2, 1, 1 at (0, 0), (0, 1), (1, 0), (1, 1)
+        ([x**3 - x**2, y**2 - y], [x, y], 2),
+        ([x**3 - x**2, y**2 - y], [x, y - 1], 2),
+        ([x**3 - x**2, y**2 - y], [x - 1, y], 1),
+        ([x**3 - x**2, y**2 - y], [x, x - 1], 0),
+        ([x**3 - x**2, y**2 - y], [y], 3),
+        # I = R: nothing to measure
+        ([x - 1, x], [x], 0),
+    ]
+    for gens, polys, want in cases:
+        gb = buchberger(gens, ring=ring)
+        assert _supported_by_buchberger(gb, polys) == want
+        assert _supported_by_linear_algebra(gb, polys) == want
+
+
+def test_supported_length_agrees_with_buchberger_random():
+    rng = random.Random(3141)
+    ring = Ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    seen = set()
+    for _ in range(30):
+        # zero-dimensional, split into the slices x = 0 and x = a, and
+        # sometimes non-reduced along z
+        a = rng.choice([-2, -1, 1, 2])
+        tail = rand_poly(rng, ring, deg=1) if rng.random() < 0.7 else ring.zero
+        gens = [
+            x**2 - a * x,
+            y**2 + rand_poly(rng, ring, deg=1),
+            z**2 + tail,
+        ]
+        gb = buchberger(gens, ring=ring)
+        pool = [
+            x,
+            x - a,
+            y,
+            z,
+            rand_poly(rng, ring, deg=2),
+            x * rand_poly(rng, ring),
+            gens[0] * (y + 1),  # in I: vanishes on the whole scheme
+        ]
+        polys = rng.sample(pool, rng.randint(1, 2))
+        want = _supported_by_buchberger(gb, polys)
+        assert _supported_by_linear_algebra(gb, polys) == want
+        deg = zero_dim_analyze(gb).degree
+        seen.add("empty" if want == 0 else "whole" if want == deg else "part")
+    assert seen == {"empty", "part", "whole"}
+
+
 def test_radical_simple():
     ring = Ring(("x",))
     x = ring.var("x")

@@ -105,6 +105,14 @@ def test_certificate_requires_nullspace_vector():
         divisibility_certificate(lat, [1] + [0] * 8)
 
 
+def test_find_vector_propagates_basis_outside_nullspace():
+    # combinations of a true nullspace basis never leave the nullspace, so
+    # a bad basis is a bug to report, not a missing pattern
+    lat = IntersectionLattice(PUBLISHED_MATRIX)
+    with pytest.raises(ValueError):
+        find_divisibility_vector(lat, [[1] + [0] * 8])
+
+
 def test_t3_projection_formula_on_published_row():
     row = PUBLISHED_MATRIX[8]
     corr = t3_corrections(row)

@@ -88,6 +88,15 @@ def test_vdgz_pair(vdgz_quartic_cert, vdgz_quintic_cert):
     )
 
 
+def test_vdgz_quintic_chart_pieces(vdgz_quintic_cert):
+    # the z piece is the only proper partial slice in the catalog: three
+    # cusps with w = 0, counted in chart z and excluded from chart w
+    pieces = {
+        p["chart"]: (p["tau"], p["npoints"]) for p in vdgz_quintic_cert.report.pieces
+    }
+    assert pieces == {"x": (0, 0), "y": (0, 0), "z": (6, 3), "w": (24, 12)}
+
+
 def test_tau_additivity_chart_independent(new_quartic_cert, new_quintic_cert):
     # disjoint pieces sum to the global invariants
     for cert, tau, n in ((new_quartic_cert, 16, 16), (new_quintic_cert, 30, 15)):

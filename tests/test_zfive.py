@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, VDGZ_ACTION, XYZW, get
 from cuspidal.cyclofield import ALPHA, CycloElem, ratio
 from cuspidal.multipoly import ProjPoint, QZ5
 from cuspidal.zfive import (
     ActionK,
+    LinearAction,
     free_action_check,
     invariant_basis,
     orbit,
@@ -117,6 +120,20 @@ def test_vdgz_action_invariance_and_freeness():
     assert len(fixed) == 4
     v = free_action_check(ent.poly, action=VDGZ_ACTION)
     assert v.free
+
+
+def test_fixed_points_refuse_repeated_eigenvalue():
+    # zeta appears twice: the whole line {x = w = 0} is fixed, which a
+    # kernel basis of two points would not cover
+    z = CycloElem.e_power
+    diag = [z(0), z(1), z(1), z(2)]
+    act = LinearAction(
+        [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)], 5
+    )
+    with pytest.raises(ValueError):
+        act.fixed_points()
+    with pytest.raises(ValueError):
+        free_action_check(R.var("y") ** 5, action=act)
 
 
 def test_vdgz_action_order():
