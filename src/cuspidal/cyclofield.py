@@ -1,34 +1,32 @@
 """Exact arithmetic in the cyclotomic field Q(zeta5).
 
 Elements are stored in the power basis {1, e, e^2, e^3} where e is a fixed
-primitive 5th root of unity, reduced by e^4 = -1 - e - e^2 - e^3.  All
-coefficients are exact rationals (gmpy2.mpq when available, else
-fractions.Fraction); values are immutable and hashable.
+primitive 5th root of unity, reduced by e^4 = -1 - e - e^2 - e^3.  An
+element is four integers over one positive common denominator,
+(n0 + n1*e + n2*e^2 + n3*e^3) / d, kept in lowest terms:
+gcd(n0, n1, n2, n3, d) == 1, and zero is (0, 0, 0, 0) / 1.  Equal values
+therefore have equal fields.  Values are immutable and hashable.
+
+`phi5_mul` is the one integer product in Z[e]/(Phi5); the modular rings in
+`modp` reduce its output mod p or mod p^k.
 """
 
 from __future__ import annotations
 
-import math
-
-try:  # gmpy2 is an optional accelerator; the stdlib fallback is exact too
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
-
-RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 
-def ratio(num, den=1) -> Rat:
+def ratio(num, den=1) -> Fraction:
     """Build an exact rational; den must be nonzero."""
-    return Rat(num, den)
+    return Fraction(num, den)
 
 
 def _isqrt_exact(n: int):
     """Integer square root of n >= 0, or None when n is not a square."""
     if n < 0:
         return None
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r if r * r == n else None
 
 
@@ -42,72 +40,136 @@ def rat_sqrt(r):
     d = _isqrt_exact(int(r.denominator))
     if d is None:
         return None
-    return Rat(n, d)
+    return Fraction(n, d)
+
+
+def phi5_mul(a, b):
+    """Product of two integer 4-vectors in Z[e]/(Phi5), as a 4-tuple.
+
+    16 integer products: the convolution's e^5 and e^6 terms fold onto 1
+    and e, and its e^4 term is subtracted from all four by
+    e^4 = -1 - e - e^2 - e^3.
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    r4 = a1 * b3 + a2 * b2 + a3 * b1
+    return (
+        a0 * b0 + a2 * b3 + a3 * b2 - r4,
+        a0 * b1 + a1 * b0 + a3 * b3 - r4,
+        a0 * b2 + a1 * b1 + a2 * b0 - r4,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - r4,
+    )
+
+
+def _galois_int(n, k):
+    """Image of an integer 4-vector under e -> e^k (k prime to 5)."""
+    out = [0] * 5
+    for i, c in enumerate(n):
+        out[i * k % 5] += c
+    c4 = out[4]
+    return (out[0] - c4, out[1] - c4, out[2] - c4, out[3] - c4)
 
 
 class CycloElem:
-    """An element c0 + c1*e + c2*e^2 + c3*e^3 of Q(zeta5)."""
+    """An element (n0 + n1*e + n2*e^2 + n3*e^3) / d of Q(zeta5).
 
-    __slots__ = ("c",)
+    `n` is a tuple of four ints and `d` a positive int, in lowest terms.
+    """
+
+    __slots__ = ("n", "d")
 
     def __init__(self, coeffs):
+        """Build from four int or Fraction coefficients of 1, e, e^2, e^3."""
         c = tuple(coeffs)
         if len(c) != 4:
             raise ValueError("CycloElem needs exactly 4 coefficients")
-        object.__setattr__(self, "c", c)
+        d = 1
+        for x in c:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(
+                    "CycloElem coefficients must be int or Fraction, not %s"
+                    % type(x).__name__
+                )
+            d = lcm(d, x.denominator)
+        # already in lowest terms: each x is, and d is the lcm of their denominators
+        _set(self, "n", tuple(x.numerator * (d // x.denominator) for x in c))
+        _set(self, "d", d)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CycloElem is immutable")
+
+    @property
+    def c(self):
+        """The four coefficients as Fractions."""
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.n)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rat(r) -> "CycloElem":
-        return CycloElem((Rat(r), RAT_ZERO, RAT_ZERO, RAT_ZERO))
+        if not isinstance(r, (int, Fraction)):
+            raise TypeError("not an int or Fraction: %r" % (r,))
+        return _raw((r.numerator, 0, 0, 0), r.denominator)
 
     @staticmethod
     def from_int(n: int) -> "CycloElem":
-        return CycloElem((Rat(n), RAT_ZERO, RAT_ZERO, RAT_ZERO))
+        return _raw((n, 0, 0, 0), 1)
 
     @staticmethod
     def e_power(k: int) -> "CycloElem":
         """e^k reduced to the power basis (any integer k)."""
         k %= 5
         if k < 4:
-            c = [RAT_ZERO] * 4
-            c[k] = RAT_ONE
-            return CycloElem(c)
-        return CycloElem((-RAT_ONE, -RAT_ONE, -RAT_ONE, -RAT_ONE))
+            n = [0] * 4
+            n[k] = 1
+            return _raw(tuple(n), 1)
+        return _raw((-1, -1, -1, -1), 1)
 
     # -- predicates --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        c = self.c
-        return not (c[0] or c[1] or c[2] or c[3])
+        return not any(self.n)
 
     @property
     def is_rational(self) -> bool:
-        c = self.c
-        return not (c[1] or c[2] or c[3])
+        n = self.n
+        return not (n[1] or n[2] or n[3])
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        return CycloElem((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        if type(other) is not CycloElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        da, db = self.d, other.d
+        if da == db:
+            return _canon((a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
+        return _canon(
+            (a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da, a3 * db + b3 * da),
+            da * db,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        return CycloElem((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        if type(other) is not CycloElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        da, db = self.d, other.d
+        if da == db:
+            return _canon((a0 - b0, a1 - b1, a2 - b2, a3 - b3), da)
+        return _canon(
+            (a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da),
+            da * db,
+        )
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -116,32 +178,15 @@ class CycloElem:
         return other - self
 
     def __neg__(self):
-        a = self.c
-        return CycloElem((-a[0], -a[1], -a[2], -a[3]))
+        a0, a1, a2, a3 = self.n
+        return _raw((-a0, -a1, -a2, -a3), self.d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.c, other.c
-        # convolution: raw coefficients of e^0..e^6
-        r = [RAT_ZERO] * 7
-        for i in range(4):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(4):
-                bj = b[j]
-                if bj:
-                    r[i + j] += ai * bj
-        # e^5 = 1, e^6 = e
-        c0 = r[0] + r[5]
-        c1 = r[1] + r[6]
-        c2, c3, c4 = r[2], r[3], r[4]
-        # e^4 = -1 - e - e^2 - e^3
-        if c4:
-            return CycloElem((c0 - c4, c1 - c4, c2 - c4, c3 - c4))
-        return CycloElem((c0, c1, c2, c3))
+        if type(other) is not CycloElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _canon(phi5_mul(self.n, other.n), self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -170,27 +215,25 @@ class CycloElem:
         return acc
 
     def inverse(self) -> "CycloElem":
-        """Multiplicative inverse via extended Euclid modulo Phi5."""
-        if self.is_zero:
+        """Multiplicative inverse: a^-1 = s2(a) s3(a) s4(a) / N(a).
+
+        s_k is the automorphism e -> e^k and N(a) = a s2(a) s3(a) s4(a) is
+        the norm, a rational that is positive for a != 0 because Q(zeta5)
+        has no real embedding.
+        """
+        n, d = self.n, self.d
+        if n[1] or n[2] or n[3]:
+            conj = phi5_mul(
+                phi5_mul(_galois_int(n, 2), _galois_int(n, 3)), _galois_int(n, 4)
+            )
+            norm = phi5_mul(n, conj)[0]
+            return _canon(tuple(q * d for q in conj), norm)
+        n0 = n[0]
+        if not n0:
             raise ZeroDivisionError("inverse of zero in Q(zeta5)")
-        if self.is_rational:
-            return CycloElem.from_rat(RAT_ONE / self.c[0])
-        # xgcd(a(t), Phi5(t)) over Q[t]; Phi5 irreducible so gcd is a unit
-        phi = [RAT_ONE] * 5
-        a = list(self.c)
-        s_prev, s_cur = [RAT_ONE], []  # coefficients multiplying a(t)
-        r_prev, r_cur = a, phi
-        while _poly_deg(r_cur) >= 0:
-            q, rem = _poly_divmod(r_prev, r_cur)
-            r_prev, r_cur = r_cur, rem
-            s_prev, s_cur = s_cur, _poly_sub(s_prev, _poly_mul(q, s_cur))
-            if _poly_deg(r_cur) < 1 and _poly_deg(r_cur) >= 0:
-                break
-        # now r_cur is a nonzero constant: a*s_cur = r_cur mod Phi5
-        const = r_cur[0]
-        inv = [ci / const for ci in s_cur]
-        inv = _poly_phi5_reduce(inv)
-        return CycloElem(tuple(inv + [RAT_ZERO] * (4 - len(inv)))[:4])
+        if n0 < 0:
+            return _raw((-d, 0, 0, 0), -n0)
+        return _raw((d, 0, 0, 0), n0)
 
     # -- Galois ------------------------------------------------------------
 
@@ -201,28 +244,23 @@ class CycloElem:
             raise ValueError("galois index must be prime to 5")
         if k == 1:
             return self
-        out = [RAT_ZERO] * 5
-        for i, ci in enumerate(self.c):
-            if ci:
-                out[(i * k) % 5] += ci
-        if out[4]:
-            c4 = out[4]
-            return CycloElem((out[0] - c4, out[1] - c4, out[2] - c4, out[3] - c4))
-        return CycloElem(tuple(out[:4]))
+        # an automorphism of Z[e]: the numerators' content is unchanged
+        return _raw(_galois_int(self.n, k), self.d)
 
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.c == other.c
+        if type(other) is not CycloElem:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     def __bool__(self):
-        return not self.is_zero
+        return any(self.n)
 
     # -- text form (grammar: p/q literals, e, + - * ^) ----------------------
 
@@ -233,12 +271,31 @@ class CycloElem:
         return "CycloElem(%s)" % cyclo_to_str(self)
 
 
+_set = object.__setattr__
+_new = object.__new__
+
+
+def _raw(n, d):
+    """The CycloElem n/d; the caller guarantees lowest terms and d > 0."""
+    x = _new(CycloElem)
+    _set(x, "n", n)
+    _set(x, "d", d)
+    return x
+
+
+def _canon(n, d):
+    """The CycloElem n/d for d > 0, brought to lowest terms."""
+    g = gcd(d, *n)
+    if g != 1:
+        n = (n[0] // g, n[1] // g, n[2] // g, n[3] // g)
+        d //= g
+    return _raw(n, d)
+
+
 def _coerce(x):
     if isinstance(x, CycloElem):
         return x
-    if isinstance(x, int):
-        return CycloElem.from_int(x)
-    if isinstance(x, Rat) or type(x).__name__ in ("Fraction", "mpq"):
+    if isinstance(x, (int, Fraction)):
         return CycloElem.from_rat(x)
     return NotImplemented
 
@@ -263,72 +320,6 @@ def galois_map(a: CycloElem, k: int) -> CycloElem:
 
 
 # ---------------------------------------------------------------------------
-# small dense Q[t] helpers (internal; degree <= 4 throughout)
-
-
-def _poly_deg(p):
-    d = len(p) - 1
-    while d >= 0 and not p[d]:
-        d -= 1
-    return d
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else RAT_ZERO
-        y = b[i] if i < len(b) else RAT_ZERO
-        out.append(x - y)
-    return out
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [RAT_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(a, b):
-    db = _poly_deg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [RAT_ZERO] * (max(_poly_deg(a) - db + 1, 0))
-    lead = b[db]
-    for i in range(_poly_deg(a) - db, -1, -1):
-        c = a[i + db] / lead
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    return q, a[:db] if db > 0 else []
-
-
-def _poly_phi5_reduce(p):
-    """Reduce a Q[t] list modulo Phi5 = 1+t+t^2+t^3+t^4."""
-    p = list(p)
-    for i in range(len(p) - 1, 3, -1):
-        c = p[i]
-        if c:
-            # t^i = -(t^(i-1) + t^(i-2) + t^(i-3) + t^(i-4))
-            p[i] = RAT_ZERO
-            for j in range(i - 4, i):
-                p[j] -= c
-    out = p[:4]
-    while len(out) < 4:
-        out.append(RAT_ZERO)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # square roots
 #
 # Q(zeta5) contains the quadratic field Q(sqrt5) with alpha = e^2+e^3 and
@@ -342,10 +333,10 @@ def _quad_sqrt(a, b):
     if not b:
         r = rat_sqrt(a)
         if r is not None:
-            return (r, RAT_ZERO)
+            return (r, Fraction(0))
         r = rat_sqrt(a / 5)
         if r is not None:
-            return (RAT_ZERO, r)
+            return (Fraction(0), r)
         return None
     # (p + q sqrt5)^2 = p^2+5q^2 + 2pq sqrt5; so p^2 is a root of
     # X^2 - a X + 5 b^2/4 = 0
@@ -390,7 +381,7 @@ def _from_quad(a, b) -> CycloElem:
     """Build a + b*sqrt5 as a CycloElem (sqrt5 = -1 - 2*alpha)."""
     # sqrt5 = beta - alpha, alpha = e^2+e^3, beta = -1-alpha
     # = -1 - 2 e^2 - 2 e^3
-    return CycloElem((a - b, RAT_ZERO, -2 * b, -2 * b))
+    return CycloElem((a - b, Fraction(0), -2 * b, -2 * b))
 
 
 def cyclo_sqrt(x: CycloElem):

@@ -14,6 +14,9 @@ zero in every branch iff its representative is the zero tuple.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .cyclofield import CycloElem
 from .multipoly import QZ5
 from . import unipoly
@@ -119,7 +122,7 @@ class TowerContext:
             c = CycloElem.from_int(x)
         elif isinstance(x, CycloElem):
             c = x
-        elif type(x).__name__ in ("Fraction", "mpq"):
+        elif isinstance(x, Fraction):
             c = CycloElem.from_rat(x)
         else:
             raise TypeError("cannot coerce %r into %s" % (x, self.name))
@@ -244,17 +247,14 @@ class TowerContext:
             return a * r
         return tuple(self._scale_rat(x, r, k - 1) for x in a)
 
-    def rat_parts(self, a):
-        out = []
-        self._rat_parts(a, self.depth, out)
-        return out
-
-    def _rat_parts(self, a, k, out):
-        if k == 0:
-            out.extend(a.c)
-            return
-        for x in a:
-            self._rat_parts(x, k - 1, out)
+    def content(self, a):
+        """(gcd of the integer numerators, common denominator) of a's
+        coordinates over Q(zeta5)."""
+        g, d = 0, 1
+        for x in self.flatten(a):
+            g = gcd(g, *x.n)
+            d = lcm(d, x.d)
+        return g, d
 
     # -- inversion with dynamic splitting ---------------------------------------------
 

@@ -22,7 +22,9 @@ from __future__ import annotations
 import random
 from math import gcd, isqrt
 
-from .cyclofield import CycloElem, ratio
+from .cyclofield import CycloElem, phi5_mul, ratio
+from .multipoly import QZ5
+from .unipoly import eval_poly as exact_eval
 
 INERT_PRIMES = [7, 13, 17, 23, 37, 43, 47, 53, 67, 73, 83, 97, 103, 107]
 
@@ -48,6 +50,13 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _inverse_mod(d, m):
+    """d^-1 mod m for a denominator d; ZeroDivisionError if gcd(d, m) > 1."""
+    if gcd(d, m) != 1:
+        raise ZeroDivisionError("denominator %d not invertible mod %d" % (d, m))
+    return pow(d, -1, m)
 
 
 def split_primes(start=10006):
@@ -80,15 +89,10 @@ class CycloModP:
         raise AssertionError("no 5th root of unity mod %d" % p)
 
     def reduce(self, x: CycloElem) -> int:
-        """Image in F_p; raises ZeroDivisionError if a denominator hits p."""
-        out = 0
-        for i, c in enumerate(x.c):
-            num = int(c.numerator) % self.p
-            den = int(c.denominator) % self.p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            out = (out + num * pow(den, self.p - 2, self.p) * self._zpow[i]) % self.p
-        return out
+        """Image in F_p; raises ZeroDivisionError if the denominator hits p."""
+        p = self.p
+        dinv = _inverse_mod(x.d, p)
+        return sum(n * z for n, z in zip(x.n, self._zpow)) * dinv % p
 
     def reduce_vector(self, xs):
         return [self.reduce(x) for x in xs]
@@ -135,14 +139,8 @@ class Fp4:
 
     def from_cyclo(self, x: CycloElem):
         p = self.p
-        out = []
-        for c in x.c:
-            num = int(c.numerator) % p
-            den = int(c.denominator) % p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % p)
-            out.append(num * pow(den, p - 2, p) % p)
-        return tuple(out)
+        dinv = _inverse_mod(x.d, p)
+        return tuple(n * dinv % p for n in x.n)
 
     def add(self, a, b):
         p = self.p
@@ -158,18 +156,7 @@ class Fp4:
 
     def mul(self, a, b):
         p = self.p
-        r = [0] * 7
-        for i in range(4):
-            if a[i]:
-                for j in range(4):
-                    if b[j]:
-                        r[i + j] = (r[i + j] + a[i] * b[j]) % p
-        c0 = (r[0] + r[5]) % p
-        c1 = (r[1] + r[6]) % p
-        c2, c3, c4 = r[2], r[3], r[4]
-        if c4:
-            return ((c0 - c4) % p, (c1 - c4) % p, (c2 - c4) % p, (c3 - c4) % p)
-        return (c0, c1, c2, c3)
+        return tuple(v % p for v in phi5_mul(a, b))
 
     def is_zero(self, a):
         return not any(a)
@@ -313,30 +300,12 @@ class ZetaModM:
 
     def mul(self, a, b):
         M = self.M
-        r = [0] * 7
-        for i in range(4):
-            if a[i]:
-                for j in range(4):
-                    if b[j]:
-                        r[i + j] = (r[i + j] + a[i] * b[j]) % M
-        c0 = (r[0] + r[5]) % M
-        c1 = (r[1] + r[6]) % M
-        c2, c3, c4 = r[2], r[3], r[4]
-        if c4:
-            return ((c0 - c4) % M, (c1 - c4) % M, (c2 - c4) % M, (c3 - c4) % M)
-        return (c0, c1, c2, c3)
+        return tuple(v % M for v in phi5_mul(a, b))
 
     def from_cyclo(self, x: CycloElem):
         M = self.M
-        out = []
-        for c in x.c:
-            num = int(c.numerator) % M
-            den = int(c.denominator)
-            g = gcd(den, M)
-            if g != 1:
-                raise ZeroDivisionError("denominator not invertible mod M")
-            out.append(num * pow(den, -1, M) % M)
-        return tuple(out)
+        dinv = _inverse_mod(x.d, M)
+        return tuple(n * dinv % M for n in x.n)
 
     def inv(self, a):
         """Inverse via the adjugate of the 4x4 multiplication matrix."""
@@ -420,24 +389,6 @@ def roots_in_qz5(coeffs, rng_seed=20240, max_lift=9, primes=None):
     CycloElem roots, each verified exactly by substitution.  Roots outside
     Q(zeta5) are silently ignored (the caller retains them in towers).
     """
-    from .unipoly import eval_poly as exact_eval
-
-    class _QZ5ops:
-        zero = CycloElem.from_int(0)
-        one = CycloElem.from_int(1)
-
-        @staticmethod
-        def is_zero(a):
-            return a.is_zero
-
-        @staticmethod
-        def add(a, b):
-            return a + b
-
-        @staticmethod
-        def mul(a, b):
-            return a * b
-
     deg = len(coeffs) - 1
     while deg >= 0 and coeffs[deg].is_zero:
         deg -= 1
@@ -473,7 +424,7 @@ def roots_in_qz5(coeffs, rng_seed=20240, max_lift=9, primes=None):
             root = _lift_root(coeffs, r, p, max_lift)
             if root is None:
                 continue
-            val = exact_eval(coeffs, root, _QZ5ops)
+            val = exact_eval(coeffs, root, QZ5)
             if val.is_zero:
                 found.append(root)
         return found

@@ -14,7 +14,8 @@ is a syntax error.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from .cyclofield import CycloElem, ratio
 
@@ -68,9 +69,9 @@ class BaseFieldQZ5:
         return a == b
 
     @staticmethod
-    def rat_parts(a):
-        """All rational coordinates of a (used for content extraction)."""
-        return a.c
+    def content(a):
+        """(gcd of the integer numerators, common denominator) of a."""
+        return gcd(*a.n), a.d
 
     @staticmethod
     def scale_rat(a, r):
@@ -337,10 +338,7 @@ class Poly:
             if other.ring is self.ring or other.ring == self.ring:
                 return other
             return NotImplemented
-        if isinstance(other, (int, CycloElem)) or type(other).__name__ in (
-            "Fraction",
-            "mpq",
-        ):
+        if isinstance(other, (int, Fraction, CycloElem)):
             return self.ring.from_scalar(other)
         return NotImplemented
 
@@ -378,12 +376,9 @@ class Poly:
         num_gcd = 0
         den_lcm = 1
         for _, c in self.terms:
-            for r in f.rat_parts(c):
-                if r:
-                    n = abs(int(r.numerator))
-                    d = int(r.denominator)
-                    num_gcd = gcd(num_gcd, n)
-                    den_lcm = den_lcm * d // gcd(den_lcm, d)
+            g, d = f.content(c)
+            num_gcd = gcd(num_gcd, g)
+            den_lcm = lcm(den_lcm, d)
         if num_gcd == 0:
             return self
         factor = ratio(den_lcm, num_gcd)

@@ -177,7 +177,19 @@ def _same_pencil(gens_a, gens_b):
 
 
 class DivisibilityResult:
-    def __init__(self, surface, families, resolutions, lat, vector, cert, match, stages):
+    def __init__(
+        self,
+        surface,
+        families,
+        resolutions,
+        lat,
+        vector,
+        cert,
+        match,
+        stages,
+        nullspace_basis,
+        raw_lattice,
+    ):
         self.surface = surface
         self.families = families
         self.resolutions = resolutions
@@ -186,17 +198,8 @@ class DivisibilityResult:
         self.certificate = cert
         self.match = match
         self.stages = stages
-
-    def to_json(self):
-        out = {
-            "surface": self.surface,
-            "stages": self.stages,
-            "lattice": self.lattice.to_json(),
-            "nullspace": [list(v) for v in self.nullspace_basis],
-            "certificate": self.certificate.to_json() if self.certificate else None,
-            "published_match": self.match,
-        }
-        return out
+        self.nullspace_basis = nullspace_basis
+        self.raw_lattice = raw_lattice
 
 
 def divisibility_pipeline(name, transcript=None, seed=20240501):
@@ -383,9 +386,6 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
         swaps=list(cert3.swaps),
     )
 
-    result = DivisibilityResult(
-        name, families, resolutions, lat_use, vec, cert3, match, stages
+    return DivisibilityResult(
+        name, families, resolutions, lat_use, vec, cert3, match, stages, basis_use, lat
     )
-    result.nullspace_basis = basis_use
-    result.raw_lattice = lat
-    return result

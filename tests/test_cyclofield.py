@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -17,6 +19,7 @@ from cuspidal.cyclofield import (
     galois_map,
     ratio,
 )
+from cuspidal.modp import CycloModP, Fp4, ZetaModM
 
 
 def sympy_elem(x: CycloElem):
@@ -177,3 +180,136 @@ def test_rat_coercion_ops():
     assert ONE + 1 == CycloElem.from_int(2)
     assert 2 * E == E + E
     assert (ONE + ONE) / 2 == ONE
+
+
+# -- the integer representation: four numerators over one denominator -------
+
+BIG = 10**12
+
+
+def rand_big(rng, kind="general"):
+    """Numerators and denominators up to 10^12; `kind` picks the shape."""
+    if kind == "zero":
+        return ZERO
+    cs = [ratio(rng.randint(-BIG, BIG), rng.randint(1, BIG)) for _ in range(4)]
+    if kind == "rational":
+        cs[1:] = [0, 0, 0]
+    elif kind == "sparse":
+        cs[rng.randrange(4)] = 0
+        cs[rng.randrange(4)] = 0
+    return CycloElem(cs)
+
+
+KINDS = ("general", "general", "sparse", "rational", "zero")
+
+
+def assert_canonical(x):
+    assert type(x.d) is int and x.d > 0
+    assert len(x.n) == 4 and all(type(v) is int for v in x.n)
+    assert math.gcd(x.d, *x.n) == 1
+    if x.is_zero:
+        assert (x.n, x.d) == ((0, 0, 0, 0), 1)
+    assert x.c == tuple(Fraction(v, x.d) for v in x.n)
+
+
+def test_canonical_form_invariants():
+    half = CycloElem([ratio(1, 2), ratio(1, 3), 0, ratio(-5, 6)])
+    assert (half.n, half.d) == ((3, 2, 0, -5), 6)
+    assert CycloElem([Fraction(4, 8), 0, 0, 0]).n == (1, 0, 0, 0)
+    assert CycloElem([6, 0, 0, 0]) == CycloElem.from_rat(ratio(12, 2))
+    assert (ZERO.n, ZERO.d) == ((0, 0, 0, 0), 1)
+    assert ((half - half).n, (half - half).d) == ((0, 0, 0, 0), 1)
+    assert ((half * 0).n, (half * 0).d) == ((0, 0, 0, 0), 1)
+    assert (ratio(-3, 4) * ONE).inverse().d == 3
+    rng = random.Random(17)
+    for _ in range(200):
+        a = rand_big(rng, rng.choice(KINDS))
+        b = rand_big(rng, rng.choice(KINDS))
+        for x in (a, b, a + b, a - b, b - a, -a, a * b, a.galois(2), a.galois(4)):
+            assert_canonical(x)
+        if not a.is_zero:
+            assert_canonical(a.inverse())
+            assert_canonical(b / a)
+
+
+def test_ops_against_sympy_big():
+    t = sympy.Symbol("t")
+    rng = random.Random(23)
+    for _ in range(60):
+        a = rand_big(rng, rng.choice(KINDS))
+        b = rand_big(rng, rng.choice(KINDS))
+        pa, pb = sympy_elem(a), sympy_elem(b)
+        assert a + b == from_sympy(pa + pb)
+        assert a - b == from_sympy(pa - pb)
+        assert a * b == from_sympy(sympy_reduce(pa * pb))
+        for k in (2, 3, 4):
+            image = sympy.Poly(pa.as_expr().subs(t, t**k), t, domain="QQ")
+            assert a.galois(k) == from_sympy(sympy_reduce(image))
+        if not a.is_zero:
+            phi = sympy.Poly(t**4 + t**3 + t**2 + t + 1, t, domain="QQ")
+            assert a.inverse() == from_sympy(pa.invert(phi))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+
+
+def test_equal_values_hash_equal():
+    rng = random.Random(29)
+    for _ in range(100):
+        a, b, c = (rand_big(rng, rng.choice(KINDS)) for _ in range(3))
+        pairs = [
+            ((a * b) * c, a * (b * c)),
+            (a + b - b, a),
+            (CycloElem(a.c), a),
+            (a.galois(2).galois(3), a),
+        ]
+        if not b.is_zero:
+            pairs.append((a / b * b, a))
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+    r = ratio(-7, 3)
+    same = [CycloElem.from_rat(r), CycloElem([r, 0, 0, 0]), ONE * r, ONE / ratio(-3, 7)]
+    assert len(set(same)) == 1
+    assert len({CycloElem.from_int(3), CycloElem([ratio(6, 2), 0, 0, 0]), ONE + 2}) == 1
+
+
+def test_string_roundtrip_big():
+    rng = random.Random(31)
+    for _ in range(200):
+        a = rand_big(rng, rng.choice(KINDS))
+        assert cyclo_from_str(str(a)) == a
+
+
+def test_float_coefficient_refused():
+    with pytest.raises(TypeError):
+        CycloElem([0.1, 0, 0, 0])
+    with pytest.raises(TypeError):
+        CycloElem([1, 0, 0, 2.0])
+    with pytest.raises(TypeError):
+        CycloElem.from_rat(0.5)
+    with pytest.raises(TypeError):
+        ONE + 0.5
+
+
+def test_modular_products_match_exact_product():
+    rng = random.Random(37)
+    rings = [(Fp4(p), p) for p in (7, 13, 97)] + [(ZetaModM(13**4), 13**4)]
+    for ring, m in rings:
+        for _ in range(100):
+            a = rand_elem(rng, 10**6)
+            b = rand_elem(rng, 10**6)
+            if math.gcd(a.d * b.d, m) != 1:
+                continue
+            got = ring.mul(ring.from_cyclo(a), ring.from_cyclo(b))
+            assert got == ring.from_cyclo(a * b)
+            assert all(0 <= v < m for v in got)
+    with pytest.raises(ZeroDivisionError):
+        Fp4(7).from_cyclo(CycloElem([ratio(1, 14), 0, 0, 0]))
+    with pytest.raises(ZeroDivisionError):
+        ZetaModM(13**2).from_cyclo(CycloElem([0, ratio(2, 13), 0, 0]))
+    red = CycloModP(11)
+    for _ in range(100):
+        a, b = rand_elem(rng), rand_elem(rng)
+        if (a.d * b.d) % 11:
+            assert red.reduce(a * b) == red.reduce(a) * red.reduce(b) % 11
+            assert red.reduce(a + b) == (red.reduce(a) + red.reduce(b)) % 11
