@@ -26,6 +26,7 @@ from .groebner import (
     QuotientAlgebra,
     buchberger,
     normal_form,
+    radical_zero_dim,
     zero_dim_analyze,
 )
 from .modp import CycloModP, split_primes
@@ -219,17 +220,23 @@ def trope_orbits(tropes, action):
 
 
 class IntersectionReport:
-    def __init__(self, conic_containments, degree_expected, degree_counted, excess):
+    def __init__(
+        self, conic_containments, degree_expected, degree_counted, excess,
+        plane, planes_tried,
+    ):
         self.conic_containments = conic_containments
         self.degree_expected = degree_expected
         self.degree_counted = degree_counted
         self.excess = excess
+        self.plane = plane  # coefficients of the deciding plane, or None
+        self.planes_tried = planes_tried
 
     @property
     def clean(self):
         return (
             all(self.conic_containments)
             and self.degree_expected == self.degree_counted
+            and self.plane is not None
             and not self.excess
         )
 
@@ -239,6 +246,8 @@ class IntersectionReport:
             "degree_expected": self.degree_expected,
             "degree_counted": self.degree_counted,
             "excess_components": self.excess,
+            "plane": self.plane,
+            "planes_tried": self.planes_tried,
             "clean": self.clean,
         }
 
@@ -247,9 +256,12 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves, seed=20240501):
     """Verify S meets Q exactly at the given conics.
 
     Checks (i) every conic lies on both surfaces, (ii) degree bookkeeping
-    deg S * deg Q = sum of conic degrees, and (iii) a generic plane section
-    of V(S, Q) lies on the union of the conic planes (any curve component
-    of V(S, Q) meets every plane, so an excess component would be seen).
+    deg S * deg Q = sum of conic degrees, and (iii) one plane section of
+    V(S, Q) of that degree lies on the union of the conic planes (their
+    product is in the section's radical, docs/DECISIONS.md D5).  Any curve
+    component of V(S, Q) meets every plane, so an excess component or a
+    conic listed twice in place of another is seen.  Without such a plane
+    among the random ones tried the verdict is not clean.
     """
     import random as _random
 
@@ -262,63 +274,60 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves, seed=20240501):
         )
     expected = S.degree() * Q.degree()
     counted = sum(c.degree for c in conic_curves)
-    # generic plane slice
+    prod = ring.one
+    for c in conic_curves:
+        prod = prod * c.gens[0]
     rng = _random.Random(seed)
-    excess = []
+    tried = 0
     degenerate_slices = 0
     for _ in range(4):
         coeffs = [rng.randint(-7, 7) for _ in range(4)]
+        if not any(coeffs):
+            continue
+        tried += 1
         plane = ring.from_terms(
-            (
-                tuple(1 if j == i else 0 for j in range(4)),
-                QZ5.coerce(c),
-            )
+            (tuple(1 if j == i else 0 for j in range(4)), QZ5.coerce(c))
             for i, c in enumerate(coeffs)
             if c
         )
-        if plane.is_zero:
+        try:
+            section = _chart_pieces([S, Q, plane])
+        except NotZeroDimensional:
+            degenerate_slices += 1
             continue
-        gens = [S, Q, plane]
-        prod = ring.one
-        for c in conic_curves:
-            prod = prod * c.gens[0]
-        # section scheme in the w-chart partition pieces
-        sect_ok = True
-        total = 0
-        for ci in range(4):
-            cring = chart_ring(ring, ci)
-            g2 = [to_chart(g, ci, cring) for g in gens]
-            var_map = [j for j in range(4) if j != ci]
-            for j in range(4):
-                if j > ci:
-                    g2.append(cring.var(cring.vars[var_map.index(j)]))
-            g2 = [g for g in g2 if not g.is_zero]
-            gb = buchberger(g2, ring=cring)
-            if gb.is_trivial():
-                continue
-            try:
-                scheme = zero_dim_analyze(gb)
-            except NotZeroDimensional:
-                sect_ok = False
-                degenerate_slices += 1
-                break
-            total += scheme.degree
-            from .groebner import radical_zero_dim
-
-            rad = radical_zero_dim(scheme)
-            pc = to_chart(prod, ci, cring)
-            if not normal_form(pc, rad.gb).is_zero:
-                excess.append(
-                    {"chart": ring.vars[ci], "witness": "plane-product not in radical"}
-                )
-        if sect_ok and total == expected:
-            break
-    if degenerate_slices == 4:
+        if sum(scheme.degree for _, scheme in section) != expected:
+            continue
+        excess = [
+            {"chart": ring.vars[ci], "witness": "plane-product not in radical"}
+            for ci, scheme in section
+            if not QuotientAlgebra(scheme).in_radical(to_chart(prod, ci, scheme.ring))
+        ]
+        return IntersectionReport(
+            containments, expected, counted, excess, coeffs, tried
+        )
+    if degenerate_slices == tried:
         raise ValueError(
             "surfaces share a component (every plane section is positive-"
             "dimensional): precondition violated"
         )
-    return IntersectionReport(containments, expected, counted, excess)
+    return IntersectionReport(containments, expected, counted, [], None, tried)
+
+
+def _chart_pieces(gens):
+    """V(gens) in P^n as disjoint chart pieces (last nonzero coordinate
+    = 1): (chart index, zero-dimensional scheme) for each nonempty piece.
+    Raises NotZeroDimensional when a piece is positive-dimensional."""
+    ring = gens[0].ring
+    out = []
+    for ci in range(ring.nvars):
+        cring = chart_ring(ring, ci)
+        # the chart ring's variables from position ci on are the later ones
+        g2 = [to_chart(g, ci, cring) for g in gens]
+        g2 += [cring.var(v) for v in cring.vars[ci:]]
+        gb = buchberger([g for g in g2 if not g.is_zero], ring=cring)
+        if not gb.is_trivial():
+            out.append((ci, zero_dim_analyze(gb)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,31 +368,17 @@ def pair_intersection_away_from(curveC, curveD, excluded_points):
     """Total intersection length of two distinct curves outside the
     excluded points (exact; the ambient lengths equal surface intersection
     multiplicities at smooth surface points)."""
-    ring = curveC.gens[0].ring
-    n = ring.nvars
     total = 0
-    for ci in range(n):
-        cring = chart_ring(ring, ci)
-        gens = [to_chart(g, ci, cring) for g in curveC.gens + curveD.gens]
-        var_map = [j for j in range(n) if j != ci]
-        for j in range(n):
-            if j > ci:
-                gens.append(cring.var(cring.vars[var_map.index(j)]))
-        gens = [g for g in gens if not g.is_zero]
-        gb = buchberger(gens, ring=cring)
-        if gb.is_trivial():
-            continue
-        scheme = zero_dim_analyze(gb)
+    for ci, scheme in _chart_pieces(curveC.gens + curveD.gens):
         deg = scheme.degree
-        if deg == 0:
-            continue
         alg = QuotientAlgebra(scheme)
         for p in excluded_points:
             if p.chart() != ci:
                 continue
             aff = list(p.affine())
-            if not all(QZ5.is_zero(g.eval(aff)) for g in gb.polys):
+            if not all(QZ5.is_zero(g.eval(aff)) for g in scheme.gb.polys):
                 continue
+            cring = scheme.ring
             at_p = [
                 cring.var(v) - cring.from_scalar(q) for v, q in zip(cring.vars, aff)
             ]
@@ -743,21 +738,6 @@ def curve_singular_points(curve: CurveOnSurface):
     jac = [[g.partial(i) for i in range(n)] for g in curve.gens]
     mins = [m for m in minors(jac, min(len(curve.gens), n - 2)) if not m.is_zero]
     out = []
-    for ci in range(n):
-        cring = chart_ring(ring, ci)
-        gens = [to_chart(g, ci, cring) for g in curve.gens + mins]
-        var_map = [j for j in range(n) if j != ci]
-        for j in range(n):
-            if j > ci:
-                gens.append(cring.var(cring.vars[var_map.index(j)]))
-        gens = [g for g in gens if not g.is_zero]
-        gb = buchberger(gens, ring=cring)
-        if gb.is_trivial():
-            continue
-        scheme = zero_dim_analyze(gb)
-        from .groebner import radical_zero_dim
-
-        rad = radical_zero_dim(scheme)
-        if rad.degree:
-            out.append((ci, rad))
+    for ci, scheme in _chart_pieces(curve.gens + mins):
+        out.append((ci, radical_zero_dim(scheme)))
     return out

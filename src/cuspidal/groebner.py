@@ -253,13 +253,31 @@ class QuotientAlgebra:
         self.index = {m: i for i, m in enumerate(self.basis)}
         self._var_columns = None
 
+    def nf(self, p: Poly) -> Poly:
+        """NF(p) modulo the basis of I."""
+        return normal_form(p, self.scheme.gb)
+
     def nf_coeffs(self, p: Poly):
         """Dense coefficient vector of NF(p) on the standard monomials."""
-        nf = normal_form(p, self.scheme.gb)
+        return self.coeffs(self.nf(p))
+
+    def coeffs(self, nf: Poly):
+        """Dense coefficient vector of a polynomial already in normal form."""
         v = [self.field.zero] * len(self.basis)
         for e, c in nf.terms:
             v[self.index[e]] = c
         return v
+
+    def in_radical(self, p: Poly) -> bool:
+        """Is p in sqrt(I)?  Exactly when p^d is in I, d = deg I: square
+        NF(p), scaled to content 1, until it is zero or 2^k >= d
+        (docs/DECISIONS.md D5)."""
+        g = self.nf(p)
+        k = 1
+        while not g.is_zero and k < len(self.basis):
+            g = self.nf(g * g).primitive()
+            k *= 2
+        return g.is_zero
 
     def mult_columns(self, p: Poly):
         """Columns of the multiplication-by-p operator."""

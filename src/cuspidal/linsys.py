@@ -20,33 +20,13 @@ Kummer-type non-existence check on the Van der Geer-Zagier cusps.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
 from . import linalg, unipoly
 from .extfield import TowerContext
 from .groebner import QuotientAlgebra, normal_form
 from .modp import roots_in_qz5
 from .multipoly import Poly, ProjPoint, QZ5, Ring, minors
 from .singcert import to_chart
-from .zfive import invariant_basis
-
-
-def degree_monomials(d, k=None):
-    """Column monomials: all degree-d exponents, or the a_k-invariant ones.
-
-    Descending degrevlex, matching invariant_basis ordering.
-    """
-    if k is not None:
-        return invariant_basis(d, k)
-    expos = set()
-    for combo in combinations_with_replacement(range(4), d):
-        e = [0, 0, 0, 0]
-        for i in combo:
-            e[i] += 1
-        expos.add(tuple(e))
-    return sorted(
-        expos, key=lambda e: (sum(e), tuple(-x for x in reversed(e))), reverse=True
-    )
+from .zfive import degree_monomials, invariant_basis
 
 
 class LinearSystem:
@@ -111,7 +91,7 @@ def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSyst
     """
     if ring is None:
         from .catalog import XYZW as ring
-    columns = degree_monomials(d, action_k)
+    columns = degree_monomials(d) if action_k is None else invariant_basis(d, action_k)
     colindex = {m: j for j, m in enumerate(columns)}
     field = QZ5
     rows = []

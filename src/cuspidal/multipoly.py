@@ -574,22 +574,6 @@ def minors(m, k: int):
     return out
 
 
-def symmetric_minors(m, k: int):
-    """The k x k minors of a symmetric matrix with row set <= column set.
-
-    The minor on (cols, rows) is the one on (rows, cols) transposed, so
-    these are all of them, in the order of their first place in minors().
-    """
-    if not (1 <= k <= len(m)):
-        raise ValueError("minor order out of range")
-    sets = list(combinations(range(len(m)), k))
-    return [
-        det_poly([[m[i][j] for j in ci] for i in ri])
-        for a, ri in enumerate(sets)
-        for ci in sets[a:]
-    ]
-
-
 def restrict_to_plane(p: Poly, plane: Poly):
     """Substitute the plane's leading variable using plane = 0.
 

@@ -188,7 +188,6 @@ class DivisibilityResult:
         match,
         stages,
         nullspace_basis,
-        raw_lattice,
     ):
         self.surface = surface
         self.families = families
@@ -199,7 +198,6 @@ class DivisibilityResult:
         self.match = match
         self.stages = stages
         self.nullspace_basis = nullspace_basis
-        self.raw_lattice = raw_lattice
 
 
 def divisibility_pipeline(name, transcript=None, seed=20240501):
@@ -387,5 +385,5 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
     )
 
     return DivisibilityResult(
-        name, families, resolutions, lat_use, vec, cert3, match, stages, basis_use, lat
+        name, families, resolutions, lat_use, vec, cert3, match, stages, basis_use
     )

@@ -20,10 +20,14 @@ accounting and never needs point coordinates:
   everywhere.
 
 A stratum V(I + J) is empty iff J generates R/sqrt(I) (Nullstellensatz),
-decided by linear algebra on the chart radical (docs/DECISIONS.md D2).
+decided by linear algebra on the chart radical.  The minors spanning J
+are formed inside R/sqrt(I) from the reduced Hessian entries, never
+expanded in the ambient ring (docs/DECISIONS.md D2).
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from . import linalg
 from .groebner import (
@@ -34,7 +38,7 @@ from .groebner import (
     radical_zero_dim,
     zero_dim_analyze,
 )
-from .multipoly import Poly, ProjPoint, Ring, hessian, jacobian, symmetric_minors
+from .multipoly import Poly, ProjPoint, Ring, hessian, jacobian
 
 
 class SingularInCodimensionOne(ValueError):
@@ -210,9 +214,6 @@ def classify_all(F: Poly, surface_name="surface", action=None):
         return cert
 
     H = hessian(F)
-    minors2 = list(dict.fromkeys(m for m in symmetric_minors(H, 2) if not m.is_zero))
-    minors3 = list(dict.fromkeys(m for m in symmetric_minors(H, 3) if not m.is_zero))
-
     rank_le1_empty = True
     degenerate_empty = True
     degenerate_all = True
@@ -221,9 +222,7 @@ def classify_all(F: Poly, surface_name="surface", action=None):
             continue
         # V(I + J) = V(sqrt(I) + J): every stratum is read on R/sqrt(I)
         alg = QuotientAlgebra(chart.radical)
-        ci = chart.chart_index
-        vecs2 = [alg.nf_coeffs(to_chart(m, ci, chart.ring)) for m in minors2]
-        vecs3 = [alg.nf_coeffs(to_chart(m, ci, chart.ring)) for m in minors3]
+        vecs2, vecs3 = _hessian_minor_vectors(alg, H, chart.chart_index)
         if not alg.generates_whole(vecs2):
             rank_le1_empty = False
         if not alg.generates_whole(vecs3):
@@ -252,6 +251,37 @@ def classify_all(F: Poly, surface_name="surface", action=None):
     return SingularityCertificate(
         surface_name, report, verdict, n1, n2, strata, orbits=orbits
     )
+
+
+def _hessian_minor_vectors(alg, H, ci):
+    """NF vectors in alg = R/sqrt(I) of the 2x2 and 3x3 minors of the
+    symmetric Hessian H in chart ci, one per row set <= column set, built
+    from the reduced entries and reduced again (docs/DECISIONS.md D2)."""
+    n = len(H)
+    h = {}
+    for i in range(n):
+        for j in range(i, n):
+            h[i, j] = h[j, i] = alg.nf(to_chart(H[i][j], ci, alg.ring))
+    pairs = list(combinations(range(n), 2))
+    m2 = {}
+    minors2 = []
+    for a, (r0, r1) in enumerate(pairs):
+        for c0, c1 in pairs[a:]:
+            m = alg.nf(h[r0, c0] * h[r1, c1] - h[r0, c1] * h[r1, c0])
+            m2[(r0, r1), (c0, c1)] = m2[(c0, c1), (r0, r1)] = m
+            minors2.append(m)
+    triples = list(combinations(range(n), 3))
+    minors3 = []
+    for a, (r0, r1, r2) in enumerate(triples):
+        for c0, c1, c2 in triples[a:]:
+            rest = (r1, r2)
+            m = (
+                h[r0, c0] * m2[rest, (c1, c2)]
+                - h[r0, c1] * m2[rest, (c0, c2)]
+                + h[r0, c2] * m2[rest, (c0, c1)]
+            )
+            minors3.append(alg.nf(m))
+    return [alg.coeffs(m) for m in minors2], [alg.coeffs(m) for m in minors3]
 
 
 def _orbit_analysis(F: Poly, report, action):

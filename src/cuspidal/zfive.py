@@ -80,12 +80,8 @@ def orbit(p: ProjPoint, k: int = 0):
     return out
 
 
-def invariant_basis(d: int, k: int, ring: Ring | None = None):
-    """All degree-d monomials of a_k-residue 0, as exponent tuples.
-
-    Deterministic order: descending degrevlex.  Pass a ring to get Poly
-    generators instead of raw exponent tuples.
-    """
+def degree_monomials(d: int):
+    """All degree-d exponent tuples in four variables, descending degrevlex."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     expos = []
@@ -93,10 +89,19 @@ def invariant_basis(d: int, k: int, ring: Ring | None = None):
         e = [0, 0, 0, 0]
         for i in combo:
             e[i] += 1
-        e = tuple(e)
-        if weight_residue(e, k) == 0:
-            expos.append(e)
-    expos = sorted(set(expos), key=lambda e: (sum(e), tuple(-x for x in reversed(e))), reverse=True)
+        expos.append(tuple(e))
+    return sorted(
+        expos, key=lambda e: (sum(e), tuple(-x for x in reversed(e))), reverse=True
+    )
+
+
+def invariant_basis(d: int, k: int, ring: Ring | None = None):
+    """All degree-d monomials of a_k-residue 0, as exponent tuples.
+
+    Deterministic order: descending degrevlex.  Pass a ring to get Poly
+    generators instead of raw exponent tuples.
+    """
+    expos = [e for e in degree_monomials(d) if weight_residue(e, k) == 0]
     if ring is None:
         return expos
     return [Poly(ring, ((e, ring.field.one),)) for e in expos]

@@ -83,6 +83,26 @@ def test_intersect_surfaces_clean(new_divisibility):
     assert stage["ok"]
     assert stage["degree_expected"] == 20 == stage["degree_counted"]
     assert stage["conics_on_both"] == 10
+    assert stage["excess_components"] == []
+    assert len(stage["plane"]) == 4 and any(stage["plane"])
+    assert stage["planes_tried"] >= 1
+
+
+def test_intersect_surfaces_duplicate_conic_not_clean(new_divisibility):
+    # one conic listed twice in place of another: the degrees still
+    # balance (20 = 20) and every listed conic lies on both surfaces, but
+    # the plane section has points on the missing conic, off the union of
+    # the listed conic planes
+    S = catalog.get("new_quintic").poly
+    Q = catalog.get("new_quartic").poly
+    conics = new_divisibility.families[0] + new_divisibility.families[1]
+    assert len(conics) == 10
+    rep = intersect_surfaces(S, Q, conics[:-1] + [conics[0]])
+    assert all(rep.conic_containments)
+    assert rep.degree_expected == 20 == rep.degree_counted
+    assert rep.plane is not None
+    assert rep.excess
+    assert not rep.clean
 
 
 def test_intersect_surfaces_rejects_shared_component():

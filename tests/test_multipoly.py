@@ -16,7 +16,6 @@ from cuspidal.multipoly import (
     minors,
     print_poly,
     restrict_to_plane,
-    symmetric_minors,
 )
 
 R = XYZW
@@ -162,16 +161,6 @@ def test_minors_order_one():
     x, y = Ring(("x", "y")).gens()
     m = [[x, y], [y, x]]
     assert minors(m, 1) == [x, y, y, x]
-
-
-def test_symmetric_minors_cover_all_minors():
-    h = hessian(R.parse(NEW_QUARTIC_TEXT))
-    for k in (1, 2, 3, 4):
-        full = minors(h, k)
-        half = symmetric_minors(h, k)
-        assert set(half) == set(full)
-        # same distinct minors in the same order, as classify_all reads them
-        assert list(dict.fromkeys(half)) == list(dict.fromkeys(full))
 
 
 def test_minors_against_sympy():

@@ -149,3 +149,41 @@ def test_certificate_json_schema(new_quintic_cert):
     from cuspidal.schemas import SINGULARITY_CERTIFICATE_SCHEMA
 
     jsonschema.validate(new_quintic_cert.to_json(), SINGULARITY_CERTIFICATE_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["new_quartic_cert", "new_quintic_cert", "vdgz_quartic_cert", "vdgz_quintic_cert"],
+)
+def test_hessian_minor_vectors_match_ambient_minors(fixture, request):
+    # every minor built from reduced entries has the vector of the
+    # ambient determinant reduced in the chart, on every nonempty chart
+    from itertools import combinations
+
+    from cuspidal.groebner import QuotientAlgebra
+    from cuspidal.multipoly import hessian, minors
+    from cuspidal.singcert import _hessian_minor_vectors, to_chart
+
+    cert = request.getfixturevalue(fixture)
+    F = catalog.get(cert.surface_name).poly
+    H = hessian(F)
+    ambient = {}
+    for k in (2, 3):
+        sets = list(combinations(range(4), k))
+        full = minors(H, k)
+        ambient[k] = [
+            full[a * len(sets) + b]
+            for a in range(len(sets))
+            for b in range(a, len(sets))
+        ]
+    charts = [c for c in cert.report.charts if c is not None and c.scheme.degree]
+    assert charts
+    for chart in charts:
+        alg = QuotientAlgebra(chart.radical)
+        got = _hessian_minor_vectors(alg, H, chart.chart_index)
+        for k, vecs in zip((2, 3), got):
+            want = [
+                alg.nf_coeffs(to_chart(m, chart.chart_index, chart.ring))
+                for m in ambient[k]
+            ]
+            assert vecs == want
