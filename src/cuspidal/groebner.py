@@ -3,7 +3,12 @@
 The basis is computed with sugar-strategy pair selection and both
 Buchberger criteria, then autoreduced; basis elements are kept monic so
 normal-form reduction never divides (over towers this confines splits to
-basis construction).  Zero-dimensional ideals get: standard monomials and
+basis construction).  Reduction is heap division on packed monomials
+(``TermOrder.pack``): a basis is packed once (``GroebnerBasis.reducers``,
+or grown with the basis inside ``buchberger``) and pairs are popped from
+a heap keyed on (sugar, packed lcm, i, j) (docs/DECISIONS.md D6).
+Polynomials keep exponent tuples; packing lives only in ``normal_form``,
+the pair queue and the standard-monomial scan.  Zero-dimensional ideals get: standard monomials and
 degree, eliminants by Krylov iteration on the quotient, Seidenberg
 radicals, and point extraction in shape position with dynamic extension
 towers; Q(zeta5)-rational points are resolved out of branches by the
@@ -12,6 +17,8 @@ verified mod-p lifting in modp.
 
 from __future__ import annotations
 
+import copy
+import heapq
 import itertools
 
 from . import unipoly
@@ -21,7 +28,6 @@ from .multipoly import (
     Poly,
     mono_deg,
     mono_div,
-    mono_divides,
     mono_lcm,
     mono_mul,
 )
@@ -34,6 +40,7 @@ class GroebnerBasis:
         self.ring = ring
         self.polys = tuple(polys)
         self.stats = stats or {}
+        self._reducers = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -48,6 +55,47 @@ class GroebnerBasis:
         """True when the ideal is the whole ring (basis == {1})."""
         return len(self.polys) == 1 and mono_deg(self.polys[0].lm()) == 0
 
+    def reducers(self):
+        """The basis packed for normal_form, built on first use."""
+        if self._reducers is None:
+            self._reducers = Reducers(self.ring, self.polys)
+        return self._reducers
+
+
+class Reducers:
+    """Monic polynomials packed for heap division (docs/DECISIONS.md D6).
+
+    Each polynomial g with packed lead l becomes (l - one, tail), where one
+    is the packed constant monomial and tail lists (t - l, c) for its other
+    terms.  A packed monomial m is divisible by l exactly when
+    (m - (l - one)) & guard == 0, and then m * t / l packs to m + (t - l).
+    """
+
+    def __init__(self, ring, polys=()):
+        order = ring.order
+        self.pack = order.pack
+        self.one = order.pack((0,) * ring.nvars)
+        self.guard = order.guard(ring.nvars)
+        self.entries = []
+        for g in polys:
+            if not g.is_zero:
+                self.append(g)
+
+    def entry(self, g):
+        pack = self.pack
+        terms = g.terms
+        lead = pack(terms[0][0])
+        return lead - self.one, [(pack(e) - lead, c) for e, c in terms[1:]]
+
+    def append(self, g):
+        self.entries.append(self.entry(g))
+
+    def without(self, i):
+        """A copy lacking the i-th entry."""
+        out = copy.copy(self)
+        out.entries = self.entries[:i] + self.entries[i + 1 :]
+        return out
+
 
 def mul_mono(f: Poly, mono, coeff=None) -> Poly:
     """f * coeff * x^mono (term order is multiplication-compatible)."""
@@ -61,26 +109,61 @@ def mul_mono(f: Poly, mono, coeff=None) -> Poly:
 
 
 def normal_form(f: Poly, gb) -> Poly:
-    """Unique remainder of f modulo a monic basis (list or GroebnerBasis)."""
-    basis = gb.polys if isinstance(gb, GroebnerBasis) else tuple(gb)
+    """Unique remainder of f modulo a monic basis (list, GroebnerBasis or
+    Reducers).
+
+    Heap division on packed monomials: the terms of f sit in a dict keyed
+    by packed monomial and their keys in a max-heap.  The largest monomial
+    is popped; if the first basis lead dividing it is l, hc * m/l * tail is
+    subtracted (the lead cancels by construction), else the term joins the
+    remainder.  The steps are those of reducing the leading term of the
+    whole polynomial again and again, so the remainder is the same.
+    """
     ring = f.ring
-    lead_info = [(g.lm(), g) for g in basis if not g.is_zero]
+    if isinstance(gb, GroebnerBasis):
+        red = gb.reducers()
+    elif isinstance(gb, Reducers):
+        red = gb
+    else:
+        red = Reducers(ring, gb)
+    field = ring.field
+    mul, add, neg, is_zero = field.mul, field.add, field.neg, field.is_zero
+    pack = red.pack
+    guard = red.guard
+    entries = red.entries
+    coeffs = {}
+    heap = []
+    for e, c in f.terms:
+        m = pack(e)
+        coeffs[m] = c
+        heap.append(-m)
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     rem = []
-    h = f
-    while not h.is_zero:
-        hm, hc = h.lt()
-        hit = None
-        for lm, g in lead_info:
-            if mono_divides(lm, hm):
-                hit = (lm, g)
+    while heap:
+        m = -pop(heap)
+        c = coeffs.pop(m)
+        if is_zero(c):
+            continue
+        if m & guard:
+            raise ValueError("exponent passes the slot bound during reduction")
+        for lead, tail in entries:
+            if not (m - lead) & guard:
+                nc = neg(c)
+                for delta, tc in tail:
+                    p = m + delta
+                    v = mul(nc, tc)
+                    old = coeffs.get(p)
+                    if old is None:
+                        coeffs[p] = v
+                        push(heap, -p)
+                    else:
+                        coeffs[p] = add(old, v)
                 break
-        if hit is None:
-            rem.append((hm, hc))
-            h = Poly(ring, h.terms[1:])
         else:
-            lm, g = hit
-            h = h.sub_mul_mono(hc, mono_div(hm, lm), g)
-    return Poly(ring, tuple(rem))
+            rem.append((m, c))
+    unpack, n = ring.order.unpack, ring.nvars
+    return Poly(ring, tuple([(unpack(m, n), c) for m, c in rem]))
 
 
 def is_member(f: Poly, gb) -> bool:
@@ -91,11 +174,18 @@ def spoly(f: Poly, g: Poly) -> Poly:
     """S-polynomial of two monic polynomials."""
     lf, lg = f.lm(), g.lm()
     L = mono_lcm(lf, lg)
-    return mul_mono(f, mono_div(L, lf)) - mul_mono(g, mono_div(L, lg))
+    return mul_mono(f, mono_div(L, lf)).sub_mul_mono(
+        f.ring.field.one, mono_div(L, lg), g
+    )
 
 
 def buchberger(gens, ring=None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens."""
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    Pairs are taken in order of (sugar, lcm of the leads, indices) from a
+    heap; the product and chain criteria skip pairs, and the chain
+    criterion tests divisibility on the packed leads.
+    """
     gens = [g for g in gens if isinstance(g, Poly) and not g.is_zero]
     if ring is None:
         if not gens:
@@ -103,86 +193,79 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
         ring = gens[0].ring
     if not gens:
         return GroebnerBasis(ring, ())
-    key = ring.order.key
+    pack = ring.order.pack
     gens = sorted(
         (g.primitive().monic() for g in gens),
-        key=lambda g: key(g.lm()),
+        key=lambda g: pack(g.lm()),
     )
     G = []
     sugars = []
-    pending = {}
+    red = Reducers(ring)  # entries[k][0] is the packed lead of G[k] minus one
+    one, guard, entries = red.one, red.guard, red.entries
+    heap = []  # (sugar, packed lcm, i, j)
+    pending = set()  # the pairs in heap
 
     def add_poly(g, sugar):
         idx = len(G)
+        lg = g.lm()
+        dg = mono_deg(lg)
+        for i, f in enumerate(G):
+            lf = f.lm()
+            L = mono_lcm(lf, lg)
+            dL = mono_deg(L)
+            s = max(sugars[i] + dL - mono_deg(lf), sugar + dL - dg)
+            heapq.heappush(heap, (s, pack(L), i, idx))
+            pending.add((i, idx))
         G.append(g)
         sugars.append(sugar)
-        for i in range(idx):
-            if G[i] is None:
-                continue
-            L = mono_lcm(G[i].lm(), g.lm())
-            s = max(
-                sugars[i] + mono_deg(mono_div(L, G[i].lm())),
-                sugar + mono_deg(mono_div(L, g.lm())),
-            )
-            pending[(i, idx)] = (s, key(L))
+        red.append(g)
 
     for g in gens:
         add_poly(g, g.degree())
 
     processed = 0
-    while pending:
-        (i, j) = min(pending, key=lambda p: (pending[p][0], pending[p][1], p))
-        del pending[(i, j)]
-        f, g = G[i], G[j]
-        if f is None or g is None:
+    while heap:
+        s, L, i, j = heapq.heappop(heap)
+        pending.remove((i, j))
+        # product criterion: coprime leads
+        if L == entries[i][0] + entries[j][0] + one:
             continue
-        lf, lg = f.lm(), g.lm()
-        L = mono_lcm(lf, lg)
-        # product criterion
-        if L == mono_mul(lf, lg):
-            continue
-        # chain criterion
+        # chain criterion: a third lead divides L and both its pairs are done
         skip = False
-        for k in range(len(G)):
-            if k in (i, j) or G[k] is None:
+        for k, (lk, _) in enumerate(entries):
+            if k == i or k == j or (L - lk) & guard:
                 continue
-            if mono_divides(G[k].lm(), L):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
+            a = (i, k) if i < k else (k, i)
+            b = (j, k) if j < k else (k, j)
+            if a not in pending and b not in pending:
+                skip = True
+                break
         if skip:
             continue
         processed += 1
-        s = spoly(f, g)
-        r = normal_form(s, [p for p in G if p is not None])
+        r = normal_form(spoly(G[i], G[j]), red)
         if not r.is_zero:
             r = r.primitive().monic()
-            sug = max(
-                sugars[i] + mono_deg(mono_div(L, lf)),
-                sugars[j] + mono_deg(mono_div(L, lg)),
-            )
-            add_poly(r, max(sug, r.degree()))
+            add_poly(r, max(s, r.degree()))
 
-    basis = [g for g in G if g is not None]
+    basis = G
     # autoreduction
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
-            others = [basis[k] for k in range(len(basis)) if k != i and basis[k]]
-            r = normal_form(basis[i], others)
+            r = normal_form(basis[i], red.without(i))
             if r.is_zero:
-                basis[i] = None
-                basis = [b for b in basis if b is not None]
+                del basis[i]
+                del entries[i]
                 changed = True
                 break
             r = r.primitive().monic()
             if r != basis[i]:
                 basis[i] = r
+                entries[i] = red.entry(r)
                 changed = True
-    basis.sort(key=lambda g: key(g.lm()), reverse=True)
+    basis.sort(key=lambda g: pack(g.lm()), reverse=True)
     return GroebnerBasis(
         ring, basis, stats={"pairs_processed": processed, "size": len(basis)}
     )
@@ -234,12 +317,14 @@ def zero_dim_analyze(gb: GroebnerBasis) -> ZeroDimScheme:
     for i, b in enumerate(bounds):
         if b is None:
             raise NotZeroDimensional(ring.vars[i])
+    red = gb.reducers()
     std = []
     for exp in itertools.product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, exp) for lm in lms):
-            std.append(exp)
-    std.sort(key=ring.order.key)
-    return ZeroDimScheme(gb, std)
+        m = red.pack(exp)
+        if all((m - lead) & red.guard for lead, _ in red.entries):
+            std.append((m, exp))
+    std.sort()
+    return ZeroDimScheme(gb, [exp for _, exp in std])
 
 
 class QuotientAlgebra:

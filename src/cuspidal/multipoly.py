@@ -3,6 +3,8 @@
 A monomial is a plain tuple of exponents (one slot per ring variable); a
 polynomial stores its terms as a tuple of (monomial, coefficient) pairs,
 strictly decreasing in the ring's term order, with no zero coefficients.
+The term order also packs a monomial into one int (``TermOrder.pack``),
+the form the Groebner kernel computes with.
 Coefficient arithmetic is delegated to a field context so the same code
 runs over Q(zeta5) and over dynamic towers (see extfield).
 
@@ -13,6 +15,7 @@ is a syntax error.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from fractions import Fraction
 from math import gcd, lcm
@@ -40,33 +43,17 @@ class BaseFieldQZ5:
             return CycloElem.from_int(x)
         return CycloElem.from_rat(x)
 
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    # C-level operators: no Python frame per coefficient operation
+    is_zero = staticmethod(operator.not_)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    eq = staticmethod(operator.eq)
 
     @staticmethod
     def inv(a):
         return a.inverse()
-
-    @staticmethod
-    def eq(a, b):
-        return a == b
 
     @staticmethod
     def content(a):
@@ -91,15 +78,66 @@ QZ5 = BaseFieldQZ5()
 # term orders
 
 
-class TermOrder:
-    """Monomial order; key(exp) is monotone for the order (bigger = leading)."""
+SLOT_BITS = 16
+SLOT_BOUND = (1 << (SLOT_BITS - 1)) - 1
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
-    def __init__(self, name, key_fn):
+
+class TermOrder:
+    """Monomial order; key(exp) is monotone for the order (bigger = leading).
+
+    pack(exp) maps an exponent tuple to one int whose integer order is the
+    term order, in fixed SLOT_BITS-wide slots whose top bit is a guard
+    bit.  A graded order puts the total degree in the top slot and then
+    SLOT_BOUND - e for the variables from last to first; LEX puts the
+    exponents themselves, first variable on top.  Either way the product
+    of x^a and x^b packs to pack(a) + pack(b) - pack(0), and x^a divides
+    x^b exactly when (pack(b) - pack(a) + pack(0)) & guard(n) == 0
+    (docs/DECISIONS.md D6).
+    """
+
+    def __init__(self, name, key_fn, graded):
         self.name = name
         self.key = key_fn
+        self.graded = graded
 
     def __repr__(self):
         return "TermOrder(%r)" % self.name
+
+    def pack(self, exp):
+        """One int for the exponent tuple; ValueError when an exponent is
+        negative or a slot (the total degree, when graded) passes
+        SLOT_BOUND."""
+        if exp and min(exp) < 0:
+            raise ValueError("negative exponent in %r" % (exp,))
+        if self.graded:
+            p = sum(exp)
+            if p > SLOT_BOUND:
+                raise ValueError("degree of %r exceeds the slot bound" % (exp,))
+            for e in reversed(exp):
+                p = (p << SLOT_BITS) | (SLOT_BOUND - e)
+            return p
+        p = 0
+        for e in exp:
+            if e > SLOT_BOUND:
+                raise ValueError("exponent of %r exceeds the slot bound" % (exp,))
+            p = (p << SLOT_BITS) | e
+        return p
+
+    def unpack(self, p, n):
+        """Exponent tuple of n variables packed in p."""
+        slots = []
+        for _ in range(n):
+            slots.append(p & _SLOT_MASK)
+            p >>= SLOT_BITS
+        if self.graded:
+            return tuple([SLOT_BOUND - s for s in slots])
+        return tuple(reversed(slots))
+
+    def guard(self, n):
+        """Mask of the guard bits of a monomial in n variables."""
+        top = 1 << (SLOT_BITS - 1)
+        return sum(top << (SLOT_BITS * i) for i in range(n + self.graded))
 
 
 def _degrevlex_key(exp):
@@ -110,8 +148,8 @@ def _lex_key(exp):
     return exp
 
 
-DEGREVLEX = TermOrder("degrevlex", _degrevlex_key)
-LEX = TermOrder("lex", _lex_key)
+DEGREVLEX = TermOrder("degrevlex", _degrevlex_key, graded=True)
+LEX = TermOrder("lex", _lex_key, graded=False)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +158,6 @@ LEX = TermOrder("lex", _lex_key)
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_div(b, a):

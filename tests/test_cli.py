@@ -90,6 +90,26 @@ def test_divisibility_rejects_quartic(capsys):
     assert code == 2
 
 
+def test_divisibility_negative_control_duplicate_conic(monkeypatch, capsys):
+    # the last conic replaced by a copy of the first: the divisibility
+    # certificate must fail at the conic intersection stage, with exit 1
+    from cuspidal import pipeline
+
+    real = pipeline.new_quintic_curves
+
+    def with_duplicate(*args):
+        families, census = real(*args)
+        families[1][-1] = families[0][0]
+        return families, census
+
+    monkeypatch.setattr(pipeline, "new_quintic_curves", with_duplicate)
+    code, out, err = run_cli(capsys, "--json", "divisibility", "new_quintic")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert "stage failed: quintic_meets_quartic_at_conics" in rep["error"]
+
+
 def test_usage_error(capsys):
     code, out, err = run_cli(capsys, "no-such-command")
     assert code == 2

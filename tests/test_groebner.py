@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 import sympy
 
+from cuspidal import catalog
 from cuspidal.catalog import NEW_QUARTIC_TEXT, XYZW
 from cuspidal.cyclofield import CycloElem
 from cuspidal.extfield import TowerContext
@@ -18,7 +20,8 @@ from cuspidal.groebner import (
     spoly,
     zero_dim_analyze,
 )
-from cuspidal.multipoly import LEX, Ring, jacobian
+from cuspidal.multipoly import DEGREVLEX, LEX, Poly, Ring, jacobian
+from cuspidal.singcert import chart_ring, to_chart
 
 
 def rand_poly(rng, ring, deg=2, nterms=3, span=4):
@@ -130,6 +133,86 @@ def test_against_sympy_oracle():
                 )
             )
         assert got == want
+
+
+def reference_normal_form(f, basis):
+    """Tuple-monomial reduction: subtract hc * x^(hm - lm) * g from the
+    whole polynomial for its leading term hm, g the first basis element
+    whose lead lm divides hm; undivided leading terms go to the remainder."""
+    ring = f.ring
+    lead_info = [(g.lm(), g) for g in basis if not g.is_zero]
+    rem = []
+    h = f
+    while not h.is_zero:
+        hm, hc = h.lt()
+        for lm, g in lead_info:
+            if all(a <= b for a, b in zip(lm, hm)):
+                q = tuple(b - a for a, b in zip(lm, hm))
+                h = h.sub_mul_mono(hc, q, g)
+                break
+        else:
+            rem.append((hm, hc))
+            h = Poly(ring, h.terms[1:])
+    return Poly(ring, tuple(rem))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=lambda o: o.name)
+def test_normal_form_matches_reference_random(order):
+    # heap division on packed monomials against the tuple loop, modulo a
+    # reduced basis and modulo a bare (order-dependent) list of generators
+    rng = random.Random(7007)
+    checked = 0
+    for trial in range(60):
+        ring = Ring(("x", "y", "z", "w")[: 2 + trial % 3], order)
+        gens = [rand_poly(rng, ring) for _ in range(rng.randint(2, 3))]
+        gens = [g.monic() for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        gb = buchberger(gens, ring=ring)
+        for _ in range(3):
+            f = rand_poly(rng, ring, deg=4, nterms=6)
+            for basis in (gb, gens):
+                got = normal_form(f, basis)
+                want = reference_normal_form(f, list(basis))
+                assert got == want and str(got) == str(want)
+                checked += 1
+    assert checked > 300
+
+
+# sha256 of the reduced basis text and the pairs processed, per chart
+# Jacobian ideal, as computed by the tuple-monomial implementation
+CHART_JACOBIAN_BASES = {
+    ("new_quartic", "x"): ("bc70a059f1c95660cedf985ed762a85e0f83cb2d34d6bfd5ef53343de433e7fe", 16),
+    ("new_quartic", "y"): ("b6106926c0130940ec4b3c7d258e58cfbaae2bc0977be5688a27afd78affd249", 15),
+    ("new_quartic", "z"): ("5f45430c5564585b84a4bb3c521e28692c166093bfe5cc0db414116fde5c70cc", 15),
+    ("new_quartic", "w"): ("99d6f6617bf194cd22524acadef0ebd748c1b7cc9b4f630cef523a4fee12499a", 19),
+    ("new_quintic", "x"): ("391ea47236b0ffb247327fa3d6db5956c038b8470b7ad56969e450ba3c41edb3", 54),
+    ("new_quintic", "y"): ("584d303872bb42714ff5fa1d42795902cc7aa4e5f7057cbf6097eefc88ede9dd", 56),
+    ("new_quintic", "z"): ("28bda5e3bb0157f27a8b30dd483789ecd6ef96c2992221e33322a318e053b657", 59),
+    ("new_quintic", "w"): ("d97939344e6ff167b0ddf48d7773e4f6c0a3352c05be73572134737155df0e56", 46),
+    ("vdgz_quartic", "x"): ("0b00286413947f7861260730298469587e32231325f39fc9a57505b961126b8a", 29),
+    ("vdgz_quartic", "y"): ("ffbfc871e09176e933a8f74bdf1d618bf4d0bb96dc01623080e648287a8d5e13", 29),
+    ("vdgz_quartic", "z"): ("d2fac6aa02cbaacb91314894767fecf8de4d46f98974583aa965f4701b78f354", 29),
+    ("vdgz_quartic", "w"): ("66a4ccd4bef9c098fc5e861465ea8a75b5f59aa7f5e9d6b415bfb29985ea927f", 29),
+    ("vdgz_quintic", "x"): ("749cbacaa219b2fc5450a3614719494f592ba844f22b0d6b9b37270b21378a39", 61),
+    ("vdgz_quintic", "y"): ("2ca5eff7497a7ae0698c97ed188fba14e4d7e2e5262089d8f3f4f2ce93a75c84", 61),
+    ("vdgz_quintic", "z"): ("27fd4b152eb9c8e509b66cc99c67b9eb04a9781aed10521c5fe8ad8b2c05550e", 61),
+    ("vdgz_quintic", "w"): ("50c1feb0b754b139a678736dcf5e84a4130abdd69efeac9294be8183b8f7fc90", 61),
+}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_chart_jacobian_bases_unchanged(name):
+    # the same reduced bases after the same number of pairs
+    F = catalog.get(name).poly
+    ring = F.ring
+    for ci, var in enumerate(ring.vars):
+        cring = chart_ring(ring, ci)
+        gens = [to_chart(p, ci, cring) for p in jacobian(F)]
+        gb = buchberger([g for g in gens if not g.is_zero], ring=cring)
+        text = "\n".join(str(p) for p in gb)
+        got = (hashlib.sha256(text.encode()).hexdigest(), gb.stats["pairs_processed"])
+        assert got == CHART_JACOBIAN_BASES[(name, var)], (name, var)
 
 
 def test_normal_form_of_generator_is_zero():

@@ -2,11 +2,16 @@ import random
 
 import pytest
 import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, XYZW
 from cuspidal.cyclofield import ALPHA, CycloElem, ratio
+from cuspidal.groebner import normal_form
 from cuspidal.multipoly import (
+    DEGREVLEX,
     LEX,
+    SLOT_BOUND,
     ParseError,
     ProjPoint,
     QZ5,
@@ -164,17 +169,32 @@ def test_minors_order_one():
 
 
 def test_minors_against_sympy():
+    # sympy's determinant over QQ[t, x, y], reduced modulo Phi5(t)
     rng = random.Random(23)
     ring = Ring(("x", "y"))
-    xs, ys = sympy.symbols("x y")
+    qq_ring = QQ[sympy.symbols("t x y")]
+    t = qq_ring.gens[0]
+    phi = t**4 + t**3 + t**2 + t + 1
     for _ in range(10):
         m = [[rand_poly(rng, ring, deg=2, nterms=3) for _ in range(3)] for _ in range(3)]
         got = minors(m, 3)[0]
-        sm = sympy.Matrix(
-            [[_to_sympy(m[i][j], (xs, ys)) for j in range(3)] for i in range(3)]
+        sm = DomainMatrix(
+            [[_to_qq_ring(m[i][j], qq_ring) for j in range(3)] for i in range(3)],
+            (3, 3),
+            qq_ring,
         )
-        want = sympy.expand(sympy.rem(sympy.expand(sm.det()), sympy.Symbol("t")**4 + sympy.Symbol("t")**3 + sympy.Symbol("t")**2 + sympy.Symbol("t") + 1, sympy.Symbol("t")))
-        assert sympy.expand(_to_sympy(got, (xs, ys)) - want) == 0
+        want = sm.det().rem(phi)
+        assert _to_qq_ring(got, qq_ring) == want
+
+
+def _to_qq_ring(p, qq_ring):
+    """The element of QQ[t, x, ...] with t standing for e (degree < 4 in t)."""
+    terms = {}
+    for e, c in p.terms:
+        for i, ci in enumerate(c.c):
+            if ci:
+                terms[(i,) + e] = QQ(ci.numerator, ci.denominator)
+    return qq_ring.ring.from_dict(terms)
 
 
 def _to_sympy(p, syms):
@@ -242,3 +262,56 @@ def test_lex_order_backsubstitution_shape():
     y, x = ring.gens()
     p = y + x**2
     assert p.lm() == (1, 0)
+
+
+# -- packed monomials -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=lambda o: o.name)
+def test_pack_order_product_and_divisibility(order):
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4):
+        exps = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(40)]
+        one = order.pack((0,) * n)
+        guard = order.guard(n)
+        assert sorted(exps, key=order.pack) == sorted(exps, key=order.key)
+        for a in exps[:15]:
+            pa = order.pack(a)
+            assert order.unpack(pa, n) == a
+            for b in exps[:15]:
+                pb = order.pack(b)
+                ab = tuple(x + y for x, y in zip(a, b))
+                assert pa + pb - one == order.pack(ab)
+                divides = all(x <= y for x, y in zip(a, b))
+                assert ((pb - pa + one) & guard == 0) == divides
+
+
+def test_pack_slot_bound_round_trips():
+    for exp in [(SLOT_BOUND, 0, 0), (0, 0, SLOT_BOUND), (SLOT_BOUND - 2, 1, 1)]:
+        assert DEGREVLEX.unpack(DEGREVLEX.pack(exp), 3) == exp
+    for exp in [(SLOT_BOUND, SLOT_BOUND, SLOT_BOUND), (0, SLOT_BOUND, 0)]:
+        assert LEX.unpack(LEX.pack(exp), 3) == exp
+
+
+def test_pack_over_slot_bound_raises():
+    # graded: the total degree is a slot, so it is the bounded quantity
+    for exp in [(SLOT_BOUND + 1, 0, 0), (SLOT_BOUND, 1, 0), (0, 1, -1)]:
+        with pytest.raises(ValueError):
+            DEGREVLEX.pack(exp)
+    for exp in [(SLOT_BOUND + 1, 0, 0), (0, 0, SLOT_BOUND + 1), (-1, 0, 0)]:
+        with pytest.raises(ValueError):
+            LEX.pack(exp)
+
+
+def test_reduction_at_and_over_slot_bound():
+    # graded reduction never raises the degree: x^B -> y^B modulo x - y
+    ring = Ring(("x", "y"))
+    x, y = ring.gens()
+    assert normal_form(x**SLOT_BOUND, [x - y]) == y**SLOT_BOUND
+    # lex reduction can: x^2 modulo x - y^k reaches y^(2k) > B
+    lex = Ring(("x", "y"), LEX)
+    x, y = lex.gens()
+    k = SLOT_BOUND // 2
+    assert normal_form(x**2, [x - y**k]) == y ** (2 * k)
+    with pytest.raises(ValueError):
+        normal_form(x**2, [x - y ** (k + 1)])
