@@ -8,7 +8,9 @@ gcd(n0, n1, n2, n3, d) == 1, and zero is (0, 0, 0, 0) / 1.  Equal values
 therefore have equal fields.  Values are immutable and hashable.
 
 `phi5_mul` is the one integer product in Z[e]/(Phi5); the modular rings in
-`modp` reduce its output mod p or mod p^k.
+`modp` reduce its output mod p or mod p^k.  `canon` is the one step to
+lowest terms; the Groebner reduction kernel sums raw numerators and calls
+it once per monomial.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ class CycloElem:
         b0, b1, b2, b3 = other.n
         da, db = self.d, other.d
         if da == db:
-            return _canon((a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
-        return _canon(
+            return canon((a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
+        return canon(
             (a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da, a3 * db + b3 * da),
             da * db,
         )
@@ -165,8 +167,8 @@ class CycloElem:
         b0, b1, b2, b3 = other.n
         da, db = self.d, other.d
         if da == db:
-            return _canon((a0 - b0, a1 - b1, a2 - b2, a3 - b3), da)
-        return _canon(
+            return canon((a0 - b0, a1 - b1, a2 - b2, a3 - b3), da)
+        return canon(
             (a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da),
             da * db,
         )
@@ -186,7 +188,7 @@ class CycloElem:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _canon(phi5_mul(self.n, other.n), self.d * other.d)
+        return canon(phi5_mul(self.n, other.n), self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -227,7 +229,7 @@ class CycloElem:
                 phi5_mul(_galois_int(n, 2), _galois_int(n, 3)), _galois_int(n, 4)
             )
             norm = phi5_mul(n, conj)[0]
-            return _canon(tuple(q * d for q in conj), norm)
+            return canon(tuple(q * d for q in conj), norm)
         n0 = n[0]
         if not n0:
             raise ZeroDivisionError("inverse of zero in Q(zeta5)")
@@ -283,7 +285,7 @@ def _raw(n, d):
     return x
 
 
-def _canon(n, d):
+def canon(n, d):
     """The CycloElem n/d for d > 0, brought to lowest terms."""
     g = gcd(d, *n)
     if g != 1:

@@ -2,17 +2,20 @@
 
 The basis is computed with sugar-strategy pair selection and both
 Buchberger criteria, then autoreduced; basis elements are kept monic so
-normal-form reduction never divides (over towers this confines splits to
-basis construction).  Reduction is heap division on packed monomials
-(``TermOrder.pack``): a basis is packed once (``GroebnerBasis.reducers``,
-or grown with the basis inside ``buchberger``) and pairs are popped from
-a heap keyed on (sugar, packed lcm, i, j) (docs/DECISIONS.md D6).
+normal-form reduction never divides.  Reduction is heap division on
+packed monomials (``TermOrder.pack``): a basis is packed once
+(``GroebnerBasis.reducers``, or grown with the basis inside
+``buchberger``) and pairs are popped from a heap keyed on (sugar, packed
+lcm, i, j) (docs/DECISIONS.md D6).  Reduction runs over Q(zeta5) only,
+on raw integer numerators brought to lowest terms once per popped
+monomial (D7); a ring over any other field context raises TypeError.
 Polynomials keep exponent tuples; packing lives only in ``normal_form``,
-the pair queue and the standard-monomial scan.  Zero-dimensional ideals get: standard monomials and
-degree, eliminants by Krylov iteration on the quotient, Seidenberg
-radicals, and point extraction in shape position with dynamic extension
-towers; Q(zeta5)-rational points are resolved out of branches by the
-verified mod-p lifting in modp.
+the pair queue and the standard-monomial scan.  Zero-dimensional ideals
+get: standard monomials and degree, eliminants by Krylov iteration on
+the quotient, Seidenberg radicals, and point extraction in shape
+position, where the points that are not Q(zeta5)-rational become
+dynamic extension-tower branches; Q(zeta5)-rational points are resolved
+out of branches by the verified mod-p lifting in modp.
 """
 
 from __future__ import annotations
@@ -20,11 +23,14 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+from math import lcm
 
 from . import unipoly
+from .cyclofield import canon, phi5_mul
 from .extfield import BASE_TOWER, TowerContext
 from .modp import roots_in_qz5
 from .multipoly import (
+    QZ5,
     Poly,
     mono_deg,
     mono_div,
@@ -63,15 +69,20 @@ class GroebnerBasis:
 
 
 class Reducers:
-    """Monic polynomials packed for heap division (docs/DECISIONS.md D6).
+    """Monic polynomials over Q(zeta5) packed for heap division
+    (docs/DECISIONS.md D6, D7).
 
-    Each polynomial g with packed lead l becomes (l - one, tail), where one
-    is the packed constant monomial and tail lists (t - l, c) for its other
-    terms.  A packed monomial m is divisible by l exactly when
-    (m - (l - one)) & guard == 0, and then m * t / l packs to m + (t - l).
+    Each polynomial g with packed lead l becomes (l - one, tail, D), where
+    one is the packed constant monomial, D the lcm of the denominators of
+    g's other terms and tail lists (t - l, n) for each of them, n the four
+    integer numerators of its coefficient over D.  A packed monomial m is
+    divisible by l exactly when (m - (l - one)) & guard == 0, and then
+    m * t / l packs to m + (t - l).
     """
 
     def __init__(self, ring, polys=()):
+        if ring.field is not QZ5:
+            raise TypeError("Groebner reduction runs over %s only" % QZ5.name)
         order = ring.order
         self.pack = order.pack
         self.one = order.pack((0,) * ring.nvars)
@@ -85,7 +96,12 @@ class Reducers:
         pack = self.pack
         terms = g.terms
         lead = pack(terms[0][0])
-        return lead - self.one, [(pack(e) - lead, c) for e, c in terms[1:]]
+        D = lcm(1, *(c.d for _, c in terms[1:]))
+        tail = [
+            (pack(e) - lead, tuple([x * (D // c.d) for x in c.n]))
+            for e, c in terms[1:]
+        ]
+        return lead - self.one, tail, D
 
     def append(self, g):
         self.entries.append(self.entry(g))
@@ -97,20 +113,14 @@ class Reducers:
         return out
 
 
-def mul_mono(f: Poly, mono, coeff=None) -> Poly:
-    """f * coeff * x^mono (term order is multiplication-compatible)."""
-    field = f.ring.field
-    if coeff is None:
-        return Poly(f.ring, tuple((mono_mul(mono, e), c) for e, c in f.terms))
-    return Poly(
-        f.ring,
-        tuple((mono_mul(mono, e), field.mul(c, coeff)) for e, c in f.terms),
-    )
+def mul_mono(f: Poly, mono) -> Poly:
+    """f * x^mono (term order is multiplication-compatible)."""
+    return Poly(f.ring, tuple((mono_mul(mono, e), c) for e, c in f.terms))
 
 
 def normal_form(f: Poly, gb) -> Poly:
     """Unique remainder of f modulo a monic basis (list, GroebnerBasis or
-    Reducers).
+    Reducers) over Q(zeta5).
 
     Heap division on packed monomials: the terms of f sit in a dict keyed
     by packed monomial and their keys in a max-heap.  The largest monomial
@@ -118,6 +128,12 @@ def normal_form(f: Poly, gb) -> Poly:
     subtracted (the lead cancels by construction), else the term joins the
     remainder.  The steps are those of reducing the leading term of the
     whole polynomial again and again, so the remainder is the same.
+
+    Coefficients stay raw in the dict: four integer numerators and a
+    positive denominator, not in lowest terms.  Products of one step share
+    the denominator hc.d * D, so they add componentwise to one another;
+    other sums are cross-multiplied.  A popped coefficient is brought to
+    lowest terms once, by `canon` (docs/DECISIONS.md D7).
     """
     ring = f.ring
     if isinstance(gb, GroebnerBasis):
@@ -126,8 +142,6 @@ def normal_form(f: Poly, gb) -> Poly:
         red = gb
     else:
         red = Reducers(ring, gb)
-    field = ring.field
-    mul, add, neg, is_zero = field.mul, field.add, field.neg, field.is_zero
     pack = red.pack
     guard = red.guard
     entries = red.entries
@@ -135,30 +149,42 @@ def normal_form(f: Poly, gb) -> Poly:
     heap = []
     for e, c in f.terms:
         m = pack(e)
-        coeffs[m] = c
+        coeffs[m] = (*c.n, c.d)
         heap.append(-m)
     heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, get = heapq.heappush, heapq.heappop, coeffs.get
     rem = []
     while heap:
         m = -pop(heap)
-        c = coeffs.pop(m)
-        if is_zero(c):
+        a0, a1, a2, a3, d = coeffs.pop(m)
+        if not (a0 or a1 or a2 or a3):
             continue
+        c = canon((a0, a1, a2, a3), d)
         if m & guard:
             raise ValueError("exponent passes the slot bound during reduction")
-        for lead, tail in entries:
+        for lead, tail, D in entries:
             if not (m - lead) & guard:
-                nc = neg(c)
-                for delta, tc in tail:
+                nc = (-c).n
+                dv = c.d * D
+                for delta, tn in tail:
                     p = m + delta
-                    v = mul(nc, tc)
-                    old = coeffs.get(p)
+                    b0, b1, b2, b3 = phi5_mul(nc, tn)
+                    old = get(p)
                     if old is None:
-                        coeffs[p] = v
+                        coeffs[p] = (b0, b1, b2, b3, dv)
                         push(heap, -p)
                     else:
-                        coeffs[p] = add(old, v)
+                        o0, o1, o2, o3, od = old
+                        if od == dv:
+                            coeffs[p] = (o0 + b0, o1 + b1, o2 + b2, o3 + b3, od)
+                        else:
+                            coeffs[p] = (
+                                o0 * dv + b0 * od,
+                                o1 * dv + b1 * od,
+                                o2 * dv + b2 * od,
+                                o3 * dv + b3 * od,
+                                od * dv,
+                            )
                 break
         else:
             rem.append((m, c))
@@ -174,9 +200,7 @@ def spoly(f: Poly, g: Poly) -> Poly:
     """S-polynomial of two monic polynomials."""
     lf, lg = f.lm(), g.lm()
     L = mono_lcm(lf, lg)
-    return mul_mono(f, mono_div(L, lf)).sub_mul_mono(
-        f.ring.field.one, mono_div(L, lg), g
-    )
+    return mul_mono(f, mono_div(L, lf)) - mul_mono(g, mono_div(L, lg))
 
 
 def buchberger(gens, ring=None) -> GroebnerBasis:
@@ -195,7 +219,7 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
         return GroebnerBasis(ring, ())
     pack = ring.order.pack
     gens = sorted(
-        (g.primitive().monic() for g in gens),
+        (g.monic() for g in gens),
         key=lambda g: pack(g.lm()),
     )
     G = []
@@ -232,7 +256,7 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
             continue
         # chain criterion: a third lead divides L and both its pairs are done
         skip = False
-        for k, (lk, _) in enumerate(entries):
+        for k, (lk, _, _) in enumerate(entries):
             if k == i or k == j or (L - lk) & guard:
                 continue
             a = (i, k) if i < k else (k, i)
@@ -245,7 +269,7 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
         processed += 1
         r = normal_form(spoly(G[i], G[j]), red)
         if not r.is_zero:
-            r = r.primitive().monic()
+            r = r.monic()
             add_poly(r, max(s, r.degree()))
 
     basis = G
@@ -260,7 +284,7 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
                 del entries[i]
                 changed = True
                 break
-            r = r.primitive().monic()
+            r = r.monic()
             if r != basis[i]:
                 basis[i] = r
                 entries[i] = red.entry(r)
@@ -321,7 +345,7 @@ def zero_dim_analyze(gb: GroebnerBasis) -> ZeroDimScheme:
     std = []
     for exp in itertools.product(*(range(b) for b in bounds)):
         m = red.pack(exp)
-        if all((m - lead) & red.guard for lead, _ in red.entries):
+        if all((m - lead) & red.guard for lead, _, _ in red.entries):
             std.append((m, exp))
     std.sort()
     return ZeroDimScheme(gb, [exp for _, exp in std])

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -7,7 +8,7 @@ import sympy
 from cuspidal import catalog
 from cuspidal.catalog import NEW_QUARTIC_TEXT, XYZW
 from cuspidal.cyclofield import CycloElem
-from cuspidal.extfield import TowerContext
+from cuspidal.extfield import BASE_TOWER, TowerContext
 from cuspidal.groebner import (
     NotZeroDimensional,
     QuotientAlgebra,
@@ -24,13 +25,29 @@ from cuspidal.multipoly import DEGREVLEX, LEX, Poly, Ring, jacobian
 from cuspidal.singcert import chart_ring, to_chart
 
 
-def rand_poly(rng, ring, deg=2, nterms=3, span=4):
+def small_int(rng, span):
+    return CycloElem.from_int(rng.randint(-span, span))
+
+
+def cyclo_coeff(rng, span):
+    """A sum of one or two terms (a/b) e^k, b in 1..6."""
+    return sum(
+        (
+            CycloElem.e_power(rng.randrange(5))
+            * Fraction(rng.randint(-span, span), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 2))
+        ),
+        CycloElem.from_int(0),
+    )
+
+
+def rand_poly(rng, ring, deg=2, nterms=3, span=4, coeff=small_int):
     terms = []
     for _ in range(nterms):
         exp = [0] * ring.nvars
         for _ in range(rng.randint(0, deg)):
             exp[rng.randrange(ring.nvars)] += 1
-        terms.append((tuple(exp), CycloElem.from_int(rng.randint(-span, span))))
+        terms.append((tuple(exp), coeff(rng, span)))
     return ring.from_terms(terms)
 
 
@@ -156,27 +173,63 @@ def reference_normal_form(f, basis):
     return Poly(ring, tuple(rem))
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=lambda o: o.name)
-def test_normal_form_matches_reference_random(order):
+@pytest.mark.parametrize(
+    "order, coeff",
+    [
+        pytest.param(order, coeff, id=order.name + suffix)
+        for coeff, suffix in ((small_int, ""), (cyclo_coeff, "-cyclo"))
+        for order in (DEGREVLEX, LEX)
+    ],
+)
+def test_normal_form_matches_reference_random(order, coeff):
     # heap division on packed monomials against the tuple loop, modulo a
-    # reduced basis and modulo a bare (order-dependent) list of generators
+    # reduced basis and modulo a bare (order-dependent) list of generators;
+    # cyclo_coeff makes sums of unequal denominators meet at one monomial
     rng = random.Random(7007)
     checked = 0
     for trial in range(60):
         ring = Ring(("x", "y", "z", "w")[: 2 + trial % 3], order)
-        gens = [rand_poly(rng, ring) for _ in range(rng.randint(2, 3))]
+        gens = [rand_poly(rng, ring, coeff=coeff) for _ in range(rng.randint(2, 3))]
         gens = [g.monic() for g in gens if not g.is_zero]
         if not gens:
             continue
         gb = buchberger(gens, ring=ring)
         for _ in range(3):
-            f = rand_poly(rng, ring, deg=4, nterms=6)
+            f = rand_poly(rng, ring, deg=4, nterms=6, coeff=coeff)
             for basis in (gb, gens):
                 got = normal_form(f, basis)
                 want = reference_normal_form(f, list(basis))
                 assert got == want and str(got) == str(want)
                 checked += 1
     assert checked > 300
+
+
+def test_normal_form_exact_cancellation_leaves_no_term():
+    # reducing (2/3)xy by x - y/2 + 1/4 adds (1/3)y^2 over the denominator
+    # 12, which cancels f's own -(1/3)y^2 over 3: y^2 must not be in the
+    # remainder.  The -(1/6)y it adds meets f's (e/4)y, and the sum must
+    # come out in lowest terms, (-2 + 3e)/12.
+    ring = Ring(("x", "y"))
+    x, y = ring.gens()
+    e = CycloElem.e_power(1)
+    g = x - y.scale(Fraction(1, 2)) + Fraction(1, 4)
+    f = (x * y).scale(Fraction(2, 3)) - (y * y).scale(Fraction(1, 3)) + y.scale(e / 4)
+    got = normal_form(f, [g])
+    c = CycloElem((Fraction(-1, 6), Fraction(1, 4), 0, 0))
+    assert (c.n, c.d) == ((-2, 3, 0, 0), 12)
+    assert got.terms == (((0, 1), c),)
+    assert got == reference_normal_form(f, [g])
+
+
+def test_normal_form_needs_qz5():
+    # the reduction kernel runs on Q(zeta5) numerators only
+    tower = BASE_TOWER.adjoin("b", [BASE_TOWER.coerce(-2), BASE_TOWER.zero, BASE_TOWER.one])
+    ring = Ring(("x", "y")).with_field(tower)
+    x, y = ring.gens()
+    with pytest.raises(TypeError):
+        normal_form(x * y, [x - y])
+    with pytest.raises(TypeError):
+        buchberger([x - y, y])
 
 
 # sha256 of the reduced basis text and the pairs processed, per chart
