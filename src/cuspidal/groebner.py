@@ -1,26 +1,30 @@
 """Buchberger engine and zero-dimensional scheme toolkit.
 
 The basis is computed with sugar-strategy pair selection and both
-Buchberger criteria, then autoreduced; basis elements are kept monic so
-normal-form reduction never divides.  Reduction is heap division on
-packed monomials (``TermOrder.pack``): a basis is packed once
-(``GroebnerBasis.reducers``, or grown with the basis inside
-``buchberger``) and pairs are popped from a heap keyed on (sugar, packed
-lcm, i, j) (docs/DECISIONS.md D6).  Reduction runs over Q(zeta5) only,
-on raw integer numerators brought to lowest terms once per popped
-monomial (D7); a ring over any other field context raises TypeError.
-Polynomials keep exponent tuples; packing lives only in ``normal_form``,
-the pair queue and the standard-monomial scan.  Zero-dimensional ideals
-get: standard monomials and degree, eliminants by Krylov iteration on
-the quotient, Seidenberg radicals, and point extraction in shape
-position, where the points that are not Q(zeta5)-rational become
-dynamic extension-tower branches; Q(zeta5)-rational points are resolved
-out of branches by the verified mod-p lifting in modp.
+Buchberger criteria; basis elements are kept monic so reduction never
+divides.  Every reduction is heap division on packed monomials
+(``TermOrder.pack``) inside one kernel, ``Reducers.remainder``: a basis
+is packed once (``GroebnerBasis.reducers``, or grown with the basis
+inside ``buchberger``) and pairs are popped from a heap keyed on (sugar,
+packed lcm, i, j) (docs/DECISIONS.md D6).  The kernel runs over
+Q(zeta5) only, on raw integer numerators brought to lowest terms once
+per popped monomial (D7); a ring over any other field context raises
+TypeError.  It is seeded straight from packed terms (D8): a polynomial,
+an S-pair from the two packed tails, a sum of products term by term, or
+a basis tail, so no tuple polynomial is built only to be packed again.
+The reduced basis comes from the minimal basis by one tail-reduction
+pass.  Polynomials keep exponent tuples; packing lives only in the
+kernel's seeds, the pair queue and the standard-monomial scan.
+Zero-dimensional ideals get: standard monomials and degree, eliminants
+by Krylov iteration on the quotient, Seidenberg radicals, and point
+extraction in shape position, where the points that are not
+Q(zeta5)-rational become dynamic extension-tower branches;
+Q(zeta5)-rational points are resolved out of branches by the verified
+mod-p lifting in modp.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 from math import lcm
@@ -37,6 +41,9 @@ from .multipoly import (
     mono_lcm,
     mono_mul,
 )
+
+_ONE = (1, 0, 0, 0)
+_MINUS_ONE = (-1, 0, 0, 0)
 
 
 class GroebnerBasis:
@@ -62,28 +69,58 @@ class GroebnerBasis:
         return len(self.polys) == 1 and mono_deg(self.polys[0].lm()) == 0
 
     def reducers(self):
-        """The basis packed for normal_form, built on first use."""
+        """The basis packed for the reduction kernel, built on first use."""
         if self._reducers is None:
             self._reducers = Reducers(self.ring, self.polys)
         return self._reducers
 
 
+def _accumulate(coeffs, heap, base, nc, dv, terms):
+    """Add x^base * sum((nc * n / dv) x^t) over (t, n) in terms into a
+    reduction's raw dict and max-heap; x^base * x^t packs to base + t and
+    nc * n is the `phi5_mul` product of two numerator 4-tuples.
+
+    The products share the denominator dv, so each adds componentwise to
+    a raw coefficient over dv; one over another denominator is
+    cross-multiplied (docs/DECISIONS.md D7).
+    """
+    get = coeffs.get
+    for t, tn in terms:
+        p = base + t
+        b0, b1, b2, b3 = phi5_mul(nc, tn)
+        old = get(p)
+        if old is None:
+            coeffs[p] = (b0, b1, b2, b3, dv)
+            heapq.heappush(heap, -p)
+        else:
+            o0, o1, o2, o3, od = old
+            if od == dv:
+                coeffs[p] = (o0 + b0, o1 + b1, o2 + b2, o3 + b3, od)
+            else:
+                coeffs[p] = (
+                    o0 * dv + b0 * od,
+                    o1 * dv + b1 * od,
+                    o2 * dv + b2 * od,
+                    o3 * dv + b3 * od,
+                    od * dv,
+                )
+
+
 class Reducers:
-    """Monic polynomials over Q(zeta5) packed for heap division
-    (docs/DECISIONS.md D6, D7).
+    """Monic polynomials over Q(zeta5) packed for heap division, and the
+    one reduction kernel (docs/DECISIONS.md D6-D8).
 
     Each polynomial g with packed lead l becomes (l - one, tail, D), where
-    one is the packed constant monomial, D the lcm of the denominators of
-    g's other terms and tail lists (t - l, n) for each of them, n the four
-    integer numerators of its coefficient over D.  A packed monomial m is
-    divisible by l exactly when (m - (l - one)) & guard == 0, and then
-    m * t / l packs to m + (t - l).
+    one is the packed constant monomial and (D, tail) = packed(g's other
+    terms, l).  A packed monomial m is divisible by l exactly when
+    (m - (l - one)) & guard == 0, and then m * t / l packs to m + (t - l).
     """
 
     def __init__(self, ring, polys=()):
         if ring.field is not QZ5:
             raise TypeError("Groebner reduction runs over %s only" % QZ5.name)
         order = ring.order
+        self.ring = ring
         self.pack = order.pack
         self.one = order.pack((0,) * ring.nvars)
         self.guard = order.guard(ring.nvars)
@@ -92,25 +129,108 @@ class Reducers:
             if not g.is_zero:
                 self.append(g)
 
-    def entry(self, g):
+    def packed(self, terms, shift=0):
+        """(D, [(pack(e) - shift, n) for each term]), D the lcm of the
+        denominators and n the four integer numerators of the term's
+        coefficient over D."""
         pack = self.pack
-        terms = g.terms
-        lead = pack(terms[0][0])
-        D = lcm(1, *(c.d for _, c in terms[1:]))
-        tail = [
-            (pack(e) - lead, tuple([x * (D // c.d) for x in c.n]))
-            for e, c in terms[1:]
+        D = lcm(1, *(c.d for _, c in terms))
+        return D, [
+            (pack(e) - shift, tuple([x * (D // c.d) for x in c.n]))
+            for e, c in terms
         ]
+
+    def entry(self, g):
+        lead = self.pack(g.terms[0][0])
+        D, tail = self.packed(g.terms[1:], lead)
         return lead - self.one, tail, D
 
     def append(self, g):
         self.entries.append(self.entry(g))
 
-    def without(self, i):
-        """A copy lacking the i-th entry."""
-        out = copy.copy(self)
-        out.entries = self.entries[:i] + self.entries[i + 1 :]
-        return out
+    def remainder(self, seeds):
+        """Remainder modulo the entries of the sum of the seeds (base, nc,
+        dv, terms), each standing for x^base * sum((nc * n / dv) x^t) over
+        (t, n) in terms: the reduction kernel.
+
+        The seeds go into a dict keyed by packed monomial, their keys into
+        a max-heap.  The largest monomial is popped and its raw
+        coefficient brought to lowest terms once, by `canon`; if the first
+        entry lead dividing it is l, c * m/l * tail is subtracted (the
+        lead cancels by construction), else the term joins the remainder.
+        Seeds and reduction steps add their products by the same step,
+        `_accumulate`.
+        """
+        coeffs = {}
+        heap = []
+        for base, nc, dv, terms in seeds:
+            _accumulate(coeffs, heap, base, nc, dv, terms)
+        guard = self.guard
+        entries = self.entries
+        pop = heapq.heappop
+        rem = []
+        while heap:
+            m = -pop(heap)
+            a0, a1, a2, a3, d = coeffs.pop(m)
+            if not (a0 or a1 or a2 or a3):
+                continue
+            c = canon((a0, a1, a2, a3), d)
+            if m & guard:
+                raise ValueError("exponent passes the slot bound during reduction")
+            for lead, tail, D in entries:
+                if not (m - lead) & guard:
+                    _accumulate(coeffs, heap, m, (-c).n, c.d * D, tail)
+                    break
+            else:
+                rem.append((m, c))
+        ring = self.ring
+        unpack, n = ring.order.unpack, ring.nvars
+        return Poly(ring, tuple([(unpack(m, n), c) for m, c in rem]))
+
+    def spair_remainder(self, i, j, L):
+        """NF of the S-polynomial of entries i and j, L the packed lcm of
+        their leads: both tails shifted to L, the second negated; the
+        leads, 1 - 1 at L, are never added."""
+        _, ti, Di = self.entries[i]
+        _, tj, Dj = self.entries[j]
+        return self.remainder([(L, _ONE, Di, ti), (L, _MINUS_ONE, Dj, tj)])
+
+    def reduced_basis(self):
+        """The reduced Groebner basis, in decreasing lead order, of the
+        ideal of the entries, which must be a monic Groebner basis.
+
+        Minimal basis first: sweeping in increasing packed lead, an entry
+        is dropped when a kept lead divides its lead (a divisor is never
+        larger, and the first of equal leads is kept).  The kept leads are
+        those of the reduced basis, so one pass reducing each tail modulo
+        the kept entries gives it (docs/DECISIONS.md D8).  An entry's own
+        lead divides none of its tail's monomials, so it may stay among
+        the reducers.
+        """
+        one, guard = self.one, self.guard
+        minimal = Reducers(self.ring)
+        kept = minimal.entries
+        for ent in sorted(self.entries, key=lambda ent: ent[0]):
+            lead = ent[0] + one
+            if all((lead - l) & guard for l, _, _ in kept):
+                kept.append(ent)
+        ring = self.ring
+        lead_coeff = ring.field.one
+        unpack, n = ring.order.unpack, ring.nvars
+        basis = []
+        for l, tail, D in reversed(kept):
+            lead = l + one
+            r = minimal.remainder([(lead, _ONE, D, tail)])
+            basis.append(Poly(ring, ((unpack(lead, n), lead_coeff),) + r.terms))
+        return basis
+
+
+def _reducers(ring, gb):
+    if isinstance(gb, GroebnerBasis):
+        return gb.reducers()
+    if isinstance(gb, Reducers):
+        return gb
+    return Reducers(ring, gb)
 
 
 def mul_mono(f: Poly, mono) -> Poly:
@@ -122,74 +242,35 @@ def normal_form(f: Poly, gb) -> Poly:
     """Unique remainder of f modulo a monic basis (list, GroebnerBasis or
     Reducers) over Q(zeta5).
 
-    Heap division on packed monomials: the terms of f sit in a dict keyed
-    by packed monomial and their keys in a max-heap.  The largest monomial
-    is popped; if the first basis lead dividing it is l, hc * m/l * tail is
-    subtracted (the lead cancels by construction), else the term joins the
-    remainder.  The steps are those of reducing the leading term of the
-    whole polynomial again and again, so the remainder is the same.
-
-    Coefficients stay raw in the dict: four integer numerators and a
-    positive denominator, not in lowest terms.  Products of one step share
-    the denominator hc.d * D, so they add componentwise to one another;
-    other sums are cross-multiplied.  A popped coefficient is brought to
-    lowest terms once, by `canon` (docs/DECISIONS.md D7).
+    f's packed terms seed the kernel, `Reducers.remainder`.  Its steps are
+    those of reducing the leading term of the whole polynomial again and
+    again, by the first basis element whose lead divides it, so the
+    remainder is the same.
     """
-    ring = f.ring
-    if isinstance(gb, GroebnerBasis):
-        red = gb.reducers()
-    elif isinstance(gb, Reducers):
-        red = gb
-    else:
-        red = Reducers(ring, gb)
-    pack = red.pack
-    guard = red.guard
-    entries = red.entries
-    coeffs = {}
-    heap = []
-    for e, c in f.terms:
-        m = pack(e)
-        coeffs[m] = (*c.n, c.d)
-        heap.append(-m)
-    heapq.heapify(heap)
-    push, pop, get = heapq.heappush, heapq.heappop, coeffs.get
-    rem = []
-    while heap:
-        m = -pop(heap)
-        a0, a1, a2, a3, d = coeffs.pop(m)
-        if not (a0 or a1 or a2 or a3):
-            continue
-        c = canon((a0, a1, a2, a3), d)
-        if m & guard:
-            raise ValueError("exponent passes the slot bound during reduction")
-        for lead, tail, D in entries:
-            if not (m - lead) & guard:
-                nc = (-c).n
-                dv = c.d * D
-                for delta, tn in tail:
-                    p = m + delta
-                    b0, b1, b2, b3 = phi5_mul(nc, tn)
-                    old = get(p)
-                    if old is None:
-                        coeffs[p] = (b0, b1, b2, b3, dv)
-                        push(heap, -p)
-                    else:
-                        o0, o1, o2, o3, od = old
-                        if od == dv:
-                            coeffs[p] = (o0 + b0, o1 + b1, o2 + b2, o3 + b3, od)
-                        else:
-                            coeffs[p] = (
-                                o0 * dv + b0 * od,
-                                o1 * dv + b1 * od,
-                                o2 * dv + b2 * od,
-                                o3 * dv + b3 * od,
-                                od * dv,
-                            )
-                break
-        else:
-            rem.append((m, c))
-    unpack, n = ring.order.unpack, ring.nvars
-    return Poly(ring, tuple([(unpack(m, n), c) for m, c in rem]))
+    red = _reducers(f.ring, gb)
+    D, terms = red.packed(f.terms)
+    return red.remainder([(0, _ONE, D, terms)])
+
+
+def normal_form_products(products, gb) -> Poly:
+    """NF of the sum of sign * f * g over (sign, f, g) in products, sign
+    +1 or -1, modulo a monic basis as in `normal_form`.
+
+    Each term a of the shorter factor seeds the kernel with the other
+    factor's packed terms shifted by a, so no product polynomial is
+    built or brought to lowest terms (docs/DECISIONS.md D8).
+    """
+    products = list(products)
+    red = _reducers(products[0][1].ring, gb)
+    seeds = []
+    for sign, f, g in products:
+        if len(f.terms) > len(g.terms):
+            f, g = g, f
+        Df, fs = red.packed(f.terms, red.one)
+        Dg, gs = red.packed(g.terms)
+        for a, n in fs:
+            seeds.append((a, n if sign > 0 else tuple([-x for x in n]), Df * Dg, gs))
+    return red.remainder(seeds)
 
 
 def is_member(f: Poly, gb) -> bool:
@@ -197,7 +278,8 @@ def is_member(f: Poly, gb) -> bool:
 
 
 def spoly(f: Poly, g: Poly) -> Poly:
-    """S-polynomial of two monic polynomials."""
+    """S-polynomial of two monic polynomials (the reference for
+    `Reducers.spair_remainder`)."""
     lf, lg = f.lm(), g.lm()
     L = mono_lcm(lf, lg)
     return mul_mono(f, mono_div(L, lf)) - mul_mono(g, mono_div(L, lg))
@@ -208,7 +290,9 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
 
     Pairs are taken in order of (sugar, lcm of the leads, indices) from a
     heap; the product and chain criteria skip pairs, and the chain
-    criterion tests divisibility on the packed leads.
+    criterion tests divisibility on the packed leads.  Each S-pair is
+    reduced from the two packed tails; the result is
+    `Reducers.reduced_basis` of the basis grown.
     """
     gens = [g for g in gens if isinstance(g, Poly) and not g.is_zero]
     if ring is None:
@@ -222,25 +306,24 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
         (g.monic() for g in gens),
         key=lambda g: pack(g.lm()),
     )
-    G = []
+    leads = []
     sugars = []
-    red = Reducers(ring)  # entries[k][0] is the packed lead of G[k] minus one
+    red = Reducers(ring)  # entries[k][0] is pack(leads[k]) - one
     one, guard, entries = red.one, red.guard, red.entries
     heap = []  # (sugar, packed lcm, i, j)
     pending = set()  # the pairs in heap
 
     def add_poly(g, sugar):
-        idx = len(G)
+        idx = len(leads)
         lg = g.lm()
         dg = mono_deg(lg)
-        for i, f in enumerate(G):
-            lf = f.lm()
+        for i, lf in enumerate(leads):
             L = mono_lcm(lf, lg)
             dL = mono_deg(L)
             s = max(sugars[i] + dL - mono_deg(lf), sugar + dL - dg)
             heapq.heappush(heap, (s, pack(L), i, idx))
             pending.add((i, idx))
-        G.append(g)
+        leads.append(lg)
         sugars.append(sugar)
         red.append(g)
 
@@ -267,29 +350,12 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
         if skip:
             continue
         processed += 1
-        r = normal_form(spoly(G[i], G[j]), red)
+        r = red.spair_remainder(i, j, L)
         if not r.is_zero:
             r = r.monic()
             add_poly(r, max(s, r.degree()))
 
-    basis = G
-    # autoreduction
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            r = normal_form(basis[i], red.without(i))
-            if r.is_zero:
-                del basis[i]
-                del entries[i]
-                changed = True
-                break
-            r = r.monic()
-            if r != basis[i]:
-                basis[i] = r
-                entries[i] = red.entry(r)
-                changed = True
-    basis.sort(key=lambda g: pack(g.lm()), reverse=True)
+    basis = red.reduced_basis()
     return GroebnerBasis(
         ring, basis, stats={"pairs_processed": processed, "size": len(basis)}
     )
@@ -366,6 +432,10 @@ class QuotientAlgebra:
         """NF(p) modulo the basis of I."""
         return normal_form(p, self.scheme.gb)
 
+    def nf_products(self, products) -> Poly:
+        """NF of the sum of sign * f * g over (sign, f, g) in products."""
+        return normal_form_products(products, self.scheme.gb)
+
     def nf_coeffs(self, p: Poly):
         """Dense coefficient vector of NF(p) on the standard monomials."""
         return self.coeffs(self.nf(p))
@@ -384,16 +454,17 @@ class QuotientAlgebra:
         g = self.nf(p)
         k = 1
         while not g.is_zero and k < len(self.basis):
-            g = self.nf(g * g).primitive()
+            g = self.nf_products([(1, g, g)]).primitive()
             k *= 2
         return g.is_zero
 
     def mult_columns(self, p: Poly):
         """Columns of the multiplication-by-p operator."""
-        cols = []
-        for m in self.basis:
-            cols.append(self.nf_coeffs(mul_mono(p, m)))
-        return cols
+        ring, one = self.ring, self.field.one
+        return [
+            self.coeffs(self.nf_products([(1, Poly(ring, ((m, one),)), p)]))
+            for m in self.basis
+        ]
 
     def apply_columns(self, cols, vec):
         f = self.field

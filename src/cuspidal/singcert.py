@@ -256,7 +256,8 @@ def classify_all(F: Poly, surface_name="surface", action=None):
 def _hessian_minor_vectors(alg, H, ci):
     """NF vectors in alg = R/sqrt(I) of the 2x2 and 3x3 minors of the
     symmetric Hessian H in chart ci, one per row set <= column set, built
-    from the reduced entries and reduced again (docs/DECISIONS.md D2)."""
+    from the reduced entries and reduced again (docs/DECISIONS.md D2): each
+    cofactor sum seeds the reduction term by term (D8)."""
     n = len(H)
     h = {}
     for i in range(n):
@@ -267,7 +268,9 @@ def _hessian_minor_vectors(alg, H, ci):
     minors2 = []
     for a, (r0, r1) in enumerate(pairs):
         for c0, c1 in pairs[a:]:
-            m = alg.nf(h[r0, c0] * h[r1, c1] - h[r0, c1] * h[r1, c0])
+            m = alg.nf_products(
+                [(1, h[r0, c0], h[r1, c1]), (-1, h[r0, c1], h[r1, c0])]
+            )
             m2[(r0, r1), (c0, c1)] = m2[(c0, c1), (r0, r1)] = m
             minors2.append(m)
     triples = list(combinations(range(n), 3))
@@ -275,12 +278,14 @@ def _hessian_minor_vectors(alg, H, ci):
     for a, (r0, r1, r2) in enumerate(triples):
         for c0, c1, c2 in triples[a:]:
             rest = (r1, r2)
-            m = (
-                h[r0, c0] * m2[rest, (c1, c2)]
-                - h[r0, c1] * m2[rest, (c0, c2)]
-                + h[r0, c2] * m2[rest, (c0, c1)]
+            m = alg.nf_products(
+                [
+                    (1, h[r0, c0], m2[rest, (c1, c2)]),
+                    (-1, h[r0, c1], m2[rest, (c0, c2)]),
+                    (1, h[r0, c2], m2[rest, (c0, c1)]),
+                ]
             )
-            minors3.append(alg.nf(m))
+            minors3.append(m)
     return [alg.coeffs(m) for m in minors2], [alg.coeffs(m) for m in minors3]
 
 

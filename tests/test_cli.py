@@ -78,6 +78,19 @@ def test_surface_report_negative_control_a2_plus_a1(tmp_path, capsys):
     assert rep["strata"]["degenerate"] == "mixed"
 
 
+def test_surface_report_negative_control_a4_quintic(tmp_path, capsys):
+    # one A4 point: every stratum test passes, but tau 4 is not 2 per point
+    f = tmp_path / "a4.txt"
+    f.write_text("x*y*w^3+x^5+y^5+z^5")
+    code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert rep["verdict"] == "mixed_or_worse"
+    assert (rep["n_points"], rep["tau_total"]) == (1, 4)
+    assert rep["strata"] == {"rank_le1": "empty", "degenerate": "all"}
+
+
 def test_reproduce_missing_action_catalog(capsys):
     code, out, err = run_cli(
         capsys, "--json", "reproduce-construction", "--action", "1"

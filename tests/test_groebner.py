@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from cuspidal.extfield import BASE_TOWER, TowerContext
 from cuspidal.groebner import (
     NotZeroDimensional,
     QuotientAlgebra,
+    Reducers,
     buchberger,
     eliminant,
     extract_points,
@@ -21,7 +23,7 @@ from cuspidal.groebner import (
     spoly,
     zero_dim_analyze,
 )
-from cuspidal.multipoly import DEGREVLEX, LEX, Poly, Ring, jacobian
+from cuspidal.multipoly import DEGREVLEX, LEX, Poly, Ring, jacobian, mono_lcm
 from cuspidal.singcert import chart_ring, to_chart
 
 
@@ -173,14 +175,14 @@ def reference_normal_form(f, basis):
     return Poly(ring, tuple(rem))
 
 
-@pytest.mark.parametrize(
-    "order, coeff",
-    [
-        pytest.param(order, coeff, id=order.name + suffix)
-        for coeff, suffix in ((small_int, ""), (cyclo_coeff, "-cyclo"))
-        for order in (DEGREVLEX, LEX)
-    ],
-)
+ORDERS_AND_COEFFS = [
+    pytest.param(order, coeff, id=order.name + suffix)
+    for coeff, suffix in ((small_int, ""), (cyclo_coeff, "-cyclo"))
+    for order in (DEGREVLEX, LEX)
+]
+
+
+@pytest.mark.parametrize("order, coeff", ORDERS_AND_COEFFS)
 def test_normal_form_matches_reference_random(order, coeff):
     # heap division on packed monomials against the tuple loop, modulo a
     # reduced basis and modulo a bare (order-dependent) list of generators;
@@ -202,6 +204,101 @@ def test_normal_form_matches_reference_random(order, coeff):
                 assert got == want and str(got) == str(want)
                 checked += 1
     assert checked > 300
+
+
+@pytest.mark.parametrize("order, coeff", ORDERS_AND_COEFFS)
+def test_spair_reduction_matches_spoly_random(order, coeff):
+    # every S-pair seeded from the two packed tails reduces to the normal
+    # form of its spoly, modulo a basis grown as buchberger grows it;
+    # cyclo_coeff's denominators 1..6 make unequal tail denominators meet
+    # at one monomial
+    rng = random.Random(8118)
+    checked = 0
+    for trial in range(40):
+        ring = Ring(("x", "y", "z", "w")[: 2 + trial % 3], order)
+        G = [rand_poly(rng, ring, nterms=4, coeff=coeff) for _ in range(rng.randint(2, 4))]
+        G = [g.monic() for g in G if not g.is_zero]
+        red = Reducers(ring, G)
+        pairs = list(itertools.combinations(range(len(G)), 2))
+        for i, j in pairs:
+            L = order.pack(mono_lcm(G[i].lm(), G[j].lm()))
+            got = red.spair_remainder(i, j, L)
+            want = normal_form(spoly(G[i], G[j]), red)
+            assert got == want and str(got) == str(want)
+            checked += 1
+            if not got.is_zero and len(G) < 6:
+                pairs.extend((k, len(G)) for k in range(len(G)))
+                G.append(got.monic())
+                red.append(G[-1])
+    assert checked > 300
+
+
+def test_spair_tails_cancel_exactly():
+    # z * (1/2)y from f and y * (1/2)z from g meet at yz over the tail
+    # denominators 6 and 10 and cancel: yz must not be in the remainder
+    ring = Ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    f = x * y + y.scale(Fraction(1, 2)) + x.scale(Fraction(1, 3))
+    g = x * z + z.scale(Fraction(1, 2)) + Fraction(1, 5)
+    red = Reducers(ring, [f, g])
+    assert [D for _, _, D in red.entries] == [6, 10]
+    got = red.spair_remainder(0, 1, ring.order.pack((1, 1, 1)))
+    want = -y.scale(Fraction(1, 5)) - z.scale(Fraction(1, 6)) - Fraction(1, 15)
+    assert got.terms == want.terms
+    assert got == normal_form(spoly(f, g), red)
+
+
+def reference_interreduce(basis):
+    """The autoreduction buchberger ran before the one-pass reduced basis:
+    replace each element by its monic normal form modulo the others,
+    delete it when that is zero and start again, until nothing changes."""
+    basis = list(basis)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            r = normal_form(basis[i], basis[:i] + basis[i + 1 :])
+            if r.is_zero:
+                del basis[i]
+                changed = True
+                break
+            r = r.monic()
+            if r != basis[i]:
+                basis[i] = r
+                changed = True
+    basis.sort(key=lambda g: g.ring.order.pack(g.lm()), reverse=True)
+    return basis
+
+
+@pytest.mark.parametrize("order, coeff", ORDERS_AND_COEFFS)
+def test_reduced_basis_matches_reference_interreduce_random(order, coeff):
+    # a reduced basis padded with a duplicate (the monic 2f), a redundant
+    # x*f and, first of its lead, f + c*g with an unreduced tail: the
+    # minimality sweep and the one tail pass give back the old fixpoint
+    rng = random.Random(9119)
+    perturbed = 0
+    for trial in range(40):
+        ring = Ring(("x", "y", "z", "w")[: 2 + trial % 3], order)
+        gens = [rand_poly(rng, ring, coeff=coeff) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        gb = buchberger(gens, ring=ring)
+        G = list(gb.polys)
+        f = G[rng.randrange(len(G))]
+        v = ring.gens()[rng.randrange(ring.nvars)]
+        padded = G + [f.scale(2).monic(), (v * f).monic()]
+        rng.shuffle(padded)
+        if len(G) > 1:
+            c = coeff(rng, 4)
+            if not c.is_zero:
+                padded.insert(0, G[0] + G[-1].scale(c))
+                perturbed += 1
+        got = Reducers(ring, padded).reduced_basis()
+        want = reference_interreduce(padded)
+        assert got == want == G
+        assert [str(p) for p in got] == [str(p) for p in want]
+    assert perturbed > 10
 
 
 def test_normal_form_exact_cancellation_leaves_no_term():
@@ -404,6 +501,41 @@ def test_in_radical_agrees_with_radical_random():
             assert alg.in_radical(f) is want
             seen.add(want)
     assert seen == {True, False}
+
+
+def test_nf_products_matches_expanded_sum_random():
+    # the NF of a signed sum of products seeded term by term equals the NF
+    # of the expanded Poly sum; denominators 1..6 mix within each factor
+    rng = random.Random(3141)
+    ring = Ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    nonzero = 0
+    for _ in range(20):
+        gens = [
+            x**3 + rand_poly(rng, ring, coeff=cyclo_coeff),
+            y**2 + rand_poly(rng, ring, deg=1, coeff=cyclo_coeff),
+            z**2 + rand_poly(rng, ring, deg=1, coeff=cyclo_coeff),
+        ]
+        alg = QuotientAlgebra(zero_dim_analyze(buchberger(gens, ring=ring)))
+        products = [
+            (
+                rng.choice((1, -1)),
+                rand_poly(rng, ring, nterms=rng.randint(1, 4), coeff=cyclo_coeff),
+                rand_poly(rng, ring, deg=3, nterms=5, coeff=cyclo_coeff),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        want = alg.nf(sum((f * g).scale(sign) for sign, f, g in products))
+        got = alg.nf_products(products)
+        assert got == want and str(got) == str(want)
+        assert alg.coeffs(got) == alg.coeffs(want)
+        nonzero += not got.is_zero
+        # f*g - g*f cancels to the zero vector
+        _, f, g = products[0]
+        zero = alg.nf_products([(1, f, g), (-1, g, f)])
+        assert zero.is_zero
+        assert all(c.is_zero for c in alg.coeffs(zero))
+    assert nonzero > 15
 
 
 def _supported_by_linear_algebra(gb, polys):

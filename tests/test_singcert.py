@@ -31,6 +31,7 @@ def test_positive_dimensional_reported():
 
 # negative controls: each must fail the A1/A2 verdict at the right stratum
 A2_PLUS_A1 = "w^2*x^2+w^2*y^2+z^3*w+x^2*y^2+x^2*z^2+y^4+z^4+3*x*y*z*w"
+A4_QUINTIC = "x*y*w^3+x^5+y^5+z^5"
 
 
 @pytest.mark.parametrize(
@@ -43,8 +44,10 @@ A2_PLUS_A1 = "w^2*x^2+w^2*y^2+z^3*w+x^2*y^2+x^2*z^2+y^4+z^4+3*x*y*z*w"
          {"rank_le1": "empty", "degenerate": "all"}),
         # A2 at (0:0:0:1) and A1 at (1:0:0:0)
         (A2_PLUS_A1, 2, 3, {"rank_le1": "empty", "degenerate": "mixed"}),
+        # a quintic with one A4 point at (0:0:0:1): corank 1 but tau 4
+        (A4_QUINTIC, 1, 4, {"rank_le1": "empty", "degenerate": "all"}),
     ],
-    ids=["cone", "A3", "A2_plus_A1"],
+    ids=["cone", "A3", "A2_plus_A1", "A4_quintic"],
 )
 def test_negative_control_strata(text, n_points, tau, strata):
     cert = classify_all(R.parse(text))
