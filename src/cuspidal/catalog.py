@@ -59,41 +59,42 @@ class SurfaceEntry:
         return "SurfaceEntry(%s)" % self.name
 
 
-def _build():
-    quartic = XYZW.parse(NEW_QUARTIC_TEXT)
-    quintic = XYZW.parse(NEW_QUINTIC_TEXT)
-    entries = {
-        "new_quartic": SurfaceEntry("new_quartic", quartic, ActionK(0), 4),
-        "new_quintic": SurfaceEntry(
-            "new_quintic", quintic, ActionK(0), 5, companion="new_quartic"
-        ),
-        "vdgz_quartic": SurfaceEntry(
-            "vdgz_quartic", _vdgz_quartic(), VDGZ_ACTION, 4
-        ),
-        "vdgz_quintic": SurfaceEntry(
-            "vdgz_quintic", _vdgz_quintic(), VDGZ_ACTION, 5, companion="vdgz_quartic"
-        ),
-    }
-    return entries
+# each entry is built on first use: the VdGZ power sums are expanded only
+# by the commands that ask for a VdGZ surface
+_BUILDERS = {
+    "new_quartic": lambda: SurfaceEntry(
+        "new_quartic", XYZW.parse(NEW_QUARTIC_TEXT), ActionK(0), 4
+    ),
+    "new_quintic": lambda: SurfaceEntry(
+        "new_quintic",
+        XYZW.parse(NEW_QUINTIC_TEXT),
+        ActionK(0),
+        5,
+        companion="new_quartic",
+    ),
+    "vdgz_quartic": lambda: SurfaceEntry(
+        "vdgz_quartic", _vdgz_quartic(), VDGZ_ACTION, 4
+    ),
+    "vdgz_quintic": lambda: SurfaceEntry(
+        "vdgz_quintic", _vdgz_quintic(), VDGZ_ACTION, 5, companion="vdgz_quartic"
+    ),
+}
 
-
-_ENTRIES = None
+_ENTRIES = {}
 
 
 def get(name: str) -> SurfaceEntry:
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build()
-    if name not in _ENTRIES:
+    if name not in _BUILDERS:
         raise KeyError("unknown catalog surface %r" % name)
-    return _ENTRIES[name]
+    entry = _ENTRIES.get(name)
+    if entry is None:
+        entry = _ENTRIES[name] = _BUILDERS[name]()
+    return entry
 
 
 def names():
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build()
-    return sorted(_ENTRIES)
+    """The catalog names, sorted; builds no entry."""
+    return sorted(_BUILDERS)
 
 
 # distinguished points of the new quartic (fixed node and the chosen node)

@@ -37,7 +37,8 @@ def _load_surface(arg, action_k):
     except KeyError:
         pass
     if os.path.exists(arg):
-        text = open(arg).read()
+        with open(arg) as fh:
+            text = fh.read()
         poly = catalog.XYZW.parse(text)
         return os.path.basename(arg), poly, ActionK(action_k or 0)
     raise KeyError("unknown surface %r (not a catalog name or file)" % arg)
@@ -126,10 +127,7 @@ def cmd_reproduce_construction(args):
 def cmd_divisibility(args):
     from .pipeline import PipelineError, divisibility_pipeline
 
-    try:
-        entry = catalog.get(args.surface)
-    except KeyError:
-        raise
+    entry = catalog.get(args.surface)
     if entry.expected_degree != 5:
         print(
             json.dumps({"error": "divisibility needs a cuspidal quintic"}),

@@ -10,7 +10,9 @@ therefore have equal fields.  Values are immutable and hashable.
 `phi5_mul` is the one integer product in Z[e]/(Phi5); the modular rings in
 `modp` reduce its output mod p or mod p^k.  `canon` is the one step to
 lowest terms; the Groebner reduction kernel sums raw numerators and calls
-it once per monomial.
+it once per monomial.  `conj_product` turns an integer 4-vector into a
+positive rational integer by one product, for inverses and for the
+pivots of the quotient-algebra elimination.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ def _galois_int(n, k):
         out[i * k % 5] += c
     c4 = out[4]
     return (out[0] - c4, out[1] - c4, out[2] - c4, out[3] - c4)
+
+
+def conj_product(n):
+    """s2(a) s3(a) s4(a) for the integer 4-vector a = n, s_k the
+    automorphism e -> e^k: a times it is the norm N(a), a rational integer
+    (its e-coefficients vanish) that is positive for a != 0 because
+    Q(zeta5) has no real embedding."""
+    return phi5_mul(phi5_mul(_galois_int(n, 2), _galois_int(n, 3)), _galois_int(n, 4))
 
 
 class CycloElem:
@@ -217,17 +227,11 @@ class CycloElem:
         return acc
 
     def inverse(self) -> "CycloElem":
-        """Multiplicative inverse: a^-1 = s2(a) s3(a) s4(a) / N(a).
-
-        s_k is the automorphism e -> e^k and N(a) = a s2(a) s3(a) s4(a) is
-        the norm, a rational that is positive for a != 0 because Q(zeta5)
-        has no real embedding.
-        """
+        """Multiplicative inverse: a^-1 = s2(a) s3(a) s4(a) / N(a), N the
+        norm (see `conj_product`)."""
         n, d = self.n, self.d
         if n[1] or n[2] or n[3]:
-            conj = phi5_mul(
-                phi5_mul(_galois_int(n, 2), _galois_int(n, 3)), _galois_int(n, 4)
-            )
+            conj = conj_product(n)
             norm = phi5_mul(n, conj)[0]
             return canon(tuple(q * d for q in conj), norm)
         n0 = n[0]

@@ -20,17 +20,20 @@ by Krylov iteration on the quotient, Seidenberg radicals, and point
 extraction in shape position, where the points that are not
 Q(zeta5)-rational become dynamic extension-tower branches;
 Q(zeta5)-rational points are resolved out of branches by the verified
-mod-p lifting in modp.
+mod-p lifting in modp.  The linear algebra on the quotient runs on raw
+Z[zeta5] rows: pivots scaled to their norm, one content gcd per reduced
+vector, and CycloElems only at the interface (D9).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 
 from . import unipoly
-from .cyclofield import canon, phi5_mul
+from .cyclofield import canon, conj_product, phi5_mul
 from .extfield import BASE_TOWER, TowerContext
 from .modp import roots_in_qz5
 from .multipoly import (
@@ -417,8 +420,143 @@ def zero_dim_analyze(gb: GroebnerBasis) -> ZeroDimScheme:
     return ZeroDimScheme(gb, [exp for _, exp in std])
 
 
+_ZERO4 = (0, 0, 0, 0)
+
+
+def _int_vector(vec):
+    """A vector of CycloElems as integer 4-tuples over their common
+    denominator (the denominator itself is dropped)."""
+    D = lcm(1, *(c.d for c in vec))
+    return [tuple([x * (D // c.d) for x in c.n]) for c in vec], D
+
+
+def _lincomb(N, v, b, nz):
+    """N * v + b * row over Z[e], N an int, b a 4-tuple and the row given
+    by its nonzero entries nz = [(i, r), ...]."""
+    if N == 1:
+        out = list(v)
+    else:
+        out = [(N * x0, N * x1, N * x2, N * x3) for x0, x1, x2, x3 in v]
+    for i, r in nz:
+        p0, p1, p2, p3 = phi5_mul(b, r)
+        x0, x1, x2, x3 = out[i]
+        out[i] = (x0 + p0, x1 + p1, x2 + p2, x3 + p3)
+    return out
+
+
+def _nonzero(v):
+    return [(i, x) for i, x in enumerate(v) if x != _ZERO4]
+
+
+def _pivot(v):
+    """Index of the first nonzero entry, or None."""
+    for i, x in enumerate(v):
+        if x != _ZERO4:
+            return i
+    return None
+
+
+def _normalised(v, piv):
+    """v times s2 s3 s4 of v[piv] (`conj_product`), so the pivot becomes a
+    positive rational integer, then divided by its content."""
+    p = v[piv]
+    if p[1] or p[2] or p[3]:
+        conj = conj_product(p)
+        v = [phi5_mul(conj, x) for x in v]
+    elif p[0] < 0:
+        v = [(-x0, -x1, -x2, -x3) for x0, x1, x2, x3 in v]
+    return _primitive(v)[0]
+
+
+def _primitive(v):
+    """(v / g, g), g the content of v: the gcd of all its integers (0 for
+    the zero vector)."""
+    g = gcd(*[x for t in v for x in t])
+    if g > 1:
+        v = [(x0 // g, x1 // g, x2 // g, x3 // g) for x0, x1, x2, x3 in v]
+    return v, g
+
+
+def _reduce(v, rows):
+    """v reduced against echelon rows (pivot, N, row, nonzero entries),
+    N the positive rational integer at the pivot: v <- N * v -
+    v[pivot] * row, with no content taken."""
+    for piv, N, _, nz in rows:
+        b0, b1, b2, b3 = v[piv]
+        if b0 or b1 or b2 or b3:
+            v = _lincomb(N, v, (-b0, -b1, -b2, -b3), nz)
+    return v
+
+
+def _reduce_tracked(v, rows):
+    """v reduced against Krylov rows (pivot, N, row entries, combo
+    entries), the row being sum(combo[j] * (power vector j)), the entries
+    nonzero ones as in `_reduce`.  Returns (r, combo, f) with
+    r = f * v - sum(combo[j] * power vector j), f a positive int and
+    combo of length len(rows)."""
+    combo = [_ZERO4] * len(rows)
+    f = 1
+    for piv, N, nz, cnz in rows:
+        b0, b1, b2, b3 = v[piv]
+        if b0 or b1 or b2 or b3:
+            v = _lincomb(N, v, (-b0, -b1, -b2, -b3), nz)
+            combo = _lincomb(N, combo, (b0, b1, b2, b3), cnz)
+            f *= N
+    return v, combo, f
+
+
+def _echelon_add(rows, v):
+    """Reduce v against the echelon rows; append the normalised remainder
+    and return it, or None if v lies in their span."""
+    v = _reduce(v, rows)
+    piv = _pivot(v)
+    if piv is None:
+        return None
+    v = _normalised(v, piv)
+    rows.append((piv, v[piv][0], v, _nonzero(v)))
+    return v
+
+
+def _echelon(vectors):
+    rows = []
+    for v in vectors:
+        _echelon_add(rows, v)
+    return rows
+
+
+def _apply(op_rows, v):
+    """M * v for M given by sparse integer rows [(j, n), ...]."""
+    out = []
+    for row in op_rows:
+        a0 = a1 = a2 = a3 = 0
+        for j, n in row:
+            x = v[j]
+            if x != _ZERO4:
+                p0, p1, p2, p3 = phi5_mul(n, x)
+                a0 += p0
+                a1 += p1
+                a2 += p2
+                a3 += p3
+        out.append((a0, a1, a2, a3))
+    return out
+
+
 class QuotientAlgebra:
-    """Linear algebra on R/I for a zero-dimensional ideal."""
+    """Linear algebra on R/I for a zero-dimensional ideal.
+
+    The public vectors (`coeffs`, `nf_coeffs`, `mult_columns`) hold
+    CycloElems.  The elimination underneath runs on raw rows over Z[e]
+    (docs/DECISIONS.md D9): a vector is a list of integer 4-tuples, the
+    multiplication operator of p is sparse integer rows over one
+    denominator L, and an echelon row is scaled so that its pivot is a
+    positive rational integer N, then divided by its content.  Reducing
+    v by a row is v <- N * v - v[pivot] * row, and a reduced vector takes
+    one content gcd.  Spans (`supported_length`, `generates_whole`)
+    ignore scale; `krylov` tracks the rational scale of each power vector,
+    so its minimal polynomial and `solve_in_krylov` are exact.  `canon`
+    runs only where CycloElems leave: the eliminant, the Krylov
+    coordinates and the normal forms the kernel returns.
+    """
 
     def __init__(self, scheme: ZeroDimScheme):
         self.scheme = scheme
@@ -426,7 +564,8 @@ class QuotientAlgebra:
         self.field = scheme.ring.field
         self.basis = scheme.std_monomials
         self.index = {m: i for i, m in enumerate(self.basis)}
-        self._var_columns = None
+        self._var_rows = None
+        self._packed = None
 
     def nf(self, p: Poly) -> Poly:
         """NF(p) modulo the basis of I."""
@@ -458,49 +597,61 @@ class QuotientAlgebra:
             k *= 2
         return g.is_zero
 
+    def _products(self, p: Poly):
+        """NF(m * p) for each standard monomial m."""
+        ring, one = self.ring, self.field.one
+        return [self.nf_products([(1, Poly(ring, ((m, one),)), p)]) for m in self.basis]
+
     def mult_columns(self, p: Poly):
         """Columns of the multiplication-by-p operator."""
-        ring, one = self.ring, self.field.one
-        return [
-            self.coeffs(self.nf_products([(1, Poly(ring, ((m, one),)), p)]))
-            for m in self.basis
-        ]
+        return [self.coeffs(nf) for nf in self._products(p)]
 
-    def apply_columns(self, cols, vec):
-        f = self.field
+    def _operator(self, p: Poly):
+        """Multiplication by p as (columns, rows), up to the one scale L,
+        the lcm of its denominators: integer 4-tuples, the columns dense
+        and the rows sparse [(j, n), ...]."""
+        nfs = self._products(p)
+        L = lcm(1, *(c.d for nf in nfs for _, c in nf.terms))
+        index = self.index
         n = len(self.basis)
-        out = [f.zero] * n
-        for j, vj in enumerate(vec):
-            if f.is_zero(vj):
-                continue
-            col = cols[j]
-            for i in range(n):
-                if not f.is_zero(col[i]):
-                    out[i] = f.add(out[i], f.mul(col[i], vj))
-        return out
+        cols = []
+        rows = [[] for _ in range(n)]
+        for j, nf in enumerate(nfs):
+            col = [_ZERO4] * n
+            for e, c in nf.terms:
+                i = index[e]
+                x = col[i] = tuple([a * (L // c.d) for a in c.n])
+                rows[i].append((j, x))
+            cols.append(col)
+        return cols, rows
 
-    def one_vector(self):
-        v = [self.field.zero] * len(self.basis)
-        zero_mono = (0,) * self.ring.nvars
-        if zero_mono in self.index:
-            v[self.index[zero_mono]] = self.field.one
-        return v
+    def _times(self, p: Poly, w):
+        """NF(p * W) for W with integer coefficient vector w, as (u, D)
+        with u an integer vector and NF(p * W) = u / D: p's terms seed the
+        reduction kernel with w's nonzero entries as raw numerators."""
+        red = self.scheme.gb.reducers()
+        if self._packed is None:
+            self._packed = [red.pack(m) for m in self.basis]
+        Dp, ps = red.packed(p.terms, red.one)
+        wt = [(m, x) for m, x in zip(self._packed, w) if x != _ZERO4]
+        nf = red.remainder([(a, n, Dp, wt) for a, n in ps])
+        return _int_vector(self.coeffs(nf))
 
     def generates_whole(self, vectors):
         """Do elements with these NF vectors generate R/I as an ideal?
 
         Their ideal is the closure of span{v} under the multiplication
-        matrices of the variables, found by exact elimination with no
+        operators of the variables, found by exact elimination with no
         random choices.  True means V(I + (elements)) is empty.
         """
-        if self._var_columns is None:
-            self._var_columns = [self.mult_columns(v) for v in self.ring.gens()]
+        if self._var_rows is None:
+            self._var_rows = [self._operator(v)[1] for v in self.ring.gens()]
         rows = []
-        pending = list(vectors)
+        pending = [_int_vector(v)[0] for v in vectors]
         while pending and len(rows) < len(self.basis):
-            red = self._echelon_add(rows, pending.pop())
+            red = _echelon_add(rows, pending.pop())
             if red is not None:
-                pending.extend(self.apply_columns(c, red) for c in self._var_columns)
+                pending.extend(_apply(op, red) for op in self._var_rows)
         return len(rows) == len(self.basis)
 
     def supported_length(self, polys):
@@ -515,106 +666,77 @@ class QuotientAlgebra:
         n = len(self.basis)
         rows = []
         for g in polys:
-            cols = self.mult_columns(g)
-            image = self._echelon(cols)
+            cols, op = self._operator(g)
+            image = _echelon(cols)
             while True:  # g^(k+1) A inside g^k A: stable once the rank holds
-                nxt = self._echelon(self.apply_columns(cols, r) for _, r, _ in image)
+                nxt = _echelon(_apply(op, r) for _, _, r, _ in image)
                 if len(nxt) == len(image):
                     break
                 image = nxt
-            for _, r, _ in image:
-                self._echelon_add(rows, r)
+            for _, _, r, _ in image:
+                _echelon_add(rows, r)
             if len(rows) == n:
                 break
         return n - len(rows)
-
-    def _echelon(self, vectors):
-        rows = []
-        for v in vectors:
-            self._echelon_add(rows, v)
-        return rows
-
-    def _echelon_add(self, rows, v):
-        """Reduce v against the echelon rows (pivot, row, ()); append and
-        return the normalised remainder, or None if v lies in their span."""
-        f = self.field
-        red, _ = self._reduce_against(v, (), rows)
-        piv = self._pivot(red)
-        if piv is None:
-            return None
-        inv = f.inv(red[piv])
-        red = [f.mul(x, inv) for x in red]
-        rows.append((piv, red, ()))
-        return red
 
     def krylov(self, p: Poly):
         """Minimal polynomial of mult-by-p on the cyclic module generated
         by 1 (== the monic generator of I intersect K[p]).
 
-        Returns (minpoly_coeffs, power_vectors, echelon) so shape-position
-        parameterization can reuse the iteration.
+        Returns (minpoly_coeffs, rows); shape-position parameterization
+        passes the rows to `solve_in_krylov`.  The k-th power vector
+        p^k mod I is w / s with w integer and s a positive rational
+        tracked alongside; the next power is NF(p * w) from the reduction
+        kernel (`_times`), so w itself is never reduced.  An echelon row
+        keeps the nonzero entries of a vector and of its combo, with
+        vector = sum(combo[j] * p^j mod I).
         """
-        f = self.field
-        cols = self.mult_columns(p)
-        vecs = []
-        rows = []  # list of (vector, combo) in echelon form
-        v = self.one_vector()
-        step = 0
-        while True:
-            combo = [f.zero] * (step + 1)
-            combo[step] = f.one
-            red, combo_red = self._reduce_against(v, combo, rows)
-            piv = self._pivot(red)
+        n = len(self.basis)
+        w = [_ZERO4] * n
+        zero_mono = (0,) * self.ring.nvars
+        if zero_mono in self.index:
+            w[self.index[zero_mono]] = (1, 0, 0, 0)
+        s = Fraction(1)
+        rows = []
+        for _ in range(n + 1):
+            red, combo, f = _reduce_tracked(w, rows)
+            # red = f * s * p^k - sum(combo[j] * p^j)
+            fs = f * s
+            num, den = fs.numerator, fs.denominator
+            piv = _pivot(red)
             if piv is None:
-                # dependency: minpoly coefficients = combo_red
-                return combo_red, vecs, rows
-            inv = f.inv(red[piv])
-            red = [f.mul(x, inv) for x in red]
-            combo_red = [f.mul(x, inv) for x in combo_red]
-            rows.append((piv, red, combo_red))
-            vecs.append(v)
-            v = self.apply_columns(cols, v)
-            step += 1
-            if step > len(self.basis) + 1:
-                raise AssertionError("Krylov iteration failed to terminate")
-
-    def _pivot(self, v):
-        for i, x in enumerate(v):
-            if not self.field.is_zero(x):
-                return i
-        return None
-
-    def _reduce_against(self, v, combo, rows):
-        f = self.field
-        v = list(v)
-        combo = list(combo)
-        for piv, rv, rc in rows:
-            c = v[piv]
-            if f.is_zero(c):
-                continue
-            for i in range(len(v)):
-                if not f.is_zero(rv[i]):
-                    v[i] = f.sub(v[i], f.mul(c, rv[i]))
-            for i in range(len(rc)):
-                if not f.is_zero(rc[i]):
-                    if i >= len(combo):
-                        combo.extend([f.zero] * (i + 1 - len(combo)))
-                    combo[i] = f.sub(combo[i], f.mul(c, rc[i]))
-        return v, combo
+                # dependency: p^k = sum(combo[j] / fs * p^j)
+                return [canon(tuple([-x * den for x in c]), num) for c in combo] + [
+                    self.field.one
+                ], rows
+            # den * red = num * p^k - sum(den * combo[j] * p^j)
+            both = [tuple([x * den for x in t]) for t in red] + [
+                tuple([-x * den for x in c]) for c in combo
+            ]
+            both.append((num, 0, 0, 0))
+            both = _normalised(both, piv)
+            rows.append((piv, both[piv][0], _nonzero(both[:n]), _nonzero(both[n:])))
+            w, D = self._times(p, w)
+            w, g = _primitive(w)
+            s = s * D / g if g else s
+        raise AssertionError("Krylov iteration failed to terminate")
 
     def solve_in_krylov(self, vec, rows):
         """Combination coefficients expressing vec in the Krylov powers."""
-        f = self.field
-        red, combo = self._reduce_against(vec, [f.zero], rows)
-        if self._pivot(red) is not None:
+        u, D = _int_vector(vec)
+        red, combo, f = _reduce_tracked(u, rows)
+        if _pivot(red) is not None:
             return None
-        return [f.neg(c) for c in combo]
+        # f * D * vec = sum(combo[j] * p^j), up to the last row used
+        while len(combo) > 1 and combo[-1] == _ZERO4:
+            combo.pop()
+        return [canon(c, f * D) for c in combo] or [self.field.zero]
 
 
 def eliminant(scheme: ZeroDimScheme, p: Poly):
     """Monic generator of I intersect K[p] (the eliminant of p)."""
     alg = QuotientAlgebra(scheme)
-    mp, _, _ = alg.krylov(p)
+    mp, _ = alg.krylov(p)
     return mp
 
 
@@ -733,7 +855,7 @@ def extract_points(
 
     lam = g = rows = None
     for cand in candidates:
-        mp, vecs, rws = alg.krylov(cand)
+        mp, rws = alg.krylov(cand)
         if len(mp) - 1 == scheme.degree:
             lam, g, rows = cand, mp, rws
             break

@@ -106,6 +106,13 @@ def test_divisibility_rejects_quartic(capsys):
     assert code == 2
 
 
+def test_divisibility_unknown_name(capsys):
+    code, out, err = run_cli(capsys, "--json", "divisibility", "nonsense")
+    assert code == 2
+    assert out == ""
+    assert "nonsense" in json.loads(err)["error"]
+
+
 def test_divisibility_negative_control_duplicate_conic(monkeypatch, capsys):
     # the last conic replaced by a copy of the first: the divisibility
     # certificate must fail at the conic intersection stage, with exit 1

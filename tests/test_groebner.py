@@ -428,25 +428,35 @@ def test_generates_whole_small_ideals():
         assert _whole_by_linear_algebra(gb, polys) is want
 
 
-def test_generates_whole_agrees_with_buchberger_random():
-    rng = random.Random(2718)
+def _generates_whole_agrees_with_buchberger(rng, coeff):
     ring = Ring(("x", "y", "z"))
     x, y, z = ring.gens()
     seen = set()
     for _ in range(30):
         # zero-dimensional: pure-power leading terms in every variable
         gens = [
-            x**2 + rand_poly(rng, ring, deg=1),
-            y**2 + rand_poly(rng, ring, deg=1),
-            z**2 + rand_poly(rng, ring, deg=1),
+            x**2 + rand_poly(rng, ring, deg=1, coeff=coeff),
+            y**2 + rand_poly(rng, ring, deg=1, coeff=coeff),
+            z**2 + rand_poly(rng, ring, deg=1, coeff=coeff),
         ]
         gb = buchberger(gens, ring=ring)
-        polys = [rand_poly(rng, ring, deg=2) for _ in range(rng.randint(0, 2))]
+        polys = [
+            rand_poly(rng, ring, deg=2, coeff=coeff) for _ in range(rng.randint(0, 2))
+        ]
         polys = [p for p in polys if not p.is_zero]
         want = _whole_by_buchberger(gb, polys)
         assert _whole_by_linear_algebra(gb, polys) is want
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_generates_whole_agrees_with_buchberger_random():
+    _generates_whole_agrees_with_buchberger(random.Random(2718), small_int)
+
+
+def test_generates_whole_agrees_with_buchberger_random_cyclo():
+    # Q(zeta5) coefficients: pivots with e-terms and mixed denominators
+    _generates_whole_agrees_with_buchberger(random.Random(2719), cyclo_coeff)
 
 
 def test_in_radical_small_ideals():
@@ -580,8 +590,7 @@ def test_supported_length_small_ideals():
         assert _supported_by_linear_algebra(gb, polys) == want
 
 
-def test_supported_length_agrees_with_buchberger_random():
-    rng = random.Random(3141)
+def _supported_length_agrees_with_buchberger(rng, coeff):
     ring = Ring(("x", "y", "z"))
     x, y, z = ring.gens()
     seen = set()
@@ -589,10 +598,14 @@ def test_supported_length_agrees_with_buchberger_random():
         # zero-dimensional, split into the slices x = 0 and x = a, and
         # sometimes non-reduced along z
         a = rng.choice([-2, -1, 1, 2])
-        tail = rand_poly(rng, ring, deg=1) if rng.random() < 0.7 else ring.zero
+        tail = (
+            rand_poly(rng, ring, deg=1, coeff=coeff)
+            if rng.random() < 0.7
+            else ring.zero
+        )
         gens = [
             x**2 - a * x,
-            y**2 + rand_poly(rng, ring, deg=1),
+            y**2 + rand_poly(rng, ring, deg=1, coeff=coeff),
             z**2 + tail,
         ]
         gb = buchberger(gens, ring=ring)
@@ -601,8 +614,8 @@ def test_supported_length_agrees_with_buchberger_random():
             x - a,
             y,
             z,
-            rand_poly(rng, ring, deg=2),
-            x * rand_poly(rng, ring),
+            rand_poly(rng, ring, deg=2, coeff=coeff),
+            x * rand_poly(rng, ring, coeff=coeff),
             gens[0] * (y + 1),  # in I: vanishes on the whole scheme
         ]
         polys = rng.sample(pool, rng.randint(1, 2))
@@ -611,6 +624,107 @@ def test_supported_length_agrees_with_buchberger_random():
         deg = zero_dim_analyze(gb).degree
         seen.add("empty" if want == 0 else "whole" if want == deg else "part")
     assert seen == {"empty", "part", "whole"}
+
+
+def test_supported_length_agrees_with_buchberger_random():
+    _supported_length_agrees_with_buchberger(random.Random(3141), small_int)
+
+
+def test_supported_length_agrees_with_buchberger_random_cyclo():
+    # Q(zeta5) coefficients: pivots with e-terms and mixed denominators
+    _supported_length_agrees_with_buchberger(random.Random(3142), cyclo_coeff)
+
+
+def reference_krylov(alg, p):
+    """The CycloElem elimination `QuotientAlgebra.krylov` ran before raw
+    rows: (minpoly, rows), each row (pivot, row, combo) scaled to pivot 1
+    with row = sum(combo[j] * p^j mod I)."""
+    field = alg.field
+    n = len(alg.basis)
+    cols = alg.mult_columns(p)
+    v = [field.zero] * n
+    zero_mono = (0,) * alg.ring.nvars
+    if zero_mono in alg.index:
+        v[alg.index[zero_mono]] = field.one
+    rows = []
+    for step in range(n + 1):
+        red, combo = _reference_reduce(v, [field.zero] * step + [field.one], rows)
+        piv = next((i for i, c in enumerate(red) if not c.is_zero), None)
+        if piv is None:
+            return combo, rows
+        inv = red[piv].inverse()
+        rows.append((piv, [c * inv for c in red], [c * inv for c in combo]))
+        v = [sum((cols[j][i] * v[j] for j in range(n)), field.zero) for i in range(n)]
+    raise AssertionError("Krylov iteration failed to terminate")
+
+
+def _reference_reduce(v, combo, rows):
+    v, combo = list(v), list(combo)
+    for piv, rv, rc in rows:
+        c = v[piv]
+        if c.is_zero:
+            continue
+        v = [a - c * b for a, b in zip(v, rv)]
+        combo += [c.from_int(0)] * (len(rc) - len(combo))
+        for i, b in enumerate(rc):
+            combo[i] = combo[i] - c * b
+    return v, combo
+
+
+def reference_solve_in_krylov(vec, rows):
+    red, combo = _reference_reduce(vec, [CycloElem.from_int(0)], rows)
+    if any(not c.is_zero for c in red):
+        return None
+    return [-c for c in combo]
+
+
+@pytest.mark.parametrize("coeff", [small_int, cyclo_coeff], ids=["int", "cyclo"])
+def test_krylov_matches_reference_random(coeff):
+    # the raw-row elimination gives the CycloElem elimination's monic
+    # eliminant and Krylov coordinates, entry for entry
+    rng = random.Random(2236)
+    ring = Ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    outcomes = set()
+    for _ in range(8):
+        gens = [
+            x**3 + rand_poly(rng, ring, coeff=coeff),
+            y**2 + rand_poly(rng, ring, deg=1, coeff=coeff),
+            z**2 + rand_poly(rng, ring, deg=1, coeff=coeff),
+        ]
+        scheme = zero_dim_analyze(buchberger(gens, ring=ring))
+        alg = QuotientAlgebra(scheme)
+        probes = [x, y, z, rand_poly(rng, ring, coeff=coeff)]
+        for p in probes[2:]:
+            want, ref_rows = reference_krylov(alg, p)
+            mp, rows = alg.krylov(p)
+            assert mp == want and eliminant(scheme, p) == want
+            assert mp[-1] == CycloElem.from_int(1)
+            for q in probes + [ring.one, ring.zero]:
+                vec = alg.nf_coeffs(q)
+                got = alg.solve_in_krylov(vec, rows)
+                assert got == reference_solve_in_krylov(vec, ref_rows)
+                if got is None:
+                    outcomes.add("none")
+                else:
+                    outcomes.add("shape" if len(mp) - 1 == scheme.degree else "span")
+    assert outcomes == {"none", "shape", "span"}
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["new_quartic_cert", "new_quintic_cert", "vdgz_quartic_cert", "vdgz_quintic_cert"],
+)
+def test_eliminant_matches_reference_krylov_on_charts(fixture, request):
+    cert = request.getfixturevalue(fixture)
+    charts = [c for c in cert.report.charts if c is not None and c.scheme.degree]
+    assert charts
+    for chart in charts:
+        for scheme in (chart.scheme, chart.radical):
+            alg = QuotientAlgebra(scheme)
+            for v in scheme.ring.gens():
+                want, _ = reference_krylov(alg, v)
+                assert eliminant(scheme, v) == want
 
 
 def test_radical_simple():
