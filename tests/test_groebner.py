@@ -665,7 +665,7 @@ def _reference_reduce(v, combo, rows):
         if c.is_zero:
             continue
         v = [a - c * b for a, b in zip(v, rv)]
-        combo += [c.from_int(0)] * (len(rc) - len(combo))
+        combo += [CycloElem.from_int(0)] * (len(rc) - len(combo))
         for i, b in enumerate(rc):
             combo[i] = combo[i] - c * b
     return v, combo
