@@ -84,25 +84,19 @@ def cmd_surface_report(args):
 
 
 def _chart_only_report(name, poly, chart_name):
-    from .groebner import buchberger, zero_dim_analyze, radical_zero_dim
     from .multipoly import jacobian
-    from .singcert import chart_ring, to_chart
+    from .singcert import ChartData
 
     ring = poly.ring
     if chart_name not in ring.vars:
         raise ValueError("unknown chart %r" % chart_name)
-    ci = ring.vars.index(chart_name)
-    cring = chart_ring(ring, ci)
-    gens = [to_chart(g, ci, cring) for g in jacobian(poly)]
-    gb = buchberger([g for g in gens if not g.is_zero], ring=cring)
-    scheme = zero_dim_analyze(gb)
-    rad = radical_zero_dim(scheme)
+    chart = ChartData(ring, jacobian(poly), ring.vars.index(chart_name))
     return {
         "surface": name,
         "chart": chart_name,
-        "chart_degree": scheme.degree,
-        "chart_points": rad.degree,
-        "gb_size": len(gb.polys),
+        "chart_degree": chart.scheme.degree,
+        "chart_points": chart.radical.degree,
+        "gb_size": len(chart.scheme.gb.polys),
         "partial": True,
     }
 
@@ -259,7 +253,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (KeyError, ValueError) as ev:
-        print(json.dumps({"error": str(ev)}), file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        msg = ev.args[0] if isinstance(ev, KeyError) else str(ev)
+        print(json.dumps({"error": msg}), file=sys.stderr)
         return 2
 
 

@@ -1,13 +1,17 @@
 """Scheme-level singularity certificates (all-A1 / all-A2 verdicts).
 
-The singular locus of a surface F = 0 in P^3 is processed per affine
-chart; the four charts are sliced into disjoint pieces matching the
-projective normalization (last nonzero coordinate = 1), so every
-singular point is counted exactly once.  A piece's Tjurina degree is
-the length of the chart scheme supported where the later coordinates
-vanish, read from stable images of their multiplication matrices
-(docs/DECISIONS.md D3); its distinct-point count is the degree of the
-chart radical sliced by those coordinates.
+The singular locus of a surface F = 0 in P^3 is split into four disjoint
+pieces matching the projective normalization (last nonzero coordinate
+= 1), so every singular point is counted exactly once.  Piece ci lies in
+affine chart ci where the later coordinates vanish.  One small Buchberger
+run on the chart's Jacobian ideal plus those coordinates tests the piece
+for emptiness; the chart's own Jacobian scheme and radical are built
+only for a nonempty piece and for the last chart (docs/DECISIONS.md D10).
+A piece's Tjurina degree is the length of the chart scheme supported
+where the later coordinates vanish, read from stable images of their
+multiplication matrices (D3); its distinct-point count is the degree of
+the chart radical sliced by those coordinates.  The degree and point
+count of a chart that is not built are summed from the pieces it meets.
 
 Classification is by Hessian rank stratification plus Tjurina
 accounting and never needs point coordinates:
@@ -20,13 +24,14 @@ accounting and never needs point coordinates:
   everywhere.
 
 A stratum V(I + J) is empty iff J generates R/sqrt(I) (Nullstellensatz),
-decided by linear algebra on the chart radical.  The minors spanning J
-are formed inside R/sqrt(I) from the reduced Hessian entries, never
-expanded in the ambient ring (docs/DECISIONS.md D2).
+decided by linear algebra on the radical of each nonempty piece.  The
+minors spanning J are formed inside R/sqrt(I) from the reduced Hessian
+entries, never expanded in the ambient ring (docs/DECISIONS.md D2).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -46,22 +51,32 @@ class SingularInCodimensionOne(ValueError):
 
 
 class ChartData:
-    """Everything computed inside one affine chart."""
+    """One affine chart of the Jacobian scheme.  The chart's Buchberger
+    run (`scheme`) and its radical are made on first use."""
 
-    def __init__(self, chart_index, ring, var_map, scheme, radical):
+    def __init__(self, ring, parts, chart_index):
         self.chart_index = chart_index
-        self.ring = ring
-        self.var_map = var_map  # chart ring var position -> ambient position
-        self.scheme = scheme
-        self.radical = radical
+        self.ring = chart_ring(ring, chart_index)
+        gens = [to_chart(g, chart_index, self.ring) for g in parts]
+        self.gens = [g for g in gens if not g.is_zero]
+        # the later ambient coordinates, which vanish on this chart's piece
+        self.later = [self.ring.var(v) for v in ring.vars[chart_index + 1 :]]
         self.piece_radical = None  # radical of the disjoint slice (set later)
         self.piece_tau = None
+
+    @cached_property
+    def scheme(self):
+        return zero_dim_analyze(buchberger(self.gens, ring=self.ring))
+
+    @cached_property
+    def radical(self):
+        return radical_zero_dim(self.scheme)
 
 
 class SingularSchemeReport:
     def __init__(self, surface_name, charts, pieces, positive_dimensional):
         self.surface_name = surface_name
-        self.charts = charts  # list of ChartData or None (empty chart)
+        self.charts = charts  # ChartData, or None where not zero-dimensional
         self.pieces = pieces  # list of dicts with tau / npoints per piece
         self.positive_dimensional = positive_dimensional  # None or witness
 
@@ -98,63 +113,83 @@ def to_chart(p: Poly, chart_index: int, cring: Ring) -> Poly:
 
 
 def singular_scheme(F: Poly, surface_name="surface") -> SingularSchemeReport:
-    """Jacobian scheme per chart with disjoint-piece degree accounting."""
+    """Jacobian scheme piece by piece: a chart is built only when its piece
+    is nonempty or it is the last chart (docs/DECISIONS.md D10)."""
     if not F.is_homogeneous():
         raise ValueError("surface polynomial must be homogeneous")
     ring = F.ring
-    n = ring.nvars
     parts = jacobian(F)
-    charts = []
-    pieces = []
+    charts = [ChartData(ring, parts, ci) for ci in range(ring.nvars)]
     positive = None
-    for ci in range(n):
-        cring = chart_ring(ring, ci)
-        var_map = [i for i in range(n) if i != ci]
-        gens = [to_chart(g, ci, cring) for g in parts]
-        gens = [g for g in gens if not g.is_zero]
-        gb = buchberger(gens, ring=cring)
-        try:
-            scheme = zero_dim_analyze(gb)
-        except NotZeroDimensional as ev:
-            positive = {"chart": ring.vars[ci], "witness_var": ev.witness_var}
-            charts.append(None)
-            continue
-        radical = radical_zero_dim(scheme)
-        data = ChartData(ci, cring, var_map, scheme, radical)
+    for ci, chart in enumerate(charts):
         # piece: points whose LAST nonzero ambient coordinate is x_ci,
         # i.e. all later coordinates vanish
-        later = [j for j in range(n) if j > ci]
-        piece_tau, piece_rad = _piece_slice(scheme, radical, cring, var_map, later)
-        data.piece_tau = piece_tau
-        data.piece_radical = piece_rad
-        charts.append(data)
-        pieces.append(
-            {
-                "chart": ring.vars[ci],
-                "chart_degree": scheme.degree,
-                "chart_points": radical.degree,
-                "tau": piece_tau,
-                "npoints": piece_rad.degree,
-            }
+        if chart.later:
+            gb = buchberger(chart.gens + chart.later, ring=chart.ring)
+            if gb.is_trivial():
+                chart.piece_tau, chart.piece_radical = 0, zero_dim_analyze(gb)
+                continue
+        try:
+            scheme = chart.scheme
+        except NotZeroDimensional as ev:
+            positive = {"chart": ring.vars[ci], "witness_var": ev.witness_var}
+            charts[ci] = None
+            continue
+        chart.piece_tau, chart.piece_radical = _piece_slice(
+            scheme, chart.radical, chart.later
         )
+    # a positive-dimensional locus has no finite accounting
+    pieces = [] if positive else _pieces(ring, charts)
     return SingularSchemeReport(surface_name, charts, pieces, positive)
 
 
-def _piece_slice(scheme, radical, cring, var_map, later_ambient):
-    """Subscheme supported on {x_j = 0 for all later ambient j}: its local
-    (Tjurina) degree and the radical slice itself."""
-    if not later_ambient:
+def _piece_slice(scheme, radical, later):
+    """Subscheme supported on {later = 0}: its local (Tjurina) degree and
+    the radical slice itself."""
+    if not later:
         return scheme.degree, radical
-    if scheme.degree == 0:
-        return 0, radical
-    later = [cring.var(cring.vars[var_map.index(j)]) for j in later_ambient]
     tau = QuotientAlgebra(scheme).supported_length(later)
     # distinct points: slice the radical by the linear forms (exact on a
     # reduced scheme)
-    gb = buchberger(list(radical.gb.polys) + later, ring=cring)
+    gb = buchberger(list(radical.gb.polys) + later, ring=scheme.ring)
     piece = zero_dim_analyze(gb)
     piece = ZeroDimScheme(piece.gb, piece.std_monomials, is_radical=True)
     return tau, piece
+
+
+def _pieces(ring, charts):
+    """One report row per chart.  A chart whose piece is empty is not
+    built: its degree and point count add up, over the later nonempty
+    pieces, the length and the points off the plane x_ci = 0
+    (docs/DECISIONS.md D10)."""
+    pieces = []
+    for ci, chart in enumerate(charts):
+        if chart.piece_radical.degree or not chart.later:  # a built chart
+            degree, points = chart.scheme.degree, chart.radical.degree
+        else:
+            degree = points = 0
+            for k in charts[ci + 1 :]:
+                if not k.piece_radical.degree:
+                    continue
+                x = [k.ring.var(ring.vars[ci])]
+                # points and length of piece k on the plane x_ci = 0: with
+                # no point there, there is no length either
+                on_points = QuotientAlgebra(k.piece_radical).supported_length(x)
+                on_length = on_points and QuotientAlgebra(k.scheme).supported_length(
+                    k.later + x
+                )
+                points += k.piece_radical.degree - on_points
+                degree += k.piece_tau - on_length
+        pieces.append(
+            {
+                "chart": ring.vars[ci],
+                "chart_degree": degree,
+                "chart_points": points,
+                "tau": chart.piece_tau,
+                "npoints": chart.piece_radical.degree,
+            }
+        )
+    return pieces
 
 
 class SingularityCertificate:
@@ -218,10 +253,11 @@ def classify_all(F: Poly, surface_name="surface", action=None):
     degenerate_empty = True
     degenerate_all = True
     for chart in report.charts:
-        if chart is None or chart.scheme.degree == 0:
+        if chart.piece_radical.degree == 0:
             continue
-        # V(I + J) = V(sqrt(I) + J): every stratum is read on R/sqrt(I)
-        alg = QuotientAlgebra(chart.radical)
+        # V(I + J) = V(sqrt(I) + J): every stratum is read on R/sqrt(I),
+        # once per point on the piece that holds it
+        alg = QuotientAlgebra(chart.piece_radical)
         vecs2, vecs3 = _hessian_minor_vectors(alg, H, chart.chart_index)
         if not alg.generates_whole(vecs2):
             rank_le1_empty = False
@@ -369,18 +405,20 @@ def quadratic_matrix(quad: Poly, cring: Ring):
 def same_singular_locus(rep1: SingularSchemeReport, rep2: SingularSchemeReport):
     """Do two surfaces have identical reduced singular loci?
 
-    Compares the reduced radical bases chart by chart (deterministic
-    reduced GBs are canonical for a fixed order).
+    Compares the reduced radical bases piece by piece (deterministic
+    reduced GBs are canonical for a fixed order, and the pieces partition
+    the locus).
     """
     for c1, c2 in zip(rep1.charts, rep2.charts):
         if (c1 is None) != (c2 is None):
             return False
         if c1 is None:
             continue
-        if c1.radical.degree != c2.radical.degree:
+        r1, r2 = c1.piece_radical, c2.piece_radical
+        if r1.degree != r2.degree:
             return False
-        b1 = {str(p) for p in c1.radical.gb.polys}
-        b2 = {str(p) for p in c2.radical.gb.polys}
+        b1 = {str(p) for p in r1.gb.polys}
+        b2 = {str(p) for p in r2.gb.polys}
         if b1 != b2:
             return False
     return True

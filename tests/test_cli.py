@@ -191,3 +191,17 @@ def test_reports_pinned(argv, request, monkeypatch, capsys):
     assert code == 0
     text = json.dumps(json.loads(out), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[argv]
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("divisibility", "unknown catalog surface 'nonsense'"),
+        ("surface-report", "unknown surface 'nonsense' (not a catalog name or file)"),
+    ],
+)
+def test_unknown_name_error_is_plain_message(capsys, command, message):
+    # the message itself, not the repr a KeyError's str() gives
+    code, out, err = run_cli(capsys, "--json", command, "nonsense")
+    assert code == 2
+    assert json.loads(err) == {"error": message}

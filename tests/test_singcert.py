@@ -3,6 +3,7 @@ import pytest
 from cuspidal import catalog
 from cuspidal.multipoly import ProjPoint, QZ5, jacobian
 from cuspidal.singcert import (
+    SingularInCodimensionOne,
     classify_all,
     classify_at_point,
     same_singular_locus,
@@ -190,3 +191,56 @@ def test_hessian_minor_vectors_match_ambient_minors(fixture, request):
                 for m in ambient[k]
             ]
             assert vecs == want
+
+
+FOUR_A1_QUARTIC = "y^2*(x^2+z^2)+z^2*(x^2+w^2)+w^2*(x^2+y^2)+x*y*z*w"
+
+
+@pytest.mark.parametrize(
+    "text",
+    catalog.names() + [A2_PLUS_A1, A4_QUINTIC, FOUR_A1_QUARTIC],
+    ids=catalog.names() + ["A2_plus_A1", "A4_quintic", "four_A1"],
+)
+def test_derived_chart_counts_match_built_charts(text):
+    # a chart with an empty piece is not built; its degree and point count
+    # are derived from the later pieces and must equal the chart's own
+    F = catalog.get(text).poly if text in catalog.names() else R.parse(text)
+    rep = singular_scheme(F)
+    assert len(rep.pieces) == len(rep.charts) == 4
+    for piece, chart in zip(rep.pieces, rep.charts):
+        assert piece["chart_degree"] == chart.scheme.degree, piece["chart"]
+        assert piece["chart_points"] == chart.radical.degree, piece["chart"]
+
+
+@pytest.mark.parametrize(
+    "text, chart, var",
+    [
+        ("x^2*y^2", "w", "x"),
+        ("w^2*(x^3+y^3+z^3)", "z", "x"),
+        ("z^2*(x^2+y^2+3*w^2)+w^2*(x^2-2*y^2+5*z^2)+z*w*(x*y+z*w)+z^3*x", "y", "x"),
+    ],
+    ids=["two_planes", "double_plane", "curve"],
+)
+def test_positive_dimensional_witness_pinned(text, chart, var):
+    # the witness is the last chart, in x..w order, that is not
+    # zero-dimensional, with the variable its basis lacks a pure power of
+    F = R.parse(text)
+    rep = singular_scheme(F)
+    assert rep.positive_dimensional == {"chart": chart, "witness_var": var}
+    with pytest.raises(SingularInCodimensionOne) as ev:
+        classify_all(F)
+    assert str(ev.value) == (
+        "singular in codimension one (chart %s, variable %s)" % (chart, var)
+    )
+
+
+def test_empty_piece_charts_are_not_built():
+    # every cusp of the new quintic is in piece w: charts x, y and z are
+    # settled by their emptiness tests alone
+    ent = catalog.get("new_quintic")
+    cert = classify_all(ent.poly, ent.name, action=ent.action)
+    assert [p["npoints"] for p in cert.report.pieces] == [0, 0, 0, 15]
+    for chart in cert.report.charts[:3]:
+        assert "scheme" not in vars(chart) and "radical" not in vars(chart)
+        assert chart.piece_tau == 0 and chart.piece_radical.degree == 0
+    assert "scheme" in vars(cert.report.charts[3])
