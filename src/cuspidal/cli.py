@@ -50,21 +50,16 @@ def cmd_surface_report(args):
     if args.chart is not None:
         report = _chart_only_report(name, poly, args.chart)
         _emit(args, report)
-        return 0
+        return 0 if report.get("pass", True) else 1
     try:
         cert = classify_all(poly, name, action=action)
     except SingularInCodimensionOne as ev:
         _emit(args, {"surface": name, "pass": False, "error": str(ev)})
         return 1
     fav = free_action_check(poly, action=action)
-    invariant = (
-        action.is_invariant(poly)
-        if isinstance(action, ActionK)
-        else action.on_poly(poly) == poly
-    )
     report = cert.to_json()
     report["free_action"] = fav.to_json()
-    report["invariant_under_action"] = bool(invariant)
+    report["invariant_under_action"] = action.is_invariant(poly)
     ok = cert.verdict in ("all_A1", "all_A2", "smooth")
     report["pass"] = ok
     if args.transcript:
@@ -84,6 +79,7 @@ def cmd_surface_report(args):
 
 
 def _chart_only_report(name, poly, chart_name):
+    from .groebner import NotZeroDimensional
     from .multipoly import jacobian
     from .singcert import ChartData
 
@@ -91,12 +87,22 @@ def _chart_only_report(name, poly, chart_name):
     if chart_name not in ring.vars:
         raise ValueError("unknown chart %r" % chart_name)
     chart = ChartData(ring, jacobian(poly), ring.vars.index(chart_name))
+    try:
+        scheme = chart.scheme
+    except NotZeroDimensional as ev:
+        error = SingularInCodimensionOne(chart_name, ev.witness_var)
+        return {
+            "surface": name,
+            "chart": chart_name,
+            "pass": False,
+            "error": str(error),
+        }
     return {
         "surface": name,
         "chart": chart_name,
-        "chart_degree": chart.scheme.degree,
+        "chart_degree": scheme.degree,
         "chart_points": chart.radical.degree,
-        "gb_size": len(chart.scheme.gb.polys),
+        "gb_size": len(scheme.gb.polys),
         "partial": True,
     }
 

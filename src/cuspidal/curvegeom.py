@@ -192,29 +192,6 @@ def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action=None) -> TropeCens
     return census
 
 
-def trope_orbits(tropes, action):
-    """Group tropes into orbits of the (order-5) action on planes."""
-    remaining = list(tropes)
-    orbits = []
-    while remaining:
-        t = remaining.pop(0)
-        orb = [t]
-        moved = action.on_poly(t.plane).monic()
-        while str(moved) != str(t.plane):
-            hit = None
-            for s in remaining:
-                if str(s.plane) == str(moved):
-                    hit = s
-                    break
-            if hit is None:
-                break
-            orb.append(hit)
-            remaining.remove(hit)
-            moved = action.on_poly(hit.plane).monic()
-        orbits.append(orb)
-    return orbits
-
-
 # ---------------------------------------------------------------------------
 # surface-surface intersection report
 

@@ -79,20 +79,21 @@ class IntersectionLattice:
 
     def relabelled(self, cusp_permutation, per_cusp_swaps, t_swap):
         """The same lattice presented with cusps permuted/swapped."""
-        idx = []
-        for bi in range(3):
-            src = cusp_permutation[bi]
-            pair = [2 * src, 2 * src + 1]
-            if per_cusp_swaps[bi]:
-                pair.reverse()
-            idx.extend(pair)
-        tpair = [6, 7]
-        if t_swap:
-            tpair.reverse()
-        idx.extend(tpair)
-        idx.append(8)
-        m = [[self.matrix[idx[i]][idx[j]] for j in range(9)] for i in range(9)]
+        idx = _relabel_index(cusp_permutation, per_cusp_swaps, t_swap)
+        m = [[self.matrix[i][j] for j in idx] for i in idx]
         return IntersectionLattice(m, self.labels, self.assumptions)
+
+
+def _relabel_index(cusp_permutation, per_cusp_swaps, t_swap):
+    """Class i of a relabelling is class idx[i] of the original: cusp
+    block b is block cusp_permutation[b], its pair reversed when
+    per_cusp_swaps[b] is set, and T1/T2 exchanged when t_swap is set."""
+    idx = []
+    for src, swap in zip(cusp_permutation, per_cusp_swaps):
+        idx += [2 * src + 1, 2 * src] if swap else [2 * src, 2 * src + 1]
+    idx += [7, 6] if t_swap else [6, 7]
+    idx.append(8)
+    return idx
 
 
 def det_int(m):
@@ -186,7 +187,9 @@ class DivisibilityCertificate:
         return " + ".join(parts) + " == 3*L"
 
     def transcript(self):
-        labels = _swapped_labels(self.swaps, self.t_swap)
+        labels = [
+            LABELS[i] for i in _relabel_index(range(3), self.swaps, self.t_swap)
+        ]
         terms = " + ".join(
             "%d*%s" % (c, l) for c, l in zip(self.vector, labels) if c
         ).replace("+ -", "- ")
@@ -218,16 +221,6 @@ class DivisibilityCertificate:
         }
 
 
-def _swapped_labels(swaps, t_swap):
-    labels = list(LABELS)
-    for i, s in enumerate(swaps):
-        if s:
-            labels[2 * i], labels[2 * i + 1] = labels[2 * i + 1], labels[2 * i]
-    if t_swap:
-        labels[6], labels[7] = labels[7], labels[6]
-    return labels
-
-
 class NoDivisibilityPattern(Exception):
     pass
 
@@ -241,7 +234,7 @@ def divisibility_certificate(lattice: IntersectionLattice, v) -> DivisibilityCer
         raise ValueError("lattice determinant is nonzero")
     for t_swap in (False, True):
         for swaps in product((0, 1), repeat=3):
-            w = _apply_swaps(v, swaps, t_swap)
+            w = [v[i] for i in _relabel_index(range(3), swaps, t_swap)]
             mod3 = [x % 3 for x in w]
             if all(mod3[2 * i] == 2 and mod3[2 * i + 1] == 1 for i in range(3)) and all(
                 mod3[j] == 0 for j in (6, 7, 8)
@@ -300,16 +293,6 @@ def find_divisibility_vector(lat: IntersectionLattice, basis):
     raise NoDivisibilityPattern(
         "no nullspace combination matches the (2,1) cusp pattern"
     )
-
-
-def _apply_swaps(v, swaps, t_swap):
-    w = list(v)
-    for i, s in enumerate(swaps):
-        if s:
-            w[2 * i], w[2 * i + 1] = w[2 * i + 1], w[2 * i]
-    if t_swap:
-        w[6], w[7] = w[7], w[6]
-    return w
 
 
 def t3_corrections(row):
@@ -374,34 +357,17 @@ def match_published(matrix, published=PUBLISHED_MATRIX, skip_entries=()):
     display excluded from the comparison.  Returns a dict with the
     relabelling and the list of mismatches at skipped positions, or None.
     """
-    n = 9
     skip = set(skip_entries)
     for perm in permutations(range(3)):
         for swaps in product((0, 1), repeat=3):
             for t_swap in (False, True):
-                idx = []
-                for bi in range(3):
-                    src = perm[bi]
-                    pair = [2 * src, 2 * src + 1]
-                    if swaps[bi]:
-                        pair.reverse()
-                    idx.extend(pair)
-                tpair = [6, 7]
-                if t_swap:
-                    tpair.reverse()
-                idx.extend(tpair)
-                idx.append(8)
-                ok = True
-                for i in range(n):
-                    for j in range(n):
-                        if (i, j) in skip:
-                            continue
-                        if matrix[idx[i]][idx[j]] != published[i][j]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
+                idx = _relabel_index(perm, swaps, t_swap)
+                if all(
+                    matrix[idx[i]][idx[j]] == published[i][j]
+                    for i in range(9)
+                    for j in range(9)
+                    if (i, j) not in skip
+                ):
                     mismatches = [
                         {
                             "position": [i, j],

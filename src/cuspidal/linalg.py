@@ -81,30 +81,3 @@ def solve(m, rhs, field):
             x[pc] = red[r][cols]
     return x
 
-
-def det(m, field):
-    """Determinant by fraction-free-ish Gaussian elimination with division."""
-    n = len(m)
-    m = mat_copy(m)
-    out = field.one
-    sign = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not field.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            return field.zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        out = field.mul(out, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if not field.is_zero(m[i][c]):
-                f = field.mul(m[i][c], inv)
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[c])]
-    if sign < 0:
-        out = field.neg(out)
-    return out

@@ -26,7 +26,7 @@ from .groebner import QuotientAlgebra, normal_form
 from .modp import roots_in_qz5
 from .multipoly import Poly, ProjPoint, QZ5, Ring, minors
 from .singcert import to_chart
-from .zfive import degree_monomials, invariant_basis
+from .zfive import ActionK, degree_monomials, invariant_basis, orbit
 
 
 class LinearSystem:
@@ -284,7 +284,6 @@ def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint, ring=No
     """
     if ring is None:
         from .catalog import XYZW as ring
-    from .zfive import ActionK
 
     smons = invariant_basis(4, 0)
     if len(coefficients) != len(smons):
@@ -319,15 +318,13 @@ def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint, ring=No
     )
 
     # orbit separation: the three representatives in pairwise distinct orbits
-    act = ActionK(0)
-    sep = True
-    for a, bpt in ((fixed, rep2), (fixed, rep3), (rep2, rep3)):
-        q = bpt
-        for _ in range(5):
-            if _points_possibly_equal(a, q):
-                sep = False
-            q = act.on_point(q)
-    groups["orbit_separation"] = "pass" if sep else "fail"
+    step = ActionK(0).on_point
+    same_orbit = any(
+        _points_possibly_equal(a, q)
+        for a, b in ((fixed, rep2), (fixed, rep3), (rep2, rep3))
+        for q in orbit(b, step)
+    )
+    groups["orbit_separation"] = "fail" if same_orbit else "pass"
     return SCMembershipVerdict(groups)
 
 

@@ -17,12 +17,11 @@ from .curvegeom import (
     intersect_surfaces,
     pair_intersection_away_from,
     resolve_cusp,
-    trope_orbits,
 )
 from .groebner import extract_points
 from .multipoly import ProjPoint, QZ5
 from .singcert import classify_all
-from .zfive import orbit as z5_orbit
+from .zfive import orbit, orbits
 
 
 class PipelineError(Exception):
@@ -41,7 +40,10 @@ def quartic_nodes(entry=None, seed=20240501):
     if cert.verdict != "all_A1" or cert.n_points != 16:
         raise PipelineError("quartic is not 16-nodal: %s" % cert.verdict)
     wpiece = cert.report.charts[3].piece_radical
-    known = [tuple(p.coords[:3]) for p in z5_orbit(catalog.CHOSEN_NODE)]
+    known = [
+        tuple(p.coords[:3])
+        for p in orbit(catalog.CHOSEN_NODE, entry.action.on_point)
+    ]
     branches = extract_points(wpiece, seed=seed, known_points=known)
     if not all(b.is_rational for b in branches):
         raise PipelineError("non-rational node branch; tower coordinates kept")
@@ -50,25 +52,6 @@ def quartic_nodes(entry=None, seed=20240501):
         raise PipelineError("expected 15 non-fixed nodes")
     nodes = cusps + [catalog.FIXED_NODE]
     return nodes, catalog.FIXED_NODE, cusps, cert
-
-
-def group_into_orbits(points, action):
-    """Partition rational points into orbits of the (order 5) action."""
-    remaining = list(points)
-    orbits = []
-    while remaining:
-        p = remaining.pop(0)
-        orb = [p]
-        q = action.on_point(p)
-        while q != p:
-            try:
-                remaining.remove(q)
-            except ValueError:
-                raise PipelineError("orbit left the point set")
-            orb.append(q)
-            q = action.on_point(q)
-        orbits.append(orb)
-    return orbits
 
 
 def new_quintic_curves(S, Q, nodes, fixed_node, action):
@@ -82,10 +65,17 @@ def new_quintic_curves(S, Q, nodes, fixed_node, action):
             "unexpected trope census %d + %d + %d"
             % (len(inv), len(through), len(away))
         )
-    away_orbits = trope_orbits(away, action)
+
+    def step(t):
+        return action.on_poly(t.plane).monic()
+
+    def same(t, plane):
+        return t.plane == plane
+
+    away_orbits = orbits(away, step, same)
     if sorted(len(o) for o in away_orbits) != [5, 5]:
         raise PipelineError("tropes away from the fixed node not two 5-orbits")
-    through_orbits = trope_orbits(through, action)
+    through_orbits = orbits(through, step, same)
     if [len(o) for o in through_orbits] != [5]:
         raise PipelineError("tropes through the fixed node not one 5-orbit")
     away_orbits.sort(key=lambda o: str(min(str(t.plane) for t in o)))
@@ -112,29 +102,16 @@ def vdgz_curves(S, action):
         indep = _two_independent(forms)
         curves.append(CurveOnSurface(label, indep, 1, 0))
     # orbit structure through the action on generating planes
-    orbits = []
-    remaining = list(curves)
-    while remaining:
-        c = remaining.pop(0)
-        orb = [c]
-        moved = [action.on_poly(g) for g in c.gens]
-        for _ in range(4):
-            hit = None
-            for s in remaining:
-                if _same_pencil(s.gens, moved):
-                    hit = s
-                    break
-            if hit is None:
-                break
-            orb.append(hit)
-            remaining.remove(hit)
-            moved = [action.on_poly(g) for g in hit.gens]
-        orbits.append(orb)
-    if sorted(len(o) for o in orbits) != [5, 5, 5]:
+    line_orbits = orbits(
+        curves,
+        lambda c: [action.on_poly(g) for g in c.gens],
+        lambda c, moved: _same_pencil(c.gens, moved),
+    )
+    if sorted(len(o) for o in line_orbits) != [5, 5, 5]:
         raise PipelineError("the 15 lines do not fall into three 5-orbits")
-    orbits.sort(key=lambda o: min(c.name for c in o))
+    line_orbits.sort(key=lambda o: min(c.name for c in o))
     families = []
-    for fi, orb in enumerate(orbits):
+    for fi, orb in enumerate(line_orbits):
         fam = []
         for k, c in enumerate(orb):
             fam.append(
@@ -252,19 +229,19 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
     else:
         raise PipelineError("no curve recipe for %s" % name)
 
-    orbits = group_into_orbits(cusps, action)
+    cusp_orbits = orbits(cusps, action.on_point)
     stage(
         "cusp_orbits",
-        sorted(len(o) for o in orbits) == [5, 5, 5],
-        sizes=[len(o) for o in orbits],
+        sorted(len(o) for o in cusp_orbits) == [5, 5, 5],
+        sizes=[len(o) for o in cusp_orbits],
     )
-    orbits.sort(key=lambda o: sorted(repr(p) for p in o)[0])
-    reps = [o[0] for o in orbits]
+    cusp_orbits.sort(key=lambda o: sorted(repr(p) for p in o)[0])
+    reps = [o[0] for o in cusp_orbits]
     # put the known distinguished node first when present
-    for i, o in enumerate(orbits):
+    for i, o in enumerate(cusp_orbits):
         if catalog.CHOSEN_NODE in o:
-            orbits.insert(0, orbits.pop(i))
-            reps = [o[0] for o in orbits]
+            cusp_orbits.insert(0, cusp_orbits.pop(i))
+            reps = [o[0] for o in cusp_orbits]
             reps[0] = catalog.CHOSEN_NODE
             break
 

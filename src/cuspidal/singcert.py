@@ -49,6 +49,12 @@ from .multipoly import Poly, ProjPoint, Ring, hessian, jacobian
 class SingularInCodimensionOne(ValueError):
     """The singular locus has a curve component: no finite certificate."""
 
+    def __init__(self, chart, witness_var):
+        super().__init__(
+            "singular in codimension one (chart %s, variable %s)"
+            % (chart, witness_var)
+        )
+
 
 class ChartData:
     """One affine chart of the Jacobian scheme.  The chart's Buchberger
@@ -229,11 +235,8 @@ def classify_all(F: Poly, surface_name="surface", action=None):
     report = singular_scheme(F, surface_name)
     if report.positive_dimensional is not None:
         raise SingularInCodimensionOne(
-            "singular in codimension one (chart %s, variable %s)"
-            % (
-                report.positive_dimensional["chart"],
-                report.positive_dimensional["witness_var"],
-            )
+            report.positive_dimensional["chart"],
+            report.positive_dimensional["witness_var"],
         )
     n = report.n_points
     tau = report.tau_total

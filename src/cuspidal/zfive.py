@@ -8,10 +8,17 @@ is a_k-invariant iff every monomial has residue 0.
 
 A general linear action (used for the permutation action on the
 Van der Geer-Zagier surfaces) is supported through LinearAction.
+
+Every orbit in the package is walked here: orbit(x, step) follows one
+element round its cycle, and orbits(items, step, same) partitions a list
+(cusps, tropes, lines) into orbits in walk order.  A walk that leaves
+the list simply ends its orbit; the callers' orbit-size checks then
+reject the list (docs/DECISIONS.md D11).
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations_with_replacement
 
 from .cyclofield import CycloElem
@@ -69,14 +76,37 @@ class ActionK:
         return pts
 
 
-def orbit(p: ProjPoint, k: int = 0):
-    """The Z5 orbit of p as a list (size 1 or 5)."""
-    act = ActionK(k)
-    out = [p]
-    q = act.on_point(p)
-    while q != p:
-        out.append(q)
-        q = act.on_point(q)
+def orbit(x, step):
+    """[x, step(x), step(step(x)), ...] up to the first return to x."""
+    out = [x]
+    y = step(x)
+    while y != x:
+        out.append(y)
+        y = step(y)
+    return out
+
+
+def orbits(items, step, same=operator.eq):
+    """Partition items into orbits of step, in walk order.
+
+    An orbit starts at the first remaining item and takes in the first
+    remaining item that is same(item, image) to its last member's image;
+    it ends when no remaining item matches.  So a walk that leaves items
+    yields a short orbit, never an exception.
+    """
+    remaining = list(items)
+    out = []
+    while remaining:
+        orb = [remaining.pop(0)]
+        while True:
+            image = step(orb[-1])
+            hit = next(
+                (i for i, x in enumerate(remaining) if same(x, image)), None
+            )
+            if hit is None:
+                break
+            orb.append(remaining.pop(hit))
+        out.append(orb)
     return out
 
 
@@ -168,6 +198,9 @@ class LinearAction:
             subs[i] = form
         return p.subs(subs)
 
+    def is_invariant(self, p: Poly) -> bool:
+        return self.on_poly(p) == p
+
     def fixed_points(self):
         """Eigenvector points (requires semisimple action, e.g. order 5).
 
@@ -198,12 +231,4 @@ class LinearAction:
         for p in pts:
             if all(p != q for q in out):
                 out.append(p)
-        return out
-
-    def orbit_of_point(self, p: ProjPoint):
-        out = [p]
-        q = self.on_point(p)
-        while q != p:
-            out.append(q)
-            q = self.on_point(q)
         return out

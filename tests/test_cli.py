@@ -41,6 +41,28 @@ def test_surface_report_chart_restriction(capsys):
     assert rep["chart_points"] == 15
 
 
+def test_surface_report_chart_singular_in_codimension_one(tmp_path, capsys):
+    # chart w of x^2*y^2 = 0 is singular along a curve: a typed failure,
+    # with the full report's message, not a traceback
+    f = tmp_path / "xy.txt"
+    f.write_text("x^2*y^2\n")
+    code, out, err = run_cli(
+        capsys, "--json", "surface-report", str(f), "--chart", "w"
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "surface": "xy.txt",
+        "chart": "w",
+        "pass": False,
+        "error": "singular in codimension one (chart w, variable x)",
+    }
+    code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "singular in codimension one (chart w, variable x)"
+    )
+
+
 def test_surface_report_from_file(tmp_path, capsys):
     f = tmp_path / "surf.txt"
     f.write_text("x^2+y^2+z^2+w^2")
@@ -131,6 +153,15 @@ def test_divisibility_negative_control_duplicate_conic(monkeypatch, capsys):
     rep = json.loads(out)
     assert rep["pass"] is False
     assert "stage failed: quintic_meets_quartic_at_conics" in rep["error"]
+
+
+def test_divisibility_negative_control_cusp_set_not_closed(monkeypatch):
+    # one cusp dropped: the walk leaves the cusp set, and the orbit sizes
+    # fail the cusp_orbits stage
+    real = catalog.vdgz_cusps
+    monkeypatch.setattr(catalog, "vdgz_cusps", lambda: real()[1:])
+    with pytest.raises(pipeline.PipelineError, match="stage failed: cusp_orbits"):
+        pipeline.divisibility_pipeline("vdgz_quintic")
 
 
 def test_usage_error(capsys):

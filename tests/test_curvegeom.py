@@ -13,10 +13,9 @@ from cuspidal.curvegeom import (
     pair_intersection_away_from,
     poly_square_root,
     resolve_cusp,
-    trope_orbits,
 )
 from cuspidal.multipoly import ProjPoint, QZ5, restrict_to_plane
-from cuspidal.zfive import ActionK
+from cuspidal.zfive import ActionK, orbits
 
 R = catalog.XYZW
 
@@ -63,8 +62,15 @@ def test_trope_orbits_structure(node_data):
     act = ActionK(0)
     census = find_tropes(Q, node_data["nodes"], node_data["fixed"], action=act)
     _, through, away = census.partition()
-    assert sorted(len(o) for o in trope_orbits(away, act)) == [5, 5]
-    assert sorted(len(o) for o in trope_orbits(through, act)) == [5]
+
+    def step(t):
+        return act.on_poly(t.plane).monic()
+
+    def same(t, plane):
+        return t.plane == plane
+
+    assert sorted(len(o) for o in orbits(away, step, same)) == [5, 5]
+    assert sorted(len(o) for o in orbits(through, step, same)) == [5]
 
 
 def test_no_tropes_on_smooth_quadric():

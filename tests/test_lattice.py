@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from cuspidal.lattice import (
     PUBLISHED_NULLSPACE,
     IntersectionLattice,
     NoDivisibilityPattern,
+    _relabel_index,
     det_int,
     divisibility_certificate,
     erratum_mismatches,
@@ -19,6 +21,15 @@ from cuspidal.lattice import (
     t3_corrections,
     t3_self_intersection,
 )
+
+
+def test_relabel_index_is_a_permutation():
+    for perm in itertools.permutations(range(3)):
+        for swaps in itertools.product((0, 1), repeat=3):
+            for t_swap in (False, True):
+                idx = _relabel_index(perm, swaps, t_swap)
+                assert sorted(idx) == list(range(9))
+    assert _relabel_index(range(3), (0, 0, 0), False) == list(range(9))
 
 
 def test_det_int_against_sympy():

@@ -12,7 +12,7 @@ from cuspidal.linsys import (
 )
 from cuspidal.multipoly import ProjPoint, QZ5
 from cuspidal.singcert import classify_all
-from cuspidal.zfive import ActionK, invariant_basis
+from cuspidal.zfive import ActionK, invariant_basis, orbits
 
 R = catalog.XYZW
 
@@ -110,10 +110,8 @@ def test_sc_membership_published_solution(node_data):
     coeffs = [q.coeff_of(m) for m in smons]
     # representatives of the two other orbits: pick cusps outside the
     # orbit of (1:1:1:1)
-    from cuspidal.pipeline import group_into_orbits
-
-    orbits = group_into_orbits(node_data["cusps"], ActionK(0))
-    others = [o for o in orbits if catalog.CHOSEN_NODE not in o]
+    cusp_orbits = orbits(node_data["cusps"], ActionK(0).on_point)
+    others = [o for o in cusp_orbits if catalog.CHOSEN_NODE not in o]
     assert len(others) == 2
     verdict = verify_sc_membership(coeffs, others[0][0], others[1][0])
     assert verdict.passed, verdict.to_json()
@@ -132,10 +130,8 @@ def test_sc_membership_same_orbit_fails(node_data):
     coeffs = [q.coeff_of(m) for m in smons]
     act = ActionK(0)
     image = act.on_point(catalog.CHOSEN_NODE)
-    from cuspidal.pipeline import group_into_orbits
-
-    orbits = group_into_orbits(node_data["cusps"], act)
-    others = [o for o in orbits if catalog.CHOSEN_NODE not in o]
+    cusp_orbits = orbits(node_data["cusps"], act.on_point)
+    others = [o for o in cusp_orbits if catalog.CHOSEN_NODE not in o]
     verdict = verify_sc_membership(coeffs, image, others[0][0])
     assert verdict.groups["orbit_separation"] == "fail"
 

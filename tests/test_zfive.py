@@ -11,6 +11,7 @@ from cuspidal.zfive import (
     free_action_check,
     invariant_basis,
     orbit,
+    orbits,
     weight_residue,
 )
 
@@ -78,9 +79,32 @@ def test_action_order_five():
 
 
 def test_orbits():
-    assert len(orbit(ProjPoint([1, 0, 0, 0]))) == 1
-    assert len(orbit(ProjPoint([0, 0, 1, 0]))) == 1
-    assert len(orbit(ProjPoint([1, 1, 1, 1]))) == 5
+    step = ActionK(0).on_point
+    assert len(orbit(ProjPoint([1, 0, 0, 0]), step)) == 1
+    assert len(orbit(ProjPoint([0, 0, 1, 0]), step)) == 1
+    assert len(orbit(ProjPoint([1, 1, 1, 1]), step)) == 5
+
+
+def test_orbits_partition_quartic_nodes(node_data):
+    step = ActionK(0).on_point
+    parts = orbits(node_data["nodes"], step)
+    assert sorted(len(o) for o in parts) == [1, 5, 5, 5]
+    for o in parts:
+        assert all(b == step(a) for a, b in zip(o, o[1:]))
+
+
+def test_orbits_walk_leaving_the_set_ends_the_orbit(node_data):
+    # the cusps in walk order, less the first: that orbit's walk stops
+    # where it would return to the dropped cusp
+    step = ActionK(0).on_point
+    walked = [p for o in orbits(node_data["cusps"], step) for p in o]
+    parts = orbits(walked[1:], step)
+    assert [len(o) for o in parts] == [4, 5, 5]
+
+
+def test_linear_action_invariance():
+    assert VDGZ_ACTION.is_invariant(get("vdgz_quintic").poly)
+    assert not VDGZ_ACTION.is_invariant(R.var("x"))
 
 
 def test_invariance_of_catalog_surfaces():
@@ -142,4 +166,4 @@ def test_vdgz_action_order():
     for _ in range(5):
         q = VDGZ_ACTION.on_point(q)
     assert q == p
-    assert len(VDGZ_ACTION.orbit_of_point(p)) == 5
+    assert len(orbit(p, VDGZ_ACTION.on_point)) == 5
