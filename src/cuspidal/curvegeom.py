@@ -67,23 +67,6 @@ def poly_square_root(F: Poly):
     return lc, r
 
 
-def poly_map(p: Poly, target: Ring, images):
-    """Ring map: substitute images[i] (a target Poly) for variable i."""
-    out = target.zero
-    cache = {}
-    for e, c in p.terms:
-        term = target.from_scalar(c)
-        for i, k in enumerate(e):
-            if not k:
-                continue
-            key = (i, k)
-            if key not in cache:
-                cache[key] = images[i] ** k
-            term = term * cache[key]
-        out = out + term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tropes
 
@@ -380,18 +363,34 @@ class CuspResolution:
     two (-2)-curves of the A2 chain, meeting once, and the blown-up
     surface is verified smooth along them.  For each registered curve the
     row (m1, m2) holds the intersection numbers of its strict transform
-    with the two lines.
+    with the two lines.  ``charts`` keeps (mchart, images, strict
+    transform) per blow-up chart, for the transcripts.
     """
 
-    def __init__(self, cusp, chart_index, lines, transcripts):
+    def __init__(self, cusp, chart_index, lines, local_vars, charts):
         self.cusp = cusp
         self.chart_index = chart_index
         self.lines = lines
-        self.transcripts = transcripts
+        self.local_vars = local_vars
+        self.charts = charts
         self.curve_rows = {}
         self.pair_over_cusp = {}
         self.curve_smooth = {}
         self.smooth_verified = False
+
+    @property
+    def transcripts(self):
+        """Each blow-up chart's substitution and strict transform, as text."""
+        return [
+            {
+                "chart": mchart,
+                "substitution": {
+                    self.local_vars[j]: str(images[j]) for j in range(3)
+                },
+                "strict_transform": str(fs),
+            }
+            for mchart, images, fs in self.charts
+        ]
 
     def correction(self, name):
         """(a, b) with pi* C = C~ + a A + b A' as Q-divisors."""
@@ -531,7 +530,7 @@ def blow_up_charts(cring: Ring):
 
 def strict_transform(p: Poly, bring: Ring, images):
     """Pull p through the blow-up and divide by the largest power of w."""
-    q = poly_map(p, bring, images)
+    q = p.subs(dict(enumerate(images)), ring=bring)
     if q.is_zero:
         return q, 0
     widx = bring.nvars - 1
@@ -590,7 +589,7 @@ def _exceptional_supported_length(gens, bring, mchart):
 
 def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
     """Blow up one certified A2 cusp and record all curve data there."""
-    flocal, cring, ci, _shift = _local_surface(S, cusp)
+    flocal, cring, ci, shift = _local_surface(S, cusp)
     field = cring.field
     l1, l2, kern = tangent_cone_lines(flocal, cring)
     cubic = degree_part(flocal, 3)
@@ -605,21 +604,11 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
 
     charts = blow_up_charts(cring)
     strict_by_chart = []
-    transcripts = []
     for mchart, bring, images in charts:
         fs, mult = strict_transform(flocal, bring, images)
         if mult != 2:
             raise ResolutionError("surface multiplicity at the cusp is not 2")
         strict_by_chart.append((mchart, bring, images, fs))
-        transcripts.append(
-            {
-                "chart": mchart,
-                "substitution": {
-                    cring.vars[j]: str(images[j]) for j in range(3)
-                },
-                "strict_transform": str(fs),
-            }
-        )
 
     # smoothness of the blown-up surface along the exceptional fiber
     for mchart, bring, images, fs in strict_by_chart:
@@ -631,18 +620,23 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
                 "strict transform singular along the exceptional locus"
             )
 
-    res = CuspResolution(cusp, ci, (l1c, l2c), transcripts)
+    res = CuspResolution(
+        cusp,
+        ci,
+        (l1c, l2c),
+        cring.vars,
+        [(mchart, images, fs) for mchart, _, images, fs in strict_by_chart],
+    )
     res.smooth_verified = True
-
-    aff = cusp.affine()
-    shift = {
-        i: cring.var(cring.vars[i]) + cring.from_scalar(aff[i]) for i in range(3)
-    }
 
     strict_gens = {}
     incident = []
     for curve in curves:
-        loc = [to_chart(g, ci, cring).subs(shift) for g in curve.gens]
+        # a generator that is S itself (the T3 sections) is already shifted
+        loc = [
+            flocal if g is S else to_chart(g, ci, cring).subs(shift)
+            for g in curve.gens
+        ]
         loc = [g for g in loc if not g.is_zero]
         if any(not field.is_zero(g.constant_value()) for g in loc):
             res.curve_rows[curve.name] = (0, 0)

@@ -81,16 +81,24 @@ class GroebnerBasis:
 def _accumulate(coeffs, heap, base, nc, dv, terms):
     """Add x^base * sum((nc * n / dv) x^t) over (t, n) in terms into a
     reduction's raw dict and max-heap; x^base * x^t packs to base + t and
-    nc * n is the `phi5_mul` product of two numerator 4-tuples.
+    nc * n is the `phi5_mul` product of two numerator 4-tuples.  A
+    rational multiplier (n1 = n2 = n3 = 0) scales instead: n0 * n is the
+    same 4-tuple from 4 integer products (docs/DECISIONS.md D12).
 
     The products share the denominator dv, so each adds componentwise to
     a raw coefficient over dv; one over another denominator is
     cross-multiplied (docs/DECISIONS.md D7).
     """
     get = coeffs.get
+    n0, n1, n2, n3 = nc
+    rational = not (n1 or n2 or n3)
     for t, tn in terms:
         p = base + t
-        b0, b1, b2, b3 = phi5_mul(nc, tn)
+        if rational:
+            t0, t1, t2, t3 = tn
+            b0, b1, b2, b3 = n0 * t0, n0 * t1, n0 * t2, n0 * t3
+        else:
+            b0, b1, b2, b3 = phi5_mul(nc, tn)
         old = get(p)
         if old is None:
             coeffs[p] = (b0, b1, b2, b3, dv)

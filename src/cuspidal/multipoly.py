@@ -335,22 +335,12 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.ring.field
         a, b = self.terms, other.terms
         if not a or not b:
             return self.ring.zero
         if len(a) > len(b):
             a, b = b, a
-        acc = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = mono_mul(ea, eb)
-                p = f.mul(ca, cb)
-                if e in acc:
-                    acc[e] = f.add(acc[e], p)
-                else:
-                    acc[e] = p
-        return self.ring.from_dict(acc)
+        return self.ring.from_dict(_mul_terms_into({}, a, b, self.ring.field))
 
     __rmul__ = __mul__
 
@@ -437,34 +427,45 @@ class Poly:
 
     # -- substitution ------------------------------------------------------
 
-    def subs(self, assignment):
-        """Substitute {var index or name: Poly or scalar} simultaneously."""
-        ring = self.ring
-        f = ring.field
-        table = {}
+    def subs(self, assignment, ring=None):
+        """Substitute {var index or name: Poly or scalar} simultaneously.
+
+        Unassigned variables stay.  With ``ring``, a ring map into that
+        ring: the images and scalars live there, and every variable must
+        be assigned (ValueError otherwise).  The powers of each image are
+        built by successive products and cached per variable; each term's
+        product of image powers is expanded into one dict, which is
+        sorted once by ``from_dict``.
+        """
+        src = self.ring
+        target = src if ring is None else ring
+        f = target.field
+        images = [None] * src.nvars
         for k, v in assignment.items():
-            i = k if isinstance(k, int) else ring.vars.index(k)
-            if not isinstance(v, Poly):
-                v = ring.from_scalar(v)
-            table[i] = v
-        out = ring.zero
-        pow_cache = {}
+            i = k if isinstance(k, int) else src.vars.index(k)
+            images[i] = v if isinstance(v, Poly) else target.from_scalar(v)
+        for i, v in enumerate(images):
+            if v is None:
+                if ring is not None:
+                    raise ValueError("ring map leaves %s unassigned" % src.vars[i])
+                images[i] = target.var(src.vars[i])
+        one = target.one
+        powers = [[one, v] for v in images]
+        zero = target._zero_mono
+        out = {}
         for e, c in self.terms:
-            term = ring.from_scalar(c)
+            factors = []
             for i, k in enumerate(e):
-                if not k:
-                    continue
-                if i in table:
-                    key = (i, k)
-                    if key not in pow_cache:
-                        pow_cache[key] = table[i] ** k
-                    term = term * pow_cache[key]
-                else:
-                    mono = [0] * ring.nvars
-                    mono[i] = k
-                    term = term * Poly(ring, ((tuple(mono), f.one),))
-            out = out + term
-        return out
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * images[i])
+                    factors.append(pw[k].terms)
+            part = ((zero, f.coerce(c)),)
+            for fac in factors[:-1]:
+                part = _mul_terms_into({}, part, fac, f).items()
+            _mul_terms_into(out, part, factors[-1] if factors else one.terms, f)
+        return target.from_dict(out)
 
     def eval(self, coords, field=None):
         """Full evaluation at a point (coords in this or a larger field)."""
@@ -523,6 +524,17 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % print_poly(self)
+
+
+def _mul_terms_into(acc, a, b, field):
+    """Add the product of the term sequences a and b into the dict acc."""
+    mul, add = field.mul, field.add
+    for ea, ca in a:
+        for eb, cb in b:
+            m = mono_mul(ea, eb)
+            p = mul(ca, cb)
+            acc[m] = add(acc[m], p) if m in acc else p
+    return acc
 
 
 def _merge(ring, a, b, sign):

@@ -236,3 +236,25 @@ def test_unknown_name_error_is_plain_message(capsys, command, message):
     code, out, err = run_cli(capsys, "--json", command, "nonsense")
     assert code == 2
     assert json.loads(err) == {"error": message}
+
+
+# sha256 of each --json --transcript report at the default seed,
+# re-serialised with sorted keys, as the term-by-term substitution gave
+# them (before docs/DECISIONS.md D12): the transcripts print the blow-up
+# substitutions and strict transforms, so a change in either changes it
+PINNED_TRANSCRIPT_REPORTS = {
+    ("divisibility", "vdgz_quintic"): "318e258ac9e618cea17ed0d51a78fe01e14795f27e1e027edf669d112d85495e",
+    ("surface-report", "new_quintic"): "0ea7cd9dd142cdeacff27cea40848e38ff7f00156df4de432c396e8c1817d80b",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_TRANSCRIPT_REPORTS), ids="-".join)
+def test_transcript_reports_pinned(argv, request, monkeypatch, capsys):
+    if argv[0] == "surface-report":
+        # the transcript reads the charts of the certificate the fixture holds
+        built = request.getfixturevalue("new_quintic_cert")
+        monkeypatch.setattr(cli, "classify_all", lambda *args, **kwargs: built)
+    code, out, err = run_cli(capsys, "--json", "--transcript", *argv)
+    assert code == 0
+    text = json.dumps(json.loads(out), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRANSCRIPT_REPORTS[argv]

@@ -6,13 +6,16 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, XYZW
+from cuspidal.curvegeom import blow_up_charts
 from cuspidal.cyclofield import ALPHA, CycloElem, ratio
+from cuspidal.extfield import BASE_TOWER
 from cuspidal.groebner import normal_form
 from cuspidal.multipoly import (
     DEGREVLEX,
     LEX,
     SLOT_BOUND,
     ParseError,
+    Poly,
     ProjPoint,
     QZ5,
     Ring,
@@ -315,3 +318,127 @@ def test_reduction_at_and_over_slot_bound():
     assert normal_form(x**2, [x - y**k]) == y ** (2 * k)
     with pytest.raises(ValueError):
         normal_form(x**2, [x - y ** (k + 1)])
+
+
+# -- substitution -------------------------------------------------------------
+
+
+def reference_subs(p, assignment):
+    """The term-by-term `Poly.subs` of before docs/DECISIONS.md D12: each
+    term the product of its coefficient and cached image powers (binary
+    powering), added to the running sum one term at a time."""
+    ring = p.ring
+    f = ring.field
+    table = {}
+    for k, v in assignment.items():
+        i = k if isinstance(k, int) else ring.vars.index(k)
+        table[i] = v if isinstance(v, Poly) else ring.from_scalar(v)
+    out = ring.zero
+    pow_cache = {}
+    for e, c in p.terms:
+        term = ring.from_scalar(c)
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            if i in table:
+                if (i, k) not in pow_cache:
+                    pow_cache[(i, k)] = table[i] ** k
+                term = term * pow_cache[(i, k)]
+            else:
+                mono = [0] * ring.nvars
+                mono[i] = k
+                term = term * Poly(ring, ((tuple(mono), f.one),))
+        out = out + term
+    return out
+
+
+def reference_poly_map(p, target, images):
+    """The ring map `curvegeom.poly_map` of before D12: images[i], a
+    target Poly, for variable i, term by term."""
+    out = target.zero
+    cache = {}
+    for e, c in p.terms:
+        term = target.from_scalar(c)
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in cache:
+                    cache[(i, k)] = images[i] ** k
+                term = term * cache[(i, k)]
+        out = out + term
+    return out
+
+
+def _rand_scalar(rng, field, gen=None):
+    c = field.coerce(
+        CycloElem([ratio(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
+    )
+    if gen is not None:
+        c = field.add(c, field.mul(field.coerce(rng.randint(-2, 2)), gen))
+    return c
+
+
+def _rand_image(rng, ring, kind, gen=None):
+    f = ring.field
+    gens = ring.gens()
+    if kind == "zero":
+        return ring.zero
+    if kind == "scalar":
+        return _rand_scalar(rng, f, gen)
+    if kind == "shift":
+        v = rng.choice(gens)
+        return v + ring.from_scalar(_rand_scalar(rng, f, gen))
+    if kind == "linear":
+        out = ring.from_scalar(_rand_scalar(rng, f, gen))
+        for v in gens:
+            if rng.random() < 0.6:
+                out = out + v.scale(_rand_scalar(rng, f, gen))
+        return out
+    return rand_poly(rng, ring, deg=2, nterms=3)
+
+
+def test_subs_matches_reference_random():
+    # affine shifts, linear forms, scalars, zero, quadrics and unassigned
+    # variables, keyed by index or by name, over Q(zeta5) and over a
+    # tower field (classify_at_point shifts tower points through subs)
+    tower = BASE_TOWER.adjoin("b", [BASE_TOWER.coerce(-2), BASE_TOWER.zero, BASE_TOWER.one])
+    rng = random.Random(5151)
+    kinds = ("zero", "scalar", "shift", "linear", "poly")
+    seen = set()
+    for trial in range(80):
+        ring = Ring(("x", "y", "z", "w")[: 3 + trial % 2])
+        p = rand_poly(rng, ring, deg=5, nterms=8)
+        gen = None
+        if trial % 4 == 3:
+            ring = ring.with_field(tower)
+            gen = tower.gen()
+            p = p.map_coeffs(tower.coerce, ring) + ring.gens()[0].scale(gen) ** 2
+        assignment = {}
+        for i in rng.sample(range(ring.nvars), rng.randint(1, ring.nvars)):
+            kind = kinds[rng.randrange(4 if gen is not None else 5)]
+            seen.add(kind)
+            key = i if rng.random() < 0.5 else ring.vars[i]
+            assignment[key] = _rand_image(rng, ring, kind, gen)
+        got = p.subs(assignment)
+        want = reference_subs(p, assignment)
+        assert got == want and str(got) == str(want)
+    assert seen == set(kinds)
+
+
+def test_subs_ring_map_matches_reference():
+    # the blow-up charts' monomial images, and random linear images into a
+    # larger ring; a ring map must assign every variable
+    rng = random.Random(6262)
+    cring = Ring(("x", "y", "z"))
+    big = Ring(("a", "b", "c", "d"))
+    for trial in range(12):
+        p = rand_poly(rng, cring, deg=5, nterms=10)
+        for _, bring, images in blow_up_charts(cring):
+            got = p.subs(dict(enumerate(images)), ring=bring)
+            want = reference_poly_map(p, bring, images)
+            assert got == want and str(got) == str(want)
+        images = [_rand_image(rng, big, "linear") for _ in range(3)]
+        got = p.subs(dict(enumerate(images)), ring=big)
+        assert got == reference_poly_map(p, big, images)
+    _, bring, images = blow_up_charts(cring)[0]
+    with pytest.raises(ValueError):
+        p.subs({0: images[0], 2: images[2]}, ring=bring)
