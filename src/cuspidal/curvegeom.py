@@ -1,8 +1,8 @@
 """Curves on the quartic/quintic pair and exact intersection data.
 
 * tropes of the 16-node quartic: planes through six nodes whose
-  restriction is a doubled conic (candidates from coplanar 6-subsets,
-  prefiltered at a split prime, every survivor certified exactly);
+  restriction is a doubled conic (candidates are the exact planes through
+  node triples, with exact incidence);
 * strict-transform intersection numbers at a cusp from one point
   blow-up: an A2 point has a rank-2 tangent cone; the exceptional curve
   of the blow-up is the corresponding pair of lines, which realize the
@@ -29,7 +29,6 @@ from .groebner import (
     radical_zero_dim,
     zero_dim_analyze,
 )
-from .modp import CycloModP, split_primes
 from .multipoly import Poly, ProjPoint, QZ5, Ring, minors, restrict_to_plane
 from .singcert import chart_ring, degree_part, quadratic_matrix, to_chart
 
@@ -107,34 +106,21 @@ class TropeCensus:
 def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action=None) -> TropeCensus:
     """All tropes of the nodal quartic Q, from its full rational node list.
 
-    Candidate planes come from coplanar 6-subsets of nodes (exact rank 3
-    on the 6x4 coordinate matrix), prefiltered at a split prime; each
-    surviving plane is kept iff Q restricts to a perfect square up to one
-    scalar.
+    Candidate planes are the planes through three nodes; a plane through
+    exactly six nodes (exact incidence) is kept iff Q restricts to a
+    perfect square up to one scalar.  Three non-collinear nodes of a
+    trope fix it, so no trope is missed; the triples inside a six-node
+    plane already found are skipped.  Tropes come in the order of their
+    sorted node tuples.
     """
-    n = len(nodes)
-    emb = None
-    nodes_p = None
-    for p in split_primes():
-        try:
-            emb = CycloModP(p)
-            nodes_p = [emb.reduce_vector(nd.coords) for nd in nodes]
-            break
-        except ZeroDivisionError:
-            continue
-    candidates = [
-        sub
-        for sub in itertools.combinations(range(n), 6)
-        if emb.matrix_rank([nodes_p[i] for i in sub]) <= 3
-    ]
     ring = Q.ring
-    planes = []
-    seen = set()
-    for sub in candidates:
-        rows = [list(nodes[i].coords) for i in sub]
-        kern = linalg.kernel_basis(rows, QZ5)
-        if len(kern) != 1:
+    planes = {}  # sorted node tuple -> monic plane through exactly those nodes
+    for triple in itertools.combinations(range(len(nodes)), 3):
+        if any(set(triple) <= set(six) for six in planes):
             continue
+        kern = linalg.kernel_basis([list(nodes[i].coords) for i in triple], QZ5)
+        if len(kern) != 1:
+            continue  # collinear nodes
         terms = []
         for j, c in enumerate(kern[0]):
             if not QZ5.is_zero(c):
@@ -142,24 +128,20 @@ def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action=None) -> TropeCens
                 e[j] = 1
                 terms.append((tuple(e), c))
         hpoly = ring.from_terms(terms).monic()
-        key = str(hpoly)
-        if key not in seen:
-            seen.add(key)
-            planes.append(hpoly)
+        incident = tuple(
+            i
+            for i, nd in enumerate(nodes)
+            if QZ5.is_zero(hpoly.eval(list(nd.coords)))
+        )
+        if len(incident) == 6:
+            planes[incident] = hpoly
     fixed_index = None
     for i, nd in enumerate(nodes):
         if nd == fixed_node:
             fixed_index = i
             break
     tropes = []
-    for hpoly in planes:
-        incident = [
-            i
-            for i, nd in enumerate(nodes)
-            if QZ5.is_zero(hpoly.eval(list(nd.coords)))
-        ]
-        if len(incident) != 6:
-            continue
+    for incident, hpoly in sorted(planes.items()):
         try:
             scalar, conic = poly_square_root(restrict_to_plane(Q, hpoly))
         except SquareRootFailure:

@@ -43,9 +43,28 @@ def test_trope_census_published_quartic(node_data):
     assert len(inv) == 1 and len(through) == 5 and len(away) == 10
     # the invariant trope through the fixed node is y = 0
     assert str(inv[0].plane) == "y"
-    # every trope contains exactly 6 certified nodes
+    # tropes come in the order of their node tuples, which the pipeline's
+    # T-family naming reads
+    keys = [t.node_indices for t in census.tropes]
+    assert keys == sorted(keys) and len(set(keys)) == 16
+    # every trope contains exactly 6 certified nodes, and its plane vanishes
+    # on exactly those
+    nodes = node_data["nodes"]
     for t in census.tropes:
         assert len(t.node_indices) == 6
+        assert list(t.node_indices) == sorted(t.node_indices)
+        on = tuple(
+            i for i, nd in enumerate(nodes) if t.plane.eval(list(nd.coords)).is_zero
+        )
+        assert on == t.node_indices
+    # negative control: without node 0 the six tropes through it keep only
+    # five nodes each, and the ten tropes away from it remain
+    rest = find_tropes(Q, nodes[1:], node_data["fixed"], action=ActionK(0))
+    away_from_0 = [t.node_indices for t in census.tropes if 0 not in t.node_indices]
+    assert [t.node_indices for t in rest.tropes] == [
+        tuple(i - 1 for i in key) for key in away_from_0
+    ]
+    assert [len(part) for part in rest.partition()] == [1, 3, 6]
     # restriction of Q to y = 0 is the published doubled conic
     x, y, z, w = R.gens()
     conic = x**2 + (z * w).scale(CycloElem.from_int(1) - 2 * ALPHA)
