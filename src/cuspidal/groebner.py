@@ -13,16 +13,23 @@ TypeError.  It is seeded straight from packed terms (D8): a polynomial,
 an S-pair from the two packed tails, a sum of products term by term, or
 a basis tail, so no tuple polynomial is built only to be packed again.
 The reduced basis comes from the minimal basis by one tail-reduction
-pass.  Polynomials keep exponent tuples; packing lives only in the
-kernel's seeds, the pair queue and the standard-monomial scan.
+pass.  Before a run, `buchberger` splits off the generators that are
+single variables, setting them to 0 in the rest, and looks the rest up
+in a per-process table of reduced bases keyed by positional terms, so a
+repeated ideal (the symmetric charts of a surface, a cusp chart met
+again) is computed once (D14).  Polynomials keep exponent tuples;
+packing lives only in the kernel's seeds, the pair queue and the
+standard-monomial scan.
 Zero-dimensional ideals get: standard monomials and degree, eliminants
 by Krylov iteration on the quotient, Seidenberg radicals, and point
 extraction in shape position, where the points that are not
 Q(zeta5)-rational become dynamic extension-tower branches;
 Q(zeta5)-rational points are resolved out of branches by the verified
-mod-p lifting in modp.  The linear algebra on the quotient runs on raw
-Z[zeta5] rows: pivots scaled to their norm, one content gcd per reduced
-vector, and CycloElems only at the interface (D9).
+mod-p lifting in modp.  Only point extraction imports extfield and
+modp, so a process that extracts no points never loads them.  The
+linear algebra on the quotient runs on raw Z[zeta5] rows: pivots scaled
+to their norm, one content gcd per reduced vector, and CycloElems only
+at the interface (D9).
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ from math import gcd, lcm
 
 from . import unipoly
 from .cyclofield import canon, conj_product, phi5_mul
-from .extfield import BASE_TOWER, TowerContext
-from .modp import roots_in_qz5
 from .multipoly import (
     QZ5,
     Poly,
@@ -296,14 +301,22 @@ def spoly(f: Poly, g: Poly) -> Poly:
     return mul_mono(f, mono_div(L, lf)) - mul_mono(g, mono_div(L, lg))
 
 
+# (number of variables, term order name, field, frozenset of the monic
+# generators' terms) -> (terms of the reduced basis, stats of the run that
+# computed it): one entry per ideal run in this process (D14)
+_BASES = {}
+
+
 def buchberger(gens, ring=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Pairs are taken in order of (sugar, lcm of the leads, indices) from a
-    heap; the product and chain criteria skip pairs, and the chain
-    criterion tests divisibility on the packed leads.  Each S-pair is
-    reduced from the two packed tails; the result is
-    `Reducers.reduced_basis` of the basis grown.
+    Two exact steps come before a run (docs/DECISIONS.md D14).  A
+    generator that is a single variable x_k is split off and x_k set to 0
+    in the others: I + (x_k) = I|x_k=0 + (x_k), and x_k is prime to every
+    lead of a basis without it, so the basis is the run's on the rest
+    plus the split variables, in decreasing lead order, or {1}.  The run
+    on the rest is looked up in `_BASES` first, by the positional terms
+    of its monic generators; a hit is rebuilt in the caller's ring.
     """
     gens = [g for g in gens if isinstance(g, Poly) and not g.is_zero]
     if ring is None:
@@ -312,11 +325,39 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
         ring = gens[0].ring
     if not gens:
         return GroebnerBasis(ring, ())
+    zero = {g.lm() for g in gens if len(g.terms) == 1 and mono_deg(g.lm()) == 1}
+    if zero:
+        split = [k for k in range(ring.nvars) if any(e[k] for e in zero)]
+        gens = [
+            Poly(ring, tuple([t for t in g.terms if not any(t[0][k] for k in split)]))
+            for g in gens
+        ]
+    gens = [g.monic() for g in gens if g.terms]
+    key = (ring.nvars, ring.order.name, ring.field, frozenset([g.terms for g in gens]))
+    hit = _BASES.get(key)
+    if hit is None:
+        hit = _BASES[key] = _run(gens, ring)
+    terms, stats = hit
+    basis = [Poly(ring, t) for t in terms]
+    if zero and not (len(basis) == 1 and mono_deg(basis[0].lm()) == 0):
+        one = ring.field.one
+        basis += [Poly(ring, ((e, one),)) for e in zero]
+        pack = ring.order.pack
+        basis.sort(key=lambda g: pack(g.lm()), reverse=True)
+    return GroebnerBasis(ring, basis, stats=dict(stats, size=len(basis)))
+
+
+def _run(gens, ring):
+    """(terms of the reduced basis, stats) of the ideal of monic gens.
+
+    Pairs are taken in order of (sugar, lcm of the leads, indices) from a
+    heap; the product and chain criteria skip pairs, and the chain
+    criterion tests divisibility on the packed leads.  Each S-pair is
+    reduced from the two packed tails; the result is
+    `Reducers.reduced_basis` of the basis grown.
+    """
     pack = ring.order.pack
-    gens = sorted(
-        (g.monic() for g in gens),
-        key=lambda g: pack(g.lm()),
-    )
+    gens = sorted(gens, key=lambda g: pack(g.lm()))
     leads = []
     sugars = []
     red = Reducers(ring)  # entries[k][0] is pack(leads[k]) - one
@@ -367,9 +408,7 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
             add_poly(r, max(s, r.degree()))
 
     basis = red.reduced_basis()
-    return GroebnerBasis(
-        ring, basis, stats={"pairs_processed": processed, "size": len(basis)}
-    )
+    return tuple([g.terms for g in basis]), {"pairs_processed": processed}
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +856,8 @@ class PointBranch:
 
 
 def _as_tower(field):
+    from .extfield import BASE_TOWER, TowerContext
+
     if isinstance(field, TowerContext):
         return field
     return BASE_TOWER
@@ -840,6 +881,9 @@ def extract_points(
     degree.
     """
     import random as _random
+
+    from .extfield import TowerContext
+    from .modp import roots_in_qz5
 
     scheme = radical_zero_dim(scheme)
     if scheme.degree == 0:

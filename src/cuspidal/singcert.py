@@ -335,9 +335,10 @@ def _orbit_analysis(F: Poly, report, action):
     non-fixed singular point lies in a free orbit of size 5.
     """
     n = report.n_points
+    parts = jacobian(F)
     fixed_sing = []
     for p in action.fixed_points():
-        vals = [g.eval(list(p.coords), field=p.field) for g in jacobian(F)]
+        vals = [g.eval(list(p.coords), field=p.field) for g in parts]
         if all(p.field.is_zero(v) for v in vals):
             fixed_sing.append(p)
     free_count = n - len(fixed_sing)

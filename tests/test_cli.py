@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_out_point_extraction_modules():
+    # extfield and modp serve groebner.extract_points only, and a CLI
+    # process that never extracts points does not compile them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import json, sys, cuspidal.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(json.loads(out))
+    assert "cuspidal.groebner" in loaded
+    assert not loaded & {"cuspidal.extfield", "cuspidal.modp"}
 
 
 def test_surface_report_quartic(capsys):
@@ -245,6 +262,9 @@ def test_unknown_name_error_is_plain_message(capsys, command, message):
 PINNED_TRANSCRIPT_REPORTS = {
     ("divisibility", "vdgz_quintic"): "318e258ac9e618cea17ed0d51a78fe01e14795f27e1e027edf669d112d85495e",
     ("surface-report", "new_quintic"): "0ea7cd9dd142cdeacff27cea40848e38ff7f00156df4de432c396e8c1817d80b",
+    # its chart_gb_sizes read all four chart bases, three of them served
+    # by groebner's table of repeated ideals (docs/DECISIONS.md D14)
+    ("surface-report", "vdgz_quintic"): "d73992ab94a857f666ca4ba1cac316a372031df89d6d2e458a00415ea27deb3f",
 }
 
 
@@ -252,7 +272,7 @@ PINNED_TRANSCRIPT_REPORTS = {
 def test_transcript_reports_pinned(argv, request, monkeypatch, capsys):
     if argv[0] == "surface-report":
         # the transcript reads the charts of the certificate the fixture holds
-        built = request.getfixturevalue("new_quintic_cert")
+        built = request.getfixturevalue(argv[1] + "_cert")
         monkeypatch.setattr(cli, "classify_all", lambda *args, **kwargs: built)
     code, out, err = run_cli(capsys, "--json", "--transcript", *argv)
     assert code == 0

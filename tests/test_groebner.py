@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from cuspidal import catalog
+from cuspidal import catalog, groebner
 from cuspidal.catalog import NEW_QUARTIC_TEXT, XYZW
 from cuspidal.cyclofield import CycloElem
 from cuspidal.extfield import BASE_TOWER, TowerContext
@@ -351,6 +351,24 @@ CHART_JACOBIAN_BASES = {
 }
 
 
+# sha256 of the reduced basis text of each piece ideal J_ci + (later
+# coordinates), as computed before zero coordinates were split off
+PIECE_BASES = {
+    ("new_quartic", "x"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("new_quartic", "y"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("new_quartic", "z"): "d1e709c7983fc56938b3f57e09e2e6f7ec563dd275c6dc3833d6b887b19ca0e5",
+    ("new_quintic", "x"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("new_quintic", "y"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("new_quintic", "z"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("vdgz_quartic", "x"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("vdgz_quartic", "y"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("vdgz_quartic", "z"): "7ac2e6ac3b13848040b52b8526344c73459b3a97fb670ef79ef8eb1c21bc829b",
+    ("vdgz_quintic", "x"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("vdgz_quintic", "y"): "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    ("vdgz_quintic", "z"): "7ac2e6ac3b13848040b52b8526344c73459b3a97fb670ef79ef8eb1c21bc829b",
+}
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_chart_jacobian_bases_unchanged(name):
     # the same reduced bases after the same number of pairs
@@ -359,10 +377,90 @@ def test_chart_jacobian_bases_unchanged(name):
     for ci, var in enumerate(ring.vars):
         cring = chart_ring(ring, ci)
         gens = [to_chart(p, ci, cring) for p in jacobian(F)]
-        gb = buchberger([g for g in gens if not g.is_zero], ring=cring)
+        gens = [g for g in gens if not g.is_zero]
+        groebner._BASES.clear()  # a fresh run, not one the table serves
+        gb = buchberger(gens, ring=cring)
         text = "\n".join(str(p) for p in gb)
         got = (hashlib.sha256(text.encode()).hexdigest(), gb.stats["pairs_processed"])
         assert got == CHART_JACOBIAN_BASES[(name, var)], (name, var)
+        if (name, var) in PIECE_BASES:
+            # the piece ideal of singcert.singular_scheme: the later
+            # coordinates are split off, and the basis stays the same
+            later = [cring.var(v) for v in ring.vars[ci + 1 :]]
+            text = "\n".join(str(p) for p in buchberger(gens + later, ring=cring))
+            got = hashlib.sha256(text.encode()).hexdigest()
+            assert got == PIECE_BASES[(name, var)], (name, var)
+
+
+
+def _unsplit_run(gens, ring):
+    """Reduced basis terms from the Buchberger run itself, nothing split
+    off and no table."""
+    return groebner._run([g.monic() for g in gens if not g.is_zero], ring)[0]
+
+
+def _assert_split_exact(gens, var):
+    # gens + [var] is split at var; gens + [var + gens[0]] is the same
+    # ideal, and var + gens[0] is no variable
+    ring = var.ring
+    split = buchberger(gens + [var.scale(CycloElem.from_int(-3))], ring=ring)
+    whole = buchberger(gens + [var + gens[0]], ring=ring)
+    assert [p.terms for p in split] == [p.terms for p in whole]
+    assert [p.terms for p in split] == list(_unsplit_run(gens + [var], ring))
+    assert split.stats["size"] == len(split.polys)
+
+
+def test_split_zero_coordinates_small_ideals():
+    ring = Ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    cases = [
+        ([x**2 - y * z, y**2 + x - 1], z),
+        ([x * y - 1, y**2 - z], x),  # x y - 1 becomes -1: the unit ideal
+        ([x * z + y**2, x**3], z),  # the rest is (y^2, x^3)
+        ([y, z], x),  # every generator a variable
+        ([x + y + z, y - z], y),  # the leads change when y is set to 0
+        ([x**2 + z**2 + y * z], z),  # (x^2) and z
+    ]
+    for gens, var in cases:
+        _assert_split_exact(gens, var)
+    assert [str(p) for p in buchberger([y, z, x])] == ["x", "y", "z"]
+    assert [str(p) for p in buchberger([x * y - 1, x])] == ["1"]
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["drl", "lex"])
+def test_split_zero_coordinates_random(order):
+    rng = random.Random(1515)
+    ring = Ring(("x", "y", "z", "w"), order)
+    for _ in range(40):
+        gens = [rand_poly(rng, ring, deg=3, nterms=4, coeff=cyclo_coeff) for _ in range(3)]
+        # no constant terms: ideals inside (x, y, z, w), which is no unit
+        gens = [ring.from_terms(t for t in g.terms if sum(t[0])) for g in gens]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        var = ring.var(rng.choice(ring.vars))
+        more = [ring.var(v) for v in ring.vars if rng.random() < 0.3]
+        _assert_split_exact(gens + more, var)
+
+
+def test_table_serves_renamed_permuted_ideal(monkeypatch):
+    monkeypatch.setattr(groebner, "_BASES", {})
+    ring = Ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    gens = [x**2 + y * z - 1, y**2 - x * z, z**2 + x - y]
+    gb = buchberger(gens)
+    assert len(groebner._BASES) == 1
+    renamed = Ring(("a", "b", "c"))
+    permuted = [Poly(renamed, g.terms).scale(CycloElem.e_power(2)) for g in reversed(gens)]
+    hit = buchberger(permuted)
+    assert len(groebner._BASES) == 1  # served, not run
+    assert [p.terms for p in hit] == [p.terms for p in gb]
+    assert all(p.ring is renamed for p in hit)
+    assert hit.stats == gb.stats
+    monkeypatch.setattr(groebner, "_BASES", {})
+    fresh = buchberger(permuted)
+    assert [str(p) for p in hit] == [str(p) for p in fresh]
+    assert "a" in str(hit.polys[0]) and "x" not in str(hit.polys[0])
 
 
 def test_normal_form_of_generator_is_zero():
