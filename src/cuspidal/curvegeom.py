@@ -613,16 +613,19 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
 
     strict_gens = {}
     incident = []
+    point = list(cusp.coords)
     for curve in curves:
-        # a generator that is S itself (the T3 sections) is already shifted
+        # incidence is exact evaluation at the cusp; only a curve through
+        # it is shifted, and a generator that is S itself (the T3
+        # sections) is already shifted
+        if any(not field.is_zero(g.eval(point)) for g in curve.gens):
+            res.curve_rows[curve.name] = (0, 0)
+            continue
         loc = [
             flocal if g is S else to_chart(g, ci, cring).subs(shift)
             for g in curve.gens
         ]
         loc = [g for g in loc if not g.is_zero]
-        if any(not field.is_zero(g.constant_value()) for g in loc):
-            res.curve_rows[curve.name] = (0, 0)
-            continue
         incident.append(curve)
         per_chart = []
         for mchart, bring, images, fs in strict_by_chart:

@@ -9,10 +9,11 @@ therefore have equal fields.  Values are immutable and hashable.
 
 `phi5_mul` is the one integer product in Z[e]/(Phi5); the modular rings in
 `modp` reduce its output mod p or mod p^k.  `canon` is the one step to
-lowest terms; the Groebner reduction kernel sums raw numerators and calls
-it once per monomial.  `conj_product` turns an integer 4-vector into a
-positive rational integer by one product, for inverses and for the
-pivots of the quotient-algebra elimination.
+lowest terms; `multipoly`'s products, substitutions and evaluation sum
+raw numerators and call it once per monomial, and the Groebner reduction
+kernel once per remainder term.  `conj_product` turns an integer 4-vector
+into a positive rational integer by one product, for inverses and for
+the pivots of the quotient-algebra elimination.
 """
 
 from __future__ import annotations
@@ -313,18 +314,6 @@ E = CycloElem.e_power(1)
 ALPHA = CycloElem.e_power(3) + CycloElem.e_power(2)
 
 
-def cyclo_mul(a: CycloElem, b: CycloElem) -> CycloElem:
-    return a * b
-
-
-def cyclo_inv(a: CycloElem) -> CycloElem:
-    return a.inverse()
-
-
-def galois_map(a: CycloElem, k: int) -> CycloElem:
-    return a.galois(k)
-
-
 # ---------------------------------------------------------------------------
 # square roots
 #
@@ -361,25 +350,18 @@ def _quad_sqrt(a, b):
 
 
 def _to_quad(x: CycloElem):
-    """Write a sigma^2-fixed element as (a, b) meaning a + b*sqrt5, or None."""
-    # fixed subspace is spanned by 1 and beta = e + e^4 = (-1+sqrt5)/2;
-    # x = c0 + c1 e + c2 e^2 + c3 e^3 is fixed iff c1 = -c2 = -c3 ... derive:
-    # sigma2: e->e^4=-1-e-e^2-e^3, e^2->e^3, e^3->e^2.
+    """Write a sigma^2-fixed element as (a, b) meaning a + b*sqrt5, or None.
+
+    sigma^2 maps c0 + c1 e + c2 e^2 + c3 e^3 to (c0 - c1) - c1 e +
+    (c3 - c1) e^2 + (c2 - c1) e^3, so x is fixed exactly when c1 = 0 and
+    c2 = c3 = -s; then x = r + s*beta with r = c0 + s and
+    beta = e + e^4 = -1 - e^2 - e^3 = (-1 + sqrt5)/2.
+    """
     c0, c1, c2, c3 = x.c
-    y = x.galois(4)
-    if y != x:
-        return None
-    # x = r + s*beta with beta = e+e^4 = -1 - e^2 - e^3 ... in power basis
-    # beta = (-1, 0, -1, -1)+ ... compute: e + e^4 = e + (-1-e-e^2-e^3)
-    #      = -1 - e^2 - e^3
-    # so x = r - s - s e^2 - s e^3 => c1 must be 0 here? beta has no e term.
-    if c1:
+    if c1 or c2 != c3:
         return None
     s = -c2
-    if -c3 != s:
-        return None
     r = c0 + s
-    # beta = (-1+sqrt5)/2: x = r + s*beta = (r - s/2) + (s/2) sqrt5
     return (r - s / 2, s / 2)
 
 
@@ -427,7 +409,8 @@ def cyclo_sqrt(x: CycloElem):
     g2v2 = _quad_mul(_quad_mul(gq, gq), v2q)
     cte = (g2v2[0] / 4, g2v2[1] / 4)
     # solve X^2 - f X + cte = 0 in Q(sqrt5)
-    disc = _quad_sub(_quad_mul(fq, fq), (4 * cte[0], 4 * cte[1]))
+    ff = _quad_mul(fq, fq)
+    disc = (ff[0] - 4 * cte[0], ff[1] - 4 * cte[1])
     rd = _quad_sqrt(*disc)
     if rd is None:
         return None
@@ -449,10 +432,6 @@ def _quad_mul(p, q):
     a, b = p
     c, d = q
     return (a * c + 5 * b * d, a * d + b * c)
-
-
-def _quad_sub(p, q):
-    return (p[0] - q[0], p[1] - q[1])
 
 
 def _quad_inv(p):
@@ -493,10 +472,3 @@ def _rat_str(r) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return "%d/%d" % (r.numerator, r.denominator)
-
-
-def cyclo_from_str(text: str) -> CycloElem:
-    """Parse the scalar grammar; inverse of cyclo_to_str."""
-    from .multipoly import parse_scalar
-
-    return parse_scalar(text)

@@ -7,11 +7,12 @@ divides.  Every reduction is heap division on packed monomials
 is packed once (``GroebnerBasis.reducers``, or grown with the basis
 inside ``buchberger``) and pairs are popped from a heap keyed on (sugar,
 packed lcm, i, j) (docs/DECISIONS.md D6).  The kernel runs over
-Q(zeta5) only, on raw integer numerators brought to lowest terms once
-per popped monomial (D7); a ring over any other field context raises
-TypeError.  It is seeded straight from packed terms (D8): a polynomial,
-an S-pair from the two packed tails, a sum of products term by term, or
-a basis tail, so no tuple polynomial is built only to be packed again.
+Q(zeta5) only, on raw integer numerators: one gcd per popped monomial
+(D7) and a CycloElem only for a remainder term (D15); any other field
+context raises TypeError.  It is seeded straight from packed terms (D8):
+a polynomial, an S-pair from the two packed tails, a sum of products
+term by term, or a basis tail, so no tuple polynomial is built only to
+be packed again.
 The reduced basis comes from the minimal basis by one tail-reduction
 pass.  Before a run, `buchberger` splits off the generators that are
 single variables, setting them to 0 in the rest, and looks the rest up
@@ -47,7 +48,6 @@ from .multipoly import (
     mono_deg,
     mono_div,
     mono_lcm,
-    mono_mul,
 )
 
 _ONE = (1, 0, 0, 0)
@@ -170,10 +170,11 @@ class Reducers:
         (t, n) in terms: the reduction kernel.
 
         The seeds go into a dict keyed by packed monomial, their keys into
-        a max-heap.  The largest monomial is popped and its raw
-        coefficient brought to lowest terms once, by `canon`; if the first
-        entry lead dividing it is l, c * m/l * tail is subtracted (the
-        lead cancels by construction), else the term joins the remainder.
+        a max-heap.  The largest monomial m is popped with its raw
+        coefficient c.  If the first entry lead dividing it is l, c is
+        divided by the gcd of its five integers and c * m/l * tail is
+        subtracted (the lead cancels by construction); else c joins the
+        remainder as a CycloElem in lowest terms, the only one built here.
         Seeds and reduction steps add their products by the same step,
         `_accumulate`.
         """
@@ -190,15 +191,16 @@ class Reducers:
             a0, a1, a2, a3, d = coeffs.pop(m)
             if not (a0 or a1 or a2 or a3):
                 continue
-            c = canon((a0, a1, a2, a3), d)
             if m & guard:
                 raise ValueError("exponent passes the slot bound during reduction")
             for lead, tail, D in entries:
                 if not (m - lead) & guard:
-                    _accumulate(coeffs, heap, m, (-c).n, c.d * D, tail)
+                    g = -gcd(d, a0, a1, a2, a3)
+                    nc = (a0 // g, a1 // g, a2 // g, a3 // g)
+                    _accumulate(coeffs, heap, m, nc, d // -g * D, tail)
                     break
             else:
-                rem.append((m, c))
+                rem.append((m, canon((a0, a1, a2, a3), d)))
         ring = self.ring
         unpack, n = ring.order.unpack, ring.nvars
         return Poly(ring, tuple([(unpack(m, n), c) for m, c in rem]))
@@ -249,11 +251,6 @@ def _reducers(ring, gb):
     return Reducers(ring, gb)
 
 
-def mul_mono(f: Poly, mono) -> Poly:
-    """f * x^mono (term order is multiplication-compatible)."""
-    return Poly(f.ring, tuple((mono_mul(mono, e), c) for e, c in f.terms))
-
-
 def normal_form(f: Poly, gb) -> Poly:
     """Unique remainder of f modulo a monic basis (list, GroebnerBasis or
     Reducers) over Q(zeta5).
@@ -289,16 +286,13 @@ def normal_form_products(products, gb) -> Poly:
     return red.remainder(seeds)
 
 
-def is_member(f: Poly, gb) -> bool:
-    return normal_form(f, gb).is_zero
-
-
 def spoly(f: Poly, g: Poly) -> Poly:
     """S-polynomial of two monic polynomials (the reference for
     `Reducers.spair_remainder`)."""
-    lf, lg = f.lm(), g.lm()
+    ring, lf, lg = f.ring, f.lm(), g.lm()
     L = mono_lcm(lf, lg)
-    return mul_mono(f, mono_div(L, lf)) - mul_mono(g, mono_div(L, lg))
+    shift = lambda m: Poly(ring, ((mono_div(L, m), ring.field.one),))
+    return shift(lf) * f - shift(lg) * g
 
 
 # (number of variables, term order name, field, frozenset of the monic

@@ -6,7 +6,9 @@ strictly decreasing in the ring's term order, with no zero coefficients.
 The term order also packs a monomial into one int (``TermOrder.pack``),
 the form the Groebner kernel computes with.
 Coefficient arithmetic is delegated to a field context so the same code
-runs over Q(zeta5) and over dynamic towers (see extfield).
+runs over Q(zeta5) and over dynamic towers (see extfield); over Q(zeta5),
+products and evaluation sum raw integer numerators per monomial and bring
+each output coefficient to lowest terms once (docs/DECISIONS.md D15).
 
 The text grammar matches the catalog equations: explicit `*`, `^`, integer
 and `p/q` literals, the constant `e`, parentheses; implicit multiplication
@@ -16,11 +18,12 @@ is a syntax error.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache, reduce
 from itertools import combinations
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .cyclofield import CycloElem, ratio
+from .cyclofield import CycloElem, canon, cyclo_to_str, phi5_mul
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +54,8 @@ class BaseFieldQZ5:
     neg = staticmethod(operator.neg)
     eq = staticmethod(operator.eq)
 
+    to_str = staticmethod(cyclo_to_str)
+
     @staticmethod
     def inv(a):
         return a.inverse()
@@ -62,13 +67,9 @@ class BaseFieldQZ5:
 
     @staticmethod
     def scale_rat(a, r):
-        return a * r
-
-    @staticmethod
-    def to_str(a):
-        from .cyclofield import cyclo_to_str
-
-        return cyclo_to_str(a)
+        """a times the int or Fraction r, by 4 integer products."""
+        k, (n0, n1, n2, n3) = r.numerator, a.n
+        return canon((n0 * k, n1 * k, n2 * k, n3 * k), a.d * r.denominator)
 
 
 QZ5 = BaseFieldQZ5()
@@ -98,7 +99,7 @@ class TermOrder:
 
     def __init__(self, name, key_fn, graded):
         self.name = name
-        self.key = key_fn
+        self.key = lru_cache(maxsize=None)(key_fn)
         self.graded = graded
 
     def __repr__(self):
@@ -154,10 +155,6 @@ LEX = TermOrder("lex", _lex_key, graded=False)
 
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
-
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_div(b, a):
@@ -233,15 +230,23 @@ class Ring:
         return self.from_dict(acc)
 
     def from_dict(self, d):
-        items = [(e, c) for e, c in d.items() if not self.field.is_zero(c)]
-        items.sort(key=lambda t: self.order.key(t[0]), reverse=True)
-        return Poly(self, tuple(items))
+        is_zero = self.field.is_zero
+        exps = sorted(d, key=self.order.key, reverse=True)
+        return Poly(self, tuple([(e, d[e]) for e in exps if not is_zero(d[e])]))
+
+    def _from_products(self, acc):
+        """The polynomial of a dict filled by `_mul_terms_into`."""
+        if self.field is not QZ5:
+            return self.from_dict(acc)
+        out = []
+        for e in sorted(acc, key=self.order.key, reverse=True):
+            n0, n1, n2, n3, d = acc[e]
+            if n0 or n1 or n2 or n3:
+                out.append((e, canon((n0, n1, n2, n3), d)))
+        return Poly(self, tuple(out))
 
     def parse(self, text):
         return parse_poly(text, self)
-
-    def with_order(self, order):
-        return Ring(self.vars, order, self.field)
 
     def with_field(self, field):
         return Ring(self.vars, self.order, field)
@@ -301,10 +306,6 @@ class Poly:
     def support(self):
         return [e for e, _ in self.terms]
 
-    def constant_value(self):
-        """Coefficient of the constant monomial."""
-        return self.coeff_of(self.ring._zero_mono)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -340,7 +341,8 @@ class Poly:
             return self.ring.zero
         if len(a) > len(b):
             a, b = b, a
-        return self.ring.from_dict(_mul_terms_into({}, a, b, self.ring.field))
+        f = self.ring.field
+        return self.ring._from_products(_mul_terms_into({}, _raw_terms(a, f), b, f))
 
     __rmul__ = __mul__
 
@@ -374,10 +376,8 @@ class Poly:
         return Poly(self.ring, tuple((e, f.mul(cc, c)) for e, cc in self.terms))
 
     def sub_mul_mono(self, c, mono, g):
-        """self - c * x^mono * g  (the reduction step primitive)."""
-        f = self.ring.field
-        shifted = tuple((mono_mul(mono, e), f.mul(c, cc)) for e, cc in g.terms)
-        return Poly(self.ring, _merge(self.ring, self.terms, shifted, -1))
+        """self - c * x^mono * g; uncalled, kept for perfbench's tracer."""
+        return self - g * Poly(self.ring, ((mono, c),))
 
     def monic(self):
         """Divide by the leading coefficient (may split over towers)."""
@@ -404,7 +404,7 @@ class Poly:
             den_lcm = lcm(den_lcm, d)
         if num_gcd == 0:
             return self
-        factor = ratio(den_lcm, num_gcd)
+        factor = Fraction(den_lcm, num_gcd)
         if factor == 1:
             return self
         return Poly(
@@ -414,16 +414,16 @@ class Poly:
     # -- calculus ----------------------------------------------------------
 
     def partial(self, var):
-        """Formal partial derivative; var is a name or an index."""
+        """Formal partial derivative; var is a name or an index.  Lowering
+        one exponent keeps the terms' order, so nothing is re-sorted."""
         i = var if isinstance(var, int) else self.ring.vars.index(var)
-        f = self.ring.field
+        scale = self.ring.field.scale_rat
         out = []
         for e, c in self.terms:
             k = e[i]
             if k:
-                e2 = e[:i] + (k - 1,) + e[i + 1 :]
-                out.append((e2, f.scale_rat(c, ratio(k))))
-        return self.ring.from_terms(out)
+                out.append((e[:i] + (k - 1,) + e[i + 1 :], scale(c, k)))
+        return Poly(self.ring, tuple(out))
 
     # -- substitution ------------------------------------------------------
 
@@ -434,8 +434,8 @@ class Poly:
         ring: the images and scalars live there, and every variable must
         be assigned (ValueError otherwise).  The powers of each image are
         built by successive products and cached per variable; each term's
-        product of image powers is expanded into one dict, which is
-        sorted once by ``from_dict``.
+        product of image powers is expanded into one dict of raw sums,
+        which is sorted and brought to lowest terms once.
         """
         src = self.ring
         target = src if ring is None else ring
@@ -461,33 +461,42 @@ class Poly:
                     while len(pw) <= k:
                         pw.append(pw[-1] * images[i])
                     factors.append(pw[k].terms)
-            part = ((zero, f.coerce(c)),)
+            part = _raw_terms(((zero, f.coerce(c)),), f)
             for fac in factors[:-1]:
                 part = _mul_terms_into({}, part, fac, f).items()
             _mul_terms_into(out, part, factors[-1] if factors else one.terms, f)
-        return target.from_dict(out)
+        return target._from_products(out)
 
     def eval(self, coords, field=None):
-        """Full evaluation at a point (coords in this or a larger field)."""
+        """Full evaluation at a point (coords in this or a larger field);
+        over Q(zeta5) the terms' values are summed on raw numerators."""
         f = field if field is not None else self.ring.field
-        out = f.zero
         pow_cache = {}
+        vals = []
         for e, c in self.terms:
-            v = f.coerce(c)
+            v = [f.coerce(c)]
             for i, k in enumerate(e):
-                if not k:
-                    continue
-                key = (i, k)
-                if key not in pow_cache:
-                    acc = f.coerce(coords[i])
-                    base, n = acc, k - 1
-                    while n:
-                        acc = f.mul(acc, base)
-                        n -= 1
-                    pow_cache[key] = acc
-                v = f.mul(v, pow_cache[key])
-            out = f.add(out, v)
-        return out
+                if k:
+                    p = pow_cache.get((i, k))
+                    if p is None:
+                        p = base = f.coerce(coords[i])
+                        for _ in range(k - 1):
+                            p = f.mul(p, base)
+                        pow_cache[i, k] = p
+                    v.append(p)
+            vals.append(v)
+        if f is not QZ5:
+            return reduce(f.add, [reduce(f.mul, v) for v in vals], f.zero)
+        s0, s1, s2, s3, sd = 0, 0, 0, 0, 1
+        for v in vals:
+            b0, b1, b2, b3 = reduce(phi5_mul, [p.n for p in v])
+            d = prod([p.d for p in v])
+            if d == sd:
+                s0, s1, s2, s3 = s0 + b0, s1 + b1, s2 + b2, s3 + b3
+            else:
+                s0, s1, s2, s3, sd = (s0 * d + b0 * sd, s1 * d + b1 * sd,
+                                      s2 * d + b2 * sd, s3 * d + b3 * sd, sd * d)
+        return canon((s0, s1, s2, s3), sd)
 
     def dehomogenize(self, chart):
         """Set the chart variable to 1."""
@@ -526,14 +535,46 @@ class Poly:
         return "Poly(%s)" % print_poly(self)
 
 
+def _raw_terms(terms, field):
+    """Over Q(zeta5), each coefficient n/d as the raw 5-tuple (n0, ..., d)."""
+    if field is not QZ5:
+        return terms
+    return [(e, c.n + (c.d,)) for e, c in terms]
+
+
 def _mul_terms_into(acc, a, b, field):
-    """Add the product of the term sequences a and b into the dict acc."""
-    mul, add = field.mul, field.add
-    for ea, ca in a:
+    """Add the product of the term sequences a (from `_raw_terms`) and b
+    into the dict acc.  Over Q(zeta5) acc holds raw 5-tuples for
+    `Ring._from_products` (docs/DECISIONS.md D15): a product is a
+    `phi5_mul`, or 4 integer products when a's factor is rational, and is
+    added over an equal denominator, cross-multiplied over another."""
+    if field is not QZ5:
+        mul, add = field.mul, field.add
+        for ea, ca in a:
+            for eb, cb in b:
+                m = tuple(map(operator.add, ea, eb))
+                p = mul(ca, cb)
+                acc[m] = add(acc[m], p) if m in acc else p
+        return acc
+    get, plus = acc.get, operator.add
+    for ea, (a0, a1, a2, a3, da) in a:
+        na, scale = (a0, a1, a2, a3), not (a1 or a2 or a3)
         for eb, cb in b:
-            m = mono_mul(ea, eb)
-            p = mul(ca, cb)
-            acc[m] = add(acc[m], p) if m in acc else p
+            m, nb, d = tuple(map(plus, ea, eb)), cb.n, da * cb.d
+            if scale:
+                b0, b1, b2, b3 = a0 * nb[0], a0 * nb[1], a0 * nb[2], a0 * nb[3]
+            else:
+                b0, b1, b2, b3 = phi5_mul(na, nb)
+            old = get(m)
+            if old is None:
+                acc[m] = (b0, b1, b2, b3, d)
+                continue
+            o0, o1, o2, o3, od = old
+            if od == d:
+                acc[m] = (o0 + b0, o1 + b1, o2 + b2, o3 + b3, od)
+            else:
+                acc[m] = (o0 * d + b0 * od, o1 * d + b1 * od,
+                          o2 * d + b2 * od, o3 * d + b3 * od, od * d)
     return acc
 
 
@@ -829,7 +870,7 @@ def _parse_factor(tz, ring):
 def _parse_atom(tz, ring):
     kind, val, pos = tz.next()
     if kind == "rat":
-        return ring.from_scalar(ratio(val[0], val[1]))
+        return ring.from_scalar(Fraction(val[0], val[1]))
     if kind == "name":
         if val == "e":
             return ring.from_scalar(CycloElem.e_power(1))

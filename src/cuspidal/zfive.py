@@ -187,16 +187,9 @@ class LinearAction:
 
     def on_poly(self, p: Poly) -> Poly:
         """F(M x): substitute each variable by the corresponding row form."""
-        ring = p.ring
-        subs = {}
-        for i in range(4):
-            form = ring.zero
-            for j in range(4):
-                c = self.matrix[i][j]
-                if not c.is_zero:
-                    form = form + ring.var(ring.vars[j]).scale(ring.field.coerce(c))
-            subs[i] = form
-        return p.subs(subs)
+        units = [g.lm() for g in p.ring.gens()]
+        forms = [p.ring.from_terms(zip(units, row)) for row in self.matrix]
+        return p.subs(dict(enumerate(forms)))
 
     def is_invariant(self, p: Poly) -> bool:
         return self.on_poly(p) == p

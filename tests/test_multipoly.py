@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -7,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, XYZW
 from cuspidal.curvegeom import blow_up_charts
-from cuspidal.cyclofield import ALPHA, CycloElem, ratio
+from cuspidal.cyclofield import ALPHA, ONE, ZERO, CycloElem, ratio
 from cuspidal.extfield import BASE_TOWER
 from cuspidal.groebner import normal_form
 from cuspidal.multipoly import (
@@ -442,3 +444,180 @@ def test_subs_ring_map_matches_reference():
     _, bring, images = blow_up_charts(cring)[0]
     with pytest.raises(ValueError):
         p.subs({0: images[0], 2: images[2]}, ring=bring)
+
+
+# -- raw Q(zeta5) arithmetic against the element-wise loop (D15) --------------
+
+
+def elementwise_mul(a, b):
+    """The product by the element-wise loop that other field contexts keep:
+    every term product and partial sum a field element (over Q(zeta5) a
+    CycloElem in lowest terms), sorted by `from_dict`."""
+    f = a.ring.field
+    acc = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            m = tuple(x + y for x, y in zip(ea, eb))
+            p = f.mul(ca, cb)
+            acc[m] = f.add(acc[m], p) if m in acc else p
+    return a.ring.from_dict(acc)
+
+
+def elementwise_subs(p, images, target):
+    """The ring map sending variable i to images[i], term by term on
+    `elementwise_mul`, the terms added one at a time."""
+    out = target.zero
+    for e, c in p.terms:
+        term = target.from_scalar(c)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = elementwise_mul(term, images[i])
+        out = out + term
+    return out
+
+
+def elementwise_partial(p, i):
+    f = p.ring.field
+    return p.ring.from_terms(
+        (e[:i] + (e[i] - 1,) + e[i + 1 :], f.mul(c, f.coerce(e[i])))
+        for e, c in p.terms
+        if e[i]
+    )
+
+
+def elementwise_eval(p, coords):
+    out = ZERO
+    for e, c in p.terms:
+        for x, k in zip(coords, e):
+            for _ in range(k):
+                c = c * x
+        out = out + c
+    return out
+
+
+RAW_KINDS = ("rational", "cyclo", "mixed", "any")
+
+
+def kind_coeff(rng, kind):
+    """A coefficient of the given kind: "rational" (rational only, mixed
+    denominators), "cyclo" (four integers), "mixed" (four rationals over
+    mixed denominators) or "any" (one of those three)."""
+    if kind == "any":
+        kind = rng.choice(RAW_KINDS[:3])
+    r = lambda: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9, 12)))
+    if kind == "rational":
+        return CycloElem.from_rat(r())
+    if kind == "cyclo":
+        return CycloElem([rng.randint(-4, 4) for _ in range(4)])
+    return CycloElem([r() for _ in range(4)])
+
+
+def kind_poly(rng, ring, kind, deg=3, nterms=5):
+    terms = []
+    for _ in range(nterms):
+        exp = [0] * ring.nvars
+        for _ in range(rng.randint(0, deg)):
+            exp[rng.randrange(ring.nvars)] += 1
+        terms.append((tuple(exp), kind_coeff(rng, kind)))
+    return ring.from_terms(terms)
+
+
+def kind_linear(rng, ring, kind):
+    """A random affine form: constant term and some variables."""
+    out = ring.from_scalar(kind_coeff(rng, kind))
+    for v in ring.gens():
+        if rng.random() < 0.7:
+            out = out + v.scale(kind_coeff(rng, kind))
+    return out
+
+
+@pytest.mark.parametrize("kind", RAW_KINDS)
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=lambda o: o.name)
+def test_raw_products_and_powers_match_elementwise(order, kind, assert_canonical):
+    rng = random.Random(1515)
+    for trial in range(40):
+        ring = Ring(("x", "y", "z", "w")[: 2 + trial % 3], order)
+        a = kind_poly(rng, ring, kind, nterms=rng.randint(1, 8))
+        b = kind_poly(rng, ring, kind, nterms=rng.randint(1, 8))
+        got, want = a * b, elementwise_mul(a, b)
+        assert got == want and str(got) == str(want)
+        assert_canonical(got)
+        n = trial % 5
+        want = ring.one
+        for _ in range(n):
+            want = elementwise_mul(want, a)
+        got = a**n
+        assert got == want and str(got) == str(want)
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("kind", RAW_KINDS)
+def test_raw_subs_match_elementwise(kind, assert_canonical):
+    # substitutions that leave some variables as they are, ring maps into a
+    # larger ring, and the blow-up charts' monomial ring maps
+    rng = random.Random(1616)
+    cring = Ring(("x", "y", "z"))
+    big = Ring(("a", "b", "c", "d"))
+    charts = blow_up_charts(cring)
+    for trial in range(24):
+        p = kind_poly(rng, cring, kind, deg=4, nterms=8)
+        assignment = {}
+        for i in rng.sample(range(3), rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                assignment[i] = kind_coeff(rng, kind)
+            else:
+                assignment[i] = kind_linear(rng, cring, kind)
+        images = [
+            v if isinstance(v, Poly) else cring.from_scalar(v)
+            for v in (assignment.get(i, g) for i, g in enumerate(cring.gens()))
+        ]
+        maps = [(assignment, None, images, cring)]
+        images = [kind_linear(rng, big, kind) for _ in range(3)]
+        maps.append((dict(enumerate(images)), big, images, big))
+        _, bring, images = charts[trial % len(charts)]
+        maps.append((dict(enumerate(images)), bring, images, bring))
+        for assignment, ring, images, target in maps:
+            got = p.subs(assignment, ring=ring)
+            want = elementwise_subs(p, images, target)
+            assert got == want and str(got) == str(want)
+            assert_canonical(got)
+
+
+@pytest.mark.parametrize("kind", RAW_KINDS)
+def test_raw_partial_and_eval_match_elementwise(kind, assert_canonical):
+    rng = random.Random(1717)
+    for trial in range(40):
+        order = (DEGREVLEX, LEX)[trial % 2]
+        ring = Ring(("x", "y", "z", "w")[: 2 + trial % 3], order)
+        p = kind_poly(rng, ring, kind, deg=5, nterms=8)
+        for i in range(ring.nvars):
+            got, want = p.partial(i), elementwise_partial(p, i)
+            assert got.terms == want.terms
+            assert_canonical(got)
+        coords = [kind_coeff(rng, kind) for _ in range(ring.nvars)]
+        got = p.eval(coords)
+        assert got == elementwise_eval(p, coords)
+        assert got.d > 0 and gcd(got.d, *got.n) == 1
+
+
+def test_raw_paths_cancel_exactly(assert_canonical):
+    # the xy coefficient of (a x + b y)(c x + d y) is a d + b c, which is 0
+    # for d = -b c / a; its two products lie over unequal denominators, so
+    # the cancellation happens after a cross-multiplication
+    ring = Ring(("x", "y"))
+    x, y = ring.gens()
+    e = CycloElem.e_power(1)
+    a = CycloElem([Fraction(1, 2), 0, Fraction(1, 3), 0])
+    b = e * Fraction(3, 4)
+    c = e * e * Fraction(-5, 6) + 1
+    d = -b * c / a
+    assert a.d * d.d != b.d * c.d
+    got = (x.scale(a) + y.scale(b)) * (x.scale(c) + y.scale(d))
+    assert got.terms == (((2, 0), a * c), ((0, 2), b * d))
+    assert_canonical(got)
+    # a substitution, an evaluation and a derivative that come out zero
+    assert (x.scale(a) - y.scale(a)).subs({0: y}).is_zero
+    q = (x - y.scale(a)) * (x - y.scale(b))
+    assert q.eval([a, ONE]) == ZERO and q.eval([b * 7, ONE * 7]) == ZERO
+    assert q.eval([a, ONE]).d == 1
+    assert ring.from_scalar(c).partial(0).is_zero
