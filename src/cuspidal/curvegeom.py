@@ -23,7 +23,6 @@ from . import linalg
 from .cyclofield import cyclo_sqrt, ratio
 from .groebner import (
     NotZeroDimensional,
-    QuotientAlgebra,
     buchberger,
     normal_form,
     radical_zero_dim,
@@ -242,7 +241,7 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves, seed=20240501):
         excess = [
             {"chart": ring.vars[ci], "witness": "plane-product not in radical"}
             for ci, scheme in section
-            if not QuotientAlgebra(scheme).in_radical(to_chart(prod, ci, scheme.ring))
+            if not scheme.algebra.in_radical(to_chart(prod, ci, scheme.ring))
         ]
         return IntersectionReport(
             containments, expected, counted, excess, coeffs, tried
@@ -313,7 +312,7 @@ def pair_intersection_away_from(curveC, curveD, excluded_points):
     total = 0
     for ci, scheme in _chart_pieces(curveC.gens + curveD.gens):
         deg = scheme.degree
-        alg = QuotientAlgebra(scheme)
+        alg = scheme.algebra
         for p in excluded_points:
             if p.chart() != ci:
                 continue
@@ -402,18 +401,6 @@ def _field_sqrt(x, field):
     return None if r is None else field.coerce(r)
 
 
-def _matrix_inverse(m, field):
-    n = len(m)
-    aug = [
-        list(m[i]) + [field.one if j == i else field.zero for j in range(n)]
-        for i in range(n)
-    ]
-    red, piv = linalg.rref(aug, field)
-    if piv != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in red]
-
-
 def tangent_cone_lines(flocal: Poly, cring: Ring):
     """Factor the rank-2 quadratic part into two monic linear forms.
 
@@ -450,7 +437,11 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     a = q_bilin(v1, v1)
     b = field.mul(field.coerce(2), q_bilin(v1, v2))
     c = q_bilin(v2, v2)
-    Minv = _matrix_inverse([[v1[i], v2[i], kern[i]] for i in range(3)], field)
+    # rows 0 and 1 of the inverse of the basis matrix [v1 v2 kern]: the
+    # linear forms s and t with u = s(u) v1 + t(u) v2 + (.) kern
+    basis = [v1, v2, kern]
+    s_row = linalg.solve(basis, [field.one, field.zero, field.zero], field)
+    t_row = linalg.solve(basis, [field.zero, field.one, field.zero], field)
 
     def linear_poly(coeffs):
         return cring.from_terms(
@@ -459,8 +450,8 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
             if not field.is_zero(cc)
         )
 
-    s_poly = linear_poly(Minv[0])
-    t_poly = linear_poly(Minv[1])
+    s_poly = linear_poly(s_row)
+    t_poly = linear_poly(t_row)
     if field.is_zero(a) and field.is_zero(c):
         l1 = s_poly.scale(b)
         l2 = t_poly
@@ -564,7 +555,7 @@ def _exceptional_supported_length(gens, bring, mchart):
         scheme = zero_dim_analyze(gb0)
     except NotZeroDimensional:
         raise ResolutionError("strict transforms share a component over the cusp")
-    return QuotientAlgebra(scheme).supported_length(
+    return scheme.algebra.supported_length(
         [bring.var("w_")] + _partition_extras(bring, mchart)
     )
 

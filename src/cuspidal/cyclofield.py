@@ -7,13 +7,14 @@ element is four integers over one positive common denominator,
 gcd(n0, n1, n2, n3, d) == 1, and zero is (0, 0, 0, 0) / 1.  Equal values
 therefore have equal fields.  Values are immutable and hashable.
 
-`phi5_mul` is the one integer product in Z[e]/(Phi5); the modular rings in
-`modp` reduce its output mod p or mod p^k.  `canon` is the one step to
+`phi5_mul` is the one integer product in Z[e]/(Phi5), 4 integer products
+when an operand is rational and 16 otherwise; the modular rings in `modp`
+reduce its output mod p or mod p^k.  `canon` is the one step to
 lowest terms; `multipoly`'s products, substitutions and evaluation sum
-raw numerators and call it once per monomial, and the Groebner reduction
-kernel once per remainder term.  `conj_product` turns an integer 4-vector
-into a positive rational integer by one product, for inverses and for
-the pivots of the quotient-algebra elimination.
+raw numerators and call it once per monomial.  `conj_product` turns an
+integer 4-vector into a positive rational integer by one product: for
+inverses, for the pivots of the raw echelon in `linalg`, and for making a
+new Groebner basis element monic.
 """
 
 from __future__ import annotations
@@ -51,12 +52,17 @@ def rat_sqrt(r):
 def phi5_mul(a, b):
     """Product of two integer 4-vectors in Z[e]/(Phi5), as a 4-tuple.
 
-    16 integer products: the convolution's e^5 and e^6 terms fold onto 1
-    and e, and its e^4 term is subtracted from all four by
-    e^4 = -1 - e - e^2 - e^3.
+    When either operand is rational (e-coefficients 0), 4 integer
+    products scale the other.  Otherwise 16: the convolution's e^5 and
+    e^6 terms fold onto 1 and e, and its e^4 term is subtracted from all
+    four by e^4 = -1 - e - e^2 - e^3.
     """
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
+    if not (a1 or a2 or a3):
+        return (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+    if not (b1 or b2 or b3):
+        return (a0 * b0, a1 * b0, a2 * b0, a3 * b0)
     r4 = a1 * b3 + a2 * b2 + a3 * b1
     return (
         a0 * b0 + a2 * b3 + a3 * b2 - r4,

@@ -3,16 +3,19 @@
 The basis is computed with sugar-strategy pair selection and both
 Buchberger criteria; basis elements are kept monic so reduction never
 divides.  Every reduction is heap division on packed monomials
-(``TermOrder.pack``) inside one kernel, ``Reducers.remainder``: a basis
-is packed once (``GroebnerBasis.reducers``, or grown with the basis
+(``TermOrder.pack``) inside one kernel, ``Reducers.raw_remainder``: a
+basis is packed once (``GroebnerBasis.reducers``, or grown with the basis
 inside ``buchberger``) and pairs are popped from a heap keyed on (sugar,
 packed lcm, i, j) (docs/DECISIONS.md D6).  The kernel runs over
-Q(zeta5) only, on raw integer numerators: one gcd per popped monomial
-(D7) and a CycloElem only for a remainder term (D15); any other field
-context raises TypeError.  It is seeded straight from packed terms (D8):
-a polynomial, an S-pair from the two packed tails, a sum of products
-term by term, or a basis tail, so no tuple polynomial is built only to
-be packed again.
+Q(zeta5) only, on raw integer numerators, one gcd per popped monomial
+(D7); any other field context raises TypeError.  It is seeded straight
+from packed terms (D8): a polynomial, an S-pair from the two packed
+tails, a sum of products term by term, or a basis tail, so no tuple
+polynomial is built only to be packed again.  Its remainder stays raw,
+as packed monomials and numerators, where the kernels use it: a new
+basis element is appended as the entry of its monic multiple, and the
+quotient algebra reads its operators from it; ``Reducers.remainder``
+builds a polynomial of CycloElems for the other callers (D16).
 The reduced basis comes from the minimal basis by one tail-reduction
 pass.  Before a run, `buchberger` splits off the generators that are
 single variables, setting them to 0 in the rest, and looks the rest up
@@ -28,9 +31,10 @@ Q(zeta5)-rational become dynamic extension-tower branches;
 Q(zeta5)-rational points are resolved out of branches by the verified
 mod-p lifting in modp.  Only point extraction imports extfield and
 modp, so a process that extracts no points never loads them.  The
-linear algebra on the quotient runs on raw Z[zeta5] rows: pivots scaled
-to their norm, one content gcd per reduced vector, and CycloElems only
-at the interface (D9).
+linear algebra on the quotient runs on the raw Z[zeta5] echelon of
+`linalg` (D9): pivots scaled to their norm, one content gcd per reduced
+vector, and CycloElems only at the interface.  Each scheme has one
+quotient algebra, which memoises its operators (D16).
 """
 
 from __future__ import annotations
@@ -38,10 +42,23 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import unipoly
-from .cyclofield import canon, conj_product, phi5_mul
+from .cyclofield import _raw, canon, conj_product, phi5_mul
+from .linalg import (
+    _ZERO4,
+    _apply,
+    _echelon,
+    _echelon_add,
+    _int_vector,
+    _nonzero,
+    _normalised,
+    _pivot,
+    _primitive,
+    _reduce_tracked,
+)
 from .multipoly import (
     QZ5,
     Poly,
@@ -124,7 +141,7 @@ def _accumulate(coeffs, heap, base, nc, dv, terms):
 
 class Reducers:
     """Monic polynomials over Q(zeta5) packed for heap division, and the
-    one reduction kernel (docs/DECISIONS.md D6-D8).
+    one reduction kernel (docs/DECISIONS.md D6-D8, D16).
 
     Each polynomial g with packed lead l becomes (l - one, tail, D), where
     one is the packed constant monomial and (D, tail) = packed(g's other
@@ -143,7 +160,7 @@ class Reducers:
         self.entries = []
         for g in polys:
             if not g.is_zero:
-                self.append(g)
+                self.entries.append(self.entry(g))
 
     def packed(self, terms, shift=0):
         """(D, [(pack(e) - shift, n) for each term]), D the lcm of the
@@ -161,22 +178,20 @@ class Reducers:
         D, tail = self.packed(g.terms[1:], lead)
         return lead - self.one, tail, D
 
-    def append(self, g):
-        self.entries.append(self.entry(g))
-
-    def remainder(self, seeds):
+    def raw_remainder(self, seeds):
         """Remainder modulo the entries of the sum of the seeds (base, nc,
         dv, terms), each standing for x^base * sum((nc * n / dv) x^t) over
-        (t, n) in terms: the reduction kernel.
+        (t, n) in terms: the reduction kernel.  The remainder comes raw,
+        as [(packed monomial, numerators, d), ...] in decreasing order,
+        each n / d in lowest terms with d > 0.
 
         The seeds go into a dict keyed by packed monomial, their keys into
         a max-heap.  The largest monomial m is popped with its raw
-        coefficient c.  If the first entry lead dividing it is l, c is
-        divided by the gcd of its five integers and c * m/l * tail is
+        coefficient c, and c is divided by the gcd of its five integers.
+        If the first entry lead dividing m is l, c * m/l * tail is
         subtracted (the lead cancels by construction); else c joins the
-        remainder as a CycloElem in lowest terms, the only one built here.
-        Seeds and reduction steps add their products by the same step,
-        `_accumulate`.
+        remainder.  Seeds and reduction steps add their products by the
+        same step, `_accumulate`.
         """
         coeffs = {}
         heap = []
@@ -193,25 +208,62 @@ class Reducers:
                 continue
             if m & guard:
                 raise ValueError("exponent passes the slot bound during reduction")
+            g = gcd(d, a0, a1, a2, a3)
             for lead, tail, D in entries:
                 if not (m - lead) & guard:
-                    g = -gcd(d, a0, a1, a2, a3)
-                    nc = (a0 // g, a1 // g, a2 // g, a3 // g)
-                    _accumulate(coeffs, heap, m, nc, d // -g * D, tail)
+                    nc = (-a0 // g, -a1 // g, -a2 // g, -a3 // g)
+                    _accumulate(coeffs, heap, m, nc, d // g * D, tail)
                     break
             else:
-                rem.append((m, canon((a0, a1, a2, a3), d)))
+                rem.append((m, (a0 // g, a1 // g, a2 // g, a3 // g), d // g))
+        return rem
+
+    def remainder(self, seeds):
+        """`raw_remainder` as a polynomial."""
         ring = self.ring
         unpack, n = ring.order.unpack, ring.nvars
-        return Poly(ring, tuple([(unpack(m, n), c) for m, c in rem]))
+        rem = self.raw_remainder(seeds)
+        return Poly(ring, tuple([(unpack(m, n), _raw(c, d)) for m, c, d in rem]))
 
-    def spair_remainder(self, i, j, L):
-        """NF of the S-polynomial of entries i and j, L the packed lcm of
+    def monic_entry(self, rem):
+        """The entry of the monic polynomial rem / lc(rem), rem a nonzero
+        raw remainder: the entry of `rem.monic()`, from one conjugate
+        product and one content gcd.
+
+        With lc = n / d, 1 / lc = d * s2 s3 s4(n) / N(n) (`conj_product`;
+        the norm N(n) is a positive rational integer), or d / n0 when n is
+        rational.  Over the lcm D of the tail's denominators, the tail of
+        rem / lc is sum(x^t * n_t * (D / d_t) * d * conj) / (D * N).  The
+        one representation with integer numerators and the least
+        denominator is this one divided by the gcd of all its integers,
+        which is the form `packed` gives the canonical coefficients.
+        """
+        (lead, (l0, l1, l2, l3), ld), tail = rem[0], rem[1:]
+        D = lcm(1, *[d for _, _, d in tail])
+        if l1 or l2 or l3:
+            conj = conj_product((l0, l1, l2, l3))
+            N = phi5_mul((l0, l1, l2, l3), conj)[0]
+        else:
+            conj, N = (1, 0, 0, 0) if l0 > 0 else (-1, 0, 0, 0), abs(l0)
+        terms = []
+        for m, c, d in tail:
+            k = D // d * ld
+            x0, x1, x2, x3 = phi5_mul(c, conj)
+            terms.append((m - lead, (x0 * k, x1 * k, x2 * k, x3 * k)))
+        den = D * N
+        g = gcd(den, *[x for _, t in terms for x in t])
+        if g > 1:
+            den //= g
+            terms = [(m, tuple([x // g for x in t])) for m, t in terms]
+        return lead - self.one, terms, den
+
+    def spair_seeds(self, i, j, L):
+        """Seeds of the S-polynomial of entries i and j, L the packed lcm of
         their leads: both tails shifted to L, the second negated; the
         leads, 1 - 1 at L, are never added."""
         _, ti, Di = self.entries[i]
         _, tj, Dj = self.entries[j]
-        return self.remainder([(L, _ONE, Di, ti), (L, _MINUS_ONE, Dj, tj)])
+        return [(L, _ONE, Di, ti), (L, _MINUS_ONE, Dj, tj)]
 
     def reduced_basis(self):
         """The reduced Groebner basis, in decreasing lead order, of the
@@ -255,9 +307,9 @@ def normal_form(f: Poly, gb) -> Poly:
     """Unique remainder of f modulo a monic basis (list, GroebnerBasis or
     Reducers) over Q(zeta5).
 
-    f's packed terms seed the kernel, `Reducers.remainder`.  Its steps are
-    those of reducing the leading term of the whole polynomial again and
-    again, by the first basis element whose lead divides it, so the
+    f's packed terms seed the kernel, `Reducers.raw_remainder`.  Its steps
+    are those of reducing the leading term of the whole polynomial again
+    and again, by the first basis element whose lead divides it, so the
     remainder is the same.
     """
     red = _reducers(f.ring, gb)
@@ -265,30 +317,35 @@ def normal_form(f: Poly, gb) -> Poly:
     return red.remainder([(0, _ONE, D, terms)])
 
 
-def normal_form_products(products, gb) -> Poly:
-    """NF of the sum of sign * f * g over (sign, f, g) in products, sign
-    +1 or -1, modulo a monic basis as in `normal_form`.
+def _product_seeds(products, one):
+    """Kernel seeds of the sum of sign * f * g over (sign, f, g) in
+    products, f and g packed as (D, [(packed monomial, numerators), ...])
+    and one the packed constant monomial.
 
     Each term a of the shorter factor seeds the kernel with the other
-    factor's packed terms shifted by a, so no product polynomial is
-    built or brought to lowest terms (docs/DECISIONS.md D8).
+    factor's packed terms shifted by a, so no product polynomial is built
+    or brought to lowest terms (docs/DECISIONS.md D8).
     """
-    products = list(products)
-    red = _reducers(products[0][1].ring, gb)
     seeds = []
-    for sign, f, g in products:
-        if len(f.terms) > len(g.terms):
-            f, g = g, f
-        Df, fs = red.packed(f.terms, red.one)
-        Dg, gs = red.packed(g.terms)
+    for sign, (Df, fs), (Dg, gs) in products:
+        if len(fs) > len(gs):
+            Df, fs, Dg, gs = Dg, gs, Df, fs
         for a, n in fs:
-            seeds.append((a, n if sign > 0 else tuple([-x for x in n]), Df * Dg, gs))
-    return red.remainder(seeds)
+            n = n if sign > 0 else tuple([-x for x in n])
+            seeds.append((a - one, n, Df * Dg, gs))
+    return seeds
+
+
+def common_denominator(rem):
+    """A raw remainder packed over one denominator: (D, [(packed
+    monomial, numerators), ...]), D the lcm of the denominators."""
+    D = lcm(1, *[d for _, _, d in rem])
+    return D, [(m, tuple([x * (D // d) for x in c])) for m, c, d in rem]
 
 
 def spoly(f: Poly, g: Poly) -> Poly:
     """S-polynomial of two monic polynomials (the reference for
-    `Reducers.spair_remainder`)."""
+    `Reducers.spair_seeds`)."""
     ring, lf, lg = f.ring, f.lm(), g.lm()
     L = mono_lcm(lf, lg)
     shift = lambda m: Poly(ring, ((mono_div(L, m), ring.field.one),))
@@ -347,10 +404,14 @@ def _run(gens, ring):
     Pairs are taken in order of (sugar, lcm of the leads, indices) from a
     heap; the product and chain criteria skip pairs, and the chain
     criterion tests divisibility on the packed leads.  Each S-pair is
-    reduced from the two packed tails; the result is
-    `Reducers.reduced_basis` of the basis grown.
+    reduced from the two packed tails, and a nonzero remainder joins the
+    basis as the entry of its monic multiple (`Reducers.monic_entry`),
+    with the remainder's total degree as its sugar: the lead's under a
+    graded order.  The result is `Reducers.reduced_basis` of the basis
+    grown.
     """
-    pack = ring.order.pack
+    order, n = ring.order, ring.nvars
+    pack, unpack = order.pack, order.unpack
     gens = sorted(gens, key=lambda g: pack(g.lm()))
     leads = []
     sugars = []
@@ -359,9 +420,9 @@ def _run(gens, ring):
     heap = []  # (sugar, packed lcm, i, j)
     pending = set()  # the pairs in heap
 
-    def add_poly(g, sugar):
+    def add_entry(entry, sugar):
         idx = len(leads)
-        lg = g.lm()
+        lg = unpack(entry[0] + one, n)
         dg = mono_deg(lg)
         for i, lf in enumerate(leads):
             L = mono_lcm(lf, lg)
@@ -371,10 +432,10 @@ def _run(gens, ring):
             pending.add((i, idx))
         leads.append(lg)
         sugars.append(sugar)
-        red.append(g)
+        entries.append(entry)
 
     for g in gens:
-        add_poly(g, g.degree())
+        add_entry(red.entry(g), g.degree())
 
     processed = 0
     while heap:
@@ -396,10 +457,12 @@ def _run(gens, ring):
         if skip:
             continue
         processed += 1
-        r = red.spair_remainder(i, j, L)
-        if not r.is_zero:
-            r = r.monic()
-            add_poly(r, max(s, r.degree()))
+        r = red.raw_remainder(red.spair_seeds(i, j, L))
+        if r:
+            # a graded order leads with a term of top degree
+            top = r[:1] if order.graded else r
+            degree = max([mono_deg(unpack(m, n)) for m, _, _ in top])
+            add_entry(red.monic_entry(r), max(s, degree))
 
     basis = red.reduced_basis()
     return tuple([g.terms for g in basis]), {"pairs_processed": processed}
@@ -429,6 +492,11 @@ class ZeroDimScheme:
 
     def __repr__(self):
         return "ZeroDimScheme(degree=%d)" % self.degree
+
+    @cached_property
+    def algebra(self):
+        """The scheme's one `QuotientAlgebra`, with its memoised operators."""
+        return QuotientAlgebra(self)
 
 
 def zero_dim_analyze(gb: GroebnerBasis) -> ZeroDimScheme:
@@ -461,142 +529,25 @@ def zero_dim_analyze(gb: GroebnerBasis) -> ZeroDimScheme:
     return ZeroDimScheme(gb, [exp for _, exp in std])
 
 
-_ZERO4 = (0, 0, 0, 0)
-
-
-def _int_vector(vec):
-    """A vector of CycloElems as integer 4-tuples over their common
-    denominator (the denominator itself is dropped)."""
-    D = lcm(1, *(c.d for c in vec))
-    return [tuple([x * (D // c.d) for x in c.n]) for c in vec], D
-
-
-def _lincomb(N, v, b, nz):
-    """N * v + b * row over Z[e], N an int, b a 4-tuple and the row given
-    by its nonzero entries nz = [(i, r), ...]."""
-    if N == 1:
-        out = list(v)
-    else:
-        out = [(N * x0, N * x1, N * x2, N * x3) for x0, x1, x2, x3 in v]
-    for i, r in nz:
-        p0, p1, p2, p3 = phi5_mul(b, r)
-        x0, x1, x2, x3 = out[i]
-        out[i] = (x0 + p0, x1 + p1, x2 + p2, x3 + p3)
-    return out
-
-
-def _nonzero(v):
-    return [(i, x) for i, x in enumerate(v) if x != _ZERO4]
-
-
-def _pivot(v):
-    """Index of the first nonzero entry, or None."""
-    for i, x in enumerate(v):
-        if x != _ZERO4:
-            return i
-    return None
-
-
-def _normalised(v, piv):
-    """v times s2 s3 s4 of v[piv] (`conj_product`), so the pivot becomes a
-    positive rational integer, then divided by its content."""
-    p = v[piv]
-    if p[1] or p[2] or p[3]:
-        conj = conj_product(p)
-        v = [phi5_mul(conj, x) for x in v]
-    elif p[0] < 0:
-        v = [(-x0, -x1, -x2, -x3) for x0, x1, x2, x3 in v]
-    return _primitive(v)[0]
-
-
-def _primitive(v):
-    """(v / g, g), g the content of v: the gcd of all its integers (0 for
-    the zero vector)."""
-    g = gcd(*[x for t in v for x in t])
-    if g > 1:
-        v = [(x0 // g, x1 // g, x2 // g, x3 // g) for x0, x1, x2, x3 in v]
-    return v, g
-
-
-def _reduce(v, rows):
-    """v reduced against echelon rows (pivot, N, row, nonzero entries),
-    N the positive rational integer at the pivot: v <- N * v -
-    v[pivot] * row, with no content taken."""
-    for piv, N, _, nz in rows:
-        b0, b1, b2, b3 = v[piv]
-        if b0 or b1 or b2 or b3:
-            v = _lincomb(N, v, (-b0, -b1, -b2, -b3), nz)
-    return v
-
-
-def _reduce_tracked(v, rows):
-    """v reduced against Krylov rows (pivot, N, row entries, combo
-    entries), the row being sum(combo[j] * (power vector j)), the entries
-    nonzero ones as in `_reduce`.  Returns (r, combo, f) with
-    r = f * v - sum(combo[j] * power vector j), f a positive int and
-    combo of length len(rows)."""
-    combo = [_ZERO4] * len(rows)
-    f = 1
-    for piv, N, nz, cnz in rows:
-        b0, b1, b2, b3 = v[piv]
-        if b0 or b1 or b2 or b3:
-            v = _lincomb(N, v, (-b0, -b1, -b2, -b3), nz)
-            combo = _lincomb(N, combo, (b0, b1, b2, b3), cnz)
-            f *= N
-    return v, combo, f
-
-
-def _echelon_add(rows, v):
-    """Reduce v against the echelon rows; append the normalised remainder
-    and return it, or None if v lies in their span."""
-    v = _reduce(v, rows)
-    piv = _pivot(v)
-    if piv is None:
-        return None
-    v = _normalised(v, piv)
-    rows.append((piv, v[piv][0], v, _nonzero(v)))
-    return v
-
-
-def _echelon(vectors):
-    rows = []
-    for v in vectors:
-        _echelon_add(rows, v)
-    return rows
-
-
-def _apply(op_rows, v):
-    """M * v for M given by sparse integer rows [(j, n), ...]."""
-    out = []
-    for row in op_rows:
-        a0 = a1 = a2 = a3 = 0
-        for j, n in row:
-            x = v[j]
-            if x != _ZERO4:
-                p0, p1, p2, p3 = phi5_mul(n, x)
-                a0 += p0
-                a1 += p1
-                a2 += p2
-                a3 += p3
-        out.append((a0, a1, a2, a3))
-    return out
-
-
 class QuotientAlgebra:
-    """Linear algebra on R/I for a zero-dimensional ideal.
+    """Linear algebra on R/I for a zero-dimensional ideal; one per scheme
+    (`ZeroDimScheme.algebra`).
 
-    The public vectors (`coeffs`, `nf_coeffs`, `mult_columns`) hold
-    CycloElems.  The elimination underneath runs on raw rows over Z[e]
-    (docs/DECISIONS.md D9): a vector is a list of integer 4-tuples, the
-    multiplication operator of p is sparse integer rows over one
-    denominator L, and an echelon row is scaled so that its pivot is a
-    positive rational integer N, then divided by its content.  Reducing
-    v by a row is v <- N * v - v[pivot] * row, and a reduced vector takes
-    one content gcd.  Spans (`supported_length`, `generates_whole`)
-    ignore scale; `krylov` tracks the rational scale of each power vector,
-    so its minimal polynomial and `solve_in_krylov` are exact.  `canon`
-    runs only where CycloElems leave: the eliminant, the Krylov
-    coordinates and the normal forms the kernel returns.
+    The public vectors (`nf_coeffs`, `raw_coeffs`, `mult_columns`) hold
+    CycloElems.  Underneath, NF(m * p) for the standard monomials m comes
+    raw from the reduction kernel, p packed once, and the elimination runs
+    on `linalg`'s raw Z[e] rows (docs/DECISIONS.md D9, D16): a vector is a
+    list of integer 4-tuples, and the multiplication operator of p is
+    integer columns and sparse rows over one denominator L, read from the
+    raw remainders.  Spans (`supported_length`, `generates_whole`) ignore
+    scale; `krylov` tracks the rational scale of each power vector, so its
+    minimal polynomial and `solve_in_krylov` are exact.  CycloElems are
+    built only where vectors leave: the eliminant, the Krylov coordinates
+    and the public vectors.
+
+    Operators and stable images are memoised by the polynomial's terms
+    for the life of the algebra, so a chart's pieces and strata that ask
+    about the same coordinate build its operator once.
     """
 
     def __init__(self, scheme: ZeroDimScheme):
@@ -605,78 +556,96 @@ class QuotientAlgebra:
         self.field = scheme.ring.field
         self.basis = scheme.std_monomials
         self.index = {m: i for i, m in enumerate(self.basis)}
-        self._var_rows = None
-        self._packed = None
+        red = self._red = scheme.gb.reducers()
+        self._packed = [red.pack(m) for m in self.basis]
+        self._position = {m: i for i, m in enumerate(self._packed)}
+        self._operators = {}  # p.terms -> (columns, rows)
+        self._stable = {}  # p.terms -> rows of the stable image of mult-by-p
 
-    def nf(self, p: Poly) -> Poly:
-        """NF(p) modulo the basis of I."""
-        return normal_form(p, self.scheme.gb)
+    def raw_nf(self, p: Poly):
+        """NF(p) as a raw remainder (`Reducers.raw_remainder`)."""
+        D, terms = self._red.packed(p.terms)
+        return self._red.raw_remainder([(0, _ONE, D, terms)])
 
-    def nf_products(self, products) -> Poly:
-        """NF of the sum of sign * f * g over (sign, f, g) in products."""
-        return normal_form_products(products, self.scheme.gb)
+    def raw_nf_products(self, products):
+        """Raw NF of the sum of sign * f * g over (sign, f, g), f and g
+        packed as `common_denominator` packs a raw remainder."""
+        return self._red.raw_remainder(_product_seeds(products, self._red.one))
 
     def nf_coeffs(self, p: Poly):
         """Dense coefficient vector of NF(p) on the standard monomials."""
-        return self.coeffs(self.nf(p))
+        return self.raw_coeffs(self.raw_nf(p))
 
-    def coeffs(self, nf: Poly):
-        """Dense coefficient vector of a polynomial already in normal form."""
+    def raw_coeffs(self, rem):
+        """Dense coefficient vector of a raw remainder."""
         v = [self.field.zero] * len(self.basis)
-        for e, c in nf.terms:
-            v[self.index[e]] = c
+        position = self._position
+        for m, c, d in rem:
+            v[position[m]] = _raw(c, d)
+        return v
+
+    def _dense(self, rem, L):
+        """Integer vector of L times a raw remainder, L a common multiple
+        of its denominators."""
+        v = [_ZERO4] * len(self.basis)
+        position = self._position
+        for m, c, d in rem:
+            v[position[m]] = c if d == L else tuple([x * (L // d) for x in c])
         return v
 
     def in_radical(self, p: Poly) -> bool:
         """Is p in sqrt(I)?  Exactly when p^d is in I, d = deg I: square
-        NF(p), scaled to content 1, until it is zero or 2^k >= d
+        NF(p), dropping its denominator, until it is zero or 2^k >= d
         (docs/DECISIONS.md D5)."""
-        g = self.nf(p)
+        g = self.raw_nf(p)
         k = 1
-        while not g.is_zero and k < len(self.basis):
-            g = self.nf_products([(1, g, g)]).primitive()
+        while g and k < len(self.basis):
+            _, terms = common_denominator(g)
+            g = self.raw_nf_products([(1, (1, terms), (1, terms))])
             k *= 2
-        return g.is_zero
+        return not g
 
     def _products(self, p: Poly):
-        """NF(m * p) for each standard monomial m."""
-        ring, one = self.ring, self.field.one
-        return [self.nf_products([(1, Poly(ring, ((m, one),)), p)]) for m in self.basis]
+        """Raw NF(m * p) for each standard monomial m: p's packed terms
+        shifted by m seed the kernel."""
+        red = self._red
+        D, ps = red.packed(p.terms)
+        return [red.raw_remainder([(m - red.one, _ONE, D, ps)]) for m in self._packed]
 
     def mult_columns(self, p: Poly):
         """Columns of the multiplication-by-p operator."""
-        return [self.coeffs(nf) for nf in self._products(p)]
+        return [self.raw_coeffs(rem) for rem in self._products(p)]
 
     def _operator(self, p: Poly):
         """Multiplication by p as (columns, rows), up to the one scale L,
         the lcm of its denominators: integer 4-tuples, the columns dense
         and the rows sparse [(j, n), ...]."""
-        nfs = self._products(p)
-        L = lcm(1, *(c.d for nf in nfs for _, c in nf.terms))
-        index = self.index
-        n = len(self.basis)
-        cols = []
-        rows = [[] for _ in range(n)]
-        for j, nf in enumerate(nfs):
-            col = [_ZERO4] * n
-            for e, c in nf.terms:
-                i = index[e]
-                x = col[i] = tuple([a * (L // c.d) for a in c.n])
-                rows[i].append((j, x))
-            cols.append(col)
-        return cols, rows
+        op = self._operators.get(p.terms)
+        if op is None:
+            rems = self._products(p)
+            L = lcm(1, *[d for rem in rems for _, _, d in rem])
+            cols = [self._dense(rem, L) for rem in rems]
+            rows = [[] for _ in self.basis]
+            for j, col in enumerate(cols):
+                for i, x in enumerate(col):
+                    if x != _ZERO4:
+                        rows[i].append((j, x))
+            op = self._operators[p.terms] = (cols, rows)
+        return op
 
-    def _times(self, p: Poly, w):
-        """NF(p * W) for W with integer coefficient vector w, as (u, D)
-        with u an integer vector and NF(p * W) = u / D: p's terms seed the
-        reduction kernel with w's nonzero entries as raw numerators."""
-        red = self.scheme.gb.reducers()
-        if self._packed is None:
-            self._packed = [red.pack(m) for m in self.basis]
-        Dp, ps = red.packed(p.terms, red.one)
-        wt = [(m, x) for m, x in zip(self._packed, w) if x != _ZERO4]
-        nf = red.remainder([(a, n, Dp, wt) for a, n in ps])
-        return _int_vector(self.coeffs(nf))
+    def _stable_image(self, p: Poly):
+        """Echelon vectors spanning the stable image of mult-by-p."""
+        image = self._stable.get(p.terms)
+        if image is None:
+            cols, op = self._operator(p)
+            rows = _echelon(cols)
+            while True:  # p^(k+1) A inside p^k A: stable once the rank holds
+                nxt = _echelon(_apply(op, r) for _, _, r, _ in rows)
+                if len(nxt) == len(rows):
+                    break
+                rows = nxt
+            image = self._stable[p.terms] = tuple([r for _, _, r, _ in rows])
+        return image
 
     def generates_whole(self, vectors):
         """Do elements with these NF vectors generate R/I as an ideal?
@@ -685,14 +654,13 @@ class QuotientAlgebra:
         operators of the variables, found by exact elimination with no
         random choices.  True means V(I + (elements)) is empty.
         """
-        if self._var_rows is None:
-            self._var_rows = [self._operator(v)[1] for v in self.ring.gens()]
+        var_rows = [self._operator(v)[1] for v in self.ring.gens()]
         rows = []
         pending = [_int_vector(v)[0] for v in vectors]
         while pending and len(rows) < len(self.basis):
             red = _echelon_add(rows, pending.pop())
             if red is not None:
-                pending.extend(_apply(op, red) for op in self._var_rows)
+                pending.extend(_apply(op, red) for op in var_rows)
         return len(rows) == len(self.basis)
 
     def supported_length(self, polys):
@@ -707,14 +675,7 @@ class QuotientAlgebra:
         n = len(self.basis)
         rows = []
         for g in polys:
-            cols, op = self._operator(g)
-            image = _echelon(cols)
-            while True:  # g^(k+1) A inside g^k A: stable once the rank holds
-                nxt = _echelon(_apply(op, r) for _, _, r, _ in image)
-                if len(nxt) == len(image):
-                    break
-                image = nxt
-            for _, _, r, _ in image:
+            for r in self._stable_image(g):
                 _echelon_add(rows, r)
             if len(rows) == n:
                 break
@@ -727,12 +688,15 @@ class QuotientAlgebra:
         Returns (minpoly_coeffs, rows); shape-position parameterization
         passes the rows to `solve_in_krylov`.  The k-th power vector
         p^k mod I is w / s with w integer and s a positive rational
-        tracked alongside; the next power is NF(p * w) from the reduction
-        kernel (`_times`), so w itself is never reduced.  An echelon row
-        keeps the nonzero entries of a vector and of its combo, with
-        vector = sum(combo[j] * p^j mod I).
+        tracked alongside.  The next power is NF(p * W), W the element
+        with coefficients w: p's packed terms, packed once, seed the
+        reduction kernel with w's nonzero entries as raw numerators, so w
+        itself is never reduced.  An echelon row keeps the nonzero entries
+        of a vector and of its combo, with vector = sum(combo[j] * p^j mod I).
         """
         n = len(self.basis)
+        red = self._red
+        Dp, ps = red.packed(p.terms, red.one)
         w = [_ZERO4] * n
         zero_mono = (0,) * self.ring.nvars
         if zero_mono in self.index:
@@ -740,33 +704,35 @@ class QuotientAlgebra:
         s = Fraction(1)
         rows = []
         for _ in range(n + 1):
-            red, combo, f = _reduce_tracked(w, rows)
-            # red = f * s * p^k - sum(combo[j] * p^j)
+            r, combo, f = _reduce_tracked(w, rows)
+            # r = f * s * p^k - sum(combo[j] * p^j)
             fs = f * s
             num, den = fs.numerator, fs.denominator
-            piv = _pivot(red)
+            piv = _pivot(r)
             if piv is None:
                 # dependency: p^k = sum(combo[j] / fs * p^j)
                 return [canon(tuple([-x * den for x in c]), num) for c in combo] + [
                     self.field.one
                 ], rows
-            # den * red = num * p^k - sum(den * combo[j] * p^j)
-            both = [tuple([x * den for x in t]) for t in red] + [
+            # den * r = num * p^k - sum(den * combo[j] * p^j)
+            both = [tuple([x * den for x in t]) for t in r] + [
                 tuple([-x * den for x in c]) for c in combo
             ]
             both.append((num, 0, 0, 0))
             both = _normalised(both, piv)
             rows.append((piv, both[piv][0], _nonzero(both[:n]), _nonzero(both[n:])))
-            w, D = self._times(p, w)
-            w, g = _primitive(w)
+            wt = [(m, x) for m, x in zip(self._packed, w) if x != _ZERO4]
+            rem = red.raw_remainder([(a, c, Dp, wt) for a, c in ps])
+            D = lcm(1, *[d for _, _, d in rem])
+            w, g = _primitive(self._dense(rem, D))
             s = s * D / g if g else s
         raise AssertionError("Krylov iteration failed to terminate")
 
     def solve_in_krylov(self, vec, rows):
         """Combination coefficients expressing vec in the Krylov powers."""
         u, D = _int_vector(vec)
-        red, combo, f = _reduce_tracked(u, rows)
-        if _pivot(red) is not None:
+        r, combo, f = _reduce_tracked(u, rows)
+        if _pivot(r) is not None:
             return None
         # f * D * vec = sum(combo[j] * p^j), up to the last row used
         while len(combo) > 1 and combo[-1] == _ZERO4:
@@ -776,8 +742,7 @@ class QuotientAlgebra:
 
 def eliminant(scheme: ZeroDimScheme, p: Poly):
     """Monic generator of I intersect K[p] (the eliminant of p)."""
-    alg = QuotientAlgebra(scheme)
-    mp, _ = alg.krylov(p)
+    mp, _ = scheme.algebra.krylov(p)
     return mp
 
 
@@ -886,7 +851,7 @@ def extract_points(
     field = ring.field
     n = ring.nvars
     rng = _random.Random(seed)
-    alg = QuotientAlgebra(scheme)
+    alg = scheme.algebra
 
     candidates = []
     for i in range(n - 1, -1, -1):

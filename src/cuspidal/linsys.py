@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import linalg, unipoly
 from .extfield import TowerContext
-from .groebner import QuotientAlgebra, normal_form
+from .groebner import normal_form
 from .modp import roots_in_qz5
 from .multipoly import Poly, ProjPoint, QZ5, Ring, minors
 from .singcert import to_chart
@@ -98,7 +98,7 @@ def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSyst
 
     for chart_index, scheme in loci:
         cring = scheme.ring
-        alg = QuotientAlgebra(scheme)
+        alg = scheme.algebra
         for v in range(ring.nvars):
             vecs = []
             for m in columns:
@@ -218,7 +218,7 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
         }
         for chart_index, scheme in loci:
             cring = scheme.ring
-            alg = QuotientAlgebra(scheme)
+            alg = scheme.algebra
             vec_by_pow = {}
             for j, cp in coeff_polys.items():
                 vec_by_pow[j] = alg.nf_coeffs(to_chart(cp, chart_index, cring))

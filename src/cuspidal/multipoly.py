@@ -94,18 +94,21 @@ class TermOrder:
     exponents themselves, first variable on top.  Either way the product
     of x^a and x^b packs to pack(a) + pack(b) - pack(0), and x^a divides
     x^b exactly when (pack(b) - pack(a) + pack(0)) & guard(n) == 0
-    (docs/DECISIONS.md D6).
+    (docs/DECISIONS.md D6).  key, pack and unpack are cached per term
+    order, for the life of the process.
     """
 
     def __init__(self, name, key_fn, graded):
         self.name = name
         self.key = lru_cache(maxsize=None)(key_fn)
         self.graded = graded
+        self.pack = lru_cache(maxsize=None)(self._pack)
+        self.unpack = lru_cache(maxsize=None)(self._unpack)
 
     def __repr__(self):
         return "TermOrder(%r)" % self.name
 
-    def pack(self, exp):
+    def _pack(self, exp):
         """One int for the exponent tuple; ValueError when an exponent is
         negative or a slot (the total degree, when graded) passes
         SLOT_BOUND."""
@@ -125,7 +128,7 @@ class TermOrder:
             p = (p << SLOT_BITS) | e
         return p
 
-    def unpack(self, p, n):
+    def _unpack(self, p, n):
         """Exponent tuple of n variables packed in p."""
         slots = []
         for _ in range(n):
@@ -380,10 +383,13 @@ class Poly:
         return self - g * Poly(self.ring, ((mono, c),))
 
     def monic(self):
-        """Divide by the leading coefficient (may split over towers)."""
+        """Divide by the leading coefficient (may split over towers); a
+        monic polynomial is returned as it is."""
         if not self.terms:
             return self
         f = self.ring.field
+        if f.eq(self.lc(), f.one):
+            return self
         inv = f.inv(self.lc())
         return Poly(
             self.ring,

@@ -37,9 +37,9 @@ from itertools import combinations
 from . import linalg
 from .groebner import (
     NotZeroDimensional,
-    QuotientAlgebra,
     ZeroDimScheme,
     buchberger,
+    common_denominator,
     radical_zero_dim,
     zero_dim_analyze,
 )
@@ -154,7 +154,7 @@ def _piece_slice(scheme, radical, later):
     the radical slice itself."""
     if not later:
         return scheme.degree, radical
-    tau = QuotientAlgebra(scheme).supported_length(later)
+    tau = scheme.algebra.supported_length(later)
     # distinct points: slice the radical by the linear forms (exact on a
     # reduced scheme)
     gb = buchberger(list(radical.gb.polys) + later, ring=scheme.ring)
@@ -180,10 +180,8 @@ def _pieces(ring, charts):
                 x = [k.ring.var(ring.vars[ci])]
                 # points and length of piece k on the plane x_ci = 0: with
                 # no point there, there is no length either
-                on_points = QuotientAlgebra(k.piece_radical).supported_length(x)
-                on_length = on_points and QuotientAlgebra(k.scheme).supported_length(
-                    k.later + x
-                )
+                on_points = k.piece_radical.algebra.supported_length(x)
+                on_length = on_points and k.scheme.algebra.supported_length(k.later + x)
                 points += k.piece_radical.degree - on_points
                 degree += k.piece_tau - on_length
         pieces.append(
@@ -260,7 +258,7 @@ def classify_all(F: Poly, surface_name="surface", action=None):
             continue
         # V(I + J) = V(sqrt(I) + J): every stratum is read on R/sqrt(I),
         # once per point on the piece that holds it
-        alg = QuotientAlgebra(chart.piece_radical)
+        alg = chart.piece_radical.algebra
         vecs2, vecs3 = _hessian_minor_vectors(alg, H, chart.chart_index)
         if not alg.generates_whole(vecs2):
             rank_le1_empty = False
@@ -296,28 +294,30 @@ def _hessian_minor_vectors(alg, H, ci):
     """NF vectors in alg = R/sqrt(I) of the 2x2 and 3x3 minors of the
     symmetric Hessian H in chart ci, one per row set <= column set, built
     from the reduced entries and reduced again (docs/DECISIONS.md D2): each
-    cofactor sum seeds the reduction term by term (D8)."""
+    cofactor sum seeds the reduction term by term (D8).  A reduced entry
+    or 2x2 minor is packed once, from its raw remainder (D16)."""
     n = len(H)
     h = {}
     for i in range(n):
         for j in range(i, n):
-            h[i, j] = h[j, i] = alg.nf(to_chart(H[i][j], ci, alg.ring))
+            entry = alg.raw_nf(to_chart(H[i][j], ci, alg.ring))
+            h[i, j] = h[j, i] = common_denominator(entry)
     pairs = list(combinations(range(n), 2))
     m2 = {}
     minors2 = []
     for a, (r0, r1) in enumerate(pairs):
         for c0, c1 in pairs[a:]:
-            m = alg.nf_products(
+            m = alg.raw_nf_products(
                 [(1, h[r0, c0], h[r1, c1]), (-1, h[r0, c1], h[r1, c0])]
             )
-            m2[(r0, r1), (c0, c1)] = m2[(c0, c1), (r0, r1)] = m
+            m2[(r0, r1), (c0, c1)] = m2[(c0, c1), (r0, r1)] = common_denominator(m)
             minors2.append(m)
     triples = list(combinations(range(n), 3))
     minors3 = []
     for a, (r0, r1, r2) in enumerate(triples):
         for c0, c1, c2 in triples[a:]:
             rest = (r1, r2)
-            m = alg.nf_products(
+            m = alg.raw_nf_products(
                 [
                     (1, h[r0, c0], m2[rest, (c1, c2)]),
                     (-1, h[r0, c1], m2[rest, (c0, c2)]),
@@ -325,7 +325,7 @@ def _hessian_minor_vectors(alg, H, ci):
                 ]
             )
             minors3.append(m)
-    return [alg.coeffs(m) for m in minors2], [alg.coeffs(m) for m in minors3]
+    return [alg.raw_coeffs(m) for m in minors2], [alg.raw_coeffs(m) for m in minors3]
 
 
 def _orbit_analysis(F: Poly, report, action):

@@ -68,9 +68,18 @@ def test_alpha_plus_conjugate():
 
 
 def test_mul_against_sympy_oracle():
+    # random pairs, then a rational operand on either side, zero and
+    # negative operands: phi5_mul's 4-product paths
     rng = random.Random(101)
-    for _ in range(300):
-        a, b = rand_elem(rng), rand_elem(rng)
+    pairs = [(rand_elem(rng), rand_elem(rng)) for _ in range(300)]
+    for _ in range(60):
+        a = rand_elem(rng)
+        r = CycloElem.from_rat(ratio(rng.randint(-10, 10), rng.randint(1, 7)))
+        # irrational through its e^3 coefficient alone
+        e3 = CycloElem((r.c[0], 0, 0, ratio(rng.choice([-3, -1, 2]), rng.randint(1, 7))))
+        pairs += [(r, a), (a, r), (-a, r), (r, -a), (ZERO, a), (a, ZERO), (-r, r)]
+        pairs += [(e3, a), (a, e3)]
+    for a, b in pairs:
         got = a * b
         want = from_sympy(sympy_reduce(sympy_elem(a) * sympy_elem(b)))
         assert got == want

@@ -213,9 +213,9 @@ def test_normal_form_matches_reference_random(order, coeff, assert_canonical):
 @pytest.mark.parametrize("order, coeff", ORDERS_AND_COEFFS)
 def test_spair_reduction_matches_spoly_random(order, coeff):
     # every S-pair seeded from the two packed tails reduces to the normal
-    # form of its spoly, modulo a basis grown as buchberger grows it;
-    # cyclo_coeff's denominators 1..6 make unequal tail denominators meet
-    # at one monomial
+    # form of its spoly, modulo a basis grown as buchberger grows it, from
+    # the raw remainder's monic entry; cyclo_coeff's denominators 1..6 make
+    # unequal tail denominators meet at one monomial
     rng = random.Random(8118)
     checked = 0
     for trial in range(40):
@@ -226,15 +226,126 @@ def test_spair_reduction_matches_spoly_random(order, coeff):
         pairs = list(itertools.combinations(range(len(G)), 2))
         for i, j in pairs:
             L = order.pack(mono_lcm(G[i].lm(), G[j].lm()))
-            got = red.spair_remainder(i, j, L)
+            got = red.remainder(red.spair_seeds(i, j, L))
             want = normal_form(spoly(G[i], G[j]), red)
             assert got == want and str(got) == str(want)
             checked += 1
             if not got.is_zero and len(G) < 6:
                 pairs.extend((k, len(G)) for k in range(len(G)))
                 G.append(got.monic())
-                red.append(G[-1])
+                entry = red.monic_entry(red.raw_remainder(red.spair_seeds(i, j, L)))
+                assert entry == red.entry(G[-1])
+                red.entries.append(entry)
     assert checked > 300
+
+
+def lead_coeff(rng, span):
+    """Leads of every kind: irrational, negative and positive rationals,
+    over denominators 1..6."""
+    c = cyclo_coeff(rng, span)
+    return c if rng.randrange(2) else CycloElem.from_rat(Fraction(c.n[0] or 1, c.d))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=lambda o: o.name)
+def test_monic_entry_matches_entry_of_monic_remainder(order, assert_canonical):
+    # a raw remainder appended by `monic_entry` is the entry of its monic
+    # polynomial, `entry(r.monic())`: the same lead and the same tail
+    # values over the same least denominator, so the basis it grows is
+    # the one the Poly path grew
+    rng = random.Random(6116)
+    kinds = set()
+    for trial in range(120):
+        ring = Ring(("x", "y", "z")[: 2 + trial % 2], order)
+        gens = [rand_poly(rng, ring, coeff=cyclo_coeff) for _ in range(2)]
+        red = Reducers(ring, [g.monic() for g in gens if not g.is_zero])
+        f = rand_poly(rng, ring, deg=3, nterms=5, coeff=lead_coeff)
+        D, terms = red.packed(f.terms)
+        seeds = [(0, (1, 0, 0, 0), D, terms)]
+        raw = red.raw_remainder(seeds)
+        r = red.remainder(seeds)
+        if not raw:
+            assert r.is_zero
+            continue
+        monic = r.monic()
+        assert_canonical(r)
+        assert_canonical(monic)
+        got = red.monic_entry(raw)
+        assert got == red.entry(monic)
+        # the entry read back as a polynomial is the monic remainder
+        lead, tail, den = got
+        unpack, n, one = order.unpack, ring.nvars, red.one
+        back = Poly(
+            ring,
+            ((unpack(lead + one, n), CycloElem.from_int(1)),)
+            + tuple(
+                (unpack(t + lead + one, n), CycloElem([Fraction(x, den) for x in c]))
+                for t, c in tail
+            ),
+        )
+        assert_canonical(back)
+        assert back == monic and str(back) == str(monic)
+        lc = r.lc()
+        kinds.add("irrational" if not lc.is_rational else "rational<0" if lc.n[0] < 0 else "rational>0")
+        if len({c.d for _, c in r.terms[1:]}) > 1:
+            kinds.add("mixed denominators")
+    assert kinds == {"irrational", "rational<0", "rational>0", "mixed denominators"}
+
+
+# pairs processed by `_run` on the 40 random ideals of
+# test_raw_remainder_sugar_keeps_pair_counts, as they were counted when a
+# new element came from `Poly.monic` with its sugar from `Poly.degree`
+SUGAR_PAIRS = {"degrevlex": 348, "lex": 479}
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=lambda o: o.name)
+def test_raw_remainder_sugar_keeps_pair_counts(order):
+    # the sugar of a raw remainder is its exact total degree: the lead's
+    # under a graded order, the largest term's under LEX, where a lower
+    # lead can carry more degree (the pair order, and so the count, moves
+    # with it)
+    rng = random.Random(5)
+    counts = []
+    for trial in range(40):
+        ring = Ring(("x", "y", "z")[: 2 + trial % 2], order)
+        coeff = cyclo_coeff if trial % 3 == 0 else small_int
+        gens = [rand_poly(rng, ring, deg=3, nterms=4, coeff=coeff) for _ in range(3)]
+        gens = [g.monic() for g in gens if not g.is_zero]
+        counts.append(groebner._run(gens, ring)[1]["pairs_processed"])
+    assert sum(counts) == SUGAR_PAIRS[order.name]
+
+
+def test_one_algebra_per_scheme_memoises_stable_images(monkeypatch):
+    # one algebra per scheme; a second supported_length on the same
+    # variable reuses the stable image, and two schemes, here with the same
+    # ring and the same variable, never share an operator or an image
+    ring = Ring(("x", "y"))
+    x, y = ring.gens()
+    # lengths 2 at the origin and 4 elsewhere; 6 at the origin
+    spread = zero_dim_analyze(buchberger([x**2 - y, y**3 - y], ring=ring))
+    fat = zero_dim_analyze(buchberger([x**2 - y, y**3], ring=ring))
+    assert spread.algebra is spread.algebra
+    assert spread.algebra is not fat.algebra
+    built = []
+    products = QuotientAlgebra._products
+
+    def counted(alg, p):
+        built.append((alg.scheme, str(p)))
+        return products(alg, p)
+
+    monkeypatch.setattr(QuotientAlgebra, "_products", counted)
+    assert spread.algebra.supported_length([y]) == 2
+    image = spread.algebra._stable[y.terms]
+    assert spread.algebra.supported_length([y]) == 2
+    assert spread.algebra.supported_length([x, y]) == 2
+    assert spread.algebra._stable[y.terms] is image
+    assert built == [(spread, "y"), (spread, "x")]
+    assert fat.algebra.supported_length([y]) == 6
+    assert built[2:] == [(fat, "y")]
+    assert fat.algebra._stable[y.terms] is not image
+    # generates_whole closes under the memoised operators of x and y
+    alg = spread.algebra
+    assert alg.generates_whole([alg.nf_coeffs(x - 1)]) is False
+    assert len(built) == 3
 
 
 def test_spair_tails_cancel_exactly():
@@ -246,7 +357,7 @@ def test_spair_tails_cancel_exactly():
     g = x * z + z.scale(Fraction(1, 2)) + Fraction(1, 5)
     red = Reducers(ring, [f, g])
     assert [D for _, _, D in red.entries] == [6, 10]
-    got = red.spair_remainder(0, 1, ring.order.pack((1, 1, 1)))
+    got = red.remainder(red.spair_seeds(0, 1, ring.order.pack((1, 1, 1))))
     want = -y.scale(Fraction(1, 5)) - z.scale(Fraction(1, 6)) - Fraction(1, 15)
     assert got.terms == want.terms
     assert got == normal_form(spoly(f, g), red)
@@ -637,16 +748,14 @@ def test_nf_products_matches_expanded_sum_random():
             )
             for _ in range(rng.randint(1, 3))
         ]
-        want = alg.nf(sum((f * g).scale(sign) for sign, f, g in products))
-        got = alg.nf_products(products)
-        assert got == want and str(got) == str(want)
-        assert alg.coeffs(got) == alg.coeffs(want)
-        nonzero += not got.is_zero
-        # f*g - g*f cancels to the zero vector
-        _, f, g = products[0]
-        zero = alg.nf_products([(1, f, g), (-1, g, f)])
-        assert zero.is_zero
-        assert all(c.is_zero for c in alg.coeffs(zero))
+        red = alg.scheme.gb.reducers()
+        packed = [(sign, red.packed(f.terms), red.packed(g.terms)) for sign, f, g in products]
+        want = alg.nf_coeffs(sum((f * g).scale(sign) for sign, f, g in products))
+        assert alg.raw_coeffs(alg.raw_nf_products(packed)) == want
+        nonzero += any(want)
+        # f*g - g*f cancels to the zero remainder
+        _, f, g = packed[0]
+        assert alg.raw_nf_products([(1, f, g), (-1, g, f)]) == []
     assert nonzero > 15
 
 

@@ -1,0 +1,175 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from cuspidal import catalog, linalg
+from cuspidal.curvegeom import _local_surface, tangent_cone_lines
+from cuspidal.cyclofield import CycloElem
+from cuspidal.extfield import BASE_TOWER
+from cuspidal.multipoly import QZ5, ProjPoint
+
+ZERO = CycloElem.from_int(0)
+ONE = CycloElem.from_int(1)
+
+
+def reference_rref(m):
+    """The CycloElem Gauss-Jordan `linalg.rref` ran over Q(zeta5) before
+    the raw echelon (docs/DECISIONS.md D16): pivot on the first nonzero
+    entry of each column, scale the pivot row to 1, clear the column."""
+    m = [row[:] for row in m]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        piv = next((i for i in range(r, rows) if not m[i][c].is_zero), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and not m[i][c].is_zero:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def reference_kernel_basis(m):
+    cols = len(m[0])
+    red, pivots = reference_rref(m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [ZERO] * cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(m, rhs):
+    cols = len(m[0])
+    red, pivots = reference_rref([row + [b] for row, b in zip(m, rhs)])
+    for row in red:
+        if all(v.is_zero for v in row[:cols]) and not row[cols].is_zero:
+            return None
+    x = [ZERO] * cols
+    for r, pc in enumerate(pivots):
+        if pc < cols:
+            x[pc] = red[r][cols]
+    return x
+
+
+def rational_entry(rng):
+    return CycloElem.from_rat(Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+
+
+def mixed_entry(rng):
+    """0, a rational, or a sum of one or two (a/b) e^k with b in 1..6."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return rational_entry(rng)
+    terms = [
+        CycloElem.e_power(rng.randrange(5)) * Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        for _ in range(rng.randint(1, 2))
+    ]
+    return sum(terms, ZERO)
+
+
+def random_matrix(rng, entry):
+    """Wide, tall or square; some rows are combinations of others or zero."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    m = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        kind = rng.randrange(4)
+        if kind == 0 and i >= 2:  # a combination of two earlier rows
+            a, b = entry(rng), entry(rng)
+            m[i] = [a * x + b * y for x, y in zip(m[i - 1], m[i - 2])]
+        elif kind == 1:
+            m[i] = [ZERO] * cols
+    return m
+
+
+@pytest.mark.parametrize("entry", [rational_entry, mixed_entry], ids=["rational", "mixed"])
+def test_raw_echelon_matches_reference_gauss_jordan(entry):
+    # rank, the unique reduced form with its pivots, the kernel basis and
+    # one solution of a consistent and of an inconsistent system, entry
+    # for entry as the CycloElem Gauss-Jordan gave them
+    rng = random.Random(1601 if entry is rational_entry else 1602)
+    seen = set()
+    for _ in range(150):
+        m = random_matrix(rng, entry)
+        rows, cols = len(m), len(m[0])
+        red, pivots = reference_rref(m)
+        assert linalg.rref(m, QZ5) == (red, pivots)
+        # the depth-0 tower takes the field-context loop
+        assert linalg.rref(m, BASE_TOWER) == (red, pivots)
+        assert linalg.rank(m, QZ5) == len(pivots)
+        assert linalg.kernel_basis(m, QZ5) == reference_kernel_basis(m)
+        x = [entry(rng) for _ in range(cols)]
+        consistent = [sum((a * b for a, b in zip(row, x)), ZERO) for row in m]
+        got = linalg.solve(m, consistent, QZ5)
+        assert got == reference_solve(m, consistent) and got is not None
+        rhs = [entry(rng) for _ in range(rows)]
+        got = linalg.solve(m, rhs, QZ5)
+        assert got == reference_solve(m, rhs)
+        seen.add(("deficient" if len(pivots) < min(rows, cols) else "full", got is None))
+        seen.add("wide" if cols > rows else "tall" if rows > cols else "square")
+        if any(all(c.is_zero for c in row) for row in m):
+            seen.add("zero row")
+    assert seen >= {
+        ("deficient", True), ("deficient", False), ("full", False),
+        "wide", "tall", "square", "zero row",
+    }
+
+
+def test_raw_echelon_edge_shapes():
+    assert linalg.rank([], QZ5) == 0
+    assert linalg.kernel_basis([], QZ5) == []
+    assert linalg.rref([[ZERO, ZERO]], QZ5) == ([[ZERO, ZERO]], [])
+    assert linalg.kernel_basis([[ZERO, ZERO]], QZ5) == [[ONE, ZERO], [ZERO, ONE]]
+    assert linalg.solve([[ZERO]], [ONE], QZ5) is None
+    e = CycloElem.e_power(1)
+    assert linalg.solve([[e]], [ONE], QZ5) == [e.inverse()]
+
+
+def test_tower_context_takes_the_gauss_jordan_loop():
+    # over b = sqrt(2): [[1, b], [b, 2]] has rank 1 and kernel (-b, 1)
+    tower = BASE_TOWER.adjoin("b", [BASE_TOWER.coerce(-2), BASE_TOWER.zero, BASE_TOWER.one])
+    b, one, two = tower.gen(), tower.one, tower.coerce(2)
+    m = [[one, b], [b, two]]
+    assert linalg.rank(m, tower) == 1
+    (v,) = linalg.kernel_basis(m, tower)
+    assert tower.eq(v[0], tower.neg(b)) and tower.eq(v[1], one)
+    assert linalg.solve(m, [one, tower.zero], tower) is None
+    x = linalg.solve(m, [b, two], tower)
+    for row, want in zip(m, [b, two]):
+        got = tower.add(tower.mul(row[0], x[0]), tower.mul(row[1], x[1]))
+        assert tower.eq(got, want)
+
+
+# tangent_cone_lines at three VdGZ cusps, one per orbit, as the CycloElem
+# Gauss-Jordan and the augmented-matrix inverse gave them
+TANGENT_CONES = {
+    (-1, -1, 0, 1): ("x+1/2*z", "y+1/2*z", ["-1/2", "-1/2", "1"]),
+    (-1, -1, 1, 0): ("x+1/2*w", "y+1/2*w", ["-1/2", "-1/2", "1"]),
+    (-1, 1, -1, 1): ("x+y-z", "x-y-z", ["1", "0", "1"]),
+}
+
+
+@pytest.mark.parametrize("coords", list(TANGENT_CONES), ids=str)
+def test_tangent_cone_lines_unchanged_on_vdgz_cusps(coords):
+    S = catalog.get("vdgz_quintic").poly
+    cusp = ProjPoint(list(coords))
+    assert cusp in catalog.vdgz_cusps()
+    flocal, cring, _, _ = _local_surface(S, cusp)
+    l1, l2, kern = tangent_cone_lines(flocal, cring)
+    assert (str(l1), str(l2), [str(c) for c in kern]) == TANGENT_CONES[coords]
