@@ -86,7 +86,7 @@ def _chart_only_report(name, poly, chart_name):
     ring = poly.ring
     if chart_name not in ring.vars:
         raise ValueError("unknown chart %r" % chart_name)
-    chart = ChartData(ring, jacobian(poly), ring.vars.index(chart_name))
+    chart = ChartData(jacobian(poly), ring.vars.index(chart_name))
     try:
         scheme = chart.scheme
     except NotZeroDimensional as ev:

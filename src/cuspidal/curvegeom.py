@@ -29,7 +29,7 @@ from .groebner import (
     zero_dim_analyze,
 )
 from .multipoly import Poly, ProjPoint, QZ5, Ring, minors, restrict_to_plane
-from .singcert import chart_ring, degree_part, quadratic_matrix, to_chart
+from .singcert import chart_piece, chart_ring, degree_part, quadratic_matrix, to_chart
 
 
 class SquareRootFailure(Exception):
@@ -117,7 +117,7 @@ def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action=None) -> TropeCens
     for triple in itertools.combinations(range(len(nodes)), 3):
         if any(set(triple) <= set(six) for six in planes):
             continue
-        kern = linalg.kernel_basis([list(nodes[i].coords) for i in triple], QZ5)
+        kern = linalg.kernel_basis([list(nodes[i].coords) for i in triple])
         if len(kern) != 1:
             continue  # collinear nodes
         terms = []
@@ -258,14 +258,10 @@ def _chart_pieces(gens):
     """V(gens) in P^n as disjoint chart pieces (last nonzero coordinate
     = 1): (chart index, zero-dimensional scheme) for each nonempty piece.
     Raises NotZeroDimensional when a piece is positive-dimensional."""
-    ring = gens[0].ring
     out = []
-    for ci in range(ring.nvars):
-        cring = chart_ring(ring, ci)
-        # the chart ring's variables from position ci on are the later ones
-        g2 = [to_chart(g, ci, cring) for g in gens]
-        g2 += [cring.var(v) for v in cring.vars[ci:]]
-        gb = buchberger([g for g in g2 if not g.is_zero], ring=cring)
+    for ci in range(gens[0].ring.nvars):
+        cring, cgens, later = chart_piece(gens, ci)
+        gb = buchberger(cgens + later, ring=cring)
         if not gb.is_trivial():
             out.append((ci, zero_dim_analyze(gb)))
     return out
@@ -391,37 +387,27 @@ def _local_surface(S: Poly, cusp: ProjPoint):
     return f.subs(shift), cring, ci, shift
 
 
-def _field_sqrt(x, field):
-    if not hasattr(field, "levels"):
-        return cyclo_sqrt(x)
-    flat = field.flatten(x)
-    if any(not c.is_zero for c in flat[1:]):
-        return None
-    r = cyclo_sqrt(flat[0])
-    return None if r is None else field.coerce(r)
-
-
 def tangent_cone_lines(flocal: Poly, cring: Ring):
     """Factor the rank-2 quadratic part into two monic linear forms.
 
     Returns (l1, l2, kernel_vector); deterministic labelling (sorted by
     string form); raises ResolutionError when the rank is not 2 or the
-    splitting needs a square root outside the working field.
+    splitting needs a square root outside Q(zeta5).
     """
     field = cring.field
     if degree_part(flocal, 0).terms or degree_part(flocal, 1).terms:
         raise ResolutionError("point is not singular on the surface")
     quad = degree_part(flocal, 2)
     m = quadratic_matrix(quad, cring)
-    if linalg.rank(m, field) != 2:
+    if linalg.rank(m) != 2:
         raise ResolutionError("tangent cone rank is not 2 (not an A2 datum)")
-    kern = linalg.kernel_basis(m, field)[0]
+    kern = linalg.kernel_basis(m)[0]
     comp = []
     for i in range(3):
         v = [field.zero] * 3
         v[i] = field.one
         trial = [list(u) for u in comp] + [v, list(kern)]
-        if linalg.rank(trial, field) == len(trial):
+        if linalg.rank(trial) == len(trial):
             comp.append(v)
         if len(comp) == 2:
             break
@@ -440,8 +426,8 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     # rows 0 and 1 of the inverse of the basis matrix [v1 v2 kern]: the
     # linear forms s and t with u = s(u) v1 + t(u) v2 + (.) kern
     basis = [v1, v2, kern]
-    s_row = linalg.solve(basis, [field.one, field.zero, field.zero], field)
-    t_row = linalg.solve(basis, [field.zero, field.one, field.zero], field)
+    s_row = linalg.solve(basis, [field.one, field.zero, field.zero])
+    t_row = linalg.solve(basis, [field.zero, field.one, field.zero])
 
     def linear_poly(coeffs):
         return cring.from_terms(
@@ -460,7 +446,7 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
         l2 = s_poly.scale(b) + t_poly.scale(c)
     else:
         disc = field.sub(field.mul(b, b), field.mul(field.coerce(4), field.mul(a, c)))
-        delta = _field_sqrt(disc, field)
+        delta = cyclo_sqrt(disc)
         if delta is None:
             raise ResolutionError(
                 "tangent cone splits only over a quadratic extension"
@@ -486,7 +472,7 @@ def blow_up_charts(cring: Ring):
         names = tuple(
             "v_%s" % cring.vars[j] for j in range(3) if j != mchart
         ) + ("w_",)
-        bring = Ring(names, cring.order, cring.field)
+        bring = Ring(names, cring.order)
         vs = bring.gens()
         w = vs[-1]
         images = []
@@ -566,7 +552,7 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
     field = cring.field
     l1, l2, kern = tangent_cone_lines(flocal, cring)
     cubic = degree_part(flocal, 3)
-    if field.is_zero(cubic.eval(list(kern), field=field)):
+    if field.is_zero(cubic.eval(list(kern))):
         raise ResolutionError(
             "not resolved by the point blow-up (cubic vanishes on the kernel "
             "line); contradicts the A2 certificate"

@@ -10,12 +10,15 @@ Element representation: a depth-k element is a tuple of depth-(k-1)
 elements of length deg(minpoly at level k-1); depth-0 elements are
 CycloElem.  Representatives are always fully reduced, so an element is
 zero in every branch iff its representative is the zero tuple.
+
+No other module imports this one: every ring, point and matrix of the
+pipeline is over Q(zeta5) (docs/DECISIONS.md D17).  The towers stay for
+the dynamic-split property of acceptance criterion 9.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .cyclofield import CycloElem
 from .multipoly import QZ5
@@ -113,7 +116,7 @@ class TowerContext:
             rep = (rep,) + (self._zeros[j],) * (self.level_degree(j) - 1)
         return rep
 
-    # -- coercion / transport ---------------------------------------------------
+    # -- coercion and re-reduction ---------------------------------------------------
 
     def coerce(self, x):
         if isinstance(x, tuple):
@@ -131,32 +134,9 @@ class TowerContext:
             rep = (rep,) + (self._zeros[j],) * (self.level_degree(j) - 1)
         return rep
 
-    def lift(self, rep):
-        """Lift a representative of the immediate sub-tower into this one."""
-        if self.depth == 0:
-            return rep
-        k = self.depth - 1
-        d = self.level_degree(k)
-        return (rep,) + (self._zeros[k],) * (d - 1)
-
-    def flatten(self, rep):
-        """Coordinates of rep over Q(zeta5) (length == self.degree())."""
-        out = []
-        self._flatten(rep, self.depth, out)
-        return out
-
-    def _flatten(self, rep, k, out):
-        if k == 0:
-            out.append(rep)
-            return
-        for c in rep:
-            self._flatten(c, k - 1, out)
-
-    def transport(self, rep):
-        """Re-reduce a representative from a coarser same-shape tower."""
-        return self._transport(rep, self.depth)
-
     def _transport(self, rep, k):
+        """Re-reduce a depth-k representative from a coarser same-shape
+        tower: the splitting code moves the upper levels' minpolys with it."""
         if k == 0:
             return rep
         sub = k - 1
@@ -246,15 +226,6 @@ class TowerContext:
         if k == 0:
             return a * r
         return tuple(self._scale_rat(x, r, k - 1) for x in a)
-
-    def content(self, a):
-        """(gcd of the integer numerators, common denominator) of a's
-        coordinates over Q(zeta5)."""
-        g, d = 0, 1
-        for x in self.flatten(a):
-            g = gcd(g, *x.n)
-            d = lcm(d, x.d)
-        return g, d
 
     # -- inversion with dynamic splitting ---------------------------------------------
 
@@ -367,21 +338,6 @@ class TowerContext:
 
 
 BASE_TOWER = TowerContext(())
-
-
-def run_branches(fn, ctx):
-    """Evaluate fn(ctx); on SplitEvent recurse into every branch.
-
-    Returns a list of (branch_context, result).  fn must transport its own
-    inputs into the context it receives.
-    """
-    try:
-        return [(ctx, fn(ctx))]
-    except SplitEvent as ev:
-        out = []
-        for b in ev.branches:
-            out.extend(run_branches(fn, b))
-        return out
 
 
 def ext_invert_or_split(ctx: TowerContext, a):

@@ -6,9 +6,9 @@ divides.  Every reduction is heap division on packed monomials
 (``TermOrder.pack``) inside one kernel, ``Reducers.raw_remainder``: a
 basis is packed once (``GroebnerBasis.reducers``, or grown with the basis
 inside ``buchberger``) and pairs are popped from a heap keyed on (sugar,
-packed lcm, i, j) (docs/DECISIONS.md D6).  The kernel runs over
-Q(zeta5) only, on raw integer numerators, one gcd per popped monomial
-(D7); any other field context raises TypeError.  It is seeded straight
+packed lcm, i, j) (docs/DECISIONS.md D6).  The kernel runs on raw
+Q(zeta5) integer numerators, one gcd per popped monomial (D7), as every
+ring is over Q(zeta5) (D17).  It is seeded straight
 from packed terms (D8): a polynomial, an S-pair from the two packed
 tails, a sum of products term by term, or a basis tail, so no tuple
 polynomial is built only to be packed again.  Its remainder stays raw,
@@ -26,11 +26,11 @@ packing lives only in the kernel's seeds, the pair queue and the
 standard-monomial scan.
 Zero-dimensional ideals get: standard monomials and degree, eliminants
 by Krylov iteration on the quotient, Seidenberg radicals, and point
-extraction in shape position, where the points that are not
-Q(zeta5)-rational become dynamic extension-tower branches;
-Q(zeta5)-rational points are resolved out of branches by the verified
-mod-p lifting in modp.  Only point extraction imports extfield and
-modp, so a process that extracts no points never loads them.  The
+extraction in shape position, whose Q(zeta5)-rational points are found
+by the verified mod-p lifting in modp; points that are not
+Q(zeta5)-rational end the extraction as a typed NonRationalResidual
+(D17).  Only point extraction imports modp, so a process that extracts
+no points never loads it.  The
 linear algebra on the quotient runs on the raw Z[zeta5] echelon of
 `linalg` (D9): pivots scaled to their norm, one content gcd per reduced
 vector, and CycloElems only at the interface.  Each scheme has one
@@ -150,8 +150,6 @@ class Reducers:
     """
 
     def __init__(self, ring, polys=()):
-        if ring.field is not QZ5:
-            raise TypeError("Groebner reduction runs over %s only" % QZ5.name)
         order = ring.order
         self.ring = ring
         self.pack = order.pack
@@ -352,7 +350,7 @@ def spoly(f: Poly, g: Poly) -> Poly:
     return shift(lf) * f - shift(lg) * g
 
 
-# (number of variables, term order name, field, frozenset of the monic
+# (number of variables, term order name, frozenset of the monic
 # generators' terms) -> (terms of the reduced basis, stats of the run that
 # computed it): one entry per ideal run in this process (D14)
 _BASES = {}
@@ -384,7 +382,7 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
             for g in gens
         ]
     gens = [g.monic() for g in gens if g.terms]
-    key = (ring.nvars, ring.order.name, ring.field, frozenset([g.terms for g in gens]))
+    key = (ring.nvars, ring.order.name, frozenset([g.terms for g in gens]))
     hit = _BASES.get(key)
     if hit is None:
         hit = _BASES[key] = _run(gens, ring)
@@ -787,68 +785,43 @@ class ShapePositionError(Exception):
     pass
 
 
-class PointBranch:
-    """Points of a scheme living over one tower branch.
+class NonRationalResidual(Exception):
+    """Points of a scheme that are not Q(zeta5)-rational: a factor of
+    this degree of the separating eliminant has no root in Q(zeta5)."""
 
-    coords are affine coordinates (one per ring variable) with values in
-    the branch tower; degree is the number of geometric points the branch
-    represents (1 means a single rational point over the scheme's field).
-    """
-
-    def __init__(self, ctx, coords, degree, eliminant_coeffs=None, t_name=None):
-        self.ctx = ctx
-        self.coords = tuple(coords)
-        self.degree = degree
-        self.eliminant = eliminant_coeffs
-        self.t_name = t_name
-
-    @property
-    def is_rational(self):
-        return self.degree == 1
-
-    def __repr__(self):
-        kind = "point" if self.is_rational else "branch(deg=%d)" % self.degree
-        return "PointBranch[%s: %s]" % (
-            kind,
-            ", ".join(self.ctx.to_str(c) for c in self.coords),
+    def __init__(self, degree):
+        super().__init__(
+            "%d point(s) of the scheme are not Q(zeta5)-rational" % degree
         )
+        self.degree = degree
 
 
-def _as_tower(field):
-    from .extfield import BASE_TOWER, TowerContext
-
-    if isinstance(field, TowerContext):
-        return field
-    return BASE_TOWER
+# seeded random linear forms tried after the single variables
+_SEPARATING_TRIES = 8
 
 
-def extract_points(
-    scheme: ZeroDimScheme,
-    seed: int = 20240501,
-    known_points=(),
-    resolve: bool = True,
-    max_tries: int = 8,
-):
-    """All points of a radical zero-dimensional scheme, as PointBranch list.
+def extract_points(scheme: ZeroDimScheme, seed: int = 20240501, known_points=()):
+    """All points of a radical zero-dimensional scheme over Q(zeta5), as
+    tuples of affine coordinates (one per ring variable).
 
     Shape position: a separating linear form t is found (single variables
     first, then seeded random combinations); the lex-style description
     {g(t), x_i - h_i(t)} is realized through the Krylov iteration, known
-    rational points are peeled off g, remaining Q(zeta5)-rational roots are
-    resolved by verified mod-p lifting, and whatever is left becomes a
-    dynamic tower branch.  The branch degrees always sum to the scheme
-    degree.
+    rational points are peeled off g, and the remaining Q(zeta5)-rational
+    roots are resolved by verified mod-p lifting.  Raises
+    NonRationalResidual(d) when a factor of g of degree d > 1 has no root
+    left in Q(zeta5) (docs/DECISIONS.md D17); otherwise one point per
+    unit of the scheme degree is returned.
     """
     import random as _random
 
-    from .extfield import TowerContext
     from .modp import roots_in_qz5
 
     scheme = radical_zero_dim(scheme)
     if scheme.degree == 0:
         return []
     ring = scheme.ring
-    field = ring.field
+    field = QZ5
     n = ring.nvars
     rng = _random.Random(seed)
     alg = scheme.algebra
@@ -856,7 +829,7 @@ def extract_points(
     candidates = []
     for i in range(n - 1, -1, -1):
         candidates.append(ring.var(ring.vars[i]))
-    for _ in range(max_tries):
+    for _ in range(_SEPARATING_TRIES):
         combo = ring.var(ring.vars[n - 1])
         for i in range(n - 1):
             c = rng.randint(-4, 4)
@@ -872,7 +845,7 @@ def extract_points(
             break
     if lam is None:
         raise ShapePositionError(
-            "no separating linear form found after %d attempts" % max_tries
+            "no separating linear form found after %d attempts" % _SEPARATING_TRIES
         )
 
     params = []
@@ -887,24 +860,22 @@ def extract_points(
     gb_polys = scheme.gb.polys
 
     def in_scheme(coords):
-        return all(
-            field.is_zero(p.eval(list(coords), field=field)) for p in gb_polys
-        )
+        return all(field.is_zero(p.eval(list(coords))) for p in gb_polys)
 
     # peel known rational points
     for p in known_points:
         coords = tuple(field.coerce(c) for c in p)
         if not in_scheme(coords):
             continue
-        t0 = lam.eval(list(coords), field=field)
+        t0 = lam.eval(list(coords))
         g2 = unipoly.peel_root(g, t0, field)
         if g2 is None:
             continue
         g = g2
-        out.append(PointBranch(_as_tower(field), coords, 1))
+        out.append(coords)
 
-    # resolve remaining rational roots over the base field
-    if resolve and not isinstance(field, TowerContext) and unipoly.deg(g, field) > 0:
+    # resolve the remaining rational roots
+    if unipoly.deg(g, field) > 0:
         for t0 in roots_in_qz5(list(g)):
             g2 = unipoly.peel_root(g, t0, field)
             if g2 is None:
@@ -915,32 +886,17 @@ def extract_points(
             if not in_scheme(coords):
                 continue
             g = g2
-            out.append(PointBranch(_as_tower(field), coords, 1))
+            out.append(coords)
 
     d = unipoly.deg(g, field)
     if d == 1:
         t0 = field.neg(g[0])
-        coords = tuple(unipoly.eval_poly(h, t0, field) for h in params)
-        out.append(PointBranch(_as_tower(field), coords, 1))
+        out.append(tuple(unipoly.eval_poly(h, t0, field) for h in params))
     elif d > 1:
-        base = _as_tower(field)
-        t_name = "t%d" % (base.depth + 1)
-        # coefficients of g are already valid base-tower representatives
-        tower = base.adjoin(t_name, list(g))
-        gen = tower.gen()
-        coords = []
-        for h in params:
-            acc = tower.zero
-            for c in reversed(h):
-                acc = tower.add(tower.mul(acc, gen), tower.lift(c))
-            coords.append(acc)
-        out.append(
-            PointBranch(tower, tuple(coords), d, eliminant_coeffs=g, t_name=t_name)
-        )
+        raise NonRationalResidual(d)
 
-    total = sum(b.degree for b in out)
-    if total != scheme.degree:
+    if len(out) != scheme.degree:
         raise AssertionError(
-            "extracted degree %d != scheme degree %d" % (total, scheme.degree)
+            "extracted degree %d != scheme degree %d" % (len(out), scheme.degree)
         )
     return out

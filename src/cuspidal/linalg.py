@@ -1,11 +1,10 @@
-"""Exact dense linear algebra: one raw Z[zeta5] echelon for Q(zeta5), and a
-Gauss-Jordan loop for the other field contexts (the extension towers).
+"""Exact dense linear algebra over Q(zeta5) on one raw Z[zeta5] echelon.
 
-Matrices are lists of lists of field elements; all routines are
+Matrices are lists of lists of CycloElems; all routines are
 deterministic, and `rref` returns the unique reduced row echelon form.
 
-Over Q(zeta5) every routine runs on the raw-row echelon that the
-quotient algebra also uses (docs/DECISIONS.md D9, D16).  A vector is a
+Every routine runs on the raw-row echelon that the quotient algebra
+also uses (docs/DECISIONS.md D9, D16, D17).  A vector is a
 list of integer 4-tuples, numerators in Z[e] with no denominator, so a
 span does not depend on the scale.  An echelon row is (pivot, N, row,
 its nonzero entries): the row is multiplied by s2 s3 s4 of its pivot
@@ -15,11 +14,6 @@ v <- N * v - v[pivot] * row, with `phi5_mul` and no gcd; a remainder
 takes one content gcd when it becomes a row.  `rref` sorts the rows by
 pivot, clears each pivot column in the other rows, and divides each row
 by its pivot: CycloElems are built only there.
-
-Any other field context (`extfield.TowerContext`) takes the Gauss-Jordan
-loop through the context's own operations, one inversion per pivot; over
-a dynamic tower an inversion of a zero divisor raises a SplitEvent which
-callers handle branch by branch.
 """
 
 from __future__ import annotations
@@ -176,86 +170,53 @@ def _reduced_echelon(m):
 
 
 # ---------------------------------------------------------------------------
-# the field-level routines
+# the public routines
 
 
-def _gauss_jordan(m, field):
-    """Reduced row echelon form through the field context's operations."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if not field.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(v, inv) for v in m[r]]
-        for i in range(rows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def rref(m, field):
+def rref(m):
     """Reduced row echelon form; returns (rref_matrix, pivot_columns).
     The matrix keeps m's number of rows, the zero rows last."""
-    if field is not QZ5:
-        return _gauss_jordan(m, field)
     rows = _reduced_echelon(m)
     cols = len(m[0]) if m else 0
     out = [[canon(x, N) for x in v] for _, N, v, _ in rows]
-    out += [[field.zero] * cols for _ in range(len(m) - len(rows))]
+    out += [[QZ5.zero] * cols for _ in range(len(m) - len(rows))]
     return out, [piv for piv, _, _, _ in rows]
 
 
-def rank(m, field):
+def rank(m):
     if not m:
         return 0
-    if field is QZ5:
-        return len(_echelon(_int_vector(row)[0] for row in m))
-    return len(_gauss_jordan(m, field)[1])
+    return len(_echelon(_int_vector(row)[0] for row in m))
 
 
-def kernel_basis(m, field):
+def kernel_basis(m):
     """Basis of the right kernel {v : m v = 0}: one vector per free column
     c, with 1 at c, 0 at the other free columns, and minus the reduced
     row's entry in column c at each pivot."""
     if not m:
         return []
     cols = len(m[0])
-    red, pivots = rref(m, field)
+    red, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [field.zero] * cols
-        v[fc] = field.one
+        v = [QZ5.zero] * cols
+        v[fc] = QZ5.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
+            v[pc] = -red[r][fc]
         basis.append(v)
     return basis
 
 
-def solve(m, rhs, field):
+def solve(m, rhs):
     """One solution of m x = rhs, or None when inconsistent."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     aug = [m[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug, field)
+    red, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [field.zero] * cols
+    x = [QZ5.zero] * cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x

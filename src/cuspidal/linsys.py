@@ -1,16 +1,15 @@
 """Linear systems of surfaces with imposed (double) points.
 
-Conditions are imposed in two interchangeable ways:
+Conditions are imposed in two interchangeable ways, both linear in the
+unknown coefficients and over Q(zeta5) (docs/DECISIONS.md D17):
 
 * against a point locus given by radical Groebner bases (one per affine
   chart piece): a double point condition means every partial derivative
-  of the unknown surface reduces to zero against the locus -- linear in
-  the unknown coefficients and entirely over Q(zeta5), whatever field the
-  individual points live in;
+  of the unknown surface reduces to zero against the locus, whatever
+  field the individual points live in;
 
-* against explicit points (possibly with dynamic-tower coordinates): each
-  evaluated condition is expanded over the tower's Q(zeta5)-basis
-  (restriction of scalars), one matrix row per basis coordinate.
+* against explicit Q(zeta5)-rational points: one matrix row per
+  evaluated condition.
 
 Also here: the one-parameter cusp-imposing solve (roots b of the gcd of
 all order-3 Hessian minor conditions of L1 + b*L2), membership checking
@@ -21,7 +20,6 @@ Kummer-type non-existence check on the Van der Geer-Zagier cusps.
 from __future__ import annotations
 
 from . import linalg, unipoly
-from .extfield import TowerContext
 from .groebner import normal_form
 from .modp import roots_in_qz5
 from .multipoly import Poly, ProjPoint, QZ5, Ring, minors
@@ -79,7 +77,7 @@ class LinearSystem:
         for e, c in f.terms:
             if e not in cols and not QZ5.is_zero(c):
                 return False
-        return linalg.solve(mat, rhs, QZ5) is not None
+        return linalg.solve(mat, rhs) is not None
 
 
 def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSystem:
@@ -115,25 +113,19 @@ def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSyst
                 rows.append(row)
 
     for point, order in points:
-        pfield = point.field
         coords = list(point.coords)
         if order == 1:
-            vals = [
-                Poly(ring, ((m, field.one),)).eval(coords, field=pfield)
-                for m in columns
-            ]
-            rows.extend(_expand_rows(vals, pfield))
+            rows.append([Poly(ring, ((m, field.one),)).eval(coords) for m in columns])
         elif order == 2:
             for v in range(ring.nvars):
-                vals = []
-                for m in columns:
-                    mono = Poly(ring, ((m, field.one),)).partial(v)
-                    vals.append(mono.eval(coords, field=pfield))
-                rows.extend(_expand_rows(vals, pfield))
+                rows.append([
+                    Poly(ring, ((m, field.one),)).partial(v).eval(coords)
+                    for m in columns
+                ])
         else:
             raise ValueError("condition order must be 1 or 2")
 
-    kernel = linalg.kernel_basis(rows, field) if rows else []
+    kernel = linalg.kernel_basis(rows) if rows else []
     if not rows:
         kernel = [
             [field.one if i == j else field.zero for j in range(len(columns))]
@@ -147,15 +139,6 @@ def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSyst
             )
         )
     return LinearSystem(d, action_k, columns, basis, len(rows))
-
-
-def _expand_rows(vals, pfield):
-    """Restriction of scalars: one Q(zeta5) row per tower basis coordinate."""
-    if not isinstance(pfield, TowerContext) or pfield.depth == 0:
-        return [list(vals)]
-    flat = [pfield.flatten(v) for v in vals]
-    n = pfield.degree()
-    return [[flat[j][i] for j in range(len(vals))] for i in range(n)]
 
 
 def check_double_points(basis, loci, ring):
@@ -197,7 +180,7 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
     unsolved residual factor (0 when everything is accounted for).
     """
     ring = L1.ring
-    ext = Ring(ring.vars + ("b",), ring.order, ring.field)
+    ext = Ring(ring.vars + ("b",), ring.order)
 
     def lift(p):
         return ext.from_terms(((e + (0,)), c) for e, c in p.terms)
@@ -295,10 +278,8 @@ def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint, ring=No
     fixed = ProjPoint([1, 1, 1, 1])
 
     def partials_vanish(point):
-        f = point.field
         return all(
-            f.is_zero(F.partial(v).eval(list(point.coords), field=f))
-            for v in range(4)
+            QZ5.is_zero(F.partial(v).eval(list(point.coords))) for v in range(4)
         )
 
     groups["partials_at_fixed_choice"] = (
@@ -319,44 +300,14 @@ def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint, ring=No
 
     # orbit separation: the three representatives in pairwise distinct orbits
     step = ActionK(0).on_point
+    # ProjPoints are normalised, so projective equality is ==
     same_orbit = any(
-        _points_possibly_equal(a, q)
+        a == q
         for a, b in ((fixed, rep2), (fixed, rep3), (rep2, rep3))
         for q in orbit(b, step)
     )
     groups["orbit_separation"] = "fail" if same_orbit else "pass"
     return SCMembershipVerdict(groups)
-
-
-def _points_possibly_equal(p: ProjPoint, q: ProjPoint) -> bool:
-    """Projective equality test across possibly different fields.
-
-    Uses the 2x2 minors of the coordinate matrix; fields must embed into a
-    common tower, otherwise points are compared through their Q(zeta5)
-    coordinates when both are rational.
-    """
-    fp, fq = p.field, q.field
-    if fp is fq or (not isinstance(fp, TowerContext) and not isinstance(fq, TowerContext)):
-        f = fp
-        cp, cq = p.coords, q.coords
-    elif isinstance(fq, TowerContext) and not isinstance(fp, TowerContext):
-        f = fq
-        cp = [f.coerce(c) for c in p.coords]
-        cq = q.coords
-    elif isinstance(fp, TowerContext) and not isinstance(fq, TowerContext):
-        f = fp
-        cp = p.coords
-        cq = [f.coerce(c) for c in q.coords]
-    else:
-        f = fp
-        cp = p.coords
-        cq = [f.transport(c) for c in q.coords]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = f.sub(f.mul(cp[i], cq[j]), f.mul(cp[j], cq[i]))
-            if not f.is_zero(m):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

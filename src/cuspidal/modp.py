@@ -8,7 +8,8 @@ four rational coordinates recovered by rational reconstruction.  Both
 rings are one class, ZetaModM, a field context for the polynomial
 routines of `unipoly`.  Every candidate is verified exactly before being
 returned, so the lifting never affects soundness, only completeness;
-callers keep unresolved factors as tower branches.
+`groebner.extract_points` reports a factor left without roots as a
+NonRationalResidual.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def roots_in_qz5(coeffs, rng_seed=20240, max_lift=9, primes=None):
 
     coeffs: list of CycloElem, low to high degree.  Returns a list of
     CycloElem roots, each verified exactly by substitution.  Roots outside
-    Q(zeta5) are silently ignored (the caller retains them in towers).
+    Q(zeta5) are silently ignored (the caller sees them as the factor left
+    after peeling the roots returned).
     """
     coeffs = unipoly.trim(coeffs, QZ5)
     if len(coeffs) <= 1:

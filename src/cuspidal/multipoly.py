@@ -1,14 +1,15 @@
-"""Sparse multivariate polynomials over Q(zeta5) or a triangular extension.
+"""Sparse multivariate polynomials over Q(zeta5).
 
 A monomial is a plain tuple of exponents (one slot per ring variable); a
 polynomial stores its terms as a tuple of (monomial, coefficient) pairs,
 strictly decreasing in the ring's term order, with no zero coefficients.
 The term order also packs a monomial into one int (``TermOrder.pack``),
 the form the Groebner kernel computes with.
-Coefficient arithmetic is delegated to a field context so the same code
-runs over Q(zeta5) and over dynamic towers (see extfield); over Q(zeta5),
-products and evaluation sum raw integer numerators per monomial and bring
-each output coefficient to lowest terms once (docs/DECISIONS.md D15).
+Q(zeta5) is the only coefficient field (docs/DECISIONS.md D17): its field
+context ``QZ5`` is the class constant ``Ring.field`` and
+``ProjPoint.field``.  Products, substitutions and evaluation sum raw
+integer numerators per monomial and bring each output coefficient to
+lowest terms once (D15).
 
 The text grammar matches the catalog equations: explicit `*`, `^`, integer
 and `p/q` literals, the constant `e`, parentheses; implicit multiplication
@@ -173,12 +174,14 @@ def mono_deg(a):
 
 
 class Ring:
-    """Polynomial ring descriptor: ordered variables, term order, field."""
+    """Polynomial ring descriptor over Q(zeta5): ordered variables and a
+    term order."""
 
-    def __init__(self, variables, order=DEGREVLEX, field=QZ5):
+    field = QZ5
+
+    def __init__(self, variables, order=DEGREVLEX):
         self.vars = tuple(variables)
         self.order = order
-        self.field = field
         self.nvars = len(self.vars)
         self._zero_mono = (0,) * self.nvars
 
@@ -190,11 +193,10 @@ class Ring:
             isinstance(other, Ring)
             and self.vars == other.vars
             and self.order.name == other.order.name
-            and self.field is other.field
         )
 
     def __hash__(self):
-        return hash((self.vars, self.order.name, id(self.field)))
+        return hash((self.vars, self.order.name))
 
     # -- constructors ------------------------------------------------------
 
@@ -239,8 +241,6 @@ class Ring:
 
     def _from_products(self, acc):
         """The polynomial of a dict filled by `_mul_terms_into`."""
-        if self.field is not QZ5:
-            return self.from_dict(acc)
         out = []
         for e in sorted(acc, key=self.order.key, reverse=True):
             n0, n1, n2, n3, d = acc[e]
@@ -250,9 +250,6 @@ class Ring:
 
     def parse(self, text):
         return parse_poly(text, self)
-
-    def with_field(self, field):
-        return Ring(self.vars, self.order, field)
 
 
 class Poly:
@@ -344,8 +341,7 @@ class Poly:
             return self.ring.zero
         if len(a) > len(b):
             a, b = b, a
-        f = self.ring.field
-        return self.ring._from_products(_mul_terms_into({}, _raw_terms(a, f), b, f))
+        return self.ring._from_products(_mul_terms_into({}, _raw_terms(a), b))
 
     __rmul__ = __mul__
 
@@ -383,8 +379,8 @@ class Poly:
         return self - g * Poly(self.ring, ((mono, c),))
 
     def monic(self):
-        """Divide by the leading coefficient (may split over towers); a
-        monic polynomial is returned as it is."""
+        """Divide by the leading coefficient; a monic polynomial is
+        returned as it is."""
         if not self.terms:
             return self
         f = self.ring.field
@@ -445,7 +441,6 @@ class Poly:
         """
         src = self.ring
         target = src if ring is None else ring
-        f = target.field
         images = [None] * src.nvars
         for k, v in assignment.items():
             i = k if isinstance(k, int) else src.vars.index(k)
@@ -467,16 +462,16 @@ class Poly:
                     while len(pw) <= k:
                         pw.append(pw[-1] * images[i])
                     factors.append(pw[k].terms)
-            part = _raw_terms(((zero, f.coerce(c)),), f)
+            part = _raw_terms(((zero, QZ5.coerce(c)),))
             for fac in factors[:-1]:
-                part = _mul_terms_into({}, part, fac, f).items()
-            _mul_terms_into(out, part, factors[-1] if factors else one.terms, f)
+                part = _mul_terms_into({}, part, fac).items()
+            _mul_terms_into(out, part, factors[-1] if factors else one.terms)
         return target._from_products(out)
 
-    def eval(self, coords, field=None):
-        """Full evaluation at a point (coords in this or a larger field);
-        over Q(zeta5) the terms' values are summed on raw numerators."""
-        f = field if field is not None else self.ring.field
+    def eval(self, coords):
+        """Full evaluation at a point; the terms' values are summed on raw
+        numerators."""
+        f = QZ5
         pow_cache = {}
         vals = []
         for e, c in self.terms:
@@ -491,8 +486,6 @@ class Poly:
                         pow_cache[i, k] = p
                     v.append(p)
             vals.append(v)
-        if f is not QZ5:
-            return reduce(f.add, [reduce(f.mul, v) for v in vals], f.zero)
         s0, s1, s2, s3, sd = 0, 0, 0, 0, 1
         for v in vals:
             b0, b1, b2, b3 = reduce(phi5_mul, [p.n for p in v])
@@ -541,27 +534,17 @@ class Poly:
         return "Poly(%s)" % print_poly(self)
 
 
-def _raw_terms(terms, field):
-    """Over Q(zeta5), each coefficient n/d as the raw 5-tuple (n0, ..., d)."""
-    if field is not QZ5:
-        return terms
+def _raw_terms(terms):
+    """Each coefficient n/d as the raw 5-tuple (n0, ..., d)."""
     return [(e, c.n + (c.d,)) for e, c in terms]
 
 
-def _mul_terms_into(acc, a, b, field):
+def _mul_terms_into(acc, a, b):
     """Add the product of the term sequences a (from `_raw_terms`) and b
-    into the dict acc.  Over Q(zeta5) acc holds raw 5-tuples for
-    `Ring._from_products` (docs/DECISIONS.md D15): a product is a
-    `phi5_mul`, or 4 integer products when a's factor is rational, and is
-    added over an equal denominator, cross-multiplied over another."""
-    if field is not QZ5:
-        mul, add = field.mul, field.add
-        for ea, ca in a:
-            for eb, cb in b:
-                m = tuple(map(operator.add, ea, eb))
-                p = mul(ca, cb)
-                acc[m] = add(acc[m], p) if m in acc else p
-        return acc
+    into the dict acc of raw 5-tuples for `Ring._from_products`
+    (docs/DECISIONS.md D15): a product is a `phi5_mul`, or 4 integer
+    products when a's factor is rational, and is added over an equal
+    denominator, cross-multiplied over another."""
     get, plus = acc.get, operator.add
     for ea, (a0, a1, a2, a3, da) in a:
         na, scale = (a0, a1, a2, a3), not (a1 or a2 or a3)
@@ -699,19 +682,21 @@ def restrict_to_plane(p: Poly, plane: Poly):
 
 
 class ProjPoint:
-    """Point of P^(n-1); normalized so the last nonzero coordinate is 1."""
+    """Point of P^(n-1) over Q(zeta5); normalized so the last nonzero
+    coordinate is 1."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords, field=QZ5, normalize=True):
+    field = QZ5
+
+    def __init__(self, coords):
+        field = QZ5
         coords = tuple(field.coerce(c) for c in coords)
         if all(field.is_zero(c) for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        if normalize:
-            last = max(i for i, c in enumerate(coords) if not field.is_zero(c))
-            inv = field.inv(coords[last])
-            coords = tuple(field.mul(c, inv) for c in coords)
-        object.__setattr__(self, "field", field)
+        last = max(i for i, c in enumerate(coords) if not field.is_zero(c))
+        inv = field.inv(coords[last])
+        coords = tuple(field.mul(c, inv) for c in coords)
         object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, *a):
@@ -730,10 +715,7 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        if self.field is not other.field:
-            return NotImplemented
-        f = self.field
-        return all(f.eq(a, b) for a, b in zip(self.coords, other.coords))
+        return self.coords == other.coords
 
     def __hash__(self):
         return hash(tuple(str(c) for c in self.coords))
@@ -820,7 +802,7 @@ def parse_poly(text: str, ring: Ring) -> Poly:
 
 def parse_scalar(text: str) -> CycloElem:
     """Parse a scalar (no ring variables) in the same grammar."""
-    ring = Ring((), field=QZ5)
+    ring = Ring(())
     p = parse_poly(text, ring)
     if p.is_zero:
         return QZ5.zero

@@ -18,8 +18,8 @@ from .curvegeom import (
     pair_intersection_away_from,
     resolve_cusp,
 )
-from .groebner import extract_points
-from .multipoly import ProjPoint, QZ5
+from .groebner import NonRationalResidual, extract_points
+from .multipoly import ProjPoint
 from .singcert import classify_all
 from .zfive import orbit, orbits
 
@@ -44,10 +44,11 @@ def quartic_nodes(entry=None, seed=20240501):
         tuple(p.coords[:3])
         for p in orbit(catalog.CHOSEN_NODE, entry.action.on_point)
     ]
-    branches = extract_points(wpiece, seed=seed, known_points=known)
-    if not all(b.is_rational for b in branches):
-        raise PipelineError("non-rational node branch; tower coordinates kept")
-    cusps = [ProjPoint(list(b.coords) + [1]) for b in branches]
+    try:
+        points = extract_points(wpiece, seed=seed, known_points=known)
+    except NonRationalResidual as ev:
+        raise PipelineError("%d nodes are not Q(zeta5)-rational" % ev.degree)
+    cusps = [ProjPoint(list(p) + [1]) for p in points]
     if len(cusps) != 15:
         raise PipelineError("expected 15 non-fixed nodes")
     nodes = cusps + [catalog.FIXED_NODE]
@@ -132,7 +133,7 @@ def _two_independent(forms):
             for i in range(4)
         ]
         trial = rows + [coeffs]
-        if linalg.rank([list(r) for r in trial], QZ5) == len(trial):
+        if linalg.rank([list(r) for r in trial]) == len(trial):
             rows.append(coeffs)
             keep.append(f)
         if len(keep) == 2:
@@ -150,7 +151,7 @@ def _same_pencil(gens_a, gens_b):
         ]
 
     rows = [coeffs(g) for g in gens_a] + [coeffs(g) for g in gens_b]
-    return linalg.rank(rows, QZ5) == 2
+    return linalg.rank(rows) == 2
 
 
 class DivisibilityResult:

@@ -60,13 +60,9 @@ class ChartData:
     """One affine chart of the Jacobian scheme.  The chart's Buchberger
     run (`scheme`) and its radical are made on first use."""
 
-    def __init__(self, ring, parts, chart_index):
+    def __init__(self, parts, chart_index):
         self.chart_index = chart_index
-        self.ring = chart_ring(ring, chart_index)
-        gens = [to_chart(g, chart_index, self.ring) for g in parts]
-        self.gens = [g for g in gens if not g.is_zero]
-        # the later ambient coordinates, which vanish on this chart's piece
-        self.later = [self.ring.var(v) for v in ring.vars[chart_index + 1 :]]
+        self.ring, self.gens, self.later = chart_piece(parts, chart_index)
         self.piece_radical = None  # radical of the disjoint slice (set later)
         self.piece_tau = None
 
@@ -106,7 +102,18 @@ class SingularSchemeReport:
 
 def chart_ring(ring: Ring, chart_index: int) -> Ring:
     names = tuple(v for i, v in enumerate(ring.vars) if i != chart_index)
-    return Ring(names, ring.order, ring.field)
+    return Ring(names, ring.order)
+
+
+def chart_piece(gens, chart_index: int):
+    """Affine chart ci of V(gens) in P^n, for its piece (the points whose
+    last nonzero coordinate is x_ci): (chart ring, the nonzero
+    dehomogenised gens in their order, the later coordinates, which vanish
+    on the piece).  V(chart gens + later) is the piece."""
+    cring = chart_ring(gens[0].ring, chart_index)
+    cgens = [to_chart(g, chart_index, cring) for g in gens]
+    later = [cring.var(v) for v in cring.vars[chart_index:]]
+    return cring, [g for g in cgens if not g.is_zero], later
 
 
 def to_chart(p: Poly, chart_index: int, cring: Ring) -> Poly:
@@ -125,7 +132,7 @@ def singular_scheme(F: Poly, surface_name="surface") -> SingularSchemeReport:
         raise ValueError("surface polynomial must be homogeneous")
     ring = F.ring
     parts = jacobian(F)
-    charts = [ChartData(ring, parts, ci) for ci in range(ring.nvars)]
+    charts = [ChartData(parts, ci) for ci in range(ring.nvars)]
     positive = None
     for ci, chart in enumerate(charts):
         # piece: points whose LAST nonzero ambient coordinate is x_ci,
@@ -338,7 +345,7 @@ def _orbit_analysis(F: Poly, report, action):
     parts = jacobian(F)
     fixed_sing = []
     for p in action.fixed_points():
-        vals = [g.eval(list(p.coords), field=p.field) for g in parts]
+        vals = [g.eval(list(p.coords)) for g in parts]
         if all(p.field.is_zero(v) for v in vals):
             fixed_sing.append(p)
     free_count = n - len(fixed_sing)
@@ -353,12 +360,10 @@ def _orbit_analysis(F: Poly, report, action):
 
 def classify_at_point(F: Poly, point: ProjPoint):
     """Local classification at one singular point: 'A1', 'A2' or 'other'."""
-    ring = F.ring
     field = point.field
     ci = point.chart()
-    cring = chart_ring(ring, ci).with_field(field)
-    fc_ambient = to_chart(F, ci, chart_ring(ring, ci))
-    f = fc_ambient.map_coeffs(field.coerce, cring)
+    cring = chart_ring(F.ring, ci)
+    f = to_chart(F, ci, cring)
     aff = point.affine()
     shift = {i: cring.var(cring.vars[i]) + cring.from_scalar(aff[i]) for i in range(3)}
     local = f.subs(shift)
@@ -368,15 +373,15 @@ def classify_at_point(F: Poly, point: ProjPoint):
     if not degree_part(local, 0).is_zero or not degree_part(local, 1).is_zero:
         raise ValueError("point is not singular on the surface")
     qmat = quadratic_matrix(quad, cring)
-    rank = linalg.rank(qmat, field)
+    rank = linalg.rank(qmat)
     if rank == 3:
         return "A1"
     if rank == 2:
-        kern = linalg.kernel_basis(qmat, field)
+        kern = linalg.kernel_basis(qmat)
         if len(kern) != 1:
             return "other: quadratic rank defect"
         v = kern[0]
-        val = cubic.eval(v, field=field) if not cubic.is_zero else field.zero
+        val = cubic.eval(v) if not cubic.is_zero else field.zero
         if not field.is_zero(val):
             return "A2"
         return "other: needs higher jet"

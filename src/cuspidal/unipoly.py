@@ -1,9 +1,9 @@
 """Dense univariate polynomial helpers over any field context.
 
 Polynomials are plain lists of field elements, index = degree.  All
-division-like routines invert leading coefficients through the context,
-so over a dynamic tower a zero-divisor inversion raises SplitEvent and
-the caller re-runs per branch.
+division-like routines invert leading coefficients through the context:
+Q(zeta5), the rings Z[e]/(Phi5, M) of `modp`, or the towers of
+`extfield`, where a zero-divisor inversion raises SplitEvent.
 """
 
 from __future__ import annotations

@@ -50,9 +50,7 @@ class ActionK:
     def on_point(self, p: ProjPoint) -> ProjPoint:
         f = p.field
         s = self.scales()
-        return ProjPoint(
-            [f.mul(c, f.coerce(si)) for c, si in zip(p.coords, s)], field=f
-        )
+        return ProjPoint([f.mul(c, f.coerce(si)) for c, si in zip(p.coords, s)])
 
     def on_poly(self, p: Poly) -> Poly:
         """Substitute coordinates by their images (F composed with a_k)."""
@@ -162,7 +160,7 @@ def free_action_check(F: Poly, action=None) -> FreeActionVerdict:
         action = ActionK(0)
     bad = []
     for p in action.fixed_points():
-        v = F.eval(list(p.coords), field=p.field)
+        v = F.eval(list(p.coords))
         if p.field.is_zero(v):
             bad.append(p)
     return FreeActionVerdict(not bad, bad)
@@ -183,7 +181,7 @@ class LinearAction:
             for a, c in zip(row, p.coords):
                 acc = f.add(acc, f.mul(f.coerce(a), c))
             coords.append(acc)
-        return ProjPoint(coords, field=f)
+        return ProjPoint(coords)
 
     def on_poly(self, p: Poly) -> Poly:
         """F(M x): substitute each variable by the corresponding row form."""
@@ -210,7 +208,7 @@ class LinearAction:
                 ]
                 for i in range(4)
             ]
-            kernel = kernel_basis(m, QZ5)
+            kernel = kernel_basis(m)
             if len(kernel) > 1:
                 raise ValueError(
                     "eigenvalue zeta^%d has a %d-dimensional eigenspace; its "

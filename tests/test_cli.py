@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cuspidal import catalog, cli, pipeline
+from cuspidal import catalog, cli, groebner, pipeline
 from cuspidal.cli import main
 
 
@@ -16,18 +16,44 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_cli_import_leaves_out_point_extraction_modules():
-    # extfield and modp serve groebner.extract_points only, and a CLI
-    # process that never extracts points does not compile them
+def _modules_loaded_by(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = "import json, sys, cuspidal.cli; print(json.dumps(sorted(sys.modules)))"
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    loaded = set(json.loads(out))
+    return set(json.loads(out))
+
+
+def test_cli_import_leaves_out_point_extraction_modules():
+    # modp serves groebner.extract_points only, so a CLI process that
+    # never extracts points does not compile it; extfield is a leaf that
+    # no module imports: importing every other module leaves it out
+    loaded = _modules_loaded_by("import cuspidal.cli")
     assert "cuspidal.groebner" in loaded
     assert not loaded & {"cuspidal.extfield", "cuspidal.modp"}
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    others = sorted(
+        "cuspidal." + name[:-3]
+        for name in os.listdir(package)
+        if name.endswith(".py") and name not in ("__init__.py", "extfield.py")
+    )
+    assert "cuspidal.linsys" in others
+    loaded = _modules_loaded_by("; ".join("import " + m for m in others))
+    assert set(others) <= loaded
+    assert "cuspidal.extfield" not in loaded
+
+
+def test_quartic_nodes_maps_non_rational_residual(monkeypatch):
+    # a node that is not Q(zeta5)-rational fails the node stage as a
+    # PipelineError, not as an untyped error further on
+    def residual(*args, **kwargs):
+        raise groebner.NonRationalResidual(2)
+
+    monkeypatch.setattr(pipeline, "extract_points", residual)
+    with pytest.raises(pipeline.PipelineError, match="2 nodes are not Q.zeta5.-rational"):
+        pipeline.quartic_nodes()
 
 
 def test_surface_report_quartic(capsys):

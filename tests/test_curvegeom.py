@@ -14,7 +14,7 @@ from cuspidal.curvegeom import (
     poly_square_root,
     resolve_cusp,
 )
-from cuspidal.multipoly import ProjPoint, QZ5, restrict_to_plane
+from cuspidal.multipoly import ProjPoint, restrict_to_plane
 from cuspidal.zfive import ActionK, orbits
 
 R = catalog.XYZW
@@ -247,4 +247,4 @@ def test_exceptional_lines_meet_once(new_divisibility):
     for res in new_divisibility.resolutions:
         l1, l2 = res.lines
         rows = [list(l1), list(l2)]
-        assert linalg.rank(rows, QZ5) == 2
+        assert linalg.rank(rows) == 2

@@ -9,8 +9,8 @@ import sympy
 from cuspidal import catalog, groebner
 from cuspidal.catalog import NEW_QUARTIC_TEXT, XYZW
 from cuspidal.cyclofield import CycloElem
-from cuspidal.extfield import BASE_TOWER, TowerContext
 from cuspidal.groebner import (
+    NonRationalResidual,
     NotZeroDimensional,
     QuotientAlgebra,
     Reducers,
@@ -431,17 +431,6 @@ def test_normal_form_exact_cancellation_leaves_no_term():
     assert (c.n, c.d) == ((-2, 3, 0, 0), 12)
     assert got.terms == (((0, 1), c),)
     assert got == reference_normal_form(f, [g])
-
-
-def test_normal_form_needs_qz5():
-    # the reduction kernel runs on Q(zeta5) numerators only
-    tower = BASE_TOWER.adjoin("b", [BASE_TOWER.coerce(-2), BASE_TOWER.zero, BASE_TOWER.one])
-    ring = Ring(("x", "y")).with_field(tower)
-    x, y = ring.gens()
-    with pytest.raises(TypeError):
-        normal_form(x * y, [x - y])
-    with pytest.raises(TypeError):
-        buchberger([x - y, y])
 
 
 # sha256 of the reduced basis text and the pairs processed, per chart
@@ -966,31 +955,25 @@ def test_extract_points_two_rational():
     s = zero_dim_analyze(buchberger([x**2 - 2 * x, y - x]))
     pts = extract_points(s)
     assert len(pts) == 2
-    got = sorted(str(p.coords[0].c[0]) for p in pts)
+    got = sorted(str(p[0].c[0]) for p in pts)
     assert got == ["0", "2"]
     for p in pts:
-        assert p.is_rational
-        assert p.coords[0] == p.coords[1]
+        assert len(p) == 2
+        assert p[0] == p[1]
 
 
 def test_extract_points_tower_branch_unresolved():
-    # x^2 = e: already in shape position; without resolution this stays a
-    # degree-2 branch over the tower (t, t^2 - e)
+    # x^2 = e: already in shape position, and e = (e^3)^2, so the mod-p
+    # root finder resolves both roots: no residual is left
     ring = Ring(("x",))
     x = ring.var("x")
     e = CycloElem.e_power(1)
     s = zero_dim_analyze(buchberger([x**2 - ring.from_scalar(e)]))
-    pts = extract_points(s, resolve=False)
-    assert len(pts) == 1
-    br = pts[0]
-    assert br.degree == 2
-    assert isinstance(br.ctx, TowerContext)
-    assert br.ctx.levels[0][1][2] == CycloElem.from_int(1)  # monic
-    # same scheme with resolution: e = (e^3)^2 so the roots are rational
-    pts2 = extract_points(s, resolve=True)
-    assert sorted(p.degree for p in pts2) == [1, 1]
-    roots = {p.coords[0] for p in pts2}
+    pts = extract_points(s)
+    assert len(pts) == 2 and all(len(p) == 1 for p in pts)
+    roots = {p[0] for p in pts}
     assert CycloElem.e_power(3) in roots
+    assert all(r * r == e for r in roots)
 
 
 def test_extract_points_known_point_peeling():
@@ -1002,19 +985,25 @@ def test_extract_points_known_point_peeling():
         s, known_points=[(CycloElem.from_int(1), CycloElem.from_int(1))]
     )
     assert len(pts) == 3
-    assert sum(p.degree for p in pts) == 3
-    assert all(p.is_rational for p in pts)
+    assert sorted(str(p[0]) for p in pts) == ["1", "2", "3"]
+    assert all(p[1] == p[0] * p[0] for p in pts)
 
 
-def test_dynamic_split_degree_additivity():
-    # extraction over a branch that stays irrational keeps full degree
+def test_extract_points_non_rational_residual():
+    # sqrt(2) is not in Q(zeta5): both points of <x^2 - 2, y - x> are left
+    # as one residual of degree 2, and no point is returned
     ring = Ring(("x", "y"))
     x, y = ring.gens()
     gens = [x**2 - 2, y - x]
     s = zero_dim_analyze(buchberger(gens))
-    pts = extract_points(s)
-    assert sum(p.degree for p in pts) == 2
-    assert len(pts) == 1 and not pts[0].is_rational
+    with pytest.raises(NonRationalResidual) as info:
+        extract_points(s)
+    assert info.value.degree == 2
+    # one rational point beside them: the residual still has degree 2
+    s = zero_dim_analyze(buchberger([(x**2 - 2) * (x - 1), y - x]))
+    with pytest.raises(NonRationalResidual) as info:
+        extract_points(s)
+    assert info.value.degree == 2
 
 
 def test_quartic_jacobian_chart_zero_dimensional():

@@ -6,8 +6,7 @@ import pytest
 from cuspidal import catalog, linalg
 from cuspidal.curvegeom import _local_surface, tangent_cone_lines
 from cuspidal.cyclofield import CycloElem
-from cuspidal.extfield import BASE_TOWER
-from cuspidal.multipoly import QZ5, ProjPoint
+from cuspidal.multipoly import ProjPoint
 
 ZERO = CycloElem.from_int(0)
 ONE = CycloElem.from_int(1)
@@ -109,17 +108,15 @@ def test_raw_echelon_matches_reference_gauss_jordan(entry):
         m = random_matrix(rng, entry)
         rows, cols = len(m), len(m[0])
         red, pivots = reference_rref(m)
-        assert linalg.rref(m, QZ5) == (red, pivots)
-        # the depth-0 tower takes the field-context loop
-        assert linalg.rref(m, BASE_TOWER) == (red, pivots)
-        assert linalg.rank(m, QZ5) == len(pivots)
-        assert linalg.kernel_basis(m, QZ5) == reference_kernel_basis(m)
+        assert linalg.rref(m) == (red, pivots)
+        assert linalg.rank(m) == len(pivots)
+        assert linalg.kernel_basis(m) == reference_kernel_basis(m)
         x = [entry(rng) for _ in range(cols)]
         consistent = [sum((a * b for a, b in zip(row, x)), ZERO) for row in m]
-        got = linalg.solve(m, consistent, QZ5)
+        got = linalg.solve(m, consistent)
         assert got == reference_solve(m, consistent) and got is not None
         rhs = [entry(rng) for _ in range(rows)]
-        got = linalg.solve(m, rhs, QZ5)
+        got = linalg.solve(m, rhs)
         assert got == reference_solve(m, rhs)
         seen.add(("deficient" if len(pivots) < min(rows, cols) else "full", got is None))
         seen.add("wide" if cols > rows else "tall" if rows > cols else "square")
@@ -132,28 +129,13 @@ def test_raw_echelon_matches_reference_gauss_jordan(entry):
 
 
 def test_raw_echelon_edge_shapes():
-    assert linalg.rank([], QZ5) == 0
-    assert linalg.kernel_basis([], QZ5) == []
-    assert linalg.rref([[ZERO, ZERO]], QZ5) == ([[ZERO, ZERO]], [])
-    assert linalg.kernel_basis([[ZERO, ZERO]], QZ5) == [[ONE, ZERO], [ZERO, ONE]]
-    assert linalg.solve([[ZERO]], [ONE], QZ5) is None
+    assert linalg.rank([]) == 0
+    assert linalg.kernel_basis([]) == []
+    assert linalg.rref([[ZERO, ZERO]]) == ([[ZERO, ZERO]], [])
+    assert linalg.kernel_basis([[ZERO, ZERO]]) == [[ONE, ZERO], [ZERO, ONE]]
+    assert linalg.solve([[ZERO]], [ONE]) is None
     e = CycloElem.e_power(1)
-    assert linalg.solve([[e]], [ONE], QZ5) == [e.inverse()]
-
-
-def test_tower_context_takes_the_gauss_jordan_loop():
-    # over b = sqrt(2): [[1, b], [b, 2]] has rank 1 and kernel (-b, 1)
-    tower = BASE_TOWER.adjoin("b", [BASE_TOWER.coerce(-2), BASE_TOWER.zero, BASE_TOWER.one])
-    b, one, two = tower.gen(), tower.one, tower.coerce(2)
-    m = [[one, b], [b, two]]
-    assert linalg.rank(m, tower) == 1
-    (v,) = linalg.kernel_basis(m, tower)
-    assert tower.eq(v[0], tower.neg(b)) and tower.eq(v[1], one)
-    assert linalg.solve(m, [one, tower.zero], tower) is None
-    x = linalg.solve(m, [b, two], tower)
-    for row, want in zip(m, [b, two]):
-        got = tower.add(tower.mul(row[0], x[0]), tower.mul(row[1], x[1]))
-        assert tower.eq(got, want)
+    assert linalg.solve([[e]], [ONE]) == [e.inverse()]
 
 
 # tangent_cone_lines at three VdGZ cusps, one per orbit, as the CycloElem

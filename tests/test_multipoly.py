@@ -10,7 +10,6 @@ from sympy.polys.matrices import DomainMatrix
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, XYZW
 from cuspidal.curvegeom import blow_up_charts
 from cuspidal.cyclofield import ALPHA, ONE, ZERO, CycloElem, ratio
-from cuspidal.extfield import BASE_TOWER
 from cuspidal.groebner import normal_form
 from cuspidal.multipoly import (
     DEGREVLEX,
@@ -370,56 +369,43 @@ def reference_poly_map(p, target, images):
     return out
 
 
-def _rand_scalar(rng, field, gen=None):
-    c = field.coerce(
-        CycloElem([ratio(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
-    )
-    if gen is not None:
-        c = field.add(c, field.mul(field.coerce(rng.randint(-2, 2)), gen))
-    return c
+def _rand_scalar(rng):
+    return CycloElem([ratio(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
 
 
-def _rand_image(rng, ring, kind, gen=None):
-    f = ring.field
+def _rand_image(rng, ring, kind):
     gens = ring.gens()
     if kind == "zero":
         return ring.zero
     if kind == "scalar":
-        return _rand_scalar(rng, f, gen)
+        return _rand_scalar(rng)
     if kind == "shift":
         v = rng.choice(gens)
-        return v + ring.from_scalar(_rand_scalar(rng, f, gen))
+        return v + ring.from_scalar(_rand_scalar(rng))
     if kind == "linear":
-        out = ring.from_scalar(_rand_scalar(rng, f, gen))
+        out = ring.from_scalar(_rand_scalar(rng))
         for v in gens:
             if rng.random() < 0.6:
-                out = out + v.scale(_rand_scalar(rng, f, gen))
+                out = out + v.scale(_rand_scalar(rng))
         return out
     return rand_poly(rng, ring, deg=2, nterms=3)
 
 
 def test_subs_matches_reference_random():
     # affine shifts, linear forms, scalars, zero, quadrics and unassigned
-    # variables, keyed by index or by name, over Q(zeta5) and over a
-    # tower field (classify_at_point shifts tower points through subs)
-    tower = BASE_TOWER.adjoin("b", [BASE_TOWER.coerce(-2), BASE_TOWER.zero, BASE_TOWER.one])
+    # variables, keyed by index or by name
     rng = random.Random(5151)
     kinds = ("zero", "scalar", "shift", "linear", "poly")
     seen = set()
     for trial in range(80):
         ring = Ring(("x", "y", "z", "w")[: 3 + trial % 2])
         p = rand_poly(rng, ring, deg=5, nterms=8)
-        gen = None
-        if trial % 4 == 3:
-            ring = ring.with_field(tower)
-            gen = tower.gen()
-            p = p.map_coeffs(tower.coerce, ring) + ring.gens()[0].scale(gen) ** 2
         assignment = {}
         for i in rng.sample(range(ring.nvars), rng.randint(1, ring.nvars)):
-            kind = kinds[rng.randrange(4 if gen is not None else 5)]
+            kind = kinds[rng.randrange(5)]
             seen.add(kind)
             key = i if rng.random() < 0.5 else ring.vars[i]
-            assignment[key] = _rand_image(rng, ring, kind, gen)
+            assignment[key] = _rand_image(rng, ring, kind)
         got = p.subs(assignment)
         want = reference_subs(p, assignment)
         assert got == want and str(got) == str(want)
@@ -450,8 +436,8 @@ def test_subs_ring_map_matches_reference():
 
 
 def elementwise_mul(a, b):
-    """The product by the element-wise loop that other field contexts keep:
-    every term product and partial sum a field element (over Q(zeta5) a
+    """The product by the element-wise loop that D15 replaced: every term
+    product and partial sum a field element (over Q(zeta5) a
     CycloElem in lowest terms), sorted by `from_dict`."""
     f = a.ring.field
     acc = {}
