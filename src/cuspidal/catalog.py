@@ -8,10 +8,10 @@ where s_i = x^i + y^i + z^i + w^i + t^i.
 
 from __future__ import annotations
 
-from .multipoly import DEGREVLEX, Poly, ProjPoint, Ring
+from .multipoly import Poly, ProjPoint, Ring
 from .zfive import ActionK, LinearAction
 
-XYZW = Ring(("x", "y", "z", "w"), DEGREVLEX)
+XYZW = Ring(("x", "y", "z", "w"))
 
 NEW_QUARTIC_TEXT = (
     "x^4+2*x^2*z*w-8*x*y*z^2+4*y^3*z-4*y*w^3+5*z^2*w^2+(e^3+e^2)*"

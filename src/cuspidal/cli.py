@@ -18,7 +18,11 @@ import os
 import sys
 
 from . import catalog
-from .singcert import SingularInCodimensionOne, classify_all
+from .singcert import (
+    SingularInCodimensionOne,
+    SingularLocusNotInvariant,
+    classify_all,
+)
 from .zfive import ActionK, free_action_check
 
 DEFAULT_SEED = 20240501
@@ -53,7 +57,7 @@ def cmd_surface_report(args):
         return 0 if report.get("pass", True) else 1
     try:
         cert = classify_all(poly, name, action=action)
-    except SingularInCodimensionOne as ev:
+    except (SingularInCodimensionOne, SingularLocusNotInvariant) as ev:
         _emit(args, {"surface": name, "pass": False, "error": str(ev)})
         return 1
     fav = free_action_check(poly, action=action)

@@ -120,13 +120,7 @@ def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action=None) -> TropeCens
         kern = linalg.kernel_basis([list(nodes[i].coords) for i in triple])
         if len(kern) != 1:
             continue  # collinear nodes
-        terms = []
-        for j, c in enumerate(kern[0]):
-            if not QZ5.is_zero(c):
-                e = [0] * ring.nvars
-                e[j] = 1
-                terms.append((tuple(e), c))
-        hpoly = ring.from_terms(terms).monic()
+        hpoly = ring.linear_form(kern[0]).monic()
         incident = tuple(
             i
             for i, nd in enumerate(nodes)
@@ -226,11 +220,7 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves, seed=20240501):
         if not any(coeffs):
             continue
         tried += 1
-        plane = ring.from_terms(
-            (tuple(1 if j == i else 0 for j in range(4)), QZ5.coerce(c))
-            for i, c in enumerate(coeffs)
-            if c
-        )
+        plane = ring.linear_form(coeffs)
         try:
             section = _chart_pieces([S, Q, plane])
         except NotZeroDimensional:
@@ -428,16 +418,8 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     basis = [v1, v2, kern]
     s_row = linalg.solve(basis, [field.one, field.zero, field.zero])
     t_row = linalg.solve(basis, [field.zero, field.one, field.zero])
-
-    def linear_poly(coeffs):
-        return cring.from_terms(
-            (tuple(1 if j == i else 0 for j in range(3)), cc)
-            for i, cc in enumerate(coeffs)
-            if not field.is_zero(cc)
-        )
-
-    s_poly = linear_poly(s_row)
-    t_poly = linear_poly(t_row)
+    s_poly = cring.linear_form(s_row)
+    t_poly = cring.linear_form(t_row)
     if field.is_zero(a) and field.is_zero(c):
         l1 = s_poly.scale(b)
         l2 = t_poly
@@ -472,7 +454,7 @@ def blow_up_charts(cring: Ring):
         names = tuple(
             "v_%s" % cring.vars[j] for j in range(3) if j != mchart
         ) + ("w_",)
-        bring = Ring(names, cring.order)
+        bring = Ring(names)
         vs = bring.gens()
         w = vs[-1]
         images = []
@@ -557,9 +539,7 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
             "not resolved by the point blow-up (cubic vanishes on the kernel "
             "line); contradicts the A2 certificate"
         )
-    unit_exp = lambda i: tuple(1 if j == i else 0 for j in range(3))
-    l1c = [l1.coeff_of(unit_exp(i)) for i in range(3)]
-    l2c = [l2.coeff_of(unit_exp(i)) for i in range(3)]
+    l1c, l2c = l1.linear_coeffs(), l2.linear_coeffs()
 
     charts = blow_up_charts(cring)
     strict_by_chart = []

@@ -1,6 +1,7 @@
 """Buchberger engine and zero-dimensional scheme toolkit.
 
-The basis is computed with sugar-strategy pair selection and both
+The basis is computed in degrevlex, the only term order
+(docs/DECISIONS.md D18), with sugar-strategy pair selection and both
 Buchberger criteria; basis elements are kept monic so reduction never
 divides.  Every reduction is heap division on packed monomials
 (``TermOrder.pack``) inside one kernel, ``Reducers.raw_remainder``: a
@@ -205,7 +206,8 @@ class Reducers:
             if not (a0 or a1 or a2 or a3):
                 continue
             if m & guard:
-                raise ValueError("exponent passes the slot bound during reduction")
+                # only a product seed can pass the slot bound (D18)
+                raise ValueError("degree passes the slot bound during reduction")
             g = gcd(d, a0, a1, a2, a3)
             for lead, tail, D in entries:
                 if not (m - lead) & guard:
@@ -350,9 +352,9 @@ def spoly(f: Poly, g: Poly) -> Poly:
     return shift(lf) * f - shift(lg) * g
 
 
-# (number of variables, term order name, frozenset of the monic
-# generators' terms) -> (terms of the reduced basis, stats of the run that
-# computed it): one entry per ideal run in this process (D14)
+# (number of variables, frozenset of the monic generators' terms) ->
+# (terms of the reduced basis, stats of the run that computed it): one
+# entry per ideal run in this process (D14)
 _BASES = {}
 
 
@@ -382,7 +384,7 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
             for g in gens
         ]
     gens = [g.monic() for g in gens if g.terms]
-    key = (ring.nvars, ring.order.name, frozenset([g.terms for g in gens]))
+    key = (ring.nvars, frozenset([g.terms for g in gens]))
     hit = _BASES.get(key)
     if hit is None:
         hit = _BASES[key] = _run(gens, ring)
@@ -404,12 +406,13 @@ def _run(gens, ring):
     criterion tests divisibility on the packed leads.  Each S-pair is
     reduced from the two packed tails, and a nonzero remainder joins the
     basis as the entry of its monic multiple (`Reducers.monic_entry`),
-    with the remainder's total degree as its sugar: the lead's under a
-    graded order.  The result is `Reducers.reduced_basis` of the basis
-    grown.
+    with the pair's sugar s as its own: s is at least the degree of the
+    lcm, which no term of the S-pair or of its remainder passes, so s is
+    max(s, deg r) (docs/DECISIONS.md D18).  The result is
+    `Reducers.reduced_basis` of the basis grown.
     """
-    order, n = ring.order, ring.nvars
-    pack, unpack = order.pack, order.unpack
+    n = ring.nvars
+    pack, unpack = ring.order.pack, ring.order.unpack
     gens = sorted(gens, key=lambda g: pack(g.lm()))
     leads = []
     sugars = []
@@ -457,10 +460,7 @@ def _run(gens, ring):
         processed += 1
         r = red.raw_remainder(red.spair_seeds(i, j, L))
         if r:
-            # a graded order leads with a term of top degree
-            top = r[:1] if order.graded else r
-            degree = max([mono_deg(unpack(m, n)) for m, _, _ in top])
-            add_entry(red.monic_entry(r), max(s, degree))
+            add_entry(red.monic_entry(r), s)
 
     basis = red.reduced_basis()
     return tuple([g.terms for g in basis]), {"pairs_processed": processed}
@@ -805,7 +805,7 @@ def extract_points(scheme: ZeroDimScheme, seed: int = 20240501, known_points=())
     tuples of affine coordinates (one per ring variable).
 
     Shape position: a separating linear form t is found (single variables
-    first, then seeded random combinations); the lex-style description
+    first, then seeded random combinations); the triangular description
     {g(t), x_i - h_i(t)} is realized through the Krylov iteration, known
     rational points are peeled off g, and the remaining Q(zeta5)-rational
     roots are resolved by verified mod-p lifting.  Raises

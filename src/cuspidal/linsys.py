@@ -180,7 +180,7 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
     unsolved residual factor (0 when everything is accounted for).
     """
     ring = L1.ring
-    ext = Ring(ring.vars + ("b",), ring.order)
+    ext = Ring(ring.vars + ("b",))
 
     def lift(p):
         return ext.from_terms(((e + (0,)), c) for e, c in p.terms)

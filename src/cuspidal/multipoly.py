@@ -2,9 +2,9 @@
 
 A monomial is a plain tuple of exponents (one slot per ring variable); a
 polynomial stores its terms as a tuple of (monomial, coefficient) pairs,
-strictly decreasing in the ring's term order, with no zero coefficients.
-The term order also packs a monomial into one int (``TermOrder.pack``),
-the form the Groebner kernel computes with.
+strictly decreasing in degrevlex, the only term order (docs/DECISIONS.md
+D18), with no zero coefficients.  The order also packs a monomial into
+one int (``TermOrder.pack``), the form the Groebner kernel computes with.
 Q(zeta5) is the only coefficient field (docs/DECISIONS.md D17): its field
 context ``QZ5`` is the class constant ``Ring.field`` and
 ``ProjPoint.field``.  Products, substitutions and evaluation sum raw
@@ -22,7 +22,7 @@ import operator
 from functools import lru_cache, reduce
 from itertools import combinations
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import prod
 
 from .cyclofield import CycloElem, canon, cyclo_to_str, phi5_mul
 
@@ -62,11 +62,6 @@ class BaseFieldQZ5:
         return a.inverse()
 
     @staticmethod
-    def content(a):
-        """(gcd of the integer numerators, common denominator) of a."""
-        return gcd(*a.n), a.d
-
-    @staticmethod
     def scale_rat(a, r):
         """a times the int or Fraction r, by 4 integer products."""
         k, (n0, n1, n2, n3) = r.numerator, a.n
@@ -85,24 +80,27 @@ SLOT_BOUND = (1 << (SLOT_BITS - 1)) - 1
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
+def _degrevlex_key(exp):
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
 class TermOrder:
-    """Monomial order; key(exp) is monotone for the order (bigger = leading).
+    """Degrevlex, the one monomial order (docs/DECISIONS.md D18); key(exp)
+    is monotone for the order (bigger = leading).
 
     pack(exp) maps an exponent tuple to one int whose integer order is the
     term order, in fixed SLOT_BITS-wide slots whose top bit is a guard
-    bit.  A graded order puts the total degree in the top slot and then
-    SLOT_BOUND - e for the variables from last to first; LEX puts the
-    exponents themselves, first variable on top.  Either way the product
-    of x^a and x^b packs to pack(a) + pack(b) - pack(0), and x^a divides
-    x^b exactly when (pack(b) - pack(a) + pack(0)) & guard(n) == 0
-    (docs/DECISIONS.md D6).  key, pack and unpack are cached per term
-    order, for the life of the process.
+    bit: the total degree in the top slot and then SLOT_BOUND - e for the
+    variables from last to first.  The product of x^a and x^b packs to
+    pack(a) + pack(b) - pack(0), and x^a divides x^b exactly when
+    (pack(b) - pack(a) + pack(0)) & guard(n) == 0 (D6).  key, pack and
+    unpack are cached for the life of the process.
     """
 
-    def __init__(self, name, key_fn, graded):
-        self.name = name
-        self.key = lru_cache(maxsize=None)(key_fn)
-        self.graded = graded
+    name = "degrevlex"
+
+    def __init__(self):
+        self.key = lru_cache(maxsize=None)(_degrevlex_key)
         self.pack = lru_cache(maxsize=None)(self._pack)
         self.unpack = lru_cache(maxsize=None)(self._unpack)
 
@@ -111,50 +109,31 @@ class TermOrder:
 
     def _pack(self, exp):
         """One int for the exponent tuple; ValueError when an exponent is
-        negative or a slot (the total degree, when graded) passes
-        SLOT_BOUND."""
+        negative or the total degree passes SLOT_BOUND."""
         if exp and min(exp) < 0:
             raise ValueError("negative exponent in %r" % (exp,))
-        if self.graded:
-            p = sum(exp)
-            if p > SLOT_BOUND:
-                raise ValueError("degree of %r exceeds the slot bound" % (exp,))
-            for e in reversed(exp):
-                p = (p << SLOT_BITS) | (SLOT_BOUND - e)
-            return p
-        p = 0
-        for e in exp:
-            if e > SLOT_BOUND:
-                raise ValueError("exponent of %r exceeds the slot bound" % (exp,))
-            p = (p << SLOT_BITS) | e
+        p = sum(exp)
+        if p > SLOT_BOUND:
+            raise ValueError("degree of %r exceeds the slot bound" % (exp,))
+        for e in reversed(exp):
+            p = (p << SLOT_BITS) | (SLOT_BOUND - e)
         return p
 
     def _unpack(self, p, n):
         """Exponent tuple of n variables packed in p."""
         slots = []
         for _ in range(n):
-            slots.append(p & _SLOT_MASK)
+            slots.append(SLOT_BOUND - (p & _SLOT_MASK))
             p >>= SLOT_BITS
-        if self.graded:
-            return tuple([SLOT_BOUND - s for s in slots])
-        return tuple(reversed(slots))
+        return tuple(slots)
 
     def guard(self, n):
         """Mask of the guard bits of a monomial in n variables."""
         top = 1 << (SLOT_BITS - 1)
-        return sum(top << (SLOT_BITS * i) for i in range(n + self.graded))
+        return sum(top << (SLOT_BITS * i) for i in range(n + 1))
 
 
-def _degrevlex_key(exp):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
-def _lex_key(exp):
-    return exp
-
-
-DEGREVLEX = TermOrder("degrevlex", _degrevlex_key, graded=True)
-LEX = TermOrder("lex", _lex_key, graded=False)
+DEGREVLEX = TermOrder()
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +153,14 @@ def mono_deg(a):
 
 
 class Ring:
-    """Polynomial ring descriptor over Q(zeta5): ordered variables and a
-    term order."""
+    """Polynomial ring descriptor over Q(zeta5) in degrevlex: ordered
+    variables."""
 
     field = QZ5
+    order = DEGREVLEX
 
-    def __init__(self, variables, order=DEGREVLEX):
+    def __init__(self, variables):
         self.vars = tuple(variables)
-        self.order = order
         self.nvars = len(self.vars)
         self._zero_mono = (0,) * self.nvars
 
@@ -189,14 +168,10 @@ class Ring:
         return "Ring(%s; %s; %s)" % (",".join(self.vars), self.order.name, self.field.name)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Ring)
-            and self.vars == other.vars
-            and self.order.name == other.order.name
-        )
+        return isinstance(other, Ring) and self.vars == other.vars
 
     def __hash__(self):
-        return hash((self.vars, self.order.name))
+        return hash(self.vars)
 
     # -- constructors ------------------------------------------------------
 
@@ -222,6 +197,13 @@ class Ring:
 
     def gens(self):
         return [self.var(v) for v in self.vars]
+
+    def linear_form(self, coeffs):
+        """sum(coeffs[i] * x_i); `Poly.linear_coeffs` reads it back."""
+        n = self.nvars
+        return self.from_terms(
+            (tuple([int(j == i) for j in range(n)]), c) for i, c in enumerate(coeffs)
+        )
 
     def from_terms(self, pairs):
         """Build from (exp, coeff) pairs, merging duplicates."""
@@ -294,9 +276,6 @@ class Poly:
         d = mono_deg(self.terms[0][0])
         return all(mono_deg(e) == d for e, _ in self.terms)
 
-    def involves(self, var_index):
-        return any(e[var_index] for e, _ in self.terms)
-
     def coeff_of(self, exp):
         for e, c in self.terms:
             if e == exp:
@@ -305,6 +284,15 @@ class Poly:
 
     def support(self):
         return [e for e, _ in self.terms]
+
+    def linear_coeffs(self):
+        """The coefficients of x_0, ..., x_(n-1): the vector that
+        `Ring.linear_form` builds from."""
+        out = [QZ5.zero] * self.ring.nvars
+        for e, c in self.terms:
+            if sum(e) == 1:
+                out[e.index(1)] = c
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -391,26 +379,6 @@ class Poly:
             self.ring,
             ((self.terms[0][0], f.one),)
             + tuple((e, f.mul(c, inv)) for e, c in self.terms[1:]),
-        )
-
-    def primitive(self):
-        """Remove rational content (exact unit scaling; keeps field class)."""
-        if not self.terms:
-            return self
-        f = self.ring.field
-        num_gcd = 0
-        den_lcm = 1
-        for _, c in self.terms:
-            g, d = f.content(c)
-            num_gcd = gcd(num_gcd, g)
-            den_lcm = lcm(den_lcm, d)
-        if num_gcd == 0:
-            return self
-        factor = Fraction(den_lcm, num_gcd)
-        if factor == 1:
-            return self
-        return Poly(
-            self.ring, tuple((e, f.scale_rat(c, factor)) for e, c in self.terms)
         )
 
     # -- calculus ----------------------------------------------------------
@@ -505,10 +473,6 @@ class Poly:
             e2 = e[:i] + (0,) + e[i + 1 :]
             out.append((e2, c))
         return self.ring.from_terms(out)
-
-    def map_coeffs(self, fn, new_ring=None):
-        ring = new_ring if new_ring is not None else self.ring
-        return ring.from_terms((e, fn(c)) for e, c in self.terms)
 
     # -- comparisons / printing ---------------------------------------------
 

@@ -20,7 +20,11 @@ from .curvegeom import (
 )
 from .groebner import NonRationalResidual, extract_points
 from .multipoly import ProjPoint
-from .singcert import classify_all
+from .singcert import (
+    SingularInCodimensionOne,
+    SingularLocusNotInvariant,
+    classify_all,
+)
 from .zfive import orbit, orbits
 
 
@@ -128,12 +132,9 @@ def _two_independent(forms):
     rows = []
     keep = []
     for f in forms:
-        coeffs = [
-            f.coeff_of(tuple(1 if j == i else 0 for j in range(4)))
-            for i in range(4)
-        ]
+        coeffs = f.linear_coeffs()
         trial = rows + [coeffs]
-        if linalg.rank([list(r) for r in trial]) == len(trial):
+        if linalg.rank(trial) == len(trial):
             rows.append(coeffs)
             keep.append(f)
         if len(keep) == 2:
@@ -144,14 +145,7 @@ def _two_independent(forms):
 def _same_pencil(gens_a, gens_b):
     from . import linalg
 
-    def coeffs(f):
-        return [
-            f.coeff_of(tuple(1 if j == i else 0 for j in range(4)))
-            for i in range(4)
-        ]
-
-    rows = [coeffs(g) for g in gens_a] + [coeffs(g) for g in gens_b]
-    return linalg.rank(rows) == 2
+    return linalg.rank([g.linear_coeffs() for g in gens_a + gens_b]) == 2
 
 
 class DivisibilityResult:
@@ -201,7 +195,10 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
     S = entry.poly
     action = entry.action
 
-    cert = classify_all(S, name, action=action)
+    try:
+        cert = classify_all(S, name, action=action)
+    except (SingularInCodimensionOne, SingularLocusNotInvariant) as ev:
+        stage("quintic_certification", False, error=str(ev))
     stage(
         "quintic_certification",
         cert.verdict == "all_A2" and cert.n_points == 15,

@@ -56,6 +56,17 @@ class SingularInCodimensionOne(ValueError):
         )
 
 
+class SingularLocusNotInvariant(Exception):
+    """The singular points off the action's fixed locus are not a union of
+    free 5-orbits, so the locus is not closed under the action."""
+
+    def __init__(self, free_count):
+        super().__init__(
+            "singular locus not closed under the action: %d singular points "
+            "off the fixed locus, not a multiple of 5" % free_count
+        )
+
+
 class ChartData:
     """One affine chart of the Jacobian scheme.  The chart's Buchberger
     run (`scheme`) and its radical are made on first use."""
@@ -102,7 +113,7 @@ class SingularSchemeReport:
 
 def chart_ring(ring: Ring, chart_index: int) -> Ring:
     names = tuple(v for i, v in enumerate(ring.vars) if i != chart_index)
-    return Ring(names, ring.order)
+    return Ring(names)
 
 
 def chart_piece(gens, chart_index: int):
@@ -339,7 +350,8 @@ def _orbit_analysis(F: Poly, report, action):
     """Scheme-level orbit decomposition of the singular points.
 
     The action's full projective fixed locus is finite and known; every
-    non-fixed singular point lies in a free orbit of size 5.
+    non-fixed singular point lies in a free orbit of size 5.  Raises
+    SingularLocusNotInvariant when their count is not a multiple of 5.
     """
     n = report.n_points
     parts = jacobian(F)
@@ -350,9 +362,7 @@ def _orbit_analysis(F: Poly, report, action):
             fixed_sing.append(p)
     free_count = n - len(fixed_sing)
     if free_count % 5 != 0:
-        raise AssertionError(
-            "non-fixed singular points not partitioned into 5-orbits"
-        )
+        raise SingularLocusNotInvariant(free_count)
     orbits = [{"size": 1, "representative": repr(p)} for p in fixed_sing]
     orbits += [{"size": 5} for _ in range(free_count // 5)]
     return orbits

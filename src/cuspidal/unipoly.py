@@ -2,8 +2,9 @@
 
 Polynomials are plain lists of field elements, index = degree.  All
 division-like routines invert leading coefficients through the context:
-Q(zeta5), the rings Z[e]/(Phi5, M) of `modp`, or the towers of
-`extfield`, where a zero-divisor inversion raises SplitEvent.
+Q(zeta5) (`multipoly.QZ5`, also `extfield.BASE_TOWER`) or the rings
+Z[e]/(Phi5, M) of `modp`.  `extfield` runs them over Q(zeta5) to do the
+arithmetic of its extensions (docs/DECISIONS.md D18).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def divmod_poly(a, b, field):
 
 
 def gcd_monic(a, b, field):
-    """Monic gcd by the Euclidean algorithm (split-aware through inv)."""
+    """Monic gcd by the Euclidean algorithm."""
     a = trim(a, field)
     b = trim(b, field)
     while b:

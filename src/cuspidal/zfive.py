@@ -185,8 +185,7 @@ class LinearAction:
 
     def on_poly(self, p: Poly) -> Poly:
         """F(M x): substitute each variable by the corresponding row form."""
-        units = [g.lm() for g in p.ring.gens()]
-        forms = [p.ring.from_terms(zip(units, row)) for row in self.matrix]
+        forms = [p.ring.linear_form(row) for row in self.matrix]
         return p.subs(dict(enumerate(forms)))
 
     def is_invariant(self, p: Poly) -> bool:

@@ -304,3 +304,55 @@ def test_transcript_reports_pinned(argv, request, monkeypatch, capsys):
     assert code == 0
     text = json.dumps(json.loads(out), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRANSCRIPT_REPORTS[argv]
+
+
+def test_surface_report_locus_not_closed_under_action(tmp_path, capsys):
+    # one A1 point at (1:1:1:1), which a_0 does not fix: a typed failure
+    # with a report on stdout, not a traceback
+    f = tmp_path / "a1_moved.txt"
+    f.write_text("(x-w)*(y-w)*w^3+(z-w)^2*w^3+(x-w)^5+(y-w)^5+(z-w)^5")
+    code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["surface"] == "a1_moved.txt" and rep["pass"] is False
+    assert rep["error"] == (
+        "singular locus not closed under the action: 1 singular points off "
+        "the fixed locus, not a multiple of 5"
+    )
+
+
+@pytest.mark.parametrize(
+    "equation, reason",
+    [
+        # one A4 point at (0:0:0:1), which the VdGZ action moves
+        ("x*y*w^3+x^5+y^5+z^5", "not closed under the action"),
+        ("x^2*y^2*w+x^5+y^5", "singular in codimension one"),
+    ],
+    ids=["a4", "codimension_one"],
+)
+def test_divisibility_negative_control_quintic(monkeypatch, capsys, equation, reason):
+    # the VdGZ entry replaced by a quintic that has no A2 certificate:
+    # the quintic certification stage fails with exit 1
+    poly = catalog.XYZW.parse(equation)
+    entry = catalog.SurfaceEntry("vdgz_quintic", poly, catalog.VDGZ_ACTION, 5)
+    monkeypatch.setitem(catalog._ENTRIES, "vdgz_quintic", entry)
+    code, out, err = run_cli(capsys, "--json", "divisibility", "vdgz_quintic")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert "stage failed: quintic_certification" in rep["error"]
+    assert reason in rep["error"]
+
+
+def test_bench_tracer_targets_resolve():
+    # perfbench/tracer.py wraps its targets by name; a deleted or renamed
+    # target would break only a traced bench run, so install them here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    bench = os.path.join(os.path.dirname(src), "perfbench")
+    code = "import tracer; print(len(tracer.install()))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, bench]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 0

@@ -51,7 +51,7 @@ def test_zero_divisor_splits():
     assert isinstance(res, SplitEvent)
     assert len(res.branches) == 2
     # product of branch minpolys equals the original b^2 - b
-    mps = [list(br.levels[0][1]) for br in res.branches]
+    mps = [list(br.minpoly) for br in res.branches]
     prod = unipoly.mul(mps[0], mps[1], BASE_TOWER)
     orig = [BASE_TOWER.zero, BASE_TOWER.coerce(-1), BASE_TOWER.one]
     assert all(BASE_TOWER.eq(a, b2) for a, b2 in zip(prod, orig))
@@ -84,7 +84,7 @@ def test_golden_tower_splits_linear_when_forced():
     bad = t.sub(b, t.coerce(ALPHA))
     res = ext_invert_or_split(t, bad)
     assert isinstance(res, SplitEvent)
-    degs = sorted(len(br.levels[0][1]) - 1 for br in res.branches)
+    degs = sorted(br.degree() for br in res.branches)
     assert degs == [1, 1]
 
 
@@ -93,37 +93,6 @@ def test_degree_additivity_after_split():
     res = ext_invert_or_split(t, t.sub(t.gen(), t.one))
     assert isinstance(res, SplitEvent)
     assert sum(br.degree() for br in res.branches) == t.degree()
-
-
-def test_two_level_tower_arithmetic():
-    t1 = tower_sqrt2()
-    # adjoin c with c^2 = b (so c^4 = 2)
-    b_in_t1 = t1.gen()
-    t2 = t1.adjoin("c", [t1.neg(b_in_t1), t1.zero, t1.one])
-    assert t2.degree() == 4
-    c = t2.gen()
-    c2 = t2.mul(c, c)
-    b_lift = (b_in_t1, t1.zero)  # b as element of the deeper tower
-    assert t2.eq(c2, b_lift)
-    c4 = t2.mul(c2, c2)
-    assert t2.eq(c4, t2.coerce(2))
-    inv = t2.inv(c)
-    assert t2.eq(t2.mul(inv, c), t2.one)
-
-
-def test_split_bubbles_from_lower_level():
-    # lower level reducible: (b, b^2-b); upper level (c, c^2 - (b+2)).
-    t1 = tower_b2_minus_b()
-    b = t1.gen()
-    t2 = t1.adjoin("c", [t1.neg(t1.add(b, t1.coerce(2))), t1.zero, t1.one])
-    # inverting (b - 1) lifted into t2 must split the LOWER level and
-    # return full-depth (2-level) branch towers
-    bad = (t1.sub(b, t1.one), t1.zero)
-    res = ext_invert_or_split(t2, bad)
-    assert isinstance(res, SplitEvent)
-    for br in res.branches:
-        assert br.depth == 2
-    assert sum(br.degree() for br in res.branches) == t2.degree()
 
 
 def test_field_axioms_random_tower():
@@ -154,3 +123,16 @@ def test_adjoin_rejects_non_squarefree():
     with pytest.raises(ValueError):
         # (b - 1)^2 = b^2 - 2b + 1
         base.adjoin("b", [base.one, base.coerce(-2), base.one])
+
+
+def test_split_branches_are_extensions_of_the_base():
+    # each branch of b^2 - b is a degree-1 extension in which b^2 = b
+    # still holds, with b = 0 in one and b = 1 in the other; only the
+    # base adjoins
+    t = tower_b2_minus_b()
+    res = ext_invert_or_split(t, t.sub(t.gen(), t.one))
+    for br in res.branches:
+        b = br.gen()
+        assert br.is_zero(br.sub(br.mul(b, b), b))
+        assert not hasattr(br, "adjoin")
+    assert sorted(BASE_TOWER.to_str(br.gen()[0]) for br in res.branches) == ["0", "1"]
