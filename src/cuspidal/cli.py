@@ -139,34 +139,12 @@ def cmd_divisibility(args):
         )
         return 2
     _progress("running the divisibility pipeline for %s ..." % args.surface)
-    transcript = [] if args.transcript else None
     try:
-        res = divisibility_pipeline(
-            args.surface, transcript=transcript, seed=args.seed
-        )
+        res = divisibility_pipeline(args.surface, seed=args.seed)
     except PipelineError as ev:
         _emit(args, {"pass": False, "error": str(ev)})
         return 1
-    cert = res.certificate
-    report = {
-        "surface": args.surface,
-        "labels": list(res.lattice.labels),
-        "matrix": res.lattice.matrix,
-        "det": res.lattice.determinant(),
-        "nullspace": [list(v) for v in res.nullspace_basis],
-        "vector": list(res.vector),
-        "swaps": list(cert.swaps),
-        "relation": cert.relation_text(),
-        "assumptions": cert.assumptions,
-        "published_match": res.match,
-        "stages": res.stages,
-        "pass": True,
-    }
-    if args.transcript:
-        report["transcript"] = transcript
-        report["proof"] = cert.transcript()
-        report["resolutions"] = [r.transcripts for r in res.resolutions]
-    _emit(args, report)
+    _emit(args, res.to_json(args.transcript))
     return 0
 
 

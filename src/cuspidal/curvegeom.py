@@ -29,7 +29,13 @@ from .groebner import (
     zero_dim_analyze,
 )
 from .multipoly import Poly, ProjPoint, QZ5, Ring, minors, restrict_to_plane
-from .singcert import chart_piece, chart_ring, degree_part, quadratic_matrix, to_chart
+from .singcert import (
+    chart_piece,
+    degree_part,
+    local_surface,
+    quadratic_matrix,
+    to_chart,
+)
 
 
 class SquareRootFailure(Exception):
@@ -365,18 +371,6 @@ class CuspResolution:
         return (ratio(2 * m1 + m2, 3), ratio(m1 + 2 * m2, 3))
 
 
-def _local_surface(S: Poly, cusp: ProjPoint):
-    ring = S.ring
-    ci = cusp.chart()
-    cring = chart_ring(ring, ci)
-    f = to_chart(S, ci, cring)
-    aff = cusp.affine()
-    shift = {
-        i: cring.var(cring.vars[i]) + cring.from_scalar(aff[i]) for i in range(3)
-    }
-    return f.subs(shift), cring, ci, shift
-
-
 def tangent_cone_lines(flocal: Poly, cring: Ring):
     """Factor the rank-2 quadratic part into two monic linear forms.
 
@@ -494,25 +488,6 @@ def _partition_extras(bring: Ring, mchart: int):
     return [bring.var(bring.vars[0]), bring.var(bring.vars[1])]
 
 
-def _line_in_chart(line_coeffs, mchart, bring, field):
-    terms = []
-    const = field.zero
-    vi = 0
-    for j in range(3):
-        if j == mchart:
-            const = line_coeffs[j]
-        else:
-            if not field.is_zero(line_coeffs[j]):
-                e = [0, 0, 0]
-                e[vi] = 1
-                terms.append((tuple(e), line_coeffs[j]))
-            vi += 1
-    p = bring.from_terms(terms)
-    if not field.is_zero(const):
-        p = p + bring.from_scalar(const)
-    return p
-
-
 def _exceptional_supported_length(gens, bring, mchart):
     """Length of V(gens) supported on the w = 0 partition slice."""
     gens = [g for g in gens if not g.is_zero]
@@ -530,7 +505,7 @@ def _exceptional_supported_length(gens, bring, mchart):
 
 def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
     """Blow up one certified A2 cusp and record all curve data there."""
-    flocal, cring, ci, shift = _local_surface(S, cusp)
+    flocal, cring, ci, shift = local_surface(S, cusp)
     field = cring.field
     l1, l2, kern = tangent_cone_lines(flocal, cring)
     cubic = degree_part(flocal, 3)
@@ -594,21 +569,20 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
             per_chart.append((mchart, bring, sg))
         strict_gens[curve.name] = per_chart
 
+    # in blow-up chart m the exceptional line {l = 0} is cut out by the
+    # strict transform of l
+    lines_by_chart = [
+        [strict_transform(l, bring, imgs)[0] for _, bring, imgs, _ in strict_by_chart]
+        for l in (l1, l2)
+    ]
     for curve in incident:
-        row = []
-        for line_coeffs in res.lines:
-            total = 0
-            for mchart, bring, sg in strict_gens[curve.name]:
-                lpoly = _line_in_chart(line_coeffs, mchart, bring, field)
-                gens = list(sg) + [bring.var("w_"), lpoly]
-                gens += _partition_extras(bring, mchart)
-                gens = [g for g in gens if not g.is_zero]
-                gb = buchberger(gens, ring=bring)
-                if gb.is_trivial():
-                    continue
-                total += zero_dim_analyze(gb).degree
-            row.append(total)
-        res.curve_rows[curve.name] = tuple(row)
+        res.curve_rows[curve.name] = tuple(
+            sum(
+                _exceptional_supported_length(sg + [bring.var("w_"), lc], bring, mchart)
+                for (mchart, bring, sg), lc in zip(strict_gens[curve.name], lines)
+            )
+            for lines in lines_by_chart
+        )
         res.curve_smooth[curve.name] = _curve_smooth_over_exceptional(
             strict_gens[curve.name]
         )

@@ -69,14 +69,6 @@ class IntersectionLattice:
     def determinant(self):
         return det_int(self.matrix)
 
-    def to_json(self):
-        return {
-            "labels": list(self.labels),
-            "matrix": self.matrix,
-            "determinant": self.determinant(),
-            "assumptions": self.assumptions,
-        }
-
     def relabelled(self, cusp_permutation, per_cusp_swaps, t_swap):
         """The same lattice presented with cusps permuted/swapped."""
         idx = _relabel_index(cusp_permutation, per_cusp_swaps, t_swap)
@@ -208,17 +200,6 @@ class DivisibilityCertificate:
             "  " + self.relation_text(),
         ]
         return "\n".join(lines)
-
-    def to_json(self):
-        return {
-            "nullspace_vector": list(self.vector),
-            "per_cusp_swaps": list(self.swaps),
-            "t1_t2_swap": self.t_swap,
-            "mod3_pattern": list(self.mod3),
-            "integral_divisor_M": list(self.M),
-            "relation": self.relation_text(),
-            "assumptions": self.assumptions,
-        }
 
 
 class NoDivisibilityPattern(Exception):

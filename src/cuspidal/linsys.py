@@ -46,21 +46,6 @@ class LinearSystem:
     def projective_dimension(self):
         return len(self.basis) - 1
 
-    def __repr__(self):
-        return "LinearSystem(deg=%d, dim=%d)" % (self.degree, self.dimension)
-
-    def to_json(self):
-        from .multipoly import print_poly
-
-        return {
-            "degree": self.degree,
-            "action": self.action_k,
-            "dimension": self.dimension,
-            "projective_dimension": self.projective_dimension,
-            "conditions": self.nconditions,
-            "basis": [print_poly(b) for b in self.basis],
-        }
-
     def contains(self, f: Poly) -> bool:
         """Is f a Q(zeta5)-combination of the basis?"""
         if not self.basis:
@@ -163,12 +148,6 @@ class CuspSolveReport:
         self.roots = roots
         self.residual_degree = residual_degree
 
-    def __repr__(self):
-        return "CuspSolveReport(roots=%s, residual_degree=%d)" % (
-            [str(QZ5.to_str(r)) for r in self.roots],
-            self.residual_degree,
-        )
-
 
 def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
     """Solve for b making every order-3 Hessian minor of L1 + b L2 vanish
@@ -254,9 +233,6 @@ class SCMembershipVerdict:
     def passed(self):
         return all(v == "pass" for v in self.groups.values())
 
-    def to_json(self):
-        return dict(self.groups)
-
 
 def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint, ring=None):
     """Check a proposed solution of the quartic search.
@@ -320,14 +296,6 @@ class KummerReport:
         self.contains_quartic = contains_quartic
         self.member_points = member_points
         self.verdict = verdict
-
-    def to_json(self):
-        return {
-            "system_dimension": self.dimension,
-            "contains_vdgz_quartic": self.contains_quartic,
-            "member_singular_points": self.member_points,
-            "kummer_member_exists": self.verdict,
-        }
 
 
 def kummer_nonexistence_check(loci, vdgz_quartic: Poly, certifier):

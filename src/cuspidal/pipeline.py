@@ -20,16 +20,13 @@ from .curvegeom import (
 )
 from .groebner import NonRationalResidual, extract_points
 from .multipoly import ProjPoint
+from .schemas import PipelineError, Stages
 from .singcert import (
     SingularInCodimensionOne,
     SingularLocusNotInvariant,
     classify_all,
 )
 from .zfive import orbit, orbits
-
-
-class PipelineError(Exception):
-    pass
 
 
 def quartic_nodes(entry=None, seed=20240501):
@@ -171,35 +168,45 @@ class DivisibilityResult:
         self.stages = stages
         self.nullspace_basis = nullspace_basis
 
+    def to_json(self, transcript):
+        """The report of the ``divisibility`` command; ``transcript`` adds
+        the audit transcripts."""
+        cert = self.certificate
+        report = {
+            "surface": self.surface,
+            "labels": list(self.lattice.labels),
+            "matrix": self.lattice.matrix,
+            "det": self.lattice.determinant(),
+            "nullspace": [list(v) for v in self.nullspace_basis],
+            "vector": list(self.vector),
+            "swaps": list(cert.swaps),
+            "relation": cert.relation_text(),
+            "assumptions": cert.assumptions,
+            "published_match": self.match,
+            "stages": self.stages,
+            "pass": True,
+        }
+        if transcript:
+            # repeats stages, which keeps the --transcript reports as they
+            # were (docs/DECISIONS.md D19)
+            report["transcript"] = self.stages
+            report["proof"] = cert.transcript()
+            report["resolutions"] = [r.transcripts for r in self.resolutions]
+        return report
 
-def divisibility_pipeline(name, transcript=None, seed=20240501):
+
+def divisibility_pipeline(name, seed=20240501):
     """Full path from the catalog surface to its divisibility certificate."""
-
-    def note(stage, **info):
-        if transcript is not None:
-            transcript.append({"stage": stage, **info})
-
-    stages = []
-
-    def stage(label, ok, fatal=True, **info):
-        entry = {"stage": label, "ok": bool(ok)}
-        entry.update(info)
-        stages.append(entry)
-        note(label, ok=bool(ok), **info)
-        if fatal and not ok:
-            raise PipelineError("stage failed: %s (%s)" % (label, info))
-
+    stages = Stages()
     entry = catalog.get(name)
-    if entry.expected_degree != 5:
-        raise PipelineError("divisibility needs a quintic (cusps); got degree 4")
     S = entry.poly
     action = entry.action
 
     try:
         cert = classify_all(S, name, action=action)
     except (SingularInCodimensionOne, SingularLocusNotInvariant) as ev:
-        stage("quintic_certification", False, error=str(ev))
-    stage(
+        stages.check("quintic_certification", False, error=str(ev))
+    stages.check(
         "quintic_certification",
         cert.verdict == "all_A2" and cert.n_points == 15,
         verdict=cert.verdict,
@@ -211,7 +218,7 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
         Q = catalog.get(entry.companion).poly
         nodes, fixed_node, cusps, _qc = quartic_nodes(seed=seed)
         families, census = new_quintic_curves(S, Q, nodes, fixed_node, action)
-        stage(
+        stages.check(
             "trope_census",
             True,
             tropes=len(census.tropes),
@@ -219,16 +226,16 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
         )
         conics = families[0] + families[1]
         isect = intersect_surfaces(S, Q, conics, seed=seed)
-        stage("quintic_meets_quartic_at_conics", isect.clean, **isect.to_json())
+        stages.check("quintic_meets_quartic_at_conics", isect.clean, **isect.to_json())
     elif name == "vdgz_quintic":
         cusps = catalog.vdgz_cusps()
         families = vdgz_curves(S, action)
-        stage("line_families", True, lines=sum(len(f) for f in families))
+        stages.check("line_families", True, lines=sum(len(f) for f in families))
     else:
         raise PipelineError("no curve recipe for %s" % name)
 
     cusp_orbits = orbits(cusps, action.on_point)
-    stage(
+    stages.check(
         "cusp_orbits",
         sorted(len(o) for o in cusp_orbits) == [5, 5, 5],
         sizes=[len(o) for o in cusp_orbits],
@@ -250,7 +257,7 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
         ok = res.smooth_verified and all(
             res.curve_smooth.get(c.name, True) for c in all_curves
         )
-        stage(
+        stages.check(
             "cusp_resolution_%d" % (r + 1),
             ok,
             cusp=repr(rep),
@@ -264,7 +271,7 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
             if c.double_points:
                 sing = curve_singular_points(c)
                 total = sum(r.degree for _, r in sing)
-                stage(
+                stages.check(
                     "curve_double_points_%s" % c.name,
                     total == c.double_points,
                     found=total,
@@ -314,10 +321,10 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
 
     lat = lattice.assemble(a_rows, t_pairs, t_self)
     det = lat.determinant()
-    stage("lattice_determinant_zero", det == 0, determinant=det)
+    stages.check("lattice_determinant_zero", det == 0, determinant=det)
 
     basis = lattice.nullspace_int(lat.matrix)
-    stage("nullspace_computed", len(basis) >= 1, rank=len(basis), basis=basis)
+    stages.check("nullspace_computed", len(basis) >= 1, rank=len(basis), basis=basis)
 
     match = None
     if name == "new_quintic":
@@ -331,7 +338,7 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
             forced = lattice.t3_self_intersection(lattice.PUBLISHED_MATRIX[8])
             for m in match["skipped_mismatches"]:
                 m["projection_formula"] = forced
-        stage(
+        stages.check(
             "matches_published_matrix",
             strict is not None,
             fatal=False,
@@ -351,7 +358,7 @@ def divisibility_pipeline(name, transcript=None, seed=20240501):
         lat_use, basis_use = lat, basis
 
     vec, cert3 = lattice.find_divisibility_vector(lat_use, basis_use)
-    stage(
+    stages.check(
         "divisibility_certificate",
         True,
         vector=vec,

@@ -18,106 +18,86 @@ from .linsys import (
     proportional,
 )
 from .multipoly import QZ5
+from .schemas import PipelineError, Stages
 from .singcert import classify_all
 from .zfive import free_action_check
 
 
 def reproduce_construction(seed=20240501, progress=None, quartic_override=None):
-    stages = []
-
-    def log(msg):
-        if progress:
-            progress(msg)
-
-    def stage(label, ok, **info):
-        entry = {"stage": label, "ok": bool(ok)}
-        entry.update({k: v for k, v in info.items()})
-        stages.append(entry)
-        log("stage %-38s %s" % (label, "ok" if ok else "FAILED"))
-        return ok
-
-    report = {"stages": stages, "pass": False}
-
     qent = catalog.get("new_quartic")
     quartic = quartic_override if quartic_override is not None else qent.poly
     sent = catalog.get("new_quintic")
+    stages = Stages(progress)
+    # every stage is fatal: the first failed check ends the replay
+    try:
+        stages.check(
+            "catalog_parse",
+            quartic.is_homogeneous()
+            and quartic.degree() == 4
+            and sent.poly.is_homogeneous()
+            and sent.poly.degree() == 5,
+        )
 
-    if not stage(
-        "catalog_parse",
-        quartic.is_homogeneous()
-        and quartic.degree() == 4
-        and sent.poly.is_homogeneous()
-        and sent.poly.degree() == 5,
-    ):
-        return report
+        cert = classify_all(quartic, "quartic", action=qent.action)
+        orbit_sizes = sorted(o["size"] for o in cert.orbits or [])
+        stages.check(
+            "quartic_node_certificate",
+            cert.verdict == "all_A1"
+            and cert.n_points == 16
+            and orbit_sizes == [1, 5, 5, 5],
+            verdict=cert.verdict,
+            n_points=cert.n_points,
+            orbit_sizes=orbit_sizes,
+        )
 
-    cert = classify_all(quartic, "quartic", action=qent.action)
-    orbit_sizes = sorted(o["size"] for o in cert.orbits or [])
-    if not stage(
-        "quartic_node_certificate",
-        cert.verdict == "all_A1"
-        and cert.n_points == 16
-        and orbit_sizes == [1, 5, 5, 5],
-        verdict=cert.verdict,
-        n_points=cert.n_points,
-        orbit_sizes=orbit_sizes,
-    ):
-        return report
+        wchart = cert.report.charts[3]
+        loci = [(3, wchart.piece_radical)]
+        stages.check(
+            "nonfixed_nodes_in_w_chart",
+            wchart.piece_radical.degree == 15,
+            degree=wchart.piece_radical.degree,
+        )
 
-    wchart = cert.report.charts[3]
-    loci = [(3, wchart.piece_radical)]
-    if not stage(
-        "nonfixed_nodes_in_w_chart",
-        wchart.piece_radical.degree == 15,
-        degree=wchart.piece_radical.degree,
-    ):
-        return report
+        inv5 = conditioned_system(5, 0, loci=loci)
+        stages.check(
+            "invariant_quintic_system",
+            inv5.dimension == 2 and check_double_points(inv5.basis, loci, quartic.ring),
+            dimension=inv5.dimension,
+        )
 
-    inv5 = conditioned_system(5, 0, loci=loci)
-    if not stage(
-        "invariant_quintic_system",
-        inv5.dimension == 2 and check_double_points(inv5.basis, loci, quartic.ring),
-        dimension=inv5.dimension,
-    ):
-        return report
+        full5 = conditioned_system(5, None, loci=loci)
+        stages.check(
+            "unconstrained_quintic_system",
+            full5.projective_dimension == 4,
+            projective_dimension=full5.projective_dimension,
+        )
 
-    full5 = conditioned_system(5, None, loci=loci)
-    if not stage(
-        "unconstrained_quintic_system",
-        full5.projective_dimension == 4,
-        projective_dimension=full5.projective_dimension,
-    ):
-        return report
+        L1, L2 = inv5.basis
+        rep = impose_cusps(L1, L2, loci)
+        stages.check(
+            "cusp_imposing_solve",
+            len(rep.roots) == 1 and rep.residual_degree == 0,
+            roots=[QZ5.to_str(r) for r in rep.roots],
+            residual_degree=rep.residual_degree,
+        )
 
-    L1, L2 = inv5.basis
-    rep = impose_cusps(L1, L2, loci)
-    if not stage(
-        "cusp_imposing_solve",
-        len(rep.roots) == 1 and rep.residual_degree == 0,
-        roots=[QZ5.to_str(r) for r in rep.roots],
-        residual_degree=rep.residual_degree,
-    ):
-        return report
+        b = rep.roots[0]
+        F = L1 + L2.scale(b)
+        stages.check(
+            "proportional_to_published_quintic",
+            proportional(F, sent.poly),
+            b=QZ5.to_str(b),
+        )
 
-    b = rep.roots[0]
-    F = L1 + L2.scale(b)
-    if not stage(
-        "proportional_to_published_quintic",
-        proportional(F, sent.poly),
-        b=QZ5.to_str(b),
-    ):
-        return report
-
-    scert = classify_all(sent.poly, "quintic", action=sent.action)
-    fav = free_action_check(sent.poly, action=sent.action)
-    if not stage(
-        "quintic_cusp_certificate",
-        scert.verdict == "all_A2" and scert.n_points == 15 and fav.free,
-        verdict=scert.verdict,
-        n_points=scert.n_points,
-        free_action=fav.free,
-    ):
-        return report
-
-    report["pass"] = True
-    return report
+        scert = classify_all(sent.poly, "quintic", action=sent.action)
+        fav = free_action_check(sent.poly, action=sent.action)
+        stages.check(
+            "quintic_cusp_certificate",
+            scert.verdict == "all_A2" and scert.n_points == 15 and fav.free,
+            verdict=scert.verdict,
+            n_points=scert.n_points,
+            free_action=fav.free,
+        )
+    except PipelineError:
+        return {"stages": stages, "pass": False}
+    return {"stages": stages, "pass": True}

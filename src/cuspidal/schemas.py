@@ -1,4 +1,26 @@
-"""JSON schemas for the emitted certificates (draft 2020-12)."""
+"""JSON schemas for the emitted certificates (draft 2020-12), and the
+stage recorder behind the staged reports."""
+
+
+class PipelineError(Exception):
+    pass
+
+
+class Stages(list):
+    """A report's stage list: ``check`` appends one entry per stage."""
+
+    def __init__(self, progress=None):
+        super().__init__()
+        self.progress = progress
+
+    def check(self, label, ok, fatal=True, **info):
+        """Record {"stage", "ok", **info}; a failed fatal stage raises."""
+        self.append({"stage": label, "ok": bool(ok), **info})
+        if self.progress is not None:
+            self.progress("stage %-38s %s" % (label, "ok" if ok else "FAILED"))
+        if fatal and not ok:
+            raise PipelineError("stage failed: %s (%s)" % (label, info))
+
 
 SINGULARITY_CERTIFICATE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -62,8 +84,17 @@ DIVISIBILITY_CERTIFICATE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "DivisibilityCertificate",
     "type": "object",
-    "required": ["matrix", "det", "nullspace", "swaps", "relation", "assumptions"],
+    "required": [
+        "matrix",
+        "det",
+        "nullspace",
+        "swaps",
+        "relation",
+        "assumptions",
+        "stages",
+    ],
     "properties": {
+        "surface": {"type": "string"},
         "matrix": {
             "type": "array",
             "items": {"type": "array", "items": {"type": "integer"}},
@@ -79,5 +110,17 @@ DIVISIBILITY_CERTIFICATE_SCHEMA = {
         "assumptions": {"type": "object"},
         "published_match": {"type": ["object", "null"]},
         "labels": {"type": "array", "items": {"type": "string"}},
+        "stages": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["stage", "ok"],
+                "properties": {
+                    "stage": {"type": "string"},
+                    "ok": {"type": "boolean"},
+                },
+            },
+        },
+        "pass": {"type": "boolean"},
     },
 }

@@ -101,15 +101,6 @@ class SingularSchemeReport:
     def n_points(self):
         return sum(p["npoints"] for p in self.pieces)
 
-    def to_json(self):
-        return {
-            "surface": self.surface_name,
-            "positive_dimensional": self.positive_dimensional,
-            "pieces": self.pieces,
-            "tau_total": self.tau_total,
-            "n_points": self.n_points,
-        }
-
 
 def chart_ring(ring: Ring, chart_index: int) -> Ring:
     names = tuple(v for i, v in enumerate(ring.vars) if i != chart_index)
@@ -368,15 +359,23 @@ def _orbit_analysis(F: Poly, report, action):
     return orbits
 
 
+def local_surface(F: Poly, point: ProjPoint):
+    """F in the affine chart of point, shifted so that point is the origin.
+
+    Returns (local, cring, ci, shift) with shift the substitution
+    u_i -> u_i + point_i used.
+    """
+    ci = point.chart()
+    cring = chart_ring(F.ring, ci)
+    aff = point.affine()
+    shift = {i: cring.var(cring.vars[i]) + cring.from_scalar(aff[i]) for i in range(3)}
+    return to_chart(F, ci, cring).subs(shift), cring, ci, shift
+
+
 def classify_at_point(F: Poly, point: ProjPoint):
     """Local classification at one singular point: 'A1', 'A2' or 'other'."""
     field = point.field
-    ci = point.chart()
-    cring = chart_ring(F.ring, ci)
-    f = to_chart(F, ci, cring)
-    aff = point.affine()
-    shift = {i: cring.var(cring.vars[i]) + cring.from_scalar(aff[i]) for i in range(3)}
-    local = f.subs(shift)
+    local, cring, _, _ = local_surface(F, point)
     # order-by-order pieces
     quad = degree_part(local, 2)
     cubic = degree_part(local, 3)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cuspidal import catalog, cli, groebner, pipeline
+from cuspidal import catalog, cli, groebner, pipeline, schemas
 from cuspidal.cli import main
 
 
@@ -171,6 +171,37 @@ def test_divisibility_rejects_quartic(capsys):
     assert code == 2
 
 
+def test_divisibility_pipeline_fails_a_quartic_at_its_first_stage():
+    # the command rejects a quartic with exit 2 before the pipeline runs;
+    # called directly, the pipeline finds 16 A1 points, not 15 A2
+    with pytest.raises(
+        pipeline.PipelineError, match="stage failed: quintic_certification"
+    ):
+        pipeline.divisibility_pipeline("new_quartic")
+
+
+def test_stage_recorder():
+    # one entry and one progress line per check; only a failed fatal
+    # check raises, and it names the stage and its data
+    lines = []
+    stages = schemas.Stages(lines.append)
+    stages.check("first", True, n=3)
+    stages.check("second", False, fatal=False)
+    with pytest.raises(pipeline.PipelineError, match=r"stage failed: third \(\{'n': 0\}\)"):
+        stages.check("third", 0, n=0)
+    assert stages == [
+        {"stage": "first", "ok": True, "n": 3},
+        {"stage": "second", "ok": False},
+        {"stage": "third", "ok": False, "n": 0},
+    ]
+    assert lines == [
+        "stage first                                  ok",
+        "stage second                                 FAILED",
+        "stage third                                  FAILED",
+    ]
+    assert json.loads(json.dumps(stages)) == stages
+
+
 def test_divisibility_unknown_name(capsys):
     code, out, err = run_cli(capsys, "--json", "divisibility", "nonsense")
     assert code == 2
@@ -287,6 +318,9 @@ def test_unknown_name_error_is_plain_message(capsys, command, message):
 # substitutions and strict transforms, so a change in either changes it
 PINNED_TRANSCRIPT_REPORTS = {
     ("divisibility", "vdgz_quintic"): "318e258ac9e618cea17ed0d51a78fe01e14795f27e1e027edf669d112d85495e",
+    # its plane of the excess test comes from the default --seed; pinned
+    # before its stages and transcript came from one recorder
+    ("divisibility", "new_quintic"): "6035b22b17c532ad6f91f1343619e1b941e1bea5b3d76e9a4888f733f862daaa",
     ("surface-report", "new_quintic"): "0ea7cd9dd142cdeacff27cea40848e38ff7f00156df4de432c396e8c1817d80b",
     # its chart_gb_sizes read all four chart bases, three of them served
     # by groebner's table of repeated ideals (docs/DECISIONS.md D14)

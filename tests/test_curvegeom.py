@@ -6,6 +6,8 @@ from cuspidal.curvegeom import (
     CurveOnSurface,
     ResolutionError,
     SquareRootFailure,
+    _exceptional_supported_length,
+    blow_up_charts,
     curve_lies_on,
     curve_singular_points,
     find_tropes,
@@ -15,6 +17,7 @@ from cuspidal.curvegeom import (
     resolve_cusp,
 )
 from cuspidal.multipoly import ProjPoint, restrict_to_plane
+from cuspidal.singcert import chart_ring
 from cuspidal.zfive import ActionK, orbits
 
 R = catalog.XYZW
@@ -181,6 +184,17 @@ def test_resolve_cusp_needs_field_extension():
     with pytest.raises(ResolutionError) as ei:
         resolve_cusp(S, ProjPoint([0, 0, 0, 1]), [])
     assert "quadratic extension" in str(ei.value)
+
+
+def test_exceptional_length_counts_a_double_point_on_the_chart_boundary():
+    # chart 1 keeps the exceptional points with v_z = 0: the point
+    # v_x = v_z = 0 of V(w, v_x, v_z^2) has length 2 there; adding v_z as
+    # a generator would cut it down to the reduced point, length 1
+    mchart, bring, _ = blow_up_charts(chart_ring(R, 3))[1]
+    assert (mchart, bring.vars) == (1, ("v_x", "v_z", "w_"))
+    v_x, v_z, w = bring.gens()
+    assert _exceptional_supported_length([w, v_x, v_z**2], bring, 1) == 2
+    assert _exceptional_supported_length([w, v_x, v_z**2, v_z], bring, 1) == 1
 
 
 def test_pair_intersection_away_from():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -239,16 +240,8 @@ def test_lattice_json_schema(new_divisibility):
 
     from cuspidal.schemas import DIVISIBILITY_CERTIFICATE_SCHEMA
 
-    res = new_divisibility
-    report = {
-        "matrix": res.lattice.matrix,
-        "det": res.lattice.determinant(),
-        "nullspace": [list(v) for v in res.nullspace_basis],
-        "vector": list(res.vector),
-        "swaps": list(res.certificate.swaps),
-        "relation": res.certificate.relation_text(),
-        "assumptions": res.certificate.assumptions,
-        "published_match": res.match,
-        "labels": list(res.lattice.labels),
-    }
-    jsonschema.validate(report, DIVISIBILITY_CERTIFICATE_SCHEMA)
+    # the report the divisibility command prints, with and without the
+    # audit transcripts, serialised as the command serialises it
+    for transcript in (False, True):
+        text = json.dumps(new_divisibility.to_json(transcript), default=str)
+        jsonschema.validate(json.loads(text), DIVISIBILITY_CERTIFICATE_SCHEMA)

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cuspidal import catalog, linalg
-from cuspidal.curvegeom import _local_surface, tangent_cone_lines
+from cuspidal.curvegeom import tangent_cone_lines
 from cuspidal.cyclofield import CycloElem
 from cuspidal.multipoly import ProjPoint
+from cuspidal.singcert import local_surface
 
 ZERO = CycloElem.from_int(0)
 ONE = CycloElem.from_int(1)
@@ -152,6 +153,6 @@ def test_tangent_cone_lines_unchanged_on_vdgz_cusps(coords):
     S = catalog.get("vdgz_quintic").poly
     cusp = ProjPoint(list(coords))
     assert cusp in catalog.vdgz_cusps()
-    flocal, cring, _, _ = _local_surface(S, cusp)
+    flocal, cring, _, _ = local_surface(S, cusp)
     l1, l2, kern = tangent_cone_lines(flocal, cring)
     assert (str(l1), str(l2), [str(c) for c in kern]) == TANGENT_CONES[coords]

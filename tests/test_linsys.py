@@ -114,7 +114,7 @@ def test_sc_membership_published_solution(node_data):
     others = [o for o in cusp_orbits if catalog.CHOSEN_NODE not in o]
     assert len(others) == 2
     verdict = verify_sc_membership(coeffs, others[0][0], others[1][0])
-    assert verdict.passed, verdict.to_json()
+    assert verdict.passed, verdict.groups
 
 
 def test_sc_membership_zero_assignment_fails():
