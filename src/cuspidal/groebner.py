@@ -1,9 +1,9 @@
 """Buchberger engine and zero-dimensional scheme toolkit.
 
 The basis is computed in degrevlex, the only term order
-(docs/DECISIONS.md D18), with sugar-strategy pair selection and both
-Buchberger criteria; basis elements are kept monic so reduction never
-divides.  Every reduction is heap division on packed monomials
+(docs/DECISIONS.md D18), with sugar-strategy pair selection and the pair
+update of Gebauer and Moeller (D20); basis elements are kept monic so
+reduction never divides.  Every reduction is heap division on packed monomials
 (``TermOrder.pack``) inside one kernel, ``Reducers.raw_remainder``: a
 basis is packed once (``GroebnerBasis.reducers``, or grown with the basis
 inside ``buchberger``) and pairs are popped from a heap keyed on (sugar,
@@ -103,41 +103,63 @@ class GroebnerBasis:
 
 def _accumulate(coeffs, heap, base, nc, dv, terms):
     """Add x^base * sum((nc * n / dv) x^t) over (t, n) in terms into a
-    reduction's raw dict and max-heap; x^base * x^t packs to base + t and
-    nc * n is the `phi5_mul` product of two numerator 4-tuples.  A
-    rational multiplier (n1 = n2 = n3 = 0) scales instead: n0 * n is the
-    same 4-tuple from 4 integer products (docs/DECISIONS.md D12).
+    reduction's raw dict and max-heap; x^base * x^t packs to base + t.
+    The products nc * n are formed in one of two loops, with no call or
+    branch per term: a rational multiplier (n1 = n2 = n3 = 0) scales n by
+    4 integer products (docs/DECISIONS.md D12), any other takes the 16 of
+    `phi5_mul`'s general case, written out (D20).
 
     The products share the denominator dv, so each adds componentwise to
     a raw coefficient over dv; one over another denominator is
     cross-multiplied (docs/DECISIONS.md D7).
     """
     get = coeffs.get
+    push = heapq.heappush
     n0, n1, n2, n3 = nc
-    rational = not (n1 or n2 or n3)
-    for t, tn in terms:
-        p = base + t
-        if rational:
-            t0, t1, t2, t3 = tn
-            b0, b1, b2, b3 = n0 * t0, n0 * t1, n0 * t2, n0 * t3
-        else:
-            b0, b1, b2, b3 = phi5_mul(nc, tn)
-        old = get(p)
-        if old is None:
-            coeffs[p] = (b0, b1, b2, b3, dv)
-            heapq.heappush(heap, -p)
-        else:
-            o0, o1, o2, o3, od = old
-            if od == dv:
-                coeffs[p] = (o0 + b0, o1 + b1, o2 + b2, o3 + b3, od)
+    if n1 or n2 or n3:
+        for t, (t0, t1, t2, t3) in terms:
+            r4 = n1 * t3 + n2 * t2 + n3 * t1
+            b0 = n0 * t0 + n2 * t3 + n3 * t2 - r4
+            b1 = n0 * t1 + n1 * t0 + n3 * t3 - r4
+            b2 = n0 * t2 + n1 * t1 + n2 * t0 - r4
+            b3 = n0 * t3 + n1 * t2 + n2 * t1 + n3 * t0 - r4
+            p = base + t
+            old = get(p)
+            if old is None:
+                coeffs[p] = (b0, b1, b2, b3, dv)
+                push(heap, -p)
             else:
-                coeffs[p] = (
-                    o0 * dv + b0 * od,
-                    o1 * dv + b1 * od,
-                    o2 * dv + b2 * od,
-                    o3 * dv + b3 * od,
-                    od * dv,
-                )
+                o0, o1, o2, o3, od = old
+                if od == dv:
+                    coeffs[p] = (o0 + b0, o1 + b1, o2 + b2, o3 + b3, od)
+                else:
+                    coeffs[p] = (
+                        o0 * dv + b0 * od,
+                        o1 * dv + b1 * od,
+                        o2 * dv + b2 * od,
+                        o3 * dv + b3 * od,
+                        od * dv,
+                    )
+    else:
+        for t, (t0, t1, t2, t3) in terms:
+            b0, b1, b2, b3 = n0 * t0, n0 * t1, n0 * t2, n0 * t3
+            p = base + t
+            old = get(p)
+            if old is None:
+                coeffs[p] = (b0, b1, b2, b3, dv)
+                push(heap, -p)
+            else:
+                o0, o1, o2, o3, od = old
+                if od == dv:
+                    coeffs[p] = (o0 + b0, o1 + b1, o2 + b2, o3 + b3, od)
+                else:
+                    coeffs[p] = (
+                        o0 * dv + b0 * od,
+                        o1 * dv + b1 * od,
+                        o2 * dv + b2 * od,
+                        o3 * dv + b3 * od,
+                        od * dv,
+                    )
 
 
 class Reducers:
@@ -157,6 +179,10 @@ class Reducers:
         self.one = order.pack((0,) * ring.nvars)
         self.guard = order.guard(ring.nvars)
         self.entries = []
+        # packed monomial -> the first entry whose lead divides it, or the
+        # number of entries that were found not to; entries are only
+        # appended, so either stays true (D20)
+        self.memo = {}
         for g in polys:
             if not g.is_zero:
                 self.entries.append(self.entry(g))
@@ -190,14 +216,16 @@ class Reducers:
         If the first entry lead dividing m is l, c * m/l * tail is
         subtracted (the lead cancels by construction); else c joins the
         remainder.  Seeds and reduction steps add their products by the
-        same step, `_accumulate`.
+        same step, `_accumulate`.  The first entry dividing m is memoised
+        for the life of the object, and so is the number of entries that
+        do not divide it, so a later lookup scans only the entries
+        appended since (docs/DECISIONS.md D20).
         """
         coeffs = {}
         heap = []
         for base, nc, dv, terms in seeds:
             _accumulate(coeffs, heap, base, nc, dv, terms)
-        guard = self.guard
-        entries = self.entries
+        guard, entries, memo = self.guard, self.entries, self.memo
         pop = heapq.heappop
         rem = []
         while heap:
@@ -209,13 +237,18 @@ class Reducers:
                 # only a product seed can pass the slot bound (D18)
                 raise ValueError("degree passes the slot bound during reduction")
             g = gcd(d, a0, a1, a2, a3)
-            for lead, tail, D in entries:
-                if not (m - lead) & guard:
-                    nc = (-a0 // g, -a1 // g, -a2 // g, -a3 // g)
-                    _accumulate(coeffs, heap, m, nc, d // g * D, tail)
-                    break
-            else:
-                rem.append((m, (a0 // g, a1 // g, a2 // g, a3 // g), d // g))
+            ent = memo.get(m, 0)
+            if ent.__class__ is int:  # not yet found: scan the entries after
+                for ent in entries[ent:]:
+                    if not (m - ent[0]) & guard:
+                        memo[m] = ent
+                        break
+                else:
+                    memo[m] = len(entries)
+                    rem.append((m, (a0 // g, a1 // g, a2 // g, a3 // g), d // g))
+                    continue
+            nc = (-a0 // g, -a1 // g, -a2 // g, -a3 // g)
+            _accumulate(coeffs, heap, m, nc, d // g * ent[2], ent[1])
         return rem
 
     def remainder(self, seeds):
@@ -401,69 +434,84 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
 def _run(gens, ring):
     """(terms of the reduced basis, stats) of the ideal of monic gens.
 
+    Each element, generators included, enters through the update of
+    Gebauer and Moeller (docs/DECISIONS.md D20).  Its pairs are formed
+    only with the live elements, those whose lead no later lead divides.
+    Among them, a pair is dropped when another new pair's lcm properly
+    divides its lcm (M); of the pairs with one lcm only the first in the
+    heap is kept (F), and none when one of them has coprime leads
+    (product criterion).  A pending pair (i, j) is dropped when the new
+    lead divides its lcm L and L is neither lcm(i, new) nor lcm(j, new)
+    (B_k); lcm(i, new) is computed for every earlier element, live or not.
     Pairs are taken in order of (sugar, lcm of the leads, indices) from a
-    heap; the product and chain criteria skip pairs, and the chain
-    criterion tests divisibility on the packed leads.  Each S-pair is
-    reduced from the two packed tails, and a nonzero remainder joins the
-    basis as the entry of its monic multiple (`Reducers.monic_entry`),
-    with the pair's sugar s as its own: s is at least the degree of the
-    lcm, which no term of the S-pair or of its remainder passes, so s is
-    max(s, deg r) (docs/DECISIONS.md D18).  The result is
-    `Reducers.reduced_basis` of the basis grown.
+    heap, a dropped one skipped when popped.  Each S-pair is reduced
+    from the two packed tails by every entry, and a nonzero remainder
+    joins the basis as the entry of its monic multiple
+    (`Reducers.monic_entry`), with the pair's sugar s as its own: s is at
+    least the degree of the lcm, which no term of the S-pair or of its
+    remainder passes, so s is max(s, deg r) (docs/DECISIONS.md D18).
+    The result is `Reducers.reduced_basis` of the basis grown.
     """
     n = ring.nvars
     pack, unpack = ring.order.pack, ring.order.unpack
     gens = sorted(gens, key=lambda g: pack(g.lm()))
     leads = []
-    sugars = []
+    excess = []  # sugar minus lead degree; a pair's sugar is its max + deg L
     red = Reducers(ring)  # entries[k][0] is pack(leads[k]) - one
     one, guard, entries = red.one, red.guard, red.entries
     heap = []  # (sugar, packed lcm, i, j)
-    pending = set()  # the pairs in heap
+    pending = {}  # (i, j) -> packed lcm, the pairs in heap not dropped
+    live = []  # the elements whose lead no later lead divides
 
     def add_entry(entry, sugar):
-        idx = len(leads)
-        lg = unpack(entry[0] + one, n)
-        dg = mono_deg(lg)
-        for i, lf in enumerate(leads):
-            L = mono_lcm(lf, lg)
-            dL = mono_deg(L)
-            s = max(sugars[i] + dL - mono_deg(lf), sugar + dL - dg)
-            heapq.heappush(heap, (s, pack(L), i, idx))
-            pending.add((i, idx))
-        leads.append(lg)
-        sugars.append(sugar)
+        h, eh = len(leads), entry[0]
+        lh = unpack(eh + one, n)
+        xh = sugar - mono_deg(lh)
+        lcms = [mono_lcm(lf, lh) for lf in leads]
+        packed = [pack(L) for L in lcms]
+        for i, j in [
+            ij
+            for ij, L in pending.items()
+            if not (L - eh) & guard and packed[ij[0]] != L and packed[ij[1]] != L
+        ]:
+            del pending[i, j]  # B_k
+        first = {}  # packed lcm -> its first pair's heap key, None if coprime
+        for i in live:
+            L = packed[i]
+            coprime = L == entries[i][0] + eh + one
+            key = None if coprime else (max(excess[i], xh) + mono_deg(lcms[i]), L, i, h)
+            if L not in first or key is None or first[L] and key < first[L]:
+                first[L] = key
+        minimal = []
+        for L in sorted(first):  # a divisor of L is no larger
+            if all((L - M + one) & guard for M in minimal):
+                minimal.append(L)
+                if first[L]:
+                    heapq.heappush(heap, first[L])
+                    pending[first[L][2], h] = L
+        live[:] = [i for i in live if (entries[i][0] - eh + one) & guard] + [h]
+        leads.append(lh)
+        excess.append(xh)
         entries.append(entry)
 
     for g in gens:
         add_entry(red.entry(g), g.degree())
 
-    processed = 0
+    processed = zero = 0
     while heap:
         s, L, i, j = heapq.heappop(heap)
-        pending.remove((i, j))
-        # product criterion: coprime leads
-        if L == entries[i][0] + entries[j][0] + one:
-            continue
-        # chain criterion: a third lead divides L and both its pairs are done
-        skip = False
-        for k, (lk, _, _) in enumerate(entries):
-            if k == i or k == j or (L - lk) & guard:
-                continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
+        if pending.pop((i, j), None) is None:
             continue
         processed += 1
         r = red.raw_remainder(red.spair_seeds(i, j, L))
         if r:
             add_entry(red.monic_entry(r), s)
+        else:
+            zero += 1
 
     basis = red.reduced_basis()
-    return tuple([g.terms for g in basis]), {"pairs_processed": processed}
+    stats = {"pairs_processed": processed, "zero_reductions": zero}
+    return tuple([g.terms for g in basis]), stats
 
 
 # ---------------------------------------------------------------------------

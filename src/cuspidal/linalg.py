@@ -10,10 +10,12 @@ span does not depend on the scale.  An echelon row is (pivot, N, row,
 its nonzero entries): the row is multiplied by s2 s3 s4 of its pivot
 entry (`cyclofield.conj_product`), so the pivot becomes a positive
 rational integer N, then divided by its content.  Reducing v by a row is
-v <- N * v - v[pivot] * row, with `phi5_mul` and no gcd; a remainder
-takes one content gcd when it becomes a row.  `rref` sorts the rows by
-pivot, clears each pivot column in the other rows, and divides each row
-by its pivot: CycloElems are built only there.
+v <- N * v - v[pivot] * row, with no gcd; a remainder takes one content
+gcd when it becomes a row.  The Z[e] products of a reduction
+(`_lincomb`) and of an operator applied to a vector (`_apply`) are
+`phi5_mul`'s written out, with no call per entry (D20).  `rref` sorts
+the rows by pivot, clears each pivot column in the other rows, and
+divides each row by its pivot: CycloElems are built only there.
 """
 
 from __future__ import annotations
@@ -39,15 +41,28 @@ def _int_vector(vec):
 
 def _lincomb(N, v, b, nz):
     """N * v + b * row over Z[e], N an int, b a 4-tuple and the row given
-    by its nonzero entries nz = [(i, r), ...]."""
+    by its nonzero entries nz = [(i, r), ...].  Like the reduction
+    kernel's `_accumulate`, it has one loop for a rational b and one for
+    any other, with `phi5_mul`'s product written out (D20)."""
     if N == 1:
         out = list(v)
     else:
         out = [(N * x0, N * x1, N * x2, N * x3) for x0, x1, x2, x3 in v]
-    for i, r in nz:
-        p0, p1, p2, p3 = phi5_mul(b, r)
-        x0, x1, x2, x3 = out[i]
-        out[i] = (x0 + p0, x1 + p1, x2 + p2, x3 + p3)
+    b0, b1, b2, b3 = b
+    if b1 or b2 or b3:
+        for i, (r0, r1, r2, r3) in nz:
+            r4 = b1 * r3 + b2 * r2 + b3 * r1
+            x0, x1, x2, x3 = out[i]
+            out[i] = (
+                x0 + b0 * r0 + b2 * r3 + b3 * r2 - r4,
+                x1 + b0 * r1 + b1 * r0 + b3 * r3 - r4,
+                x2 + b0 * r2 + b1 * r1 + b2 * r0 - r4,
+                x3 + b0 * r3 + b1 * r2 + b2 * r1 + b3 * r0 - r4,
+            )
+    else:
+        for i, (r0, r1, r2, r3) in nz:
+            x0, x1, x2, x3 = out[i]
+            out[i] = (x0 + b0 * r0, x1 + b0 * r1, x2 + b0 * r2, x3 + b0 * r3)
     return out
 
 
@@ -132,18 +147,20 @@ def _echelon(vectors):
 
 
 def _apply(op_rows, v):
-    """M * v for M given by sparse integer rows [(j, n), ...]."""
+    """M * v for M given by sparse integer rows [(j, n), ...]; the zero
+    entries of v are skipped and `phi5_mul`'s product is written out."""
     out = []
     for row in op_rows:
         a0 = a1 = a2 = a3 = 0
-        for j, n in row:
+        for j, (n0, n1, n2, n3) in row:
             x = v[j]
             if x != _ZERO4:
-                p0, p1, p2, p3 = phi5_mul(n, x)
-                a0 += p0
-                a1 += p1
-                a2 += p2
-                a3 += p3
+                x0, x1, x2, x3 = x
+                r4 = n1 * x3 + n2 * x2 + n3 * x1
+                a0 += n0 * x0 + n2 * x3 + n3 * x2 - r4
+                a1 += n0 * x1 + n1 * x0 + n3 * x3 - r4
+                a2 += n0 * x2 + n1 * x1 + n2 * x0 - r4
+                a3 += n0 * x3 + n1 * x2 + n2 * x1 + n3 * x0 - r4
         out.append((a0, a1, a2, a3))
     return out
 

@@ -30,12 +30,11 @@ from .zfive import ActionK, degree_monomials, invariant_basis, orbit
 class LinearSystem:
     """Kernel basis of the imposed linear conditions."""
 
-    def __init__(self, degree, action_k, columns, basis, nconditions):
+    def __init__(self, degree, action_k, columns, basis):
         self.degree = degree
         self.action_k = action_k
         self.columns = tuple(columns)
         self.basis = list(basis)
-        self.nconditions = nconditions
 
     @property
     def dimension(self):
@@ -123,7 +122,7 @@ def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSyst
                 (m, c) for m, c in zip(columns, v) if not field.is_zero(c)
             )
         )
-    return LinearSystem(d, action_k, columns, basis, len(rows))
+    return LinearSystem(d, action_k, columns, basis)
 
 
 def check_double_points(basis, loci, ring):
@@ -143,8 +142,7 @@ def check_double_points(basis, loci, ring):
 
 
 class CuspSolveReport:
-    def __init__(self, gcd_coeffs, roots, residual_degree):
-        self.gcd_coeffs = gcd_coeffs
+    def __init__(self, roots, residual_degree):
         self.roots = roots
         self.residual_degree = residual_degree
 
@@ -153,10 +151,11 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
     """Solve for b making every order-3 Hessian minor of L1 + b L2 vanish
     on the given loci (the double points being already imposed).
 
-    Returns the gcd of all induced univariate conditions in b, its roots in
-    Q(zeta5) (linear factors peeled by exact gcd arithmetic; remaining
-    rational roots recovered by verified lifting), and the degree of the
-    unsolved residual factor (0 when everything is accounted for).
+    Returns the roots in Q(zeta5) of the gcd of all induced univariate
+    conditions in b (linear factors peeled by exact gcd arithmetic;
+    remaining rational roots recovered by verified lifting), and the
+    degree of the unsolved residual factor (0 when everything is accounted
+    for).
     """
     ring = L1.ring
     ext = Ring(ring.vars + ("b",))
@@ -193,7 +192,7 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
                     conds.append(poly_b)
 
     if not conds:
-        return CuspSolveReport([QZ5.one], [], 0)
+        return CuspSolveReport([], 0)
     g = conds[0]
     for c in conds[1:]:
         if unipoly.deg(g, QZ5) == 0:
@@ -211,7 +210,7 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
                 roots.append(r)
                 g = g2
     residual = max(unipoly.deg(g, QZ5), 0)
-    return CuspSolveReport(g, roots, residual)
+    return CuspSolveReport(roots, residual)
 
 
 def proportional(p: Poly, q: Poly) -> bool:

@@ -87,8 +87,7 @@ class ChartData:
 
 
 class SingularSchemeReport:
-    def __init__(self, surface_name, charts, pieces, positive_dimensional):
-        self.surface_name = surface_name
+    def __init__(self, charts, pieces, positive_dimensional):
         self.charts = charts  # ChartData, or None where not zero-dimensional
         self.pieces = pieces  # list of dicts with tau / npoints per piece
         self.positive_dimensional = positive_dimensional  # None or witness
@@ -120,14 +119,11 @@ def chart_piece(gens, chart_index: int):
 
 def to_chart(p: Poly, chart_index: int, cring: Ring) -> Poly:
     """Dehomogenize at the chart variable and drop it from the ring."""
-    terms = []
-    for e, c in p.terms:
-        e2 = tuple(x for i, x in enumerate(e) if i != chart_index)
-        terms.append((e2, c))
-    return cring.from_terms(terms)
+    k = chart_index
+    return cring.from_terms([(e[:k] + e[k + 1 :], c) for e, c in p.terms])
 
 
-def singular_scheme(F: Poly, surface_name="surface") -> SingularSchemeReport:
+def singular_scheme(F: Poly) -> SingularSchemeReport:
     """Jacobian scheme piece by piece: a chart is built only when its piece
     is nonempty or it is the last chart (docs/DECISIONS.md D10)."""
     if not F.is_homogeneous():
@@ -155,7 +151,7 @@ def singular_scheme(F: Poly, surface_name="surface") -> SingularSchemeReport:
         )
     # a positive-dimensional locus has no finite accounting
     pieces = [] if positive else _pieces(ring, charts)
-    return SingularSchemeReport(surface_name, charts, pieces, positive)
+    return SingularSchemeReport(charts, pieces, positive)
 
 
 def _piece_slice(scheme, radical, later):
@@ -239,7 +235,7 @@ class SingularityCertificate:
 
 def classify_all(F: Poly, surface_name="surface", action=None):
     """Full scheme-level certificate for the singular locus of F."""
-    report = singular_scheme(F, surface_name)
+    report = singular_scheme(F)
     if report.positive_dimensional is not None:
         raise SingularInCodimensionOne(
             report.positive_dimensional["chart"],

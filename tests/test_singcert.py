@@ -15,7 +15,7 @@ R = catalog.XYZW
 
 def test_smooth_quadric_empty_scheme():
     x, y, z, w = R.gens()
-    rep = singular_scheme(x**2 + y**2 + z**2 + w**2, "quadric")
+    rep = singular_scheme(x**2 + y**2 + z**2 + w**2)
     assert rep.n_points == 0 and rep.tau_total == 0
     cert = classify_all(x**2 + y**2 + z**2 + w**2)
     assert cert.verdict == "smooth"
@@ -24,7 +24,7 @@ def test_smooth_quadric_empty_scheme():
 def test_positive_dimensional_reported():
     x, y, z, w = R.gens()
     # x^2 y^2: singular along two planes
-    rep = singular_scheme(x**2 * y**2, "nonreduced")
+    rep = singular_scheme(x**2 * y**2)
     assert rep.positive_dimensional is not None
     with pytest.raises(ValueError):
         classify_all(x**2 * y**2)
