@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 all requested certificates pass, 1 certificate/stage
 failure, 2 parse or usage error.  Progress goes to stderr; stdout carries
-only the report (JSON with --json, text otherwise).
+only the report (JSON with --json, text otherwise).  No report depends on
+a random choice: --seed is accepted and ignored (docs/DECISIONS.md D21).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .singcert import (
 )
 from .zfive import ActionK, free_action_check
 
-DEFAULT_SEED = 20240501
-
 
 def _progress(msg):
     print(msg, file=sys.stderr)
@@ -37,9 +36,15 @@ def _load_surface(arg, action_k):
     """Catalog entry by name, or a parsed equation file."""
     try:
         entry = catalog.get(arg)
-        return entry.name, entry.poly, entry.action
     except KeyError:
         pass
+    else:
+        if action_k is not None:
+            raise ValueError(
+                "--action applies to equation files only: catalog surface "
+                "%r carries its own action" % arg
+            )
+        return entry.name, entry.poly, entry.action
     if os.path.exists(arg):
         with open(arg) as fh:
             text = fh.read()
@@ -114,16 +119,8 @@ def _chart_only_report(name, poly, chart_name):
 def cmd_reproduce_construction(args):
     from .reproduce import reproduce_construction
 
-    if args.action not in (None, 0):
-        report = {
-            "pass": False,
-            "reason": "no built-in a_%d quartic in the catalog" % args.action,
-            "stages": [],
-        }
-        _emit(args, report)
-        return 1
     _progress("replaying the quartic -> quintic construction ...")
-    report = reproduce_construction(seed=args.seed, progress=_progress)
+    report = reproduce_construction(progress=_progress)
     _emit(args, report)
     return 0 if report["pass"] else 1
 
@@ -140,25 +137,11 @@ def cmd_divisibility(args):
         return 2
     _progress("running the divisibility pipeline for %s ..." % args.surface)
     try:
-        res = divisibility_pipeline(args.surface, seed=args.seed)
+        res = divisibility_pipeline(args.surface)
     except PipelineError as ev:
         _emit(args, {"pass": False, "error": str(ev)})
         return 1
     _emit(args, res.to_json(args.transcript))
-    return 0
-
-
-def cmd_invariant_table(args):
-    from .zfive import invariant_basis
-
-    table = []
-    for d in range(args.max_degree + 1):
-        row = {"degree": d}
-        for k in range(5):
-            row["a_%d" % k] = len(invariant_basis(d, k))
-        table.append(row)
-    report = {"invariant_monomial_counts": table}
-    _emit(args, report)
     return 0
 
 
@@ -201,7 +184,10 @@ def build_parser():
     )
     p.add_argument("--json", action="store_true", help="emit JSON on stdout")
     p.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="deterministic seed"
+        "--seed",
+        type=int,
+        help="accepted and ignored: no report depends on a random choice; "
+        "kept so that callers that pass it still run",
     )
     p.add_argument(
         "--transcript", action="store_true", help="include audit transcripts"
@@ -210,25 +196,24 @@ def build_parser():
 
     sr = sub.add_parser("surface-report", help="certify a surface's singularities")
     sr.add_argument("surface", help="catalog name or equation file")
-    sr.add_argument("--action", type=int, default=None, help="action index k")
+    sr.add_argument(
+        "--action",
+        type=int,
+        choices=range(5),
+        help="action index k of an equation file (default 0)",
+    )
     sr.add_argument("--chart", default=None, help="restrict to one chart")
     sr.set_defaults(fn=cmd_surface_report)
 
     rc = sub.add_parser(
         "reproduce-construction", help="replay the published construction"
     )
-    rc.add_argument("--action", type=int, default=None, help="action index k")
     rc.set_defaults(fn=cmd_reproduce_construction)
 
     dv = sub.add_parser("divisibility", help="3-divisibility certificate")
     dv.add_argument("surface", help="catalog quintic name")
     dv.set_defaults(fn=cmd_divisibility)
 
-    it = sub.add_parser(
-        "invariant-table", help="invariant-monomial counts per (degree, action)"
-    )
-    it.add_argument("--max-degree", type=int, default=6)
-    it.set_defaults(fn=cmd_invariant_table)
     return p
 
 

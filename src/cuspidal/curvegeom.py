@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .cyclofield import cyclo_sqrt, ratio
+from .cyclofield import cyclo_sqrt
 from .groebner import (
     NotZeroDimensional,
     buchberger,
@@ -193,7 +193,11 @@ class IntersectionReport:
         }
 
 
-def intersect_surfaces(S: Poly, Q: Poly, conic_curves, seed=20240501):
+# planes tried for the excess test of intersect_surfaces, in order
+_SLICE_PLANES = ((7, -1, -3, -1), (-2, 1, -6, -1), (2, 2, 4, 1), (-4, 2, 5, -2))
+
+
+def intersect_surfaces(S: Poly, Q: Poly, conic_curves):
     """Verify S meets Q exactly at the given conics.
 
     Checks (i) every conic lies on both surfaces, (ii) degree bookkeeping
@@ -201,11 +205,10 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves, seed=20240501):
     V(S, Q) of that degree lies on the union of the conic planes (their
     product is in the section's radical, docs/DECISIONS.md D5).  Any curve
     component of V(S, Q) meets every plane, so an excess component or a
-    conic listed twice in place of another is seen.  Without such a plane
-    among the random ones tried the verdict is not clean.
+    conic listed twice in place of another is seen.  The planes tried are
+    the fixed list _SLICE_PLANES (docs/DECISIONS.md D21); without such a
+    plane among them the verdict is not clean.
     """
-    import random as _random
-
     ring = S.ring
     containments = []
     for c in conic_curves:
@@ -218,14 +221,8 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves, seed=20240501):
     prod = ring.one
     for c in conic_curves:
         prod = prod * c.gens[0]
-    rng = _random.Random(seed)
-    tried = 0
     degenerate_slices = 0
-    for _ in range(4):
-        coeffs = [rng.randint(-7, 7) for _ in range(4)]
-        if not any(coeffs):
-            continue
-        tried += 1
+    for tried, coeffs in enumerate(_SLICE_PLANES, 1):
         plane = ring.linear_form(coeffs)
         try:
             section = _chart_pieces([S, Q, plane])
@@ -240,14 +237,16 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves, seed=20240501):
             if not scheme.algebra.in_radical(to_chart(prod, ci, scheme.ring))
         ]
         return IntersectionReport(
-            containments, expected, counted, excess, coeffs, tried
+            containments, expected, counted, excess, list(coeffs), tried
         )
-    if degenerate_slices == tried:
+    if degenerate_slices == len(_SLICE_PLANES):
         raise ValueError(
             "surfaces share a component (every plane section is positive-"
             "dimensional): precondition violated"
         )
-    return IntersectionReport(containments, expected, counted, [], None, tried)
+    return IntersectionReport(
+        containments, expected, counted, [], None, len(_SLICE_PLANES)
+    )
 
 
 def _chart_pieces(gens):
@@ -364,11 +363,6 @@ class CuspResolution:
             }
             for mchart, images, fs in self.charts
         ]
-
-    def correction(self, name):
-        """(a, b) with pi* C = C~ + a A + b A' as Q-divisors."""
-        m1, m2 = self.curve_rows[name]
-        return (ratio(2 * m1 + m2, 3), ratio(m1 + 2 * m2, 3))
 
 
 def tangent_cone_lines(flocal: Poly, cring: Ring):

@@ -151,11 +151,6 @@ class CycloElem:
     def is_zero(self) -> bool:
         return not any(self.n)
 
-    @property
-    def is_rational(self) -> bool:
-        n = self.n
-        return not (n[1] or n[2] or n[3])
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

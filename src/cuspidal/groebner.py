@@ -44,7 +44,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from . import unipoly
 from .cyclofield import _raw, canon, conj_product, phi5_mul
@@ -844,16 +844,14 @@ class NonRationalResidual(Exception):
         self.degree = degree
 
 
-# seeded random linear forms tried after the single variables
-_SEPARATING_TRIES = 8
-
-
-def extract_points(scheme: ZeroDimScheme, seed: int = 20240501, known_points=()):
+def extract_points(scheme: ZeroDimScheme, known_points=()):
     """All points of a radical zero-dimensional scheme over Q(zeta5), as
     tuples of affine coordinates (one per ring variable).
 
     Shape position: a separating linear form t is found (single variables
-    first, then seeded random combinations); the triangular description
+    first, then t_c = x_{n-1} + c x_0 + c^2 x_1 + ... + c^{n-1} x_{n-2} for
+    c = 1, 2, ..., of which at most (n-1) C(N, 2) fail on N points,
+    docs/DECISIONS.md D21); the triangular description
     {g(t), x_i - h_i(t)} is realized through the Krylov iteration, known
     rational points are peeled off g, and the remaining Q(zeta5)-rational
     roots are resolved by verified mod-p lifting.  Raises
@@ -861,8 +859,6 @@ def extract_points(scheme: ZeroDimScheme, seed: int = 20240501, known_points=())
     left in Q(zeta5) (docs/DECISIONS.md D17); otherwise one point per
     unit of the scheme degree is returned.
     """
-    import random as _random
-
     from .modp import roots_in_qz5
 
     scheme = radical_zero_dim(scheme)
@@ -871,35 +867,27 @@ def extract_points(scheme: ZeroDimScheme, seed: int = 20240501, known_points=())
     ring = scheme.ring
     field = QZ5
     n = ring.nvars
-    rng = _random.Random(seed)
     alg = scheme.algebra
+    xs = [ring.var(v) for v in ring.vars]
+    tries = (n - 1) * comb(scheme.degree, 2) + 1
 
-    candidates = []
-    for i in range(n - 1, -1, -1):
-        candidates.append(ring.var(ring.vars[i]))
-    for _ in range(_SEPARATING_TRIES):
-        combo = ring.var(ring.vars[n - 1])
-        for i in range(n - 1):
-            c = rng.randint(-4, 4)
-            if c:
-                combo = combo + ring.var(ring.vars[i]).scale(field.coerce(c))
-        candidates.append(combo)
+    def candidates():
+        yield from reversed(xs)
+        for c in range(1, tries + 1):
+            yield ring.linear_form([c ** (i + 1) for i in range(n - 1)] + [1])
 
-    lam = g = rows = None
-    for cand in candidates:
-        mp, rws = alg.krylov(cand)
-        if len(mp) - 1 == scheme.degree:
-            lam, g, rows = cand, mp, rws
+    for lam in candidates():
+        g, rows = alg.krylov(lam)
+        if len(g) - 1 == scheme.degree:
             break
-    if lam is None:
+    else:
         raise ShapePositionError(
-            "no separating linear form found after %d attempts" % _SEPARATING_TRIES
+            "no separating linear form among the %d forms t_c" % tries
         )
 
     params = []
-    for i in range(n):
-        vec = alg.nf_coeffs(ring.var(ring.vars[i]))
-        h = alg.solve_in_krylov(vec, rows)
+    for x in xs:
+        h = alg.solve_in_krylov(alg.nf_coeffs(x), rows)
         if h is None:
             raise ShapePositionError("variable not in the Krylov span")
         params.append(h)

@@ -22,6 +22,10 @@ from .cyclofield import CycloElem, conj_product, phi5_mul, ratio
 from .multipoly import QZ5
 
 INERT_PRIMES = [7, 13, 17, 23, 37, 43, 47, 53, 67, 73, 83, 97, 103, 107]
+# the Cantor-Zassenhaus splits draw from random.Random(SPLIT_SEED); a
+# root is Hensel-lifted to at most p^(2^MAX_LIFT)
+SPLIT_SEED = 20240
+MAX_LIFT = 9
 
 
 def _inverse_mod(d, m):
@@ -149,7 +153,7 @@ def rational_reconstruct(c, M):
     return (r1, s1)
 
 
-def roots_in_qz5(coeffs, rng_seed=20240, max_lift=9, primes=None):
+def roots_in_qz5(coeffs, primes=None):
     """All Q(zeta5)-roots of a squarefree univariate polynomial.
 
     coeffs: list of CycloElem, low to high degree.  Returns a list of
@@ -160,7 +164,7 @@ def roots_in_qz5(coeffs, rng_seed=20240, max_lift=9, primes=None):
     coeffs = unipoly.trim(coeffs, QZ5)
     if len(coeffs) <= 1:
         return []
-    rng = random.Random(rng_seed)
+    rng = random.Random(SPLIT_SEED)
     for p in primes or INERT_PRIMES:
         K = ZetaModM(p)
         try:
@@ -178,17 +182,17 @@ def roots_in_qz5(coeffs, rng_seed=20240, max_lift=9, primes=None):
             continue  # collision mod p; next prime
         found = []
         for r in froots:
-            root = _lift_root(coeffs, r, p, max_lift)
+            root = _lift_root(coeffs, r, p)
             if root is not None and unipoly.eval_poly(coeffs, root, QZ5).is_zero:
                 found.append(root)
         return found
     return []
 
 
-def _lift_root(coeffs, root, p, max_lift):
+def _lift_root(coeffs, root, p):
     """Newton-lift a simple root mod p and rationally reconstruct it."""
     M = p
-    for _ in range(max_lift):
+    for _ in range(MAX_LIFT):
         M *= M
         ring = ZetaModM(M)
         f = [ring.from_cyclo(c) for c in coeffs]

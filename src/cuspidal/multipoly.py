@@ -465,15 +465,6 @@ class Poly:
                                       s2 * d + b2 * sd, s3 * d + b3 * sd, sd * d)
         return canon((s0, s1, s2, s3), sd)
 
-    def dehomogenize(self, chart):
-        """Set the chart variable to 1."""
-        i = chart if isinstance(chart, int) else self.ring.vars.index(chart)
-        out = []
-        for e, c in self.terms:
-            e2 = e[:i] + (0,) + e[i + 1 :]
-            out.append((e2, c))
-        return self.ring.from_terms(out)
-
     # -- comparisons / printing ---------------------------------------------
 
     def __eq__(self, other):
@@ -762,15 +753,6 @@ def parse_poly(text: str, ring: Ring) -> Poly:
     if kind != "end":
         raise ParseError("trailing input", pos)
     return p
-
-
-def parse_scalar(text: str) -> CycloElem:
-    """Parse a scalar (no ring variables) in the same grammar."""
-    ring = Ring(())
-    p = parse_poly(text, ring)
-    if p.is_zero:
-        return QZ5.zero
-    return p.terms[0][1]
 
 
 def _parse_expr(tz, ring):

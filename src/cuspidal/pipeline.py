@@ -29,14 +29,14 @@ from .singcert import (
 from .zfive import orbit, orbits
 
 
-def quartic_nodes(entry=None, seed=20240501):
+def quartic_nodes():
     """The 16 nodes of the new quartic as rational ProjPoints.
 
-    Returns (nodes, fixed_node, cusps) where cusps are the 15 non-fixed
-    nodes (= the cusps of the companion quintic).
+    Returns (nodes, fixed_node, cusps, cert) where cusps are the 15
+    non-fixed nodes (= the cusps of the companion quintic) and cert the
+    quartic's node certificate.
     """
-    if entry is None:
-        entry = catalog.get("new_quartic")
+    entry = catalog.get("new_quartic")
     cert = classify_all(entry.poly, entry.name, action=entry.action)
     if cert.verdict != "all_A1" or cert.n_points != 16:
         raise PipelineError("quartic is not 16-nodal: %s" % cert.verdict)
@@ -46,7 +46,7 @@ def quartic_nodes(entry=None, seed=20240501):
         for p in orbit(catalog.CHOSEN_NODE, entry.action.on_point)
     ]
     try:
-        points = extract_points(wpiece, seed=seed, known_points=known)
+        points = extract_points(wpiece, known_points=known)
     except NonRationalResidual as ev:
         raise PipelineError("%d nodes are not Q(zeta5)-rational" % ev.degree)
     cusps = [ProjPoint(list(p) + [1]) for p in points]
@@ -195,7 +195,7 @@ class DivisibilityResult:
         return report
 
 
-def divisibility_pipeline(name, seed=20240501):
+def divisibility_pipeline(name):
     """Full path from the catalog surface to its divisibility certificate."""
     stages = Stages()
     entry = catalog.get(name)
@@ -216,7 +216,7 @@ def divisibility_pipeline(name, seed=20240501):
 
     if name == "new_quintic":
         Q = catalog.get(entry.companion).poly
-        nodes, fixed_node, cusps, _qc = quartic_nodes(seed=seed)
+        nodes, fixed_node, cusps, _qc = quartic_nodes()
         families, census = new_quintic_curves(S, Q, nodes, fixed_node, action)
         stages.check(
             "trope_census",
@@ -225,7 +225,7 @@ def divisibility_pipeline(name, seed=20240501):
             through_fixed=sum(1 for t in census.tropes if t.through_fixed),
         )
         conics = families[0] + families[1]
-        isect = intersect_surfaces(S, Q, conics, seed=seed)
+        isect = intersect_surfaces(S, Q, conics)
         stages.check("quintic_meets_quartic_at_conics", isect.clean, **isect.to_json())
     elif name == "vdgz_quintic":
         cusps = catalog.vdgz_cusps()

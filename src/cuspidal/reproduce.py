@@ -23,7 +23,7 @@ from .singcert import classify_all
 from .zfive import free_action_check
 
 
-def reproduce_construction(seed=20240501, progress=None, quartic_override=None):
+def reproduce_construction(progress=None, quartic_override=None):
     qent = catalog.get("new_quartic")
     quartic = quartic_override if quartic_override is not None else qent.poly
     sent = catalog.get("new_quintic")

@@ -154,10 +154,6 @@ def test_resolve_cusp_split_tangent_cone_model():
     res = resolve_cusp(S, ProjPoint([0, 0, 0, 1]), [line])
     assert res.smooth_verified
     assert res.curve_rows["L"] == (1, 0)
-    # correction coefficients (a, b) = (2/3, 1/3) scale the Q-divisor
-    from cuspidal.cyclofield import ratio
-
-    assert res.correction("L") == (ratio(2, 3), ratio(1, 3))
 
 
 def test_resolve_cusp_curve_missing_the_point():

@@ -264,7 +264,7 @@ def test_monic_entry_matches_entry_of_monic_remainder(order, assert_canonical):
         assert_canonical(back)
         assert back == monic and str(back) == str(monic)
         lc = r.lc()
-        kinds.add("irrational" if not lc.is_rational else "rational<0" if lc.n[0] < 0 else "rational>0")
+        kinds.add("irrational" if any(lc.n[1:]) else "rational<0" if lc.n[0] < 0 else "rational>0")
         if len({c.d for _, c in r.terms[1:]}) > 1:
             kinds.add("mixed denominators")
     assert kinds == {"irrational", "rational<0", "rational>0", "mixed denominators"}
@@ -540,7 +540,7 @@ def test_pair_criteria_match_run_without_criteria_random():
         gens = [g.monic() for g in gens if not g.is_zero]
         if not gens:
             continue
-        kinds["cyclo"] += any(not c.is_rational for g in gens for _, c in g.terms)
+        kinds["cyclo"] += any(any(c.n[1:]) for g in gens for _, c in g.terms)
         got, _ = groebner._run(gens, ring)
         assert list(got) == [p.terms for p in reference_buchberger(gens)], trial
     assert min(kinds.values()) >= 20, kinds
@@ -1055,6 +1055,20 @@ def test_extract_points_known_point_peeling():
     assert all(p[1] == p[0] * p[0] for p in pts)
 
 
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")], ids=["square", "cube"])
+def test_extract_points_separating_form(names):
+    # the vertices of {0,1}^n: no single variable separates them, nor
+    # t_1 = x_{n-1} + x_0 + ... + x_{n-2} (0, 1, 1, 2 on the square), so
+    # the points come from a later form t_c (docs/DECISIONS.md D21)
+    ring = Ring(names)
+    xs = ring.gens()
+    s = zero_dim_analyze(buchberger([x**2 - x for x in xs]))
+    pts = extract_points(s)
+    want = set(itertools.product((0, 1), repeat=len(names)))
+    assert len(pts) == len(want)
+    assert {tuple(int(str(c)) for c in p) for p in pts} == want
+
+
 def test_extract_points_non_rational_residual():
     # sqrt(2) is not in Q(zeta5): both points of <x^2 - 2, y - x> are left
     # as one residual of degree 2, and no point is returned
@@ -1075,12 +1089,8 @@ def test_extract_points_non_rational_residual():
 def test_quartic_jacobian_chart_zero_dimensional():
     # the published quartic has 15 nodes away from x = 0
     q = XYZW.parse(NEW_QUARTIC_TEXT)
-    chart = Ring(("y", "z", "w"))
-    subs = {0: chart.one}
-    gens = []
-    for g in jacobian(q):
-        gd = g.dehomogenize("x")
-        gens.append(chart.from_terms((e[1:], c) for e, c in gd.terms))
+    chart = chart_ring(XYZW, 0)
+    gens = [to_chart(g, 0, chart) for g in jacobian(q)]
     gb = buchberger(gens, ring=chart)
     s = zero_dim_analyze(gb)
     assert s.degree == 15
