@@ -43,7 +43,7 @@ def _vdgz_quartic() -> Poly:
 
 # the permutation (x,y,z,w,t) -> (y,z,w,t,x) on s1 = 0, eliminated to P^3
 VDGZ_ACTION = LinearAction(
-    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]], order=5
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]]
 )
 
 

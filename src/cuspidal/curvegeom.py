@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .cyclofield import cyclo_sqrt
+from .cyclofield import ONE, ZERO, cyclo_sqrt
 from .groebner import (
     NotZeroDimensional,
     buchberger,
@@ -28,7 +28,7 @@ from .groebner import (
     radical_zero_dim,
     zero_dim_analyze,
 )
-from .multipoly import Poly, ProjPoint, QZ5, Ring, minors, restrict_to_plane
+from .multipoly import Poly, ProjPoint, Ring, minors, proportional, restrict_to_plane
 from .singcert import (
     chart_piece,
     degree_part,
@@ -46,17 +46,16 @@ def poly_square_root(F: Poly):
     """Write F = scalar * c^2 with monic c, or raise SquareRootFailure."""
     if F.is_zero:
         raise SquareRootFailure("zero polynomial")
-    field = F.ring.field
     lc = F.lc()
-    Fm = F.scale(field.inv(lc))
+    Fm = F.scale(lc.inverse())
     lm = F.lm()
     if any(k % 2 for k in lm):
         raise SquareRootFailure("leading monomial is not a square")
     half = tuple(k // 2 for k in lm)
     ring = F.ring
-    r = ring.from_terms([(half, field.one)])
+    r = ring.from_terms([(half, ONE)])
     R = Fm - r * r
-    two_inv = field.inv(field.coerce(2))
+    two_inv = ONE / 2
     guard = 0
     while not R.is_zero:
         guard += 1
@@ -66,7 +65,7 @@ def poly_square_root(F: Poly):
         if any(a < b for a, b in zip(lmR, half)):
             raise SquareRootFailure("not a perfect square")
         te = tuple(a - b for a, b in zip(lmR, half))
-        r = r + ring.from_terms([(te, field.mul(lcR, two_inv))])
+        r = r + ring.from_terms([(te, lcR * two_inv)])
         R = Fm - r * r
     return lc, r
 
@@ -78,13 +77,12 @@ def poly_square_root(F: Poly):
 class Trope:
     """A plane meeting the quartic in a doubled conic."""
 
-    def __init__(self, plane, conic, scalar, node_indices, through_fixed):
+    def __init__(self, plane, conic, node_indices, through_fixed, invariant):
         self.plane = plane
         self.conic = conic  # monic; does not involve the solved variable
-        self.scalar = scalar
         self.node_indices = tuple(node_indices)
         self.through_fixed = through_fixed
-        self.invariant = False
+        self.invariant = invariant
 
     def __repr__(self):
         return "Trope(%s; nodes %s%s)" % (
@@ -95,9 +93,8 @@ class Trope:
 
 
 class TropeCensus:
-    def __init__(self, tropes, fixed_index):
+    def __init__(self, tropes):
         self.tropes = tropes
-        self.fixed_index = fixed_index
 
     def partition(self):
         """(invariant tropes through the fixed node, other tropes through
@@ -108,7 +105,7 @@ class TropeCensus:
         return inv, through, away
 
 
-def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action=None) -> TropeCensus:
+def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action) -> TropeCensus:
     """All tropes of the nodal quartic Q, from its full rational node list.
 
     Candidate planes are the planes through three nodes; a plane through
@@ -116,7 +113,8 @@ def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action=None) -> TropeCens
     perfect square up to one scalar.  Three non-collinear nodes of a
     trope fix it, so no trope is missed; the triples inside a six-node
     plane already found are skipped.  Tropes come in the order of their
-    sorted node tuples.
+    sorted node tuples, each marked invariant when the action maps its
+    plane to a multiple of itself.
     """
     ring = Q.ring
     planes = {}  # sorted node tuple -> monic plane through exactly those nodes
@@ -128,32 +126,20 @@ def find_tropes(Q: Poly, nodes, fixed_node: ProjPoint, action=None) -> TropeCens
             continue  # collinear nodes
         hpoly = ring.linear_form(kern[0]).monic()
         incident = tuple(
-            i
-            for i, nd in enumerate(nodes)
-            if QZ5.is_zero(hpoly.eval(list(nd.coords)))
+            i for i, nd in enumerate(nodes) if not hpoly.eval(list(nd.coords))
         )
         if len(incident) == 6:
             planes[incident] = hpoly
-    fixed_index = None
-    for i, nd in enumerate(nodes):
-        if nd == fixed_node:
-            fixed_index = i
-            break
+    fixed_index = next((i for i, nd in enumerate(nodes) if nd == fixed_node), None)
     tropes = []
     for incident, hpoly in sorted(planes.items()):
         try:
-            scalar, conic = poly_square_root(restrict_to_plane(Q, hpoly))
+            _, conic = poly_square_root(restrict_to_plane(Q, hpoly))
         except SquareRootFailure:
             continue
-        tropes.append(
-            Trope(hpoly, conic, scalar, incident, fixed_index in incident)
-        )
-    census = TropeCensus(tropes, fixed_index)
-    if action is not None:
-        for t in census.tropes:
-            moved = action.on_poly(t.plane)
-            t.invariant = moved.scale(t.plane.lc()) == t.plane.scale(moved.lc())
-    return census
+        invariant = proportional(action.on_poly(hpoly), hpoly)
+        tropes.append(Trope(hpoly, conic, incident, fixed_index in incident, invariant))
+    return TropeCensus(tropes)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +294,7 @@ def pair_intersection_away_from(curveC, curveD, excluded_points):
             if p.chart() != ci:
                 continue
             aff = list(p.affine())
-            if not all(QZ5.is_zero(g.eval(aff)) for g in scheme.gb.polys):
+            if any(g.eval(aff) for g in scheme.gb.polys):
                 continue
             cring = scheme.ring
             at_p = [
@@ -339,9 +325,8 @@ class CuspResolution:
     transform) per blow-up chart, for the transcripts.
     """
 
-    def __init__(self, cusp, chart_index, lines, local_vars, charts):
+    def __init__(self, cusp, lines, local_vars, charts):
         self.cusp = cusp
-        self.chart_index = chart_index
         self.lines = lines
         self.local_vars = local_vars
         self.charts = charts
@@ -372,7 +357,6 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     string form); raises ResolutionError when the rank is not 2 or the
     splitting needs a square root outside Q(zeta5).
     """
-    field = cring.field
     if degree_part(flocal, 0).terms or degree_part(flocal, 1).terms:
         raise ResolutionError("point is not singular on the surface")
     quad = degree_part(flocal, 2)
@@ -382,8 +366,8 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     kern = linalg.kernel_basis(m)[0]
     comp = []
     for i in range(3):
-        v = [field.zero] * 3
-        v[i] = field.one
+        v = [ZERO] * 3
+        v[i] = ONE
         trial = [list(u) for u in comp] + [v, list(kern)]
         if linalg.rank(trial) == len(trial):
             comp.append(v)
@@ -392,38 +376,38 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     v1, v2 = comp
 
     def q_bilin(u, v):
-        out = field.zero
+        out = ZERO
         for i in range(3):
             for j in range(3):
-                out = field.add(out, field.mul(field.mul(u[i], m[i][j]), v[j]))
+                out = out + u[i] * m[i][j] * v[j]
         return out
 
     a = q_bilin(v1, v1)
-    b = field.mul(field.coerce(2), q_bilin(v1, v2))
+    b = 2 * q_bilin(v1, v2)
     c = q_bilin(v2, v2)
     # rows 0 and 1 of the inverse of the basis matrix [v1 v2 kern]: the
     # linear forms s and t with u = s(u) v1 + t(u) v2 + (.) kern
     basis = [v1, v2, kern]
-    s_row = linalg.solve(basis, [field.one, field.zero, field.zero])
-    t_row = linalg.solve(basis, [field.zero, field.one, field.zero])
+    s_row = linalg.solve(basis, [ONE, ZERO, ZERO])
+    t_row = linalg.solve(basis, [ZERO, ONE, ZERO])
     s_poly = cring.linear_form(s_row)
     t_poly = cring.linear_form(t_row)
-    if field.is_zero(a) and field.is_zero(c):
+    if not a and not c:
         l1 = s_poly.scale(b)
         l2 = t_poly
-    elif field.is_zero(a):
+    elif not a:
         l1 = t_poly
         l2 = s_poly.scale(b) + t_poly.scale(c)
     else:
-        disc = field.sub(field.mul(b, b), field.mul(field.coerce(4), field.mul(a, c)))
+        disc = b * b - 4 * (a * c)
         delta = cyclo_sqrt(disc)
         if delta is None:
             raise ResolutionError(
                 "tangent cone splits only over a quadratic extension"
             )
-        inv2a = field.inv(field.mul(field.coerce(2), a))
-        r1 = field.mul(field.sub(field.neg(b), delta), inv2a)
-        r2 = field.mul(field.add(field.neg(b), delta), inv2a)
+        inv2a = (2 * a).inverse()
+        r1 = (-b - delta) * inv2a
+        r2 = (-b + delta) * inv2a
         l1 = (s_poly - t_poly.scale(r1)).scale(a)
         l2 = s_poly - t_poly.scale(r2)
     if l1 * l2 != quad:
@@ -500,10 +484,9 @@ def _exceptional_supported_length(gens, bring, mchart):
 def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
     """Blow up one certified A2 cusp and record all curve data there."""
     flocal, cring, ci, shift = local_surface(S, cusp)
-    field = cring.field
     l1, l2, kern = tangent_cone_lines(flocal, cring)
     cubic = degree_part(flocal, 3)
-    if field.is_zero(cubic.eval(list(kern))):
+    if not cubic.eval(list(kern)):
         raise ResolutionError(
             "not resolved by the point blow-up (cubic vanishes on the kernel "
             "line); contradicts the A2 certificate"
@@ -530,7 +513,6 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
 
     res = CuspResolution(
         cusp,
-        ci,
         (l1c, l2c),
         cring.vars,
         [(mchart, images, fs) for mchart, _, images, fs in strict_by_chart],
@@ -544,7 +526,7 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
         # incidence is exact evaluation at the cusp; only a curve through
         # it is shifted, and a generator that is S itself (the T3
         # sections) is already shifted
-        if any(not field.is_zero(g.eval(point)) for g in curve.gens):
+        if any(g.eval(point) for g in curve.gens):
             res.curve_rows[curve.name] = (0, 0)
             continue
         loc = [

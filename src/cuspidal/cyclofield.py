@@ -300,11 +300,16 @@ def canon(n, d):
     return _raw(n, d)
 
 
+def as_cyclo(x) -> CycloElem:
+    """x as a CycloElem: a CycloElem as it is, an int or Fraction as that
+    rational (`CycloElem.from_rat`); TypeError for anything else."""
+    return x if type(x) is CycloElem else CycloElem.from_rat(x)
+
+
 def _coerce(x):
-    if isinstance(x, CycloElem):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CycloElem.from_rat(x)
+    """`as_cyclo` for the operators: NotImplemented for other types."""
+    if isinstance(x, (CycloElem, int, Fraction)):
+        return as_cyclo(x)
     return NotImplemented
 
 

@@ -17,6 +17,7 @@ dynamic-split property of acceptance criterion 9.
 
 from __future__ import annotations
 
+from .cyclofield import ONE, ZERO, as_cyclo
 from .multipoly import QZ5, BaseFieldQZ5
 from . import unipoly
 
@@ -30,8 +31,10 @@ class SplitEvent(Exception):
 
 
 class BaseField(BaseFieldQZ5):
-    """Q(zeta5) as the base of the extensions: the QZ5 field context, which
-    `unipoly` runs on, with `adjoin` and `degree`."""
+    """Q(zeta5) as the base of the extensions: `multipoly.QZ5`, the field
+    context `unipoly` runs on, with `adjoin` and `degree`.  Q(zeta5),
+    `modp.ZetaModM` and `Extension` are the three rings that implement
+    that context (docs/DECISIONS.md D22)."""
 
     @staticmethod
     def degree():
@@ -61,8 +64,8 @@ class Extension:
         self.name = name
         self.minpoly = tuple(minpoly)
         d = len(self.minpoly) - 1
-        self.zero = (QZ5.zero,) * d
-        self.one = (QZ5.one,) + self.zero[1:]
+        self.zero = (ZERO,) * d
+        self.one = (ONE,) + self.zero[1:]
 
     def __repr__(self):
         return "Extension(QQ(zeta5)[%s], degree %d)" % (self.name, self.degree())
@@ -74,13 +77,13 @@ class Extension:
         """The class of the generator: -minpoly[0] when the degree is 1."""
         if self.degree() == 1:
             return (-self.minpoly[0],)
-        return (QZ5.zero, QZ5.one) + self.zero[2:]
+        return (ZERO, ONE) + self.zero[2:]
 
     def coerce(self, x):
         """An element as it is, or a Q(zeta5) scalar as a constant."""
         if isinstance(x, tuple):
             return x
-        return (QZ5.coerce(x),) + self.zero[1:]
+        return (as_cyclo(x),) + self.zero[1:]
 
     def _reduce(self, p):
         """The element of a coefficient list: its remainder mod minpoly,
@@ -111,7 +114,7 @@ class Extension:
         r_prev, r_cur = list(self.minpoly), unipoly.trim(list(a), QZ5)
         if not r_cur:
             raise ZeroDivisionError("inverse of zero in %r" % self)
-        s_prev, s_cur = [], [QZ5.one]
+        s_prev, s_cur = [], [ONE]
         while unipoly.deg(r_cur, QZ5) > 0:
             q, r_next = unipoly.divmod_poly(r_prev, r_cur, QZ5)
             r_prev, r_cur = r_cur, r_next

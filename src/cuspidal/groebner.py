@@ -4,7 +4,7 @@ The basis is computed in degrevlex, the only term order
 (docs/DECISIONS.md D18), with sugar-strategy pair selection and the pair
 update of Gebauer and Moeller (D20); basis elements are kept monic so
 reduction never divides.  Every reduction is heap division on packed monomials
-(``TermOrder.pack``) inside one kernel, ``Reducers.raw_remainder``: a
+(``multipoly.pack``) inside one kernel, ``Reducers.raw_remainder``: a
 basis is packed once (``GroebnerBasis.reducers``, or grown with the basis
 inside ``buchberger``) and pairs are popped from a heap keyed on (sugar,
 packed lcm, i, j) (docs/DECISIONS.md D6).  The kernel runs on raw
@@ -47,7 +47,7 @@ from functools import cached_property
 from math import comb, gcd, lcm
 
 from . import unipoly
-from .cyclofield import _raw, canon, conj_product, phi5_mul
+from .cyclofield import ONE, ZERO, _raw, as_cyclo, canon, conj_product, phi5_mul
 from .linalg import (
     _ZERO4,
     _apply,
@@ -63,9 +63,12 @@ from .linalg import (
 from .multipoly import (
     QZ5,
     Poly,
+    guard,
     mono_deg,
     mono_div,
     mono_lcm,
+    pack,
+    unpack,
 )
 
 _ONE = (1, 0, 0, 0)
@@ -173,11 +176,9 @@ class Reducers:
     """
 
     def __init__(self, ring, polys=()):
-        order = ring.order
         self.ring = ring
-        self.pack = order.pack
-        self.one = order.pack((0,) * ring.nvars)
-        self.guard = order.guard(ring.nvars)
+        self.one = pack((0,) * ring.nvars)
+        self.guard = guard(ring.nvars)
         self.entries = []
         # packed monomial -> the first entry whose lead divides it, or the
         # number of entries that were found not to; entries are only
@@ -191,7 +192,6 @@ class Reducers:
         """(D, [(pack(e) - shift, n) for each term]), D the lcm of the
         denominators and n the four integer numerators of the term's
         coefficient over D."""
-        pack = self.pack
         D = lcm(1, *(c.d for _, c in terms))
         return D, [
             (pack(e) - shift, tuple([x * (D // c.d) for x in c.n]))
@@ -199,7 +199,7 @@ class Reducers:
         ]
 
     def entry(self, g):
-        lead = self.pack(g.terms[0][0])
+        lead = pack(g.terms[0][0])
         D, tail = self.packed(g.terms[1:], lead)
         return lead - self.one, tail, D
 
@@ -253,8 +253,7 @@ class Reducers:
 
     def remainder(self, seeds):
         """`raw_remainder` as a polynomial."""
-        ring = self.ring
-        unpack, n = ring.order.unpack, ring.nvars
+        ring, n = self.ring, self.ring.nvars
         rem = self.raw_remainder(seeds)
         return Poly(ring, tuple([(unpack(m, n), _raw(c, d)) for m, c, d in rem]))
 
@@ -317,14 +316,12 @@ class Reducers:
             lead = ent[0] + one
             if all((lead - l) & guard for l, _, _ in kept):
                 kept.append(ent)
-        ring = self.ring
-        lead_coeff = ring.field.one
-        unpack, n = ring.order.unpack, ring.nvars
+        ring, n = self.ring, self.ring.nvars
         basis = []
         for l, tail, D in reversed(kept):
             lead = l + one
             r = minimal.remainder([(lead, _ONE, D, tail)])
-            basis.append(Poly(ring, ((unpack(lead, n), lead_coeff),) + r.terms))
+            basis.append(Poly(ring, ((unpack(lead, n), ONE),) + r.terms))
         return basis
 
 
@@ -381,7 +378,7 @@ def spoly(f: Poly, g: Poly) -> Poly:
     `Reducers.spair_seeds`)."""
     ring, lf, lg = f.ring, f.lm(), g.lm()
     L = mono_lcm(lf, lg)
-    shift = lambda m: Poly(ring, ((mono_div(L, m), ring.field.one),))
+    shift = lambda m: Poly(ring, ((mono_div(L, m), ONE),))
     return shift(lf) * f - shift(lg) * g
 
 
@@ -424,9 +421,7 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
     terms, stats = hit
     basis = [Poly(ring, t) for t in terms]
     if zero and not (len(basis) == 1 and mono_deg(basis[0].lm()) == 0):
-        one = ring.field.one
-        basis += [Poly(ring, ((e, one),)) for e in zero]
-        pack = ring.order.pack
+        basis += [Poly(ring, ((e, ONE),)) for e in zero]
         basis.sort(key=lambda g: pack(g.lm()), reverse=True)
     return GroebnerBasis(ring, basis, stats=dict(stats, size=len(basis)))
 
@@ -453,7 +448,6 @@ def _run(gens, ring):
     The result is `Reducers.reduced_basis` of the basis grown.
     """
     n = ring.nvars
-    pack, unpack = ring.order.pack, ring.order.unpack
     gens = sorted(gens, key=lambda g: pack(g.lm()))
     leads = []
     excess = []  # sugar minus lead degree; a pair's sugar is its max + deg L
@@ -568,7 +562,7 @@ def zero_dim_analyze(gb: GroebnerBasis) -> ZeroDimScheme:
     red = gb.reducers()
     std = []
     for exp in itertools.product(*(range(b) for b in bounds)):
-        m = red.pack(exp)
+        m = pack(exp)
         if all((m - lead) & red.guard for lead, _, _ in red.entries):
             std.append((m, exp))
     std.sort()
@@ -599,11 +593,10 @@ class QuotientAlgebra:
     def __init__(self, scheme: ZeroDimScheme):
         self.scheme = scheme
         self.ring = scheme.ring
-        self.field = scheme.ring.field
         self.basis = scheme.std_monomials
         self.index = {m: i for i, m in enumerate(self.basis)}
         red = self._red = scheme.gb.reducers()
-        self._packed = [red.pack(m) for m in self.basis]
+        self._packed = [pack(m) for m in self.basis]
         self._position = {m: i for i, m in enumerate(self._packed)}
         self._operators = {}  # p.terms -> (columns, rows)
         self._stable = {}  # p.terms -> rows of the stable image of mult-by-p
@@ -624,7 +617,7 @@ class QuotientAlgebra:
 
     def raw_coeffs(self, rem):
         """Dense coefficient vector of a raw remainder."""
-        v = [self.field.zero] * len(self.basis)
+        v = [ZERO] * len(self.basis)
         position = self._position
         for m, c, d in rem:
             v[position[m]] = _raw(c, d)
@@ -758,7 +751,7 @@ class QuotientAlgebra:
             if piv is None:
                 # dependency: p^k = sum(combo[j] / fs * p^j)
                 return [canon(tuple([-x * den for x in c]), num) for c in combo] + [
-                    self.field.one
+                    ONE
                 ], rows
             # den * r = num * p^k - sum(den * combo[j] * p^j)
             both = [tuple([x * den for x in t]) for t in r] + [
@@ -783,7 +776,7 @@ class QuotientAlgebra:
         # f * D * vec = sum(combo[j] * p^j), up to the last row used
         while len(combo) > 1 and combo[-1] == _ZERO4:
             combo.pop()
-        return [canon(c, f * D) for c in combo] or [self.field.zero]
+        return [canon(c, f * D) for c in combo] or [ZERO]
 
 
 def eliminant(scheme: ZeroDimScheme, p: Poly):
@@ -799,11 +792,10 @@ def radical_zero_dim(scheme: ZeroDimScheme) -> ZeroDimScheme:
     if scheme.degree == 0:
         return scheme
     ring = scheme.ring
-    field = ring.field
     extra = []
     for i, var in enumerate(ring.vars):
         g = eliminant(scheme, ring.var(var))
-        h = unipoly.squarefree_part(g, field)
+        h = unipoly.squarefree_part(g, QZ5)
         if len(h) != len(g):
             extra.append(_univariate_to_poly(h, ring, i))
     if not extra:
@@ -817,7 +809,7 @@ def radical_zero_dim(scheme: ZeroDimScheme) -> ZeroDimScheme:
 def _univariate_to_poly(coeffs, ring, var_index):
     terms = []
     for k, c in enumerate(coeffs):
-        if ring.field.is_zero(c):
+        if not c:
             continue
         e = [0] * ring.nvars
         e[var_index] = k
@@ -865,7 +857,6 @@ def extract_points(scheme: ZeroDimScheme, known_points=()):
     if scheme.degree == 0:
         return []
     ring = scheme.ring
-    field = QZ5
     n = ring.nvars
     alg = scheme.algebra
     xs = [ring.var(v) for v in ring.vars]
@@ -896,38 +887,38 @@ def extract_points(scheme: ZeroDimScheme, known_points=()):
     gb_polys = scheme.gb.polys
 
     def in_scheme(coords):
-        return all(field.is_zero(p.eval(list(coords))) for p in gb_polys)
+        return all(not p.eval(list(coords)) for p in gb_polys)
 
     # peel known rational points
     for p in known_points:
-        coords = tuple(field.coerce(c) for c in p)
+        coords = tuple(map(as_cyclo, p))
         if not in_scheme(coords):
             continue
         t0 = lam.eval(list(coords))
-        g2 = unipoly.peel_root(g, t0, field)
+        g2 = unipoly.peel_root(g, t0, QZ5)
         if g2 is None:
             continue
         g = g2
         out.append(coords)
 
     # resolve the remaining rational roots
-    if unipoly.deg(g, field) > 0:
+    if unipoly.deg(g, QZ5) > 0:
         for t0 in roots_in_qz5(list(g)):
-            g2 = unipoly.peel_root(g, t0, field)
+            g2 = unipoly.peel_root(g, t0, QZ5)
             if g2 is None:
                 continue
             coords = tuple(
-                unipoly.eval_poly(h, t0, field) for h in params
+                unipoly.eval_poly(h, t0, QZ5) for h in params
             )
             if not in_scheme(coords):
                 continue
             g = g2
             out.append(coords)
 
-    d = unipoly.deg(g, field)
+    d = unipoly.deg(g, QZ5)
     if d == 1:
-        t0 = field.neg(g[0])
-        out.append(tuple(unipoly.eval_poly(h, t0, field) for h in params))
+        t0 = -g[0]
+        out.append(tuple(unipoly.eval_poly(h, t0, QZ5) for h in params))
     elif d > 1:
         raise NonRationalResidual(d)
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cyclofield import canon, conj_product, phi5_mul
-from .multipoly import QZ5
+from .cyclofield import ONE, ZERO, canon, conj_product, phi5_mul
 
 _ZERO4 = (0, 0, 0, 0)
 
@@ -196,7 +195,7 @@ def rref(m):
     rows = _reduced_echelon(m)
     cols = len(m[0]) if m else 0
     out = [[canon(x, N) for x in v] for _, N, v, _ in rows]
-    out += [[QZ5.zero] * cols for _ in range(len(m) - len(rows))]
+    out += [[ZERO] * cols for _ in range(len(m) - len(rows))]
     return out, [piv for piv, _, _, _ in rows]
 
 
@@ -217,8 +216,8 @@ def kernel_basis(m):
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [QZ5.zero] * cols
-        v[fc] = QZ5.one
+        v = [ZERO] * cols
+        v[fc] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -233,7 +232,7 @@ def solve(m, rhs):
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [QZ5.zero] * cols
+    x = [ZERO] * cols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x

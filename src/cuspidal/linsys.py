@@ -20,9 +20,12 @@ Kummer-type non-existence check on the Van der Geer-Zagier cusps.
 from __future__ import annotations
 
 from . import linalg, unipoly
+from .catalog import XYZW
+from .cyclofield import ONE, ZERO
 from .groebner import normal_form
 from .modp import roots_in_qz5
-from .multipoly import Poly, ProjPoint, QZ5, Ring, minors
+from .multipoly import QZ5, Poly, ProjPoint, Ring, hessian, minors
+from .multipoly import proportional  # noqa: F401  re-exported, not called here
 from .singcert import to_chart
 from .zfive import ActionK, degree_monomials, invariant_basis, orbit
 
@@ -30,9 +33,7 @@ from .zfive import ActionK, degree_monomials, invariant_basis, orbit
 class LinearSystem:
     """Kernel basis of the imposed linear conditions."""
 
-    def __init__(self, degree, action_k, columns, basis):
-        self.degree = degree
-        self.action_k = action_k
+    def __init__(self, columns, basis):
         self.columns = tuple(columns)
         self.basis = list(basis)
 
@@ -59,23 +60,21 @@ class LinearSystem:
             rhs.append(f.coeff_of(m))
         # any monomial of f outside the column span rules membership out
         for e, c in f.terms:
-            if e not in cols and not QZ5.is_zero(c):
+            if e not in cols and c:
                 return False
         return linalg.solve(mat, rhs) is not None
 
 
-def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSystem:
+def conditioned_system(d, action_k, loci=(), points=()) -> LinearSystem:
     """Degree-d system with double points imposed along loci and/or points.
 
     loci: iterable of (chart_index, radical ZeroDimScheme) pairs; points:
     iterable of (ProjPoint, order) with order 1 (containment) or 2 (double
-    point; F(p) = 0 then follows from Euler's relation).
+    point; F(p) = 0 then follows from Euler's relation).  The system
+    lives in `catalog.XYZW`.
     """
-    if ring is None:
-        from .catalog import XYZW as ring
+    ring = XYZW
     columns = degree_monomials(d) if action_k is None else invariant_basis(d, action_k)
-    colindex = {m: j for j, m in enumerate(columns)}
-    field = QZ5
     rows = []
 
     for chart_index, scheme in loci:
@@ -87,23 +86,23 @@ def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSyst
                 if m[v] == 0:
                     vecs.append(None)
                     continue
-                mono = Poly(ring, ((m, field.one),)).partial(v)
+                mono = Poly(ring, ((m, ONE),)).partial(v)
                 mc = to_chart(mono, chart_index, cring)
                 vecs.append(alg.nf_coeffs(mc))
             for pos in range(scheme.degree):
                 row = []
                 for j, vec in enumerate(vecs):
-                    row.append(field.zero if vec is None else vec[pos])
+                    row.append(ZERO if vec is None else vec[pos])
                 rows.append(row)
 
     for point, order in points:
         coords = list(point.coords)
         if order == 1:
-            rows.append([Poly(ring, ((m, field.one),)).eval(coords) for m in columns])
+            rows.append([Poly(ring, ((m, ONE),)).eval(coords) for m in columns])
         elif order == 2:
             for v in range(ring.nvars):
                 rows.append([
-                    Poly(ring, ((m, field.one),)).partial(v).eval(coords)
+                    Poly(ring, ((m, ONE),)).partial(v).eval(coords)
                     for m in columns
                 ])
         else:
@@ -112,17 +111,11 @@ def conditioned_system(d, action_k, loci=(), points=(), ring=None) -> LinearSyst
     kernel = linalg.kernel_basis(rows) if rows else []
     if not rows:
         kernel = [
-            [field.one if i == j else field.zero for j in range(len(columns))]
+            [ONE if i == j else ZERO for j in range(len(columns))]
             for i in range(len(columns))
         ]
-    basis = []
-    for v in kernel:
-        basis.append(
-            ring.from_terms(
-                (m, c) for m, c in zip(columns, v) if not field.is_zero(c)
-            )
-        )
-    return LinearSystem(d, action_k, columns, basis)
+    basis = [ring.from_terms(zip(columns, v)) for v in kernel]
+    return LinearSystem(columns, basis)
 
 
 def check_double_points(basis, loci, ring):
@@ -184,7 +177,7 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
             for j, cp in coeff_polys.items():
                 vec_by_pow[j] = alg.nf_coeffs(to_chart(cp, chart_index, cring))
             for pos in range(scheme.degree):
-                poly_b = [QZ5.zero] * (max_pow + 1)
+                poly_b = [ZERO] * (max_pow + 1)
                 for j, vec in vec_by_pow.items():
                     poly_b[j] = vec[pos]
                 poly_b = unipoly.trim(poly_b, QZ5)
@@ -201,8 +194,8 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
     g = unipoly.monic(g, QZ5) if g else []
     roots = []
     if unipoly.deg(g, QZ5) == 1:
-        roots.append(QZ5.neg(g[0]))
-        g = [QZ5.one]
+        roots.append(-g[0])
+        g = [ONE]
     elif unipoly.deg(g, QZ5) > 1:
         for r in roots_in_qz5(list(g)):
             g2 = unipoly.peel_root(g, r, QZ5)
@@ -211,13 +204,6 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
                 g = g2
     residual = max(unipoly.deg(g, QZ5), 0)
     return CuspSolveReport(roots, residual)
-
-
-def proportional(p: Poly, q: Poly) -> bool:
-    """Projective equality of two nonzero polynomials."""
-    if p.is_zero or q.is_zero:
-        return p.is_zero and q.is_zero
-    return p.scale(q.lc()) == q.scale(p.lc())
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +219,23 @@ class SCMembershipVerdict:
         return all(v == "pass" for v in self.groups.values())
 
 
-def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint, ring=None):
+def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint):
     """Check a proposed solution of the quartic search.
 
     coefficients: the 7 scalars of F = sum a_i s_i over the degree-4
     invariant monomial basis (descending degrevlex order); rep2 and rep3:
     representatives of the two node orbits besides the orbit of (1:1:1:1).
     """
-    if ring is None:
-        from .catalog import XYZW as ring
-
     smons = invariant_basis(4, 0)
     if len(coefficients) != len(smons):
         raise ValueError("need exactly %d coefficients" % len(smons))
-    F = ring.from_terms(
-        (m, QZ5.coerce(a)) for m, a in zip(smons, coefficients)
-    )
+    F = XYZW.from_terms(zip(smons, coefficients))
     groups = {}
     fixed = ProjPoint([1, 1, 1, 1])
 
     def partials_vanish(point):
         return all(
-            QZ5.is_zero(F.partial(v).eval(list(point.coords))) for v in range(4)
+            not F.partial(v).eval(list(point.coords)) for v in range(4)
         )
 
     groups["partials_at_fixed_choice"] = (
@@ -264,13 +245,11 @@ def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint, ring=No
     groups["partials_at_third_orbit"] = "pass" if partials_vanish(rep3) else "fail"
 
     # ordinariness at (1:1:1:1): some order-3 Hessian minor is nonzero
-    from .multipoly import hessian
-
     H = hessian(F)
     coords = list(fixed.coords)
     vals = [m.eval(coords) for m in minors(H, 3)]
     groups["ordinariness"] = (
-        "pass" if any(not QZ5.is_zero(v) for v in vals) else "fail"
+        "pass" if any(vals) else "fail"
     )
 
     # orbit separation: the three representatives in pairwise distinct orbits

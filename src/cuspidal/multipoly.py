@@ -3,13 +3,15 @@
 A monomial is a plain tuple of exponents (one slot per ring variable); a
 polynomial stores its terms as a tuple of (monomial, coefficient) pairs,
 strictly decreasing in degrevlex, the only term order (docs/DECISIONS.md
-D18), with no zero coefficients.  The order also packs a monomial into
-one int (``TermOrder.pack``), the form the Groebner kernel computes with.
-Q(zeta5) is the only coefficient field (docs/DECISIONS.md D17): its field
-context ``QZ5`` is the class constant ``Ring.field`` and
-``ProjPoint.field``.  Products, substitutions and evaluation sum raw
+D18), with no zero coefficients.  Q(zeta5) is the only coefficient field
+(D17): every coefficient is a CycloElem, and the arithmetic is its
+operators.  The order is module functions cached for the life of the
+process: the sort key ``degrevlex_key``, and ``pack``, ``unpack`` and
+``guard``, which pack a monomial into one int, the form the Groebner
+kernel computes with.  Products, substitutions and evaluation sum raw
 integer numerators per monomial and bring each output coefficient to
-lowest terms once (D15).
+lowest terms once (D15).  ``QZ5`` is the field context of Q(zeta5) that
+`unipoly`'s routines take (D22).
 
 The text grammar matches the catalog equations: explicit `*`, `^`, integer
 and `p/q` literals, the constant `e`, parentheses; implicit multiplication
@@ -24,38 +26,28 @@ from itertools import combinations
 from fractions import Fraction
 from math import prod
 
-from .cyclofield import CycloElem, canon, cyclo_to_str, phi5_mul
+from .cyclofield import ONE, ZERO, CycloElem, as_cyclo, canon, cyclo_to_str, phi5_mul
 
 
 # ---------------------------------------------------------------------------
-# field contexts
+# the field context of `unipoly`
 
 
 class BaseFieldQZ5:
-    """Field context for Q(zeta5) itself; elements are CycloElem."""
+    """Field context for Q(zeta5) itself, for `unipoly`; elements are
+    CycloElem."""
 
-    name = "QQ(zeta5)"
+    zero = ZERO
+    one = ONE
 
-    zero = CycloElem.from_int(0)
-    one = CycloElem.from_int(1)
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, CycloElem):
-            return x
-        if isinstance(x, int):
-            return CycloElem.from_int(x)
-        return CycloElem.from_rat(x)
+    coerce = staticmethod(as_cyclo)
 
     # C-level operators: no Python frame per coefficient operation
     is_zero = staticmethod(operator.not_)
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
     eq = staticmethod(operator.eq)
-
-    to_str = staticmethod(cyclo_to_str)
 
     @staticmethod
     def inv(a):
@@ -72,7 +64,7 @@ QZ5 = BaseFieldQZ5()
 
 
 # ---------------------------------------------------------------------------
-# term orders
+# degrevlex, and monomials packed into one int
 
 
 SLOT_BITS = 16
@@ -80,60 +72,49 @@ SLOT_BOUND = (1 << (SLOT_BITS - 1)) - 1
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
-def _degrevlex_key(exp):
+@lru_cache(maxsize=None)
+def degrevlex_key(exp):
+    """Sort key of degrevlex, the one monomial order: bigger is leading."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
-class TermOrder:
-    """Degrevlex, the one monomial order (docs/DECISIONS.md D18); key(exp)
-    is monotone for the order (bigger = leading).
+@lru_cache(maxsize=None)
+def pack(exp):
+    """One int for the exponent tuple whose integer order is degrevlex.
 
-    pack(exp) maps an exponent tuple to one int whose integer order is the
-    term order, in fixed SLOT_BITS-wide slots whose top bit is a guard
-    bit: the total degree in the top slot and then SLOT_BOUND - e for the
+    Fixed SLOT_BITS-wide slots, each with a guard bit on top, hold the
+    total degree in the top slot and then SLOT_BOUND - e for the
     variables from last to first.  The product of x^a and x^b packs to
     pack(a) + pack(b) - pack(0), and x^a divides x^b exactly when
-    (pack(b) - pack(a) + pack(0)) & guard(n) == 0 (D6).  key, pack and
-    unpack are cached for the life of the process.
+    (pack(b) - pack(a) + pack(0)) & guard(n) == 0 (docs/DECISIONS.md D6).
+    ValueError when an exponent is negative or the total degree passes
+    SLOT_BOUND.
     """
-
-    name = "degrevlex"
-
-    def __init__(self):
-        self.key = lru_cache(maxsize=None)(_degrevlex_key)
-        self.pack = lru_cache(maxsize=None)(self._pack)
-        self.unpack = lru_cache(maxsize=None)(self._unpack)
-
-    def __repr__(self):
-        return "TermOrder(%r)" % self.name
-
-    def _pack(self, exp):
-        """One int for the exponent tuple; ValueError when an exponent is
-        negative or the total degree passes SLOT_BOUND."""
-        if exp and min(exp) < 0:
-            raise ValueError("negative exponent in %r" % (exp,))
-        p = sum(exp)
-        if p > SLOT_BOUND:
-            raise ValueError("degree of %r exceeds the slot bound" % (exp,))
-        for e in reversed(exp):
-            p = (p << SLOT_BITS) | (SLOT_BOUND - e)
-        return p
-
-    def _unpack(self, p, n):
-        """Exponent tuple of n variables packed in p."""
-        slots = []
-        for _ in range(n):
-            slots.append(SLOT_BOUND - (p & _SLOT_MASK))
-            p >>= SLOT_BITS
-        return tuple(slots)
-
-    def guard(self, n):
-        """Mask of the guard bits of a monomial in n variables."""
-        top = 1 << (SLOT_BITS - 1)
-        return sum(top << (SLOT_BITS * i) for i in range(n + 1))
+    if exp and min(exp) < 0:
+        raise ValueError("negative exponent in %r" % (exp,))
+    p = sum(exp)
+    if p > SLOT_BOUND:
+        raise ValueError("degree of %r exceeds the slot bound" % (exp,))
+    for e in reversed(exp):
+        p = (p << SLOT_BITS) | (SLOT_BOUND - e)
+    return p
 
 
-DEGREVLEX = TermOrder()
+@lru_cache(maxsize=None)
+def unpack(p, n):
+    """Exponent tuple of n variables packed in p."""
+    slots = []
+    for _ in range(n):
+        slots.append(SLOT_BOUND - (p & _SLOT_MASK))
+        p >>= SLOT_BITS
+    return tuple(slots)
+
+
+@lru_cache(maxsize=None)
+def guard(n):
+    """Mask of the guard bits of a monomial in n variables."""
+    top = 1 << (SLOT_BITS - 1)
+    return sum(top << (SLOT_BITS * i) for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +137,13 @@ class Ring:
     """Polynomial ring descriptor over Q(zeta5) in degrevlex: ordered
     variables."""
 
-    field = QZ5
-    order = DEGREVLEX
-
     def __init__(self, variables):
         self.vars = tuple(variables)
         self.nvars = len(self.vars)
         self._zero_mono = (0,) * self.nvars
 
     def __repr__(self):
-        return "Ring(%s; %s; %s)" % (",".join(self.vars), self.order.name, self.field.name)
+        return "Ring(%s)" % ",".join(self.vars)
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.vars == other.vars
@@ -181,11 +159,11 @@ class Ring:
 
     @property
     def one(self):
-        return self.from_scalar(self.field.one)
+        return self.from_scalar(ONE)
 
     def from_scalar(self, c):
-        c = self.field.coerce(c)
-        if self.field.is_zero(c):
+        c = as_cyclo(c)
+        if not c:
             return Poly(self, ())
         return Poly(self, ((self._zero_mono, c),))
 
@@ -193,7 +171,7 @@ class Ring:
         i = self.vars.index(name)
         exp = [0] * self.nvars
         exp[i] = 1
-        return Poly(self, ((tuple(exp), self.field.one),))
+        return Poly(self, ((tuple(exp), ONE),))
 
     def gens(self):
         return [self.var(v) for v in self.vars]
@@ -209,22 +187,15 @@ class Ring:
         """Build from (exp, coeff) pairs, merging duplicates."""
         acc = {}
         for exp, c in pairs:
-            c = self.field.coerce(c)
-            if exp in acc:
-                acc[exp] = self.field.add(acc[exp], c)
-            else:
-                acc[exp] = c
-        return self.from_dict(acc)
-
-    def from_dict(self, d):
-        is_zero = self.field.is_zero
-        exps = sorted(d, key=self.order.key, reverse=True)
-        return Poly(self, tuple([(e, d[e]) for e in exps if not is_zero(d[e])]))
+            c = as_cyclo(c)
+            acc[exp] = acc[exp] + c if exp in acc else c
+        exps = sorted(acc, key=degrevlex_key, reverse=True)
+        return Poly(self, tuple([(e, acc[e]) for e in exps if acc[e]]))
 
     def _from_products(self, acc):
         """The polynomial of a dict filled by `_mul_terms_into`."""
         out = []
-        for e in sorted(acc, key=self.order.key, reverse=True):
+        for e in sorted(acc, key=degrevlex_key, reverse=True):
             n0, n1, n2, n3, d = acc[e]
             if n0 or n1 or n2 or n3:
                 out.append((e, canon((n0, n1, n2, n3), d)))
@@ -280,7 +251,7 @@ class Poly:
         for e, c in self.terms:
             if e == exp:
                 return c
-        return self.ring.field.zero
+        return ZERO
 
     def support(self):
         return [e for e, _ in self.terms]
@@ -288,7 +259,7 @@ class Poly:
     def linear_coeffs(self):
         """The coefficients of x_0, ..., x_(n-1): the vector that
         `Ring.linear_form` builds from."""
-        out = [QZ5.zero] * self.ring.nvars
+        out = [ZERO] * self.ring.nvars
         for e, c in self.terms:
             if sum(e) == 1:
                 out[e.index(1)] = c
@@ -300,7 +271,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Poly(self.ring, _merge(self.ring, self.terms, other.terms, 1))
+        return Poly(self.ring, _merge(self.terms, other.terms, 1))
 
     __radd__ = __add__
 
@@ -308,7 +279,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Poly(self.ring, _merge(self.ring, self.terms, other.terms, -1))
+        return Poly(self.ring, _merge(self.terms, other.terms, -1))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -317,8 +288,7 @@ class Poly:
         return other - self
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Poly(self.ring, tuple((e, neg(c)) for e, c in self.terms))
+        return Poly(self.ring, tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -356,11 +326,10 @@ class Poly:
 
     def scale(self, c):
         """Multiply by a field scalar."""
-        f = self.ring.field
-        c = f.coerce(c)
-        if f.is_zero(c):
+        c = as_cyclo(c)
+        if not c:
             return self.ring.zero
-        return Poly(self.ring, tuple((e, f.mul(cc, c)) for e, cc in self.terms))
+        return Poly(self.ring, tuple((e, cc * c) for e, cc in self.terms))
 
     def sub_mul_mono(self, c, mono, g):
         """self - c * x^mono * g; uncalled, kept for perfbench's tracer."""
@@ -371,14 +340,12 @@ class Poly:
         returned as it is."""
         if not self.terms:
             return self
-        f = self.ring.field
-        if f.eq(self.lc(), f.one):
+        if self.lc() == ONE:
             return self
-        inv = f.inv(self.lc())
+        inv = self.lc().inverse()
         return Poly(
             self.ring,
-            ((self.terms[0][0], f.one),)
-            + tuple((e, f.mul(c, inv)) for e, c in self.terms[1:]),
+            ((self.terms[0][0], ONE),) + tuple((e, c * inv) for e, c in self.terms[1:]),
         )
 
     # -- calculus ----------------------------------------------------------
@@ -387,12 +354,13 @@ class Poly:
         """Formal partial derivative; var is a name or an index.  Lowering
         one exponent keeps the terms' order, so nothing is re-sorted."""
         i = var if isinstance(var, int) else self.ring.vars.index(var)
-        scale = self.ring.field.scale_rat
         out = []
         for e, c in self.terms:
             k = e[i]
             if k:
-                out.append((e[:i] + (k - 1,) + e[i + 1 :], scale(c, k)))
+                n0, n1, n2, n3 = c.n
+                kc = canon((n0 * k, n1 * k, n2 * k, n3 * k), c.d)
+                out.append((e[:i] + (k - 1,) + e[i + 1 :], kc))
         return Poly(self.ring, tuple(out))
 
     # -- substitution ------------------------------------------------------
@@ -430,7 +398,7 @@ class Poly:
                     while len(pw) <= k:
                         pw.append(pw[-1] * images[i])
                     factors.append(pw[k].terms)
-            part = _raw_terms(((zero, QZ5.coerce(c)),))
+            part = _raw_terms(((zero, c),))
             for fac in factors[:-1]:
                 part = _mul_terms_into({}, part, fac).items()
             _mul_terms_into(out, part, factors[-1] if factors else one.terms)
@@ -439,18 +407,17 @@ class Poly:
     def eval(self, coords):
         """Full evaluation at a point; the terms' values are summed on raw
         numerators."""
-        f = QZ5
         pow_cache = {}
         vals = []
         for e, c in self.terms:
-            v = [f.coerce(c)]
+            v = [c]
             for i, k in enumerate(e):
                 if k:
                     p = pow_cache.get((i, k))
                     if p is None:
-                        p = base = f.coerce(coords[i])
+                        p = base = as_cyclo(coords[i])
                         for _ in range(k - 1):
-                            p = f.mul(p, base)
+                            p = p * base
                         pow_cache[i, k] = p
                     v.append(p)
             vals.append(v)
@@ -471,13 +438,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.terms) != len(other.terms):
-            return False
-        f = self.ring.field
-        return all(
-            e1 == e2 and f.eq(c1, c2)
-            for (e1, c1), (e2, c2) in zip(self.terms, other.terms)
-        )
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, tuple((e, str(c)) for e, c in self.terms)))
@@ -522,10 +483,9 @@ def _mul_terms_into(acc, a, b):
     return acc
 
 
-def _merge(ring, a, b, sign):
+def _merge(a, b, sign):
     """Merge two descending term tuples; sign applies to b."""
-    f = ring.field
-    key = ring.order.key
+    key = degrevlex_key
     out = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -533,8 +493,8 @@ def _merge(ring, a, b, sign):
         ea, ca = a[i]
         eb, cb = b[j]
         if ea == eb:
-            c = f.add(ca, cb) if sign > 0 else f.sub(ca, cb)
-            if not f.is_zero(c):
+            c = ca + cb if sign > 0 else ca - cb
+            if c:
                 out.append((ea, c))
             i += 1
             j += 1
@@ -542,13 +502,13 @@ def _merge(ring, a, b, sign):
             out.append((ea, ca))
             i += 1
         else:
-            out.append((eb, cb if sign > 0 else f.neg(cb)))
+            out.append((eb, cb if sign > 0 else -cb))
             j += 1
     out.extend(a[i:])
     if sign > 0:
         out.extend(b[j:])
     else:
-        out.extend((e, f.neg(c)) for e, c in b[j:])
+        out.extend((e, -c) for e, c in b[j:])
     return tuple(out)
 
 
@@ -613,7 +573,6 @@ def restrict_to_plane(p: Poly, plane: Poly):
     if plane.is_zero or plane.degree() != 1:
         raise ValueError("plane must be a nonzero linear form")
     ring = p.ring
-    f = ring.field
     lead_i = None
     lead_c = None
     rest = []
@@ -627,9 +586,15 @@ def restrict_to_plane(p: Poly, plane: Poly):
             lead_c = c
         else:
             rest.append((e, c))
-    inv = f.inv(lead_c)
-    sub = Poly(ring, tuple(rest)).scale(f.neg(inv))
+    sub = Poly(ring, tuple(rest)).scale(-lead_c.inverse())
     return p.subs({lead_i: sub})
+
+
+def proportional(p: Poly, q: Poly) -> bool:
+    """Projective equality of two nonzero polynomials."""
+    if p.is_zero or q.is_zero:
+        return p.is_zero and q.is_zero
+    return p.scale(q.lc()) == q.scale(p.lc())
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +607,13 @@ class ProjPoint:
 
     __slots__ = ("coords",)
 
-    field = QZ5
-
     def __init__(self, coords):
-        field = QZ5
-        coords = tuple(field.coerce(c) for c in coords)
-        if all(field.is_zero(c) for c in coords):
+        coords = tuple(map(as_cyclo, coords))
+        if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        last = max(i for i, c in enumerate(coords) if not field.is_zero(c))
-        inv = field.inv(coords[last])
-        coords = tuple(field.mul(c, inv) for c in coords)
+        last = max(i for i, c in enumerate(coords) if c)
+        inv = coords[last].inverse()
+        coords = tuple(c * inv for c in coords)
         object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, *a):
@@ -659,8 +621,7 @@ class ProjPoint:
 
     def chart(self):
         """Index of the last nonzero (== 1 after normalization) coordinate."""
-        f = self.field
-        return max(i for i, c in enumerate(self.coords) if not f.is_zero(c))
+        return max(i for i, c in enumerate(self.coords) if c)
 
     def affine(self):
         """Coordinates with the chart slot removed."""
@@ -676,8 +637,7 @@ class ProjPoint:
         return hash(tuple(str(c) for c in self.coords))
 
     def __repr__(self):
-        f = self.field
-        return "(" + " : ".join(f.to_str(c) for c in self.coords) + ")"
+        return "(" + " : ".join(map(cyclo_to_str, self.coords)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -836,11 +796,10 @@ def print_poly(p: Poly) -> str:
     """Serialize in the shared grammar; parse(print(p)) == p."""
     if p.is_zero:
         return "0"
-    f = p.ring.field
     chunks = []
     for e, c in p.terms:
         mono = _mono_str(p.ring, e)
-        cs = f.to_str(c)
+        cs = cyclo_to_str(c)
         simple = "+" not in cs[1:] and "-" not in cs[1:]
         if not mono:
             body = cs if simple else "(%s)" % cs

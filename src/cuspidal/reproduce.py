@@ -11,13 +11,8 @@ quintic carries 15 cusps with a free action.
 from __future__ import annotations
 
 from . import catalog
-from .linsys import (
-    check_double_points,
-    conditioned_system,
-    impose_cusps,
-    proportional,
-)
-from .multipoly import QZ5
+from .linsys import check_double_points, conditioned_system, impose_cusps
+from .multipoly import proportional
 from .schemas import PipelineError, Stages
 from .singcert import classify_all
 from .zfive import free_action_check
@@ -77,7 +72,7 @@ def reproduce_construction(progress=None, quartic_override=None):
         stages.check(
             "cusp_imposing_solve",
             len(rep.roots) == 1 and rep.residual_degree == 0,
-            roots=[QZ5.to_str(r) for r in rep.roots],
+            roots=[str(r) for r in rep.roots],
             residual_degree=rep.residual_degree,
         )
 
@@ -86,7 +81,7 @@ def reproduce_construction(progress=None, quartic_override=None):
         stages.check(
             "proportional_to_published_quintic",
             proportional(F, sent.poly),
-            b=QZ5.to_str(b),
+            b=str(b),
         )
 
         scert = classify_all(sent.poly, "quintic", action=sent.action)

@@ -35,6 +35,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import linalg
+from .cyclofield import ZERO
 from .groebner import (
     NotZeroDimensional,
     ZeroDimScheme,
@@ -269,7 +270,7 @@ def classify_all(F: Poly, surface_name="surface", action=None):
             rank_le1_empty = False
         if not alg.generates_whole(vecs3):
             degenerate_empty = False
-        if any(not alg.field.is_zero(c) for v in vecs3 for c in v):
+        if any(c for v in vecs3 for c in v):
             degenerate_all = False
 
     strata = {
@@ -345,7 +346,7 @@ def _orbit_analysis(F: Poly, report, action):
     fixed_sing = []
     for p in action.fixed_points():
         vals = [g.eval(list(p.coords)) for g in parts]
-        if all(p.field.is_zero(v) for v in vals):
+        if not any(vals):
             fixed_sing.append(p)
     free_count = n - len(fixed_sing)
     if free_count % 5 != 0:
@@ -370,7 +371,6 @@ def local_surface(F: Poly, point: ProjPoint):
 
 def classify_at_point(F: Poly, point: ProjPoint):
     """Local classification at one singular point: 'A1', 'A2' or 'other'."""
-    field = point.field
     local, cring, _, _ = local_surface(F, point)
     # order-by-order pieces
     quad = degree_part(local, 2)
@@ -386,8 +386,7 @@ def classify_at_point(F: Poly, point: ProjPoint):
         if len(kern) != 1:
             return "other: quadratic rank defect"
         v = kern[0]
-        val = cubic.eval(v) if not cubic.is_zero else field.zero
-        if not field.is_zero(val):
+        if not cubic.is_zero and cubic.eval(v):
             return "A2"
         return "other: needs higher jet"
     return "other: quadratic rank <= 1"
@@ -398,21 +397,17 @@ def degree_part(p: Poly, d: int) -> Poly:
 
 
 def quadratic_matrix(quad: Poly, cring: Ring):
-    field = cring.field
     n = cring.nvars
-    m = [[field.zero] * n for _ in range(n)]
-    two_inv = None
+    m = [[ZERO] * n for _ in range(n)]
     for e, c in quad.terms:
         idx = [i for i, k in enumerate(e) for _ in range(k)]
         i, j = idx[0], idx[1]
         if i == j:
-            m[i][i] = field.add(m[i][i], c)
+            m[i][i] = m[i][i] + c
         else:
-            if two_inv is None:
-                two_inv = field.inv(field.coerce(2))
-            half = field.mul(c, two_inv)
-            m[i][j] = field.add(m[i][j], half)
-            m[j][i] = field.add(m[j][i], half)
+            half = c / 2
+            m[i][j] = m[i][j] + half
+            m[j][i] = m[j][i] + half
     return m
 
 

@@ -1,10 +1,12 @@
 """Dense univariate polynomial helpers over any field context.
 
-Polynomials are plain lists of field elements, index = degree.  All
-division-like routines invert leading coefficients through the context:
-Q(zeta5) (`multipoly.QZ5`, also `extfield.BASE_TOWER`) or the rings
-Z[e]/(Phi5, M) of `modp`.  `extfield` runs them over Q(zeta5) to do the
-arithmetic of its extensions (docs/DECISIONS.md D18).
+Polynomials are plain lists of field elements, index = degree.  The
+field context supplies zero, one, is_zero, eq, add, sub, mul, inv and
+scale_rat, and all division-like routines invert leading coefficients
+through it.  Three rings implement it (docs/DECISIONS.md D22): Q(zeta5)
+(`multipoly.QZ5`, also `extfield.BASE_TOWER`), the rings Z[e]/(Phi5, M)
+of `modp`, and the extensions of `extfield`, whose arithmetic runs these
+routines over Q(zeta5) (D18).
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ from __future__ import annotations
 import operator
 from itertools import combinations_with_replacement
 
-from .cyclofield import CycloElem
+from .cyclofield import ONE, CycloElem, as_cyclo
 from .linalg import kernel_basis
-from .multipoly import Poly, ProjPoint, QZ5, Ring
+from .multipoly import Poly, ProjPoint, Ring, degrevlex_key
 
 
 def weight_residue(exp, k: int) -> int:
@@ -48,18 +48,13 @@ class ActionK:
         return tuple(CycloElem.e_power(self.k + i) for i in range(4))
 
     def on_point(self, p: ProjPoint) -> ProjPoint:
-        f = p.field
-        s = self.scales()
-        return ProjPoint([f.mul(c, f.coerce(si)) for c, si in zip(p.coords, s)])
+        return ProjPoint([c * si for c, si in zip(p.coords, self.scales())])
 
     def on_poly(self, p: Poly) -> Poly:
         """Substitute coordinates by their images (F composed with a_k)."""
-        f = p.ring.field
-        out = []
-        for e, c in p.terms:
-            r = weight_residue(e, self.k)
-            out.append((e, f.mul(c, f.coerce(CycloElem.e_power(r)))))
-        return p.ring.from_terms(out)
+        return p.ring.from_terms(
+            (e, c * CycloElem.e_power(weight_residue(e, self.k))) for e, c in p.terms
+        )
 
     def is_invariant(self, p: Poly) -> bool:
         return all(weight_residue(e, self.k) == 0 for e, _ in p.terms)
@@ -118,9 +113,7 @@ def degree_monomials(d: int):
         for i in combo:
             e[i] += 1
         expos.append(tuple(e))
-    return sorted(
-        expos, key=lambda e: (sum(e), tuple(-x for x in reversed(e))), reverse=True
-    )
+    return sorted(expos, key=degrevlex_key, reverse=True)
 
 
 def invariant_basis(d: int, k: int, ring: Ring | None = None):
@@ -132,7 +125,7 @@ def invariant_basis(d: int, k: int, ring: Ring | None = None):
     expos = [e for e in degree_monomials(d) if weight_residue(e, k) == 0]
     if ring is None:
         return expos
-    return [Poly(ring, ((e, ring.field.one),)) for e in expos]
+    return [Poly(ring, ((e, ONE),)) for e in expos]
 
 
 class FreeActionVerdict:
@@ -152,36 +145,24 @@ class FreeActionVerdict:
         }
 
 
-def free_action_check(F: Poly, action=None) -> FreeActionVerdict:
+def free_action_check(F: Poly, action) -> FreeActionVerdict:
     """Check that no fixed point of the action lies on the surface F = 0."""
     if not F.is_homogeneous():
         raise ValueError("surface polynomial must be homogeneous")
-    if action is None:
-        action = ActionK(0)
-    bad = []
-    for p in action.fixed_points():
-        v = F.eval(list(p.coords))
-        if p.field.is_zero(v):
-            bad.append(p)
+    bad = [p for p in action.fixed_points() if not F.eval(list(p.coords))]
     return FreeActionVerdict(not bad, bad)
 
 
 class LinearAction:
     """A finite-order linear action given by a 4x4 matrix over Q(zeta5)."""
 
-    def __init__(self, matrix, order: int):
-        self.matrix = [[QZ5.coerce(v) for v in row] for row in matrix]
-        self.order = order
+    def __init__(self, matrix):
+        self.matrix = [[as_cyclo(v) for v in row] for row in matrix]
 
     def on_point(self, p: ProjPoint) -> ProjPoint:
-        f = p.field
-        coords = []
-        for row in self.matrix:
-            acc = f.zero
-            for a, c in zip(row, p.coords):
-                acc = f.add(acc, f.mul(f.coerce(a), c))
-            coords.append(acc)
-        return ProjPoint(coords)
+        return ProjPoint(
+            [sum(a * c for a, c in zip(row, p.coords)) for row in self.matrix]
+        )
 
     def on_poly(self, p: Poly) -> Poly:
         """F(M x): substitute each variable by the corresponding row form."""
@@ -201,11 +182,8 @@ class LinearAction:
         for k in range(5):
             lam = CycloElem.e_power(k)
             m = [
-                [
-                    QZ5.sub(self.matrix[i][j], lam if i == j else QZ5.zero)
-                    for j in range(4)
-                ]
-                for i in range(4)
+                [a - lam if i == j else a for j, a in enumerate(row)]
+                for i, row in enumerate(self.matrix)
             ]
             kernel = kernel_basis(m)
             if len(kernel) > 1:
@@ -214,7 +192,7 @@ class LinearAction:
                     "fixed locus is not finite" % (k, len(kernel))
                 )
             for v in kernel:
-                if any(not QZ5.is_zero(c) for c in v):
+                if any(v):
                     pts.append(ProjPoint(v))
         # deduplicate projectively
         out = []

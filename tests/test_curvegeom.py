@@ -97,7 +97,7 @@ def test_trope_orbits_structure(node_data):
 
 def test_no_tropes_on_smooth_quadric():
     x, y, z, w = R.gens()
-    census = find_tropes(x**2 + y**2 + z**2 + w**2, [], None)
+    census = find_tropes(x**2 + y**2 + z**2 + w**2, [], None, ActionK(0))
     assert census.tropes == []
 
 

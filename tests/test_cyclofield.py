@@ -16,7 +16,7 @@ from cuspidal.cyclofield import (
     ratio,
 )
 from cuspidal.modp import ZetaModM
-from cuspidal.multipoly import Ring, parse_poly
+from cuspidal.multipoly import ProjPoint, Ring, parse_poly
 
 # scalars parse as constants of the ring with no variables
 SCALARS = Ring(())
@@ -298,6 +298,16 @@ def test_float_coefficient_refused():
         CycloElem.from_rat(0.5)
     with pytest.raises(TypeError):
         ONE + 0.5
+    # the polynomial and point entry points convert by the same function
+    ring = Ring(("x", "y"))
+    with pytest.raises(TypeError):
+        ring.from_scalar(0.5)
+    with pytest.raises(TypeError):
+        ring.from_terms([((1, 0), 0.5)])
+    with pytest.raises(TypeError):
+        ring.var("x").scale(0.5)
+    with pytest.raises(TypeError):
+        ProjPoint([0.5, 1])
 
 
 def test_modular_products_match_exact_product():

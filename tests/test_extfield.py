@@ -56,9 +56,7 @@ def test_zero_divisor_splits():
     orig = [BASE_TOWER.zero, BASE_TOWER.coerce(-1), BASE_TOWER.one]
     assert all(BASE_TOWER.eq(a, b2) for a, b2 in zip(prod, orig))
     # branches are b = 0 and b = 1
-    roots = sorted(
-        str(BASE_TOWER.to_str(BASE_TOWER.neg(mp[0]))) for mp in mps
-    )
+    roots = sorted(str(-mp[0]) for mp in mps)
     assert roots == ["0", "1"]
 
 
@@ -135,4 +133,4 @@ def test_split_branches_are_extensions_of_the_base():
         b = br.gen()
         assert br.is_zero(br.sub(br.mul(b, b), b))
         assert not hasattr(br, "adjoin")
-    assert sorted(BASE_TOWER.to_str(br.gen()[0]) for br in res.branches) == ["0", "1"]
+    assert sorted(str(br.gen()[0]) for br in res.branches) == ["0", "1"]

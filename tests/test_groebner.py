@@ -9,7 +9,7 @@ import sympy
 
 from cuspidal import catalog, groebner
 from cuspidal.catalog import NEW_QUARTIC_TEXT, XYZW
-from cuspidal.cyclofield import CycloElem
+from cuspidal.cyclofield import ONE, ZERO, CycloElem
 from cuspidal.groebner import (
     NonRationalResidual,
     NotZeroDimensional,
@@ -23,7 +23,7 @@ from cuspidal.groebner import (
     spoly,
     zero_dim_analyze,
 )
-from cuspidal.multipoly import DEGREVLEX, Poly, Ring, jacobian, mono_lcm
+from cuspidal.multipoly import Poly, Ring, jacobian, mono_lcm, pack, unpack
 from cuspidal.singcert import chart_ring, to_chart
 
 
@@ -152,17 +152,16 @@ def reference_normal_form(f, basis):
     return Poly(ring, tuple(rem))
 
 
-# degrevlex is the one term order; the ids keep its name, as the tests
-# were named when a second order was parametrised beside it
-ORDERS_AND_COEFFS = [
-    pytest.param(order, coeff, id=order.name + suffix)
-    for coeff, suffix in ((small_int, ""), (cyclo_coeff, "-cyclo"))
-    for order in (DEGREVLEX,)
+# the ids keep the names the tests had when they were parametrised by the
+# term order too
+COEFFS = [
+    pytest.param(small_int, id="degrevlex"),
+    pytest.param(cyclo_coeff, id="degrevlex-cyclo"),
 ]
 
 
-@pytest.mark.parametrize("order, coeff", ORDERS_AND_COEFFS)
-def test_normal_form_matches_reference_random(order, coeff, assert_canonical):
+@pytest.mark.parametrize("coeff", COEFFS)
+def test_normal_form_matches_reference_random(coeff, assert_canonical):
     # heap division on packed monomials against the tuple loop, modulo a
     # reduced basis and modulo a bare (order-dependent) list of generators;
     # cyclo_coeff makes sums of unequal denominators meet at one monomial.
@@ -189,8 +188,8 @@ def test_normal_form_matches_reference_random(order, coeff, assert_canonical):
     assert checked > 300
 
 
-@pytest.mark.parametrize("order, coeff", ORDERS_AND_COEFFS)
-def test_spair_reduction_matches_spoly_random(order, coeff):
+@pytest.mark.parametrize("coeff", COEFFS)
+def test_spair_reduction_matches_spoly_random(coeff):
     # every S-pair seeded from the two packed tails reduces to the normal
     # form of its spoly, modulo a basis grown as buchberger grows it, from
     # the raw remainder's monic entry; cyclo_coeff's denominators 1..6 make
@@ -204,7 +203,7 @@ def test_spair_reduction_matches_spoly_random(order, coeff):
         red = Reducers(ring, G)
         pairs = list(itertools.combinations(range(len(G)), 2))
         for i, j in pairs:
-            L = order.pack(mono_lcm(G[i].lm(), G[j].lm()))
+            L = pack(mono_lcm(G[i].lm(), G[j].lm()))
             got = red.remainder(red.spair_seeds(i, j, L))
             want = normal_form(spoly(G[i], G[j]), red)
             assert got == want and str(got) == str(want)
@@ -225,8 +224,7 @@ def lead_coeff(rng, span):
     return c if rng.randrange(2) else CycloElem.from_rat(Fraction(c.n[0] or 1, c.d))
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX], ids=lambda o: o.name)
-def test_monic_entry_matches_entry_of_monic_remainder(order, assert_canonical):
+def test_monic_entry_matches_entry_of_monic_remainder(assert_canonical):
     # a raw remainder appended by `monic_entry` is the entry of its monic
     # polynomial, `entry(r.monic())`: the same lead and the same tail
     # values over the same least denominator, so the basis it grows is
@@ -252,7 +250,7 @@ def test_monic_entry_matches_entry_of_monic_remainder(order, assert_canonical):
         assert got == red.entry(monic)
         # the entry read back as a polynomial is the monic remainder
         lead, tail, den = got
-        unpack, n, one = order.unpack, ring.nvars, red.one
+        n, one = ring.nvars, red.one
         back = Poly(
             ring,
             ((unpack(lead + one, n), CycloElem.from_int(1)),)
@@ -275,11 +273,10 @@ def test_monic_entry_matches_entry_of_monic_remainder(order, assert_canonical):
 # new element came from `Poly.monic` with its sugar from `Poly.degree`
 # (348 when the product and chain criteria were tested at pop time; 311
 # under the Gebauer-Moeller update)
-SUGAR_PAIRS = {"degrevlex": 311}
+SUGAR_PAIRS = 311
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX], ids=lambda o: o.name)
-def test_raw_remainder_sugar_keeps_pair_counts(order):
+def test_raw_remainder_sugar_keeps_pair_counts():
     # a new element takes its pair's sugar s, which in degrevlex is
     # max(s, deg r), the sugar the Poly path gave it
     rng = random.Random(5)
@@ -290,7 +287,7 @@ def test_raw_remainder_sugar_keeps_pair_counts(order):
         gens = [rand_poly(rng, ring, deg=3, nterms=4, coeff=coeff) for _ in range(3)]
         gens = [g.monic() for g in gens if not g.is_zero]
         counts.append(groebner._run(gens, ring)[1]["pairs_processed"])
-    assert sum(counts) == SUGAR_PAIRS[order.name]
+    assert sum(counts) == SUGAR_PAIRS
 
 
 def test_one_algebra_per_scheme_memoises_stable_images(monkeypatch):
@@ -336,7 +333,7 @@ def test_spair_tails_cancel_exactly():
     g = x * z + z.scale(Fraction(1, 2)) + Fraction(1, 5)
     red = Reducers(ring, [f, g])
     assert [D for _, _, D in red.entries] == [6, 10]
-    got = red.remainder(red.spair_seeds(0, 1, ring.order.pack((1, 1, 1))))
+    got = red.remainder(red.spair_seeds(0, 1, pack((1, 1, 1))))
     want = -y.scale(Fraction(1, 5)) - z.scale(Fraction(1, 6)) - Fraction(1, 15)
     assert got.terms == want.terms
     assert got == normal_form(spoly(f, g), red)
@@ -360,12 +357,12 @@ def reference_interreduce(basis):
             if r != basis[i]:
                 basis[i] = r
                 changed = True
-    basis.sort(key=lambda g: g.ring.order.pack(g.lm()), reverse=True)
+    basis.sort(key=lambda g: pack(g.lm()), reverse=True)
     return basis
 
 
-@pytest.mark.parametrize("order, coeff", ORDERS_AND_COEFFS)
-def test_reduced_basis_matches_reference_interreduce_random(order, coeff):
+@pytest.mark.parametrize("coeff", COEFFS)
+def test_reduced_basis_matches_reference_interreduce_random(coeff):
     # a reduced basis padded with a duplicate (the monic 2f), a redundant
     # x*f and, first of its lead, f + c*g with an unreduced tail: the
     # minimality sweep and the one tail pass give back the old fixpoint
@@ -527,7 +524,7 @@ def test_pair_criteria_match_run_without_criteria_random():
         if gens and rng.random() < 0.5:  # an equal lead
             g = gens[0]
             low = rand_poly(rng, ring, deg=g.degree() - 1, coeff=coeff)
-            gens.append(g.scale(coeff(rng, 3) or g.ring.field.one) + low)
+            gens.append(g.scale(coeff(rng, 3) or ONE) + low)
             kinds["equal"] += 1
         if rng.random() < 0.5:  # pure powers of two variables: coprime leads
             for v in rng.sample(ring.gens(), 2):
@@ -597,8 +594,7 @@ def test_split_zero_coordinates_small_ideals():
     assert [str(p) for p in buchberger([x * y - 1, x])] == ["1"]
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX], ids=["drl"])
-def test_split_zero_coordinates_random(order):
+def test_split_zero_coordinates_random():
     rng = random.Random(1515)
     ring = Ring(("x", "y", "z", "w"))
     for _ in range(40):
@@ -905,22 +901,21 @@ def reference_krylov(alg, p):
     """The CycloElem elimination `QuotientAlgebra.krylov` ran before raw
     rows: (minpoly, rows), each row (pivot, row, combo) scaled to pivot 1
     with row = sum(combo[j] * p^j mod I)."""
-    field = alg.field
     n = len(alg.basis)
     cols = alg.mult_columns(p)
-    v = [field.zero] * n
+    v = [ZERO] * n
     zero_mono = (0,) * alg.ring.nvars
     if zero_mono in alg.index:
-        v[alg.index[zero_mono]] = field.one
+        v[alg.index[zero_mono]] = ONE
     rows = []
     for step in range(n + 1):
-        red, combo = _reference_reduce(v, [field.zero] * step + [field.one], rows)
+        red, combo = _reference_reduce(v, [ZERO] * step + [ONE], rows)
         piv = next((i for i, c in enumerate(red) if not c.is_zero), None)
         if piv is None:
             return combo, rows
         inv = red[piv].inverse()
         rows.append((piv, [c * inv for c in red], [c * inv for c in combo]))
-        v = [sum((cols[j][i] * v[j] for j in range(n)), field.zero) for i in range(n)]
+        v = [sum((cols[j][i] * v[j] for j in range(n)), ZERO) for i in range(n)]
     raise AssertionError("Krylov iteration failed to terminate")
 
 

@@ -115,7 +115,7 @@ def test_invariance_of_catalog_surfaces():
 
 def test_free_action_check_quintic():
     s = R.parse(NEW_QUINTIC_TEXT)
-    v = free_action_check(s)
+    v = free_action_check(s, ActionK(0))
     assert v.free
     # in particular F(0,0,1,0) = -136/3 + 220/3*(e^3+e^2) != 0
     z5 = s.coeff_of((0, 0, 5, 0))
@@ -125,14 +125,14 @@ def test_free_action_check_quintic():
 
 def test_free_action_check_quartic_not_free():
     q = R.parse(NEW_QUARTIC_TEXT)
-    v = free_action_check(q)
+    v = free_action_check(q, ActionK(0))
     assert not v.free
     assert ProjPoint([0, 0, 1, 0]) in v.offending
 
 
 def test_x5_not_free():
     x = R.var("x")
-    v = free_action_check(x**5)
+    v = free_action_check(x**5, ActionK(0))
     assert not v.free
     assert len(v.offending) == 3
 
@@ -152,7 +152,7 @@ def test_fixed_points_refuse_repeated_eigenvalue():
     z = CycloElem.e_power
     diag = [z(0), z(1), z(1), z(2)]
     act = LinearAction(
-        [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)], 5
+        [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)]
     )
     with pytest.raises(ValueError):
         act.fixed_points()
