@@ -9,7 +9,11 @@
   two (-2)-curves of the A2 chain (they meet once; the strict transform
   of the surface is verified smooth along them);
 * intersections of two curves away from and over the cusps, as exact
-  scheme lengths inside partitioned charts;
+  scheme lengths inside partitioned charts: away from the cusps, the
+  length of a chart piece is the supported length of the chart scheme
+  where the later coordinates vanish (`singcert.ChartData`,
+  docs/DECISIONS.md D23), and over a cusp that of the blow-up chart
+  scheme on its part of the exceptional plane (D19);
 * self-intersections on the resolved quintic by adjunction with
   K = O(1) (crepancy of rational double point resolutions):
   C~^2 = 2 p_a(C~) - 2 - deg C.
@@ -21,16 +25,10 @@ import itertools
 
 from . import linalg
 from .cyclofield import ONE, ZERO, cyclo_sqrt
-from .groebner import (
-    NotZeroDimensional,
-    buchberger,
-    normal_form,
-    radical_zero_dim,
-    zero_dim_analyze,
-)
+from .groebner import NotZeroDimensional, buchberger, normal_form, zero_dim_analyze
 from .multipoly import Poly, ProjPoint, Ring, minors, proportional, restrict_to_plane
 from .singcert import (
-    chart_piece,
+    ChartData,
     degree_part,
     local_surface,
     quadratic_matrix,
@@ -189,19 +187,17 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves):
     Checks (i) every conic lies on both surfaces, (ii) degree bookkeeping
     deg S * deg Q = sum of conic degrees, and (iii) one plane section of
     V(S, Q) of that degree lies on the union of the conic planes (their
-    product is in the section's radical, docs/DECISIONS.md D5).  Any curve
+    product vanishes on every point of each piece of the section,
+    docs/DECISIONS.md D23).  Any curve
     component of V(S, Q) meets every plane, so an excess component or a
     conic listed twice in place of another is seen.  The planes tried are
     the fixed list _SLICE_PLANES (docs/DECISIONS.md D21); without such a
     plane among them the verdict is not clean.
     """
     ring = S.ring
-    containments = []
-    for c in conic_curves:
-        gb = buchberger(c.gens, ring=ring)
-        containments.append(
-            normal_form(S, gb).is_zero and normal_form(Q, gb).is_zero
-        )
+    containments = [
+        curve_lies_on(c, S) and curve_lies_on(c, Q) for c in conic_curves
+    ]
     expected = S.degree() * Q.degree()
     counted = sum(c.degree for c in conic_curves)
     prod = ring.one
@@ -215,13 +211,24 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves):
         except NotZeroDimensional:
             degenerate_slices += 1
             continue
-        if sum(scheme.degree for _, scheme in section) != expected:
+        if sum(chart.length for chart in section) != expected:
             continue
-        excess = [
-            {"chart": ring.vars[ci], "witness": "plane-product not in radical"}
-            for ci, scheme in section
-            if not scheme.algebra.in_radical(to_chart(prod, ci, scheme.ring))
-        ]
+        excess = []
+        for chart in section:
+            # the product vanishes on every point of the piece iff its
+            # zeros there carry the whole length of the piece; its normal
+            # form has the same multiplication map and far fewer terms
+            on_planes = normal_form(
+                to_chart(prod, chart.chart_index, chart.ring), chart.scheme.gb
+            )
+            length = chart.scheme.algebra.supported_length(chart.later + [on_planes])
+            if length != chart.length:
+                excess.append(
+                    {
+                        "chart": ring.vars[chart.chart_index],
+                        "witness": "plane-product not in radical",
+                    }
+                )
         return IntersectionReport(
             containments, expected, counted, excess, list(coeffs), tried
         )
@@ -237,14 +244,15 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves):
 
 def _chart_pieces(gens):
     """V(gens) in P^n as disjoint chart pieces (last nonzero coordinate
-    = 1): (chart index, zero-dimensional scheme) for each nonempty piece.
-    Raises NotZeroDimensional when a piece is positive-dimensional."""
+    = 1): the `ChartData` of each nonempty piece, its chart built (the
+    last chart's piece is empty when its chart scheme has degree 0).
+    Raises NotZeroDimensional when V(gens) is positive-dimensional: then
+    the chart of the piece holding a dense part of a curve is."""
     out = []
     for ci in range(gens[0].ring.nvars):
-        cring, cgens, later = chart_piece(gens, ci)
-        gb = buchberger(cgens + later, ring=cring)
-        if not gb.is_trivial():
-            out.append((ci, zero_dim_analyze(gb)))
+        chart = ChartData(gens, ci)
+        if not chart.empty and chart.scheme.degree:
+            out.append(chart)
     return out
 
 
@@ -287,21 +295,20 @@ def pair_intersection_away_from(curveC, curveD, excluded_points):
     excluded points (exact; the ambient lengths equal surface intersection
     multiplicities at smooth surface points)."""
     total = 0
-    for ci, scheme in _chart_pieces(curveC.gens + curveD.gens):
-        deg = scheme.degree
-        alg = scheme.algebra
+    for chart in _chart_pieces(curveC.gens + curveD.gens):
+        length = chart.length
         for p in excluded_points:
-            if p.chart() != ci:
+            if p.chart() != chart.chart_index:
                 continue
             aff = list(p.affine())
-            if any(g.eval(aff) for g in scheme.gb.polys):
+            if any(g.eval(aff) for g in chart.gens):
                 continue
-            cring = scheme.ring
+            cring = chart.ring
             at_p = [
                 cring.var(v) - cring.from_scalar(q) for v, q in zip(cring.vars, aff)
             ]
-            deg -= alg.supported_length(at_p)
-        total += deg
+            length -= chart.scheme.algebra.supported_length(at_p)
+        total += length
     return total
 
 
@@ -455,19 +462,12 @@ def strict_transform(p: Poly, bring: Ring, images):
     return q, mult
 
 
-def _partition_extras(bring: Ring, mchart: int):
-    """Slice variables so each exceptional point is counted in one chart:
-    chart 2 takes all its points, chart 1 those with V_2 = 0, chart 0 those
-    with V_1 = V_2 = 0."""
-    if mchart == 2:
-        return []
-    if mchart == 1:
-        return [bring.var(bring.vars[1])]  # v for the ambient direction 2
-    return [bring.var(bring.vars[0]), bring.var(bring.vars[1])]
-
-
 def _exceptional_supported_length(gens, bring, mchart):
-    """Length of V(gens) supported on the w = 0 partition slice."""
+    """Length of V(gens) supported on blow-up chart m's part of the
+    exceptional plane w = 0: the points whose last nonzero direction is
+    m, where the later directions bring.gens()[m:-1] vanish, as in
+    `singcert.chart_piece`.  So each exceptional point counts in one
+    chart."""
     gens = [g for g in gens if not g.is_zero]
     gb0 = buchberger(gens, ring=bring)
     if gb0.is_trivial():
@@ -477,7 +477,7 @@ def _exceptional_supported_length(gens, bring, mchart):
     except NotZeroDimensional:
         raise ResolutionError("strict transforms share a component over the cusp")
     return scheme.algebra.supported_length(
-        [bring.var("w_")] + _partition_extras(bring, mchart)
+        [bring.var("w_")] + bring.gens()[mchart:-1]
     )
 
 
@@ -586,7 +586,8 @@ def _curve_smooth_over_exceptional(per_chart):
             continue
         jac = [[g.partial(i) for i in range(bring.nvars)] for g in gens]
         mins = [m for m in minors(jac, 2) if not m.is_zero]
-        probe = gens + mins + [bring.var("w_")] + _partition_extras(bring, mchart)
+        # on chart m's part of the exceptional plane, as above
+        probe = gens + mins + [bring.var("w_")] + bring.gens()[mchart:-1]
         gb = buchberger([g for g in probe if not g.is_zero], ring=bring)
         if not gb.is_trivial():
             return False
@@ -595,12 +596,10 @@ def _curve_smooth_over_exceptional(per_chart):
 
 def curve_singular_points(curve: CurveOnSurface):
     """Singular points of the curve (rank-deficiency of the Jacobian),
-    returned as a per-chart-piece degree count with the radical loci."""
+    counted per chart piece: (chart index, number of points) for each
+    nonempty piece."""
     ring = curve.gens[0].ring
     n = ring.nvars
     jac = [[g.partial(i) for i in range(n)] for g in curve.gens]
     mins = [m for m in minors(jac, min(len(curve.gens), n - 2)) if not m.is_zero]
-    out = []
-    for ci, scheme in _chart_pieces(curve.gens + mins):
-        out.append((ci, radical_zero_dim(scheme)))
-    return out
+    return [(c.chart_index, c.points) for c in _chart_pieces(curve.gens + mins)]

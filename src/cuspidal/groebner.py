@@ -632,18 +632,6 @@ class QuotientAlgebra:
             v[position[m]] = c if d == L else tuple([x * (L // d) for x in c])
         return v
 
-    def in_radical(self, p: Poly) -> bool:
-        """Is p in sqrt(I)?  Exactly when p^d is in I, d = deg I: square
-        NF(p), dropping its denominator, until it is zero or 2^k >= d
-        (docs/DECISIONS.md D5)."""
-        g = self.raw_nf(p)
-        k = 1
-        while g and k < len(self.basis):
-            _, terms = common_denominator(g)
-            g = self.raw_nf_products([(1, (1, terms), (1, terms))])
-            k *= 2
-        return not g
-
     def _products(self, p: Poly):
         """Raw NF(m * p) for each standard monomial m: p's packed terms
         shifted by m seed the kernel."""

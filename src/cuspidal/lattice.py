@@ -24,9 +24,11 @@ docs/DECISIONS.md.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
+
+from . import linalg
+from .cyclofield import as_cyclo
 
 LABELS = ("A1", "A1'", "A2", "A2'", "A3", "A3'", "T1", "T2", "T3")
 
@@ -109,50 +111,26 @@ def det_int(m):
 
 
 def nullspace_int(m):
-    """Primitive integer basis of the right nullspace, deterministic.
-
-    Gaussian elimination over Q followed by denominator clearing and
-    content removal; sign convention: first nonzero entry positive.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
+    """Primitive integer basis of the right nullspace, deterministic:
+    `linalg.kernel_basis` over Q (one vector per free column of the
+    reduced row echelon form), each vector cleared of denominators and
+    made primitive with its first nonzero entry positive."""
     basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        w = [int(x * den) for x in v]
-        g = 0
-        for x in w:
-            g = gcd(g, abs(x))
-        if g > 1:
-            w = [x // g for x in w]
-        lead = next((x for x in w if x), 1)
-        if lead < 0:
-            w = [-x for x in w]
-        basis.append(w)
+    for v in linalg.kernel_basis([[as_cyclo(x) for x in row] for row in m]):
+        D = lcm(*[c.d for c in v])
+        basis.append(_primitive_int([c.n[0] * (D // c.d) for c in v]))
     return basis
+
+
+def _primitive_int(v):
+    """The integer vector v divided by its content, first nonzero entry
+    positive; None for the zero vector."""
+    g = gcd(*v)
+    if not g:
+        return None
+    if next(x for x in v if x) < 0:
+        g = -g
+    return [x // g for x in v]
 
 
 class DivisibilityCertificate:
@@ -249,16 +227,9 @@ def find_divisibility_vector(lat: IntersectionLattice, basis):
             if c:
                 for i, x in enumerate(b):
                     v[i] += c * x
-        g = 0
-        for x in v:
-            g = gcd(g, abs(x))
-        if g == 0:
+        v = _primitive_int(v)
+        if v is None:
             continue
-        if g > 1:
-            v = [x // g for x in v]
-        lead = next((x for x in v if x), 1)
-        if lead < 0:
-            v = [-x for x in v]
         key = tuple(v)
         if key in seen:
             continue

@@ -15,18 +15,24 @@ Also here: the one-parameter cusp-imposing solve (roots b of the gcd of
 all order-3 Hessian minor conditions of L1 + b*L2), membership checking
 for the published solution of the quartic search scheme, and the
 Kummer-type non-existence check on the Van der Geer-Zagier cusps.
+
+The cusp conditions are read in the locus algebras, never expanded in
+the ambient ring: a minor of the Hessian of L1 + b*L2 is a cubic in b,
+so its vectors at b = 0, 1, 2, 3 (`singcert.hessian_minor_vectors`)
+give its four coefficient vectors by one exact Vandermonde solve
+(docs/DECISIONS.md D23).
 """
 
 from __future__ import annotations
 
 from . import linalg, unipoly
 from .catalog import XYZW
-from .cyclofield import ONE, ZERO
+from .cyclofield import ONE, ZERO, as_cyclo
 from .groebner import normal_form
 from .modp import roots_in_qz5
-from .multipoly import QZ5, Poly, ProjPoint, Ring, hessian, minors
+from .multipoly import QZ5, Poly, ProjPoint, hessian
 from .multipoly import proportional  # noqa: F401  re-exported, not called here
-from .singcert import to_chart
+from .singcert import hessian_minor_vectors, to_chart
 from .zfive import ActionK, degree_monomials, invariant_basis, orbit
 
 
@@ -144,45 +150,30 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
     """Solve for b making every order-3 Hessian minor of L1 + b L2 vanish
     on the given loci (the double points being already imposed).
 
+    The conditions are the entries of each minor's coefficient vectors
+    in b, solved from its values at b = 0, 1, 2, 3 (module docstring).
     Returns the roots in Q(zeta5) of the gcd of all induced univariate
     conditions in b (linear factors peeled by exact gcd arithmetic;
     remaining rational roots recovered by verified lifting), and the
     degree of the unsolved residual factor (0 when everything is accounted
     for).
     """
-    ring = L1.ring
-    ext = Ring(ring.vars + ("b",))
-
-    def lift(p):
-        return ext.from_terms(((e + (0,)), c) for e, c in p.terms)
-
-    b = ext.var("b")
-    Fb = lift(L1) + lift(L2) * b
-    H = [[Fb.partial(i).partial(j) for j in range(4)] for i in range(4)]
-    conds = []  # univariate polynomials in b over Q(zeta5)
-    for m in minors(H, 3):
-        if m.is_zero:
-            continue
-        by_power = {}
-        for e, c in m.terms:
-            by_power.setdefault(e[4], []).append((e[:4], c))
-        max_pow = max(by_power)
-        coeff_polys = {
-            j: ring.from_terms(terms) for j, terms in by_power.items()
-        }
+    nodes = range(4)
+    rows = []  # per node: [b^0..b^3] + every minor vector entry on every locus
+    for b in nodes:
+        row = [as_cyclo(b**j) for j in nodes]
+        H = hessian(L1 + L2.scale(b))
         for chart_index, scheme in loci:
-            cring = scheme.ring
-            alg = scheme.algebra
-            vec_by_pow = {}
-            for j, cp in coeff_polys.items():
-                vec_by_pow[j] = alg.nf_coeffs(to_chart(cp, chart_index, cring))
-            for pos in range(scheme.degree):
-                poly_b = [ZERO] * (max_pow + 1)
-                for j, vec in vec_by_pow.items():
-                    poly_b[j] = vec[pos]
-                poly_b = unipoly.trim(poly_b, QZ5)
-                if poly_b:
-                    conds.append(poly_b)
+            _, vecs3 = hessian_minor_vectors(scheme.algebra, H, chart_index)
+            for vec in vecs3:
+                row.extend(vec)
+        rows.append(row)
+    coeffs, _ = linalg.rref(rows)  # rows b^j of the coefficient vectors
+    conds = []  # univariate polynomials in b over Q(zeta5)
+    for col in range(len(nodes), len(rows[0])):
+        poly_b = unipoly.trim([coeffs[j][col] for j in nodes], QZ5)
+        if poly_b:
+            conds.append(poly_b)
 
     if not conds:
         return CuspSolveReport([], 0)
@@ -244,13 +235,11 @@ def verify_sc_membership(coefficients, rep2: ProjPoint, rep3: ProjPoint):
     groups["partials_at_second_orbit"] = "pass" if partials_vanish(rep2) else "fail"
     groups["partials_at_third_orbit"] = "pass" if partials_vanish(rep3) else "fail"
 
-    # ordinariness at (1:1:1:1): some order-3 Hessian minor is nonzero
-    H = hessian(F)
+    # ordinariness at (1:1:1:1): some order-3 Hessian minor is nonzero,
+    # that is, the Hessian there has rank at least 3
     coords = list(fixed.coords)
-    vals = [m.eval(coords) for m in minors(H, 3)]
-    groups["ordinariness"] = (
-        "pass" if any(vals) else "fail"
-    )
+    at_fixed = [[h.eval(coords) for h in row] for row in hessian(F)]
+    groups["ordinariness"] = "pass" if linalg.rank(at_fixed) >= 3 else "fail"
 
     # orbit separation: the three representatives in pairwise distinct orbits
     step = ActionK(0).on_point

@@ -9,7 +9,7 @@ Van der Geer-Zagier quintic.
 
 from __future__ import annotations
 
-from . import catalog, lattice
+from . import catalog, lattice, linalg
 from .curvegeom import (
     CurveOnSurface,
     curve_singular_points,
@@ -124,8 +124,6 @@ def vdgz_curves(S, action):
 
 
 def _two_independent(forms):
-    from . import linalg
-
     rows = []
     keep = []
     for f in forms:
@@ -140,8 +138,6 @@ def _two_independent(forms):
 
 
 def _same_pencil(gens_a, gens_b):
-    from . import linalg
-
     return linalg.rank([g.linear_coeffs() for g in gens_a + gens_b]) == 2
 
 
@@ -269,8 +265,7 @@ def divisibility_pipeline(name):
     for fam in families:
         for c in fam:
             if c.double_points:
-                sing = curve_singular_points(c)
-                total = sum(r.degree for _, r in sing)
+                total = sum(n for _, n in curve_singular_points(c))
                 stages.check(
                     "curve_double_points_%s" % c.name,
                     total == c.double_points,

@@ -3,15 +3,16 @@
 The singular locus of a surface F = 0 in P^3 is split into four disjoint
 pieces matching the projective normalization (last nonzero coordinate
 = 1), so every singular point is counted exactly once.  Piece ci lies in
-affine chart ci where the later coordinates vanish.  One small Buchberger
-run on the chart's Jacobian ideal plus those coordinates tests the piece
-for emptiness; the chart's own Jacobian scheme and radical are built
-only for a nonempty piece and for the last chart (docs/DECISIONS.md D10).
-A piece's Tjurina degree is the length of the chart scheme supported
+affine chart ci where the later coordinates vanish.  `ChartData` is the
+one chart-piece object, here and in `curvegeom`: one small Buchberger
+run on the chart's generators plus those coordinates tests the piece
+for emptiness, and the chart's own scheme and radical are built only
+for a nonempty piece and for the last chart (docs/DECISIONS.md D10).
+A piece's length (here its Tjurina degree) and its distinct-point count
+are the lengths of the chart scheme and of the chart radical supported
 where the later coordinates vanish, read from stable images of their
-multiplication matrices (D3); its distinct-point count is the degree of
-the chart radical sliced by those coordinates.  The degree and point
-count of a chart that is not built are summed from the pieces it meets.
+multiplication matrices (D3, D23).  The degree and point count of a
+chart that is not built are summed from the pieces it meets.
 
 Classification is by Hessian rank stratification plus Tjurina
 accounting and never needs point coordinates:
@@ -37,6 +38,7 @@ from itertools import combinations
 from . import linalg
 from .cyclofield import ZERO
 from .groebner import (
+    GroebnerBasis,
     NotZeroDimensional,
     ZeroDimScheme,
     buchberger,
@@ -69,14 +71,28 @@ class SingularLocusNotInvariant(Exception):
 
 
 class ChartData:
-    """One affine chart of the Jacobian scheme.  The chart's Buchberger
-    run (`scheme`) and its radical are made on first use."""
+    """Affine chart ci of V(gens) in P^n and its piece, the points whose
+    last nonzero coordinate is x_ci (`chart_piece`).
 
-    def __init__(self, parts, chart_index):
+    `empty` tests the piece by one Buchberger run on gens + later, so an
+    empty piece never builds its chart; the last chart's piece is the
+    whole chart and takes no test (docs/DECISIONS.md D10).  The chart's
+    run (`scheme`) and its radical are made on first use.  The piece's
+    length and point count are the supported lengths on {later = 0} of
+    the chart scheme and of the chart radical (D3): slicing the scheme by
+    the later coordinates would undercount a non-reduced point on the
+    chart boundary (D23).
+    """
+
+    def __init__(self, gens, chart_index):
         self.chart_index = chart_index
-        self.ring, self.gens, self.later = chart_piece(parts, chart_index)
-        self.piece_radical = None  # radical of the disjoint slice (set later)
-        self.piece_tau = None
+        self.ring, self.gens, self.later = chart_piece(gens, chart_index)
+
+    @cached_property
+    def empty(self):
+        if not self.later:
+            return False
+        return buchberger(self.gens + self.later, ring=self.ring).is_trivial()
 
     @cached_property
     def scheme(self):
@@ -85,6 +101,27 @@ class ChartData:
     @cached_property
     def radical(self):
         return radical_zero_dim(self.scheme)
+
+    @cached_property
+    def length(self):
+        return 0 if self.empty else self.scheme.algebra.supported_length(self.later)
+
+    @cached_property
+    def points(self):
+        return 0 if self.empty else self.radical.algebra.supported_length(self.later)
+
+    @cached_property
+    def piece_radical(self):
+        """The piece's points as a radical scheme: the chart radical cut by
+        the later coordinates, which stays reduced (a subscheme of a
+        reduced zero-dimensional scheme is reduced); degree 0, with the
+        chart unbuilt, for an empty piece."""
+        if self.empty:
+            return ZeroDimScheme(GroebnerBasis(self.ring, [self.ring.one]), ())
+        if not self.later:
+            return self.radical
+        gb = buchberger(list(self.radical.gb.polys) + self.later, ring=self.ring)
+        return ZeroDimScheme(gb, zero_dim_analyze(gb).std_monomials, is_radical=True)
 
 
 class SingularSchemeReport:
@@ -134,39 +171,16 @@ def singular_scheme(F: Poly) -> SingularSchemeReport:
     charts = [ChartData(parts, ci) for ci in range(ring.nvars)]
     positive = None
     for ci, chart in enumerate(charts):
-        # piece: points whose LAST nonzero ambient coordinate is x_ci,
-        # i.e. all later coordinates vanish
-        if chart.later:
-            gb = buchberger(chart.gens + chart.later, ring=chart.ring)
-            if gb.is_trivial():
-                chart.piece_tau, chart.piece_radical = 0, zero_dim_analyze(gb)
-                continue
+        if chart.empty:
+            continue
         try:
-            scheme = chart.scheme
+            chart.scheme  # a nonempty piece or the last chart is built
         except NotZeroDimensional as ev:
             positive = {"chart": ring.vars[ci], "witness_var": ev.witness_var}
             charts[ci] = None
-            continue
-        chart.piece_tau, chart.piece_radical = _piece_slice(
-            scheme, chart.radical, chart.later
-        )
     # a positive-dimensional locus has no finite accounting
     pieces = [] if positive else _pieces(ring, charts)
     return SingularSchemeReport(charts, pieces, positive)
-
-
-def _piece_slice(scheme, radical, later):
-    """Subscheme supported on {later = 0}: its local (Tjurina) degree and
-    the radical slice itself."""
-    if not later:
-        return scheme.degree, radical
-    tau = scheme.algebra.supported_length(later)
-    # distinct points: slice the radical by the linear forms (exact on a
-    # reduced scheme)
-    gb = buchberger(list(radical.gb.polys) + later, ring=scheme.ring)
-    piece = zero_dim_analyze(gb)
-    piece = ZeroDimScheme(piece.gb, piece.std_monomials, is_radical=True)
-    return tau, piece
 
 
 def _pieces(ring, charts):
@@ -176,27 +190,27 @@ def _pieces(ring, charts):
     (docs/DECISIONS.md D10)."""
     pieces = []
     for ci, chart in enumerate(charts):
-        if chart.piece_radical.degree or not chart.later:  # a built chart
+        if not chart.empty:
             degree, points = chart.scheme.degree, chart.radical.degree
         else:
             degree = points = 0
             for k in charts[ci + 1 :]:
-                if not k.piece_radical.degree:
+                if not k.points:
                     continue
-                x = [k.ring.var(ring.vars[ci])]
+                on = k.later + [k.ring.var(ring.vars[ci])]
                 # points and length of piece k on the plane x_ci = 0: with
                 # no point there, there is no length either
-                on_points = k.piece_radical.algebra.supported_length(x)
-                on_length = on_points and k.scheme.algebra.supported_length(k.later + x)
-                points += k.piece_radical.degree - on_points
-                degree += k.piece_tau - on_length
+                on_points = k.radical.algebra.supported_length(on)
+                on_length = on_points and k.scheme.algebra.supported_length(on)
+                points += k.points - on_points
+                degree += k.length - on_length
         pieces.append(
             {
                 "chart": ring.vars[ci],
                 "chart_degree": degree,
                 "chart_points": points,
-                "tau": chart.piece_tau,
-                "npoints": chart.piece_radical.degree,
+                "tau": chart.length,
+                "npoints": chart.points,
             }
         )
     return pieces
@@ -260,12 +274,12 @@ def classify_all(F: Poly, surface_name="surface", action=None):
     degenerate_empty = True
     degenerate_all = True
     for chart in report.charts:
-        if chart.piece_radical.degree == 0:
+        if not chart.points:
             continue
         # V(I + J) = V(sqrt(I) + J): every stratum is read on R/sqrt(I),
         # once per point on the piece that holds it
         alg = chart.piece_radical.algebra
-        vecs2, vecs3 = _hessian_minor_vectors(alg, H, chart.chart_index)
+        vecs2, vecs3 = hessian_minor_vectors(alg, H, chart.chart_index)
         if not alg.generates_whole(vecs2):
             rank_le1_empty = False
         if not alg.generates_whole(vecs3):
@@ -296,9 +310,10 @@ def classify_all(F: Poly, surface_name="surface", action=None):
     )
 
 
-def _hessian_minor_vectors(alg, H, ci):
+def hessian_minor_vectors(alg, H, ci):
     """NF vectors in alg = R/sqrt(I) of the 2x2 and 3x3 minors of the
-    symmetric Hessian H in chart ci, one per row set <= column set, built
+    symmetric Hessian H in chart ci (a piece radical here, a point locus
+    in `linsys.impose_cusps`), one per row set <= column set, built
     from the reduced entries and reduced again (docs/DECISIONS.md D2): each
     cofactor sum seeds the reduction term by term (D8).  A reduced entry
     or 2x2 minor is packed once, from its raw remainder (D16)."""

@@ -213,6 +213,12 @@ def test_pair_intersection_tangential():
     p1 = ProjPoint([0, 1, 1, 1])
     assert pair_intersection_away_from(conic, tangent, []) == 2
     assert pair_intersection_away_from(conic, tangent, [p0]) == 0
+    # the same tangency with z and w swapped sits at (0:0:1:0), in piece z
+    # on the boundary of chart z: its length is still 2, not the 1 of the
+    # piece ideal cut by w
+    boundary = CurveOnSurface("boundary", [x, y * z - w**2], 2, 0)
+    assert pair_intersection_away_from(boundary, tangent, []) == 2
+    assert pair_intersection_away_from(boundary, tangent, [ProjPoint([0, 0, 1, 0])]) == 0
     assert pair_intersection_away_from(conic, secant, []) == 2
     assert pair_intersection_away_from(conic, secant, [p0]) == 1
     assert pair_intersection_away_from(conic, secant, [p1]) == 1
@@ -221,7 +227,7 @@ def test_pair_intersection_tangential():
 def test_t3_member_has_five_double_points(new_divisibility):
     fam3 = new_divisibility.families[2]
     sing = curve_singular_points(fam3[0])
-    assert sum(r.degree for _, r in sing) == 5
+    assert sum(n for _, n in sing) == 5
 
 
 def test_resolution_rows_published_consistency(new_divisibility):

@@ -723,60 +723,6 @@ def test_generates_whole_agrees_with_buchberger_random_cyclo():
     _generates_whole_agrees_with_buchberger(random.Random(2719), cyclo_coeff)
 
 
-def test_in_radical_small_ideals():
-    ring = Ring(("x", "y"))
-    x, y = ring.gens()
-    cases = [
-        # fat points whose nilpotency index is the whole degree: x^3 is
-        # not in (x^4, y), so every squaring up to x^4 is needed
-        ([x**4, y], x, True),
-        ([x**4, y], x**3 + y, True),
-        ([x**3, y], x, True),
-        ([x**4, y], x + 1, False),
-        ([x**2, y**2], x * y + y, True),
-        ([x**2, y**2], x - 1, False),
-        # a double point at the origin and a simple one at (1, 1)
-        ([x**3 - x**2, y - x], x * (x - 1), True),
-        ([x**3 - x**2, y - x], x, False),
-        ([x**3 - x**2, y - x], x - 1, False),
-        # two reduced points (1, 1) and (-1, -1)
-        ([x**2 - 1, y - x], x**2 - 1, True),
-        ([x**2 - 1, y - x], y + 1, False),
-        # I = R: everything is in it
-        ([x - 1, x], x + 5, True),
-    ]
-    for gens, f, want in cases:
-        gb = buchberger(gens, ring=ring)
-        rad = radical_zero_dim(zero_dim_analyze(gb))
-        assert normal_form(f, rad.gb).is_zero is want
-        assert QuotientAlgebra(zero_dim_analyze(gb)).in_radical(f) is want
-
-
-def test_in_radical_agrees_with_radical_random():
-    rng = random.Random(1618)
-    ring = Ring(("x", "y", "z"))
-    x, y, z = ring.gens()
-    seen = set()
-    for _ in range(20):
-        # zero-dimensional, often non-reduced (repeated roots in x)
-        a = rng.choice([0, 1, -1])
-        gens = [
-            (x - a) ** 2 * (x + 2),
-            y**2 + rand_poly(rng, ring, deg=1),
-            z**2 + rand_poly(rng, ring, deg=1),
-        ]
-        gb = buchberger(gens, ring=ring)
-        scheme = zero_dim_analyze(gb)
-        rad = radical_zero_dim(scheme)
-        alg = QuotientAlgebra(scheme)
-        inside = rng.choice(rad.gb.polys) * rand_poly(rng, ring, deg=1)
-        for f in (rand_poly(rng, ring, deg=2), inside, inside + gens[0]):
-            want = normal_form(f, rad.gb).is_zero
-            assert alg.in_radical(f) is want
-            seen.add(want)
-    assert seen == {True, False}
-
-
 def test_nf_products_matches_expanded_sum_random():
     # the NF of a signed sum of products seeded term by term equals the NF
     # of the expanded Poly sum; denominators 1..6 mix within each factor

@@ -68,6 +68,21 @@ def test_impose_cusps_recovers_published_quintic(loci15):
     assert proportional(F, catalog.get("new_quintic").poly)
 
 
+@pytest.mark.parametrize("pencil", ["shifted", "swapped"])
+def test_impose_cusps_roots_off_the_interpolation_nodes(loci15, pencil):
+    # the cubics in b are interpolated at b = 0, 1, 2, 3; a pencil whose
+    # root is moved off the published one must still give it exactly:
+    # L1 + 3 L2 + b L2 has root b0 - 3, and L2 + b L1 has root 1 / b0
+    L1, L2 = conditioned_system(5, 0, loci=loci15).basis
+    (b0,) = impose_cusps(L1, L2, loci15).roots
+    if pencil == "shifted":
+        rep, want = impose_cusps(L1 + L2.scale(3), L2, loci15), b0 - 3
+    else:
+        rep, want = impose_cusps(L2, L1, loci15), b0.inverse()
+    assert rep.roots == [want]
+    assert rep.residual_degree == 0
+
+
 def test_impose_cusps_synthetic_cases():
     from cuspidal import unipoly
 

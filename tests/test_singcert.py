@@ -166,7 +166,7 @@ def test_hessian_minor_vectors_match_ambient_minors(fixture, request):
 
     from cuspidal.groebner import QuotientAlgebra
     from cuspidal.multipoly import hessian, minors
-    from cuspidal.singcert import _hessian_minor_vectors, to_chart
+    from cuspidal.singcert import hessian_minor_vectors, to_chart
 
     cert = request.getfixturevalue(fixture)
     F = catalog.get(cert.surface_name).poly
@@ -184,7 +184,7 @@ def test_hessian_minor_vectors_match_ambient_minors(fixture, request):
     assert charts
     for chart in charts:
         alg = QuotientAlgebra(chart.radical)
-        got = _hessian_minor_vectors(alg, H, chart.chart_index)
+        got = hessian_minor_vectors(alg, H, chart.chart_index)
         for k, vecs in zip((2, 3), got):
             want = [
                 alg.nf_coeffs(to_chart(m, chart.chart_index, chart.ring))
@@ -242,5 +242,5 @@ def test_empty_piece_charts_are_not_built():
     assert [p["npoints"] for p in cert.report.pieces] == [0, 0, 0, 15]
     for chart in cert.report.charts[:3]:
         assert "scheme" not in vars(chart) and "radical" not in vars(chart)
-        assert chart.piece_tau == 0 and chart.piece_radical.degree == 0
+        assert chart.length == chart.points == chart.piece_radical.degree == 0
     assert "scheme" in vars(cert.report.charts[3])
