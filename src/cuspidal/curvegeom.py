@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .cyclofield import ONE, ZERO, cyclo_sqrt
+from .cyclofield import ONE, ZERO
 from .groebner import NotZeroDimensional, buchberger, normal_form, zero_dim_analyze
+from .modp import rational_roots
 from .multipoly import Poly, ProjPoint, Ring, minors, proportional, restrict_to_plane
 from .singcert import (
     ChartData,
@@ -216,11 +217,8 @@ def intersect_surfaces(S: Poly, Q: Poly, conic_curves):
         excess = []
         for chart in section:
             # the product vanishes on every point of the piece iff its
-            # zeros there carry the whole length of the piece; its normal
-            # form has the same multiplication map and far fewer terms
-            on_planes = normal_form(
-                to_chart(prod, chart.chart_index, chart.ring), chart.scheme.gb
-            )
+            # zeros there carry the whole length of the piece
+            on_planes = to_chart(prod, chart.chart_index, chart.ring)
             length = chart.scheme.algebra.supported_length(chart.later + [on_planes])
             if length != chart.length:
                 excess.append(
@@ -361,8 +359,8 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     """Factor the rank-2 quadratic part into two monic linear forms.
 
     Returns (l1, l2, kernel_vector); deterministic labelling (sorted by
-    string form); raises ResolutionError when the rank is not 2 or the
-    splitting needs a square root outside Q(zeta5).
+    string form); raises ResolutionError when the rank is not 2 or
+    `modp.rational_roots` finds no two slopes in Q(zeta5).
     """
     if degree_part(flocal, 0).terms or degree_part(flocal, 1).terms:
         raise ResolutionError("point is not singular on the surface")
@@ -399,22 +397,17 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     t_row = linalg.solve(basis, [ZERO, ONE, ZERO])
     s_poly = cring.linear_form(s_row)
     t_poly = cring.linear_form(t_row)
-    if not a and not c:
-        l1 = s_poly.scale(b)
-        l2 = t_poly
-    elif not a:
+    if not a:
         l1 = t_poly
         l2 = s_poly.scale(b) + t_poly.scale(c)
     else:
-        disc = b * b - 4 * (a * c)
-        delta = cyclo_sqrt(disc)
-        if delta is None:
+        # the slopes r of a r^2 + b r + c, distinct since the rank is 2
+        slopes, _ = rational_roots([c, b, a])
+        if len(slopes) < 2:
             raise ResolutionError(
                 "tangent cone splits only over a quadratic extension"
             )
-        inv2a = (2 * a).inverse()
-        r1 = (-b - delta) * inv2a
-        r2 = (-b + delta) * inv2a
+        r1, r2 = slopes
         l1 = (s_poly - t_poly.scale(r1)).scale(a)
         l2 = s_poly - t_poly.scale(r2)
     if l1 * l2 != quad:

@@ -20,33 +20,12 @@ new Groebner basis element monic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 
 def ratio(num, den=1) -> Fraction:
     """Build an exact rational; den must be nonzero."""
     return Fraction(num, den)
-
-
-def _isqrt_exact(n: int):
-    """Integer square root of n >= 0, or None when n is not a square."""
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def rat_sqrt(r):
-    """Exact square root of a rational, or None if it is not a square."""
-    if r < 0:
-        return None
-    n = _isqrt_exact(int(r.numerator))
-    if n is None:
-        return None
-    d = _isqrt_exact(int(r.denominator))
-    if d is None:
-        return None
-    return Fraction(n, d)
 
 
 def phi5_mul(a, b):
@@ -318,134 +297,6 @@ ONE = CycloElem.from_int(1)
 E = CycloElem.e_power(1)
 # alpha = e^3 + e^2 = -(1+sqrt5)/2 satisfies alpha^2 = 1 - alpha
 ALPHA = CycloElem.e_power(3) + CycloElem.e_power(2)
-
-
-# ---------------------------------------------------------------------------
-# square roots
-#
-# Q(zeta5) contains the quadratic field Q(sqrt5) with alpha = e^2+e^3 and
-# beta = e+e^4 = -1-alpha; sqrt5 = beta - alpha = -1-2*alpha.  The sigma^2
-# conjugation e -> e^4 fixes exactly Q(sqrt5), and the anti-fixed part is
-# Q(sqrt5)*(e - e^4).  sqrt computation descends to Q(sqrt5) and then to Q.
-
-
-def _quad_sqrt(a, b):
-    """Square root of a + b*sqrt5 in Q(sqrt5): returns (p, q) or None."""
-    if not b:
-        r = rat_sqrt(a)
-        if r is not None:
-            return (r, Fraction(0))
-        r = rat_sqrt(a / 5)
-        if r is not None:
-            return (Fraction(0), r)
-        return None
-    # (p + q sqrt5)^2 = p^2+5q^2 + 2pq sqrt5; so p^2 is a root of
-    # X^2 - a X + 5 b^2/4 = 0
-    disc = a * a - 5 * b * b
-    d = rat_sqrt(disc)
-    if d is None:
-        return None
-    for sign in (1, -1):
-        p2 = (a + sign * d) / 2
-        p = rat_sqrt(p2)
-        if p is not None and p:
-            q = b / (2 * p)
-            if p * p + 5 * q * q == a:
-                return (p, q)
-    return None
-
-
-def _to_quad(x: CycloElem):
-    """Write a sigma^2-fixed element as (a, b) meaning a + b*sqrt5, or None.
-
-    sigma^2 maps c0 + c1 e + c2 e^2 + c3 e^3 to (c0 - c1) - c1 e +
-    (c3 - c1) e^2 + (c2 - c1) e^3, so x is fixed exactly when c1 = 0 and
-    c2 = c3 = -s; then x = r + s*beta with r = c0 + s and
-    beta = e + e^4 = -1 - e^2 - e^3 = (-1 + sqrt5)/2.
-    """
-    c0, c1, c2, c3 = x.c
-    if c1 or c2 != c3:
-        return None
-    s = -c2
-    r = c0 + s
-    return (r - s / 2, s / 2)
-
-
-def _from_quad(a, b) -> CycloElem:
-    """Build a + b*sqrt5 as a CycloElem (sqrt5 = -1 - 2*alpha)."""
-    # sqrt5 = beta - alpha, alpha = e^2+e^3, beta = -1-alpha
-    # = -1 - 2 e^2 - 2 e^3
-    return CycloElem((a - b, Fraction(0), -2 * b, -2 * b))
-
-
-def cyclo_sqrt(x: CycloElem):
-    """Exact square root in Q(zeta5), or None when none exists there."""
-    if x.is_zero:
-        return ZERO
-    # decompose x = f + g*v with f, g sigma^2-fixed and v = e - e^4
-    y = x.galois(4)
-    two = CycloElem.from_int(2)
-    f = (x + y) / two
-    gv = (x - y) / two
-    v = E - CycloElem.e_power(4)
-    g = gv / v  # sigma^2(gv) = -gv and sigma^2(v) = -v, so g is fixed
-    fq = _to_quad(f)
-    gq = _to_quad(g)
-    if fq is None or gq is None:  # pragma: no cover - f,g are fixed by design
-        return None
-    v2q = _to_quad(v * v)  # v^2 = (e-e^4)^2 is fixed
-    # seek c = s + w*v with s,w in Q(sqrt5):
-    #   c^2 = s^2 + w^2 v^2 + 2 s w v  =>  s^2 + w^2 v^2 = f, 2 s w = g
-    a_f, b_f = fq
-    a_g, b_g = gq
-    if not a_g and not b_g:
-        # c fixed or anti-fixed: try s with s^2 = f, then w with w^2 = f/v^2
-        r = _quad_sqrt(a_f, b_f)
-        if r is not None:
-            return _from_quad(*r)
-        # f / v^2 in Q(sqrt5)
-        den = _quad_inv(v2q)
-        t = _quad_mul(fq, den)
-        r = _quad_sqrt(*t)
-        if r is not None:
-            return _from_quad(*r) * v
-        return None
-    # s != 0; w = g/(2s); s^2 + g^2 v^2/(4 s^2) = f
-    # => (s^2)^2 - f (s^2) + g^2 v^2/4 = 0  over Q(sqrt5)
-    g2v2 = _quad_mul(_quad_mul(gq, gq), v2q)
-    cte = (g2v2[0] / 4, g2v2[1] / 4)
-    # solve X^2 - f X + cte = 0 in Q(sqrt5)
-    ff = _quad_mul(fq, fq)
-    disc = (ff[0] - 4 * cte[0], ff[1] - 4 * cte[1])
-    rd = _quad_sqrt(*disc)
-    if rd is None:
-        return None
-    for sign in (1, -1):
-        s2 = ((a_f + sign * rd[0]) / 2, (b_f + sign * rd[1]) / 2)
-        s = _quad_sqrt(*s2)
-        if s is None:
-            continue
-        if not (s[0] or s[1]):
-            continue
-        w = _quad_mul(gq, _quad_inv((2 * s[0], 2 * s[1])))
-        cand = _from_quad(*s) + _from_quad(*w) * v
-        if cand * cand == x:
-            return cand
-    return None
-
-
-def _quad_mul(p, q):
-    a, b = p
-    c, d = q
-    return (a * c + 5 * b * d, a * d + b * c)
-
-
-def _quad_inv(p):
-    a, b = p
-    n = a * a - 5 * b * b
-    if not n:
-        raise ZeroDivisionError("inverse of zero in Q(sqrt5)")
-    return (a / n, -b / n)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ by Krylov iteration on the quotient, Seidenberg radicals, and point
 extraction in shape position, whose Q(zeta5)-rational points are found
 by the verified mod-p lifting in modp; points that are not
 Q(zeta5)-rational end the extraction as a typed NonRationalResidual
-(D17).  Only point extraction imports modp, so a process that extracts
-no points never loads it.  The
+(D17).  Point extraction imports modp's one root finder when it runs
+(D24), so `surface-report`, which extracts no points, never loads it.  The
 linear algebra on the quotient runs on the raw Z[zeta5] echelon of
 `linalg` (D9): pivots scaled to their norm, one content gcd per reduced
 vector, and CycloElems only at the interface.  Each scheme has one
@@ -633,10 +633,11 @@ class QuotientAlgebra:
         return v
 
     def _products(self, p: Poly):
-        """Raw NF(m * p) for each standard monomial m: p's packed terms
-        shifted by m seed the kernel."""
+        """Raw NF(m * p) for each standard monomial m: the packed terms of
+        NF(p), which has p's multiplication map, shifted by m seed the
+        kernel, so an unreduced p is reduced once, not once per m."""
         red = self._red
-        D, ps = red.packed(p.terms)
+        D, ps = common_denominator(self.raw_nf(p))
         return [red.raw_remainder([(m - red.one, _ONE, D, ps)]) for m in self._packed]
 
     def mult_columns(self, p: Poly):
@@ -834,12 +835,12 @@ def extract_points(scheme: ZeroDimScheme, known_points=()):
     docs/DECISIONS.md D21); the triangular description
     {g(t), x_i - h_i(t)} is realized through the Krylov iteration, known
     rational points are peeled off g, and the remaining Q(zeta5)-rational
-    roots are resolved by verified mod-p lifting.  Raises
-    NonRationalResidual(d) when a factor of g of degree d > 1 has no root
-    left in Q(zeta5) (docs/DECISIONS.md D17); otherwise one point per
-    unit of the scheme degree is returned.
+    roots are resolved by `modp.rational_roots`; every point is checked
+    to lie on the scheme.  Raises NonRationalResidual(d) when a factor of
+    g of degree d > 1 has no root left in Q(zeta5) (docs/DECISIONS.md
+    D17); otherwise one point per unit of the scheme degree is returned.
     """
-    from .modp import roots_in_qz5
+    from .modp import rational_roots
 
     scheme = radical_zero_dim(scheme)
     if scheme.degree == 0:
@@ -890,25 +891,14 @@ def extract_points(scheme: ZeroDimScheme, known_points=()):
         out.append(coords)
 
     # resolve the remaining rational roots
-    if unipoly.deg(g, QZ5) > 0:
-        for t0 in roots_in_qz5(list(g)):
-            g2 = unipoly.peel_root(g, t0, QZ5)
-            if g2 is None:
-                continue
-            coords = tuple(
-                unipoly.eval_poly(h, t0, QZ5) for h in params
-            )
-            if not in_scheme(coords):
-                continue
-            g = g2
-            out.append(coords)
-
-    d = unipoly.deg(g, QZ5)
-    if d == 1:
-        t0 = -g[0]
-        out.append(tuple(unipoly.eval_poly(h, t0, QZ5) for h in params))
-    elif d > 1:
-        raise NonRationalResidual(d)
+    roots, residual = rational_roots(g)
+    for t0 in roots:
+        coords = tuple(unipoly.eval_poly(h, t0, QZ5) for h in params)
+        if not in_scheme(coords):
+            raise AssertionError("root %s of the eliminant is no point" % t0)
+        out.append(coords)
+    if len(residual) > 1:
+        raise NonRationalResidual(len(residual) - 1)
 
     if len(out) != scheme.degree:
         raise AssertionError(

@@ -29,7 +29,7 @@ from . import linalg, unipoly
 from .catalog import XYZW
 from .cyclofield import ONE, ZERO, as_cyclo
 from .groebner import normal_form
-from .modp import roots_in_qz5
+from .modp import rational_roots
 from .multipoly import QZ5, Poly, ProjPoint, hessian
 from .multipoly import proportional  # noqa: F401  re-exported, not called here
 from .singcert import hessian_minor_vectors, to_chart
@@ -153,10 +153,8 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
     The conditions are the entries of each minor's coefficient vectors
     in b, solved from its values at b = 0, 1, 2, 3 (module docstring).
     Returns the roots in Q(zeta5) of the gcd of all induced univariate
-    conditions in b (linear factors peeled by exact gcd arithmetic;
-    remaining rational roots recovered by verified lifting), and the
-    degree of the unsolved residual factor (0 when everything is accounted
-    for).
+    conditions in b (`modp.rational_roots`), and the degree of the
+    unsolved residual factor (0 when everything is accounted for).
     """
     nodes = range(4)
     rows = []  # per node: [b^0..b^3] + every minor vector entry on every locus
@@ -182,19 +180,8 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
         if unipoly.deg(g, QZ5) == 0:
             break
         g = unipoly.gcd_monic(g, c, QZ5)
-    g = unipoly.monic(g, QZ5) if g else []
-    roots = []
-    if unipoly.deg(g, QZ5) == 1:
-        roots.append(-g[0])
-        g = [ONE]
-    elif unipoly.deg(g, QZ5) > 1:
-        for r in roots_in_qz5(list(g)):
-            g2 = unipoly.peel_root(g, r, QZ5)
-            if g2 is not None:
-                roots.append(r)
-                g = g2
-    residual = max(unipoly.deg(g, QZ5), 0)
-    return CuspSolveReport(roots, residual)
+    roots, residual = rational_roots(g)
+    return CuspSolveReport(roots, max(len(residual) - 1, 0))
 
 
 # ---------------------------------------------------------------------------

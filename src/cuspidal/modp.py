@@ -7,9 +7,15 @@ Cantor-Zassenhaus split, Hensel-lifted to Z[e]/(Phi5, p^2^k), and the
 four rational coordinates recovered by rational reconstruction.  Both
 rings are one class, ZetaModM, a field context for the polynomial
 routines of `unipoly`.  Every candidate is verified exactly before being
-returned, so the lifting never affects soundness, only completeness;
-`groebner.extract_points` reports a factor left without roots as a
-NonRationalResidual.
+returned, so the lifting never affects soundness, only completeness.
+
+rational_roots is the one way the package splits off roots in Q(zeta5)
+(docs/DECISIONS.md D24): it peels each root of roots_in_qz5 off exactly
+and takes the root of a linear factor left over.  Its three callers are
+the tangent cone of a cusp (`curvegeom.tangent_cone_lines`), the
+cusp-imposing solve (`linsys.impose_cusps`) and point extraction
+(`groebner.extract_points`, which reports a residual of degree > 1 as a
+NonRationalResidual).
 """
 
 from __future__ import annotations
@@ -153,7 +159,31 @@ def rational_reconstruct(c, M):
     return (r1, s1)
 
 
-def roots_in_qz5(coeffs, primes=None):
+def rational_roots(coeffs):
+    """The Q(zeta5)-roots of a nonzero univariate polynomial and the factor
+    left after peeling them: (roots, residual).
+
+    coeffs: list of CycloElem, low to high degree.  Each root that
+    roots_in_qz5 finds is divided off exactly (`unipoly.peel_root`), and a
+    linear factor left over gives one more root, so the residual has
+    degree 0 or at least 2.  Roots come in the order roots_in_qz5 finds
+    them, the linear factor's last.
+    """
+    g = unipoly.trim(coeffs, QZ5)
+    roots = []
+    if len(g) > 2:
+        for r in roots_in_qz5(g):
+            g2 = unipoly.peel_root(g, r, QZ5)
+            if g2 is not None:
+                roots.append(r)
+                g = g2
+    if len(g) == 2:
+        roots.append(-g[0] / g[1])
+        g = g[1:]
+    return roots, g
+
+
+def roots_in_qz5(coeffs):
     """All Q(zeta5)-roots of a squarefree univariate polynomial.
 
     coeffs: list of CycloElem, low to high degree.  Returns a list of
@@ -165,7 +195,7 @@ def roots_in_qz5(coeffs, primes=None):
     if len(coeffs) <= 1:
         return []
     rng = random.Random(SPLIT_SEED)
-    for p in primes or INERT_PRIMES:
+    for p in INERT_PRIMES:
         K = ZetaModM(p)
         try:
             fbar = [K.from_cyclo(c) for c in coeffs]

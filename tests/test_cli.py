@@ -27,9 +27,10 @@ def _modules_loaded_by(code):
 
 
 def test_cli_import_leaves_out_point_extraction_modules():
-    # modp serves groebner.extract_points only, so a CLI process that
-    # never extracts points does not compile it; extfield is a leaf that
-    # no module imports: importing every other module leaves it out
+    # modp serves point extraction and the cusp geometry of the
+    # divisibility and reproduce commands, so a CLI process that runs
+    # neither does not compile it; extfield is a leaf that no module
+    # imports: importing every other module leaves it out
     loaded = _modules_loaded_by("import cuspidal.cli")
     assert "cuspidal.groebner" in loaded
     assert not loaded & {"cuspidal.extfield", "cuspidal.modp"}

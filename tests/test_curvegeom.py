@@ -1,6 +1,6 @@
 import pytest
 
-from cuspidal import catalog
+from cuspidal import catalog, modp
 from cuspidal.cyclofield import ALPHA, CycloElem
 from cuspidal.curvegeom import (
     CurveOnSurface,
@@ -15,9 +15,10 @@ from cuspidal.curvegeom import (
     pair_intersection_away_from,
     poly_square_root,
     resolve_cusp,
+    tangent_cone_lines,
 )
-from cuspidal.multipoly import ProjPoint, restrict_to_plane
-from cuspidal.singcert import chart_ring
+from cuspidal.multipoly import ProjPoint, proportional, restrict_to_plane
+from cuspidal.singcert import chart_ring, degree_part, local_surface
 from cuspidal.zfive import ActionK, orbits
 
 R = catalog.XYZW
@@ -180,6 +181,46 @@ def test_resolve_cusp_needs_field_extension():
     with pytest.raises(ResolutionError) as ei:
         resolve_cusp(S, ProjPoint([0, 0, 0, 1]), [])
     assert "quadratic extension" in str(ei.value)
+
+
+# the two lines of the tangent cone Q(x, y) of S = Q w + z^3 at (0:0:0:1):
+# slopes in Q(sqrt5), which is inside Q(zeta5) (sqrt5 = -1 - 2e^2 - 2e^3),
+# rational slopes, and a cone with a = 0 (c = 0 and c != 0); x^2 - 2y^2
+# needs sqrt2, which Q(zeta5) lacks
+@pytest.mark.parametrize(
+    "cone, want",
+    [
+        (lambda x, y: x**2 - 5 * y**2, ("x+(-1-2*e^2-2*e^3)*y", "x+(1+2*e^2+2*e^3)*y")),
+        (lambda x, y: x**2 + x * y - y**2, ("x+(-e^2-e^3)*y", "x+(1+e^2+e^3)*y")),
+        (lambda x, y: x * y, ("x", "y")),
+        (lambda x, y: x * y + y**2, ("x+y", "y")),
+        (lambda x, y: x**2 - 2 * y**2, None),
+    ],
+    ids=["x^2-5y^2", "x^2+xy-y^2", "xy", "xy+y^2", "x^2-2y^2"],
+)
+def test_tangent_cone_lines_models(cone, want):
+    x, y, z, w = R.gens()
+    S = cone(x, y) * w + z**3
+    flocal, cring, _, _ = local_surface(S, ProjPoint([0, 0, 0, 1]))
+    if want is None:
+        with pytest.raises(ResolutionError, match="quadratic extension"):
+            tangent_cone_lines(flocal, cring)
+        return
+    l1, l2, kern = tangent_cone_lines(flocal, cring)
+    assert (str(l1), str(l2)) == want
+    assert [str(c) for c in kern] == ["0", "0", "1"]
+    assert proportional(l1 * l2, degree_part(flocal, 2))
+
+
+def test_tangent_cone_missed_slopes_need_an_extension(monkeypatch):
+    # with no usable prime the root finder finds no slope: the cusp fails
+    # as needing a quadratic extension, never with a wrong pair of lines
+    monkeypatch.setattr(modp, "INERT_PRIMES", [])
+    x, y, z, w = R.gens()
+    S = (x**2 - 5 * y**2) * w + z**3
+    flocal, cring, _, _ = local_surface(S, ProjPoint([0, 0, 0, 1]))
+    with pytest.raises(ResolutionError, match="quadratic extension"):
+        tangent_cone_lines(flocal, cring)
 
 
 def test_exceptional_length_counts_a_double_point_on_the_chart_boundary():

@@ -11,7 +11,6 @@ from cuspidal.cyclofield import (
     ONE,
     ZERO,
     CycloElem,
-    cyclo_sqrt,
     cyclo_to_str,
     ratio,
 )
@@ -158,31 +157,6 @@ def test_serialization_roundtrip():
     assert parse_poly("-136/3+220/3*e^2+220/3*e^3", SCALARS) == (
         CycloElem.from_rat(ratio(-136, 3)) + ratio(220, 3) * ALPHA
     )
-
-
-def test_sqrt_of_squares():
-    rng = random.Random(11)
-    found = 0
-    for _ in range(400):
-        a = rand_elem(rng, 4)
-        sq = a * a
-        r = cyclo_sqrt(sq)
-        assert r is not None
-        assert r * r == sq
-        found += 1
-    assert found == 400
-
-
-def test_sqrt_rejects_nonsquares():
-    assert cyclo_sqrt(CycloElem.from_int(2)) is None
-    assert cyclo_sqrt(CycloElem.from_int(-1)) is None
-    # 5 is a square: sqrt5 = -1 - 2*alpha
-    r = cyclo_sqrt(CycloElem.from_int(5))
-    assert r is not None and r * r == CycloElem.from_int(5)
-
-
-def test_sqrt_zero():
-    assert cyclo_sqrt(ZERO) == ZERO
 
 
 def test_rat_coercion_ops():

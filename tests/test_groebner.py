@@ -789,6 +789,10 @@ def test_supported_length_small_ideals():
         ([x**3 - x**2, y**2 - y], [x - 1, y], 1),
         ([x**3 - x**2, y**2 - y], [x, x - 1], 0),
         ([x**3 - x**2, y**2 - y], [y], 3),
+        # unreduced polynomials: NF(x^7) = x^2, and x^8 y^5 vanishes where
+        # x or y does
+        ([x**3 - x**2, y - x], [x**7], 2),
+        ([x**3 - x**2, y**2 - y], [x**8 * y**5], 5),
         # I = R: nothing to measure
         ([x - 1, x], [x], 0),
     ]
@@ -796,6 +800,9 @@ def test_supported_length_small_ideals():
         gb = buchberger(gens, ring=ring)
         assert _supported_by_buchberger(gb, polys) == want
         assert _supported_by_linear_algebra(gb, polys) == want
+    # an unreduced p has the multiplication map of NF(p)
+    alg = zero_dim_analyze(buchberger([x**3 - x**2, y - x], ring=ring)).algebra
+    assert alg.mult_columns(x**7) == alg.mult_columns(x**2)
 
 
 def _supported_length_agrees_with_buchberger(rng, coeff):

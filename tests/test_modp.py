@@ -1,6 +1,8 @@
-from cuspidal import unipoly
+import pytest
+
+from cuspidal import modp, unipoly
 from cuspidal.cyclofield import ALPHA, E, ONE, ZERO, CycloElem, ratio
-from cuspidal.modp import roots_in_qz5
+from cuspidal.modp import rational_roots, roots_in_qz5
 from cuspidal.multipoly import QZ5
 
 # known roots in Q(zeta5), two of them irrational; 1/7 puts 7 in a denominator
@@ -32,10 +34,52 @@ def test_roots_in_qz5_constant_has_none():
     assert roots_in_qz5([]) == []
 
 
-def test_roots_in_qz5_honours_primes():
+def test_roots_in_qz5_honours_primes(monkeypatch):
     f = with_known_roots()
-    assert set(roots_in_qz5(f, primes=[13])) == set(ROOTS)
+    monkeypatch.setattr(modp, "INERT_PRIMES", [13])
+    assert set(roots_in_qz5(f)) == set(ROOTS)
     # 7 divides a coefficient's denominator, so no prime is usable
-    assert roots_in_qz5(f, primes=[7]) == []
+    monkeypatch.setattr(modp, "INERT_PRIMES", [7])
+    assert roots_in_qz5(f) == []
     # the first usable prime of the list is the one used
-    assert set(roots_in_qz5(f, primes=[7, 17])) == set(ROOTS)
+    monkeypatch.setattr(modp, "INERT_PRIMES", [7, 17])
+    assert set(roots_in_qz5(f)) == set(ROOTS)
+
+
+SQRT5 = -1 - 2 * CycloElem.e_power(2) - 2 * CycloElem.e_power(3)
+
+
+def test_rational_roots_square_root_of_five():
+    roots, residual = rational_roots([-5 * ONE, ZERO, ONE])
+    assert set(roots) == {SQRT5, -SQRT5}
+    assert SQRT5 * SQRT5 == 5 * ONE
+    assert residual == [ONE]
+
+
+@pytest.mark.parametrize("c0", [-2, 1], ids=["T^2-2", "T^2+1"])
+def test_rational_roots_none_in_qz5(c0):
+    f = [c0 * ONE, ZERO, ONE]
+    assert rational_roots(f) == ([], f)
+
+
+def test_rational_roots_non_monic_linear_factor():
+    # 2e T + 3: the linear factor's root, not assumed monic
+    roots, residual = rational_roots([3 * ONE, 2 * E])
+    assert roots == [-3 / (2 * E)]
+    assert residual == [2 * E]
+
+
+def test_rational_roots_peels_the_known_roots():
+    # the scalar 3e stays on the residual T^2 - 2
+    roots, residual = rational_roots(unipoly.scale(with_known_roots(), 3 * E, QZ5))
+    assert len(roots) == len(ROOTS) and set(roots) == set(ROOTS)
+    assert residual == unipoly.scale([-2 * ONE, ZERO, ONE], 3 * E, QZ5)
+
+
+def test_rational_roots_without_a_usable_prime(monkeypatch):
+    # a miss leaves the factor in the residual, never a wrong root; a
+    # linear factor left over is still solved
+    monkeypatch.setattr(modp, "INERT_PRIMES", [])
+    f = unipoly.mul([-5 * ONE, ZERO, ONE], [ONE, 2 * ONE], QZ5)
+    assert rational_roots(f) == ([], f)
+    assert rational_roots([ONE, 2 * ONE]) == ([-ratio(1, 2) * ONE], [2 * ONE])
