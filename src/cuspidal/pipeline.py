@@ -26,7 +26,7 @@ from .singcert import (
     SingularLocusNotInvariant,
     classify_all,
 )
-from .zfive import orbit, orbits
+from .zfive import free_action_check, orbit, orbits
 
 
 def quartic_nodes():
@@ -183,9 +183,6 @@ class DivisibilityResult:
             "pass": True,
         }
         if transcript:
-            # repeats stages, which keeps the --transcript reports as they
-            # were (docs/DECISIONS.md D19)
-            report["transcript"] = self.stages
             report["proof"] = cert.transcript()
             report["resolutions"] = [r.transcripts for r in self.resolutions]
         return report
@@ -208,6 +205,16 @@ def divisibility_pipeline(name):
         verdict=cert.verdict,
         n_points=cert.n_points,
         tau_total=cert.tau_total,
+    )
+    # the orbit sums are divided by 5, and the quotient exists, only for a
+    # free action that preserves S (docs/DECISIONS.md D25)
+    invariant = action.is_invariant(S)
+    verdict = free_action_check(S, action)
+    stages.check(
+        "action_invariant_and_free",
+        invariant and verdict.free,
+        invariant=invariant,
+        **verdict.to_json(),
     )
 
     if name == "new_quintic":
@@ -282,37 +289,32 @@ def divisibility_pipeline(name):
             row.append((m1, m2))
         a_rows.append(row)
 
-    t_pairs = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            Ci = families[i][0]
-            away = sum(
-                pair_intersection_away_from(Ci, D, cusps) for D in families[j]
-            )
-            over = 0
-            for res in resolutions:
-                for cs in families[i]:
-                    for ct in families[j]:
-                        over += res.pair_over_cusp.get((cs.name, ct.name), 0)
-            t_pairs[(i, j)] = away + over
-
-    t_self = []
-    for j in range(3):
-        C0 = families[j][0]
-        base = C0.resolved_self_intersection()
+    def orbit_pair_total(i, j):
+        """C0 against the members of family j other than C0, with C0 the
+        first member of family i: away from the cusps, plus the pairs
+        (cs, ct), cs != ct, over them."""
+        C0 = families[i][0]
         away = sum(
-            pair_intersection_away_from(C0, families[j][l], cusps)
-            for l in range(1, 5)
+            pair_intersection_away_from(C0, D, cusps)
+            for D in families[j]
+            if D is not C0
         )
-        over = 0
-        for res in resolutions:
-            for s in range(5):
-                for t in range(5):
-                    if s != t:
-                        over += res.pair_over_cusp.get(
-                            (families[j][s].name, families[j][t].name), 0
-                        )
-        t_self.append(base + away + over)
+        over = sum(
+            res.pair_over_cusp.get((cs.name, ct.name), 0)
+            for res in resolutions
+            for cs in families[i]
+            for ct in families[j]
+            if cs is not ct
+        )
+        return away + over
+
+    t_pairs = {
+        (i, j): orbit_pair_total(i, j) for i in range(3) for j in range(i + 1, 3)
+    }
+    t_self = [
+        families[j][0].resolved_self_intersection() + orbit_pair_total(j, j)
+        for j in range(3)
+    ]
 
     lat = lattice.assemble(a_rows, t_pairs, t_self)
     det = lat.determinant()

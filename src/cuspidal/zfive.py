@@ -1,13 +1,12 @@
-"""The Z5 actions a_k : (x,y,z,w) -> e^k (x, y e, z e^2, w e^3) on P^3.
+"""Z5 actions on P^3: LinearAction, a 4x4 matrix over Q(zeta5), is the
+one action type (docs/DECISIONS.md D25).
 
-Projectively all five a_k coincide with the diagonal action
-diag(1, e, e^2, e^3), whose full fixed locus consists of the four
-coordinate points (distinct eigenvalues).  A monomial x^a y^b z^c w^d
-is scaled by e^r with r = (k*(a+b+c+d) + b + 2c + 3d) mod 5; a polynomial
-is a_k-invariant iff every monomial has residue 0.
-
-A general linear action (used for the permutation action on the
-Van der Geer-Zagier surfaces) is supported through LinearAction.
+ActionK(k) is the diagonal action a_k : (x,y,z,w) -> e^k (x, y e, z e^2,
+w e^3).  Projectively all five a_k coincide with diag(1, e, e^2, e^3),
+whose full fixed locus consists of the four coordinate points (distinct
+eigenvalues).  A monomial is a_k-invariant iff the product of the
+diagonal entries to its exponents is 1.  The permutation action on the
+Van der Geer-Zagier surfaces is a LinearAction too.
 
 Every orbit in the package is walked here: orbit(x, step) follows one
 element round its cycle, and orbits(items, step, same) partitions a list
@@ -20,53 +19,11 @@ from __future__ import annotations
 
 import operator
 from itertools import combinations_with_replacement
+from math import prod
 
 from .cyclofield import ONE, CycloElem, as_cyclo
 from .linalg import kernel_basis
 from .multipoly import Poly, ProjPoint, Ring, degrevlex_key
-
-
-def weight_residue(exp, k: int) -> int:
-    """Character exponent of a_k on the monomial with exponents exp."""
-    a, b, c, d = exp
-    return (k * (a + b + c + d) + b + 2 * c + 3 * d) % 5
-
-
-class ActionK:
-    """One of the five diagonal actions a_k, k = 0..4."""
-
-    def __init__(self, k: int):
-        if not 0 <= k <= 4:
-            raise ValueError("k must be in 0..4")
-        self.k = k
-
-    def __repr__(self):
-        return "ActionK(%d)" % self.k
-
-    def scales(self):
-        """Per-coordinate scaling factors (e^k, e^(k+1), e^(k+2), e^(k+3))."""
-        return tuple(CycloElem.e_power(self.k + i) for i in range(4))
-
-    def on_point(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint([c * si for c, si in zip(p.coords, self.scales())])
-
-    def on_poly(self, p: Poly) -> Poly:
-        """Substitute coordinates by their images (F composed with a_k)."""
-        return p.ring.from_terms(
-            (e, c * CycloElem.e_power(weight_residue(e, self.k))) for e, c in p.terms
-        )
-
-    def is_invariant(self, p: Poly) -> bool:
-        return all(weight_residue(e, self.k) == 0 for e, _ in p.terms)
-
-    def fixed_points(self):
-        """Full projective fixed locus: the four coordinate points."""
-        pts = []
-        for i in range(4):
-            coords = [0, 0, 0, 0]
-            coords[i] = 1
-            pts.append(ProjPoint(coords))
-        return pts
 
 
 def orbit(x, step):
@@ -117,12 +74,18 @@ def degree_monomials(d: int):
 
 
 def invariant_basis(d: int, k: int, ring: Ring | None = None):
-    """All degree-d monomials of a_k-residue 0, as exponent tuples.
+    """All degree-d monomials that a_k fixes, as exponent tuples.
 
     Deterministic order: descending degrevlex.  Pass a ring to get Poly
     generators instead of raw exponent tuples.
     """
-    expos = [e for e in degree_monomials(d) if weight_residue(e, k) == 0]
+    diag = [row[i] for i, row in enumerate(ActionK(k).matrix)]
+    powers = [[c**n for n in range(d + 1)] for c in diag]
+    expos = [
+        e
+        for e in degree_monomials(d)
+        if prod(p[n] for p, n in zip(powers, e)) == ONE
+    ]
     if ring is None:
         return expos
     return [Poly(ring, ((e, ONE),)) for e in expos]
@@ -158,6 +121,7 @@ class LinearAction:
 
     def __init__(self, matrix):
         self.matrix = [[as_cyclo(v) for v in row] for row in matrix]
+        self._fixed_points = None
 
     def on_point(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(
@@ -173,30 +137,44 @@ class LinearAction:
         return self.on_poly(p) == p
 
     def fixed_points(self):
-        """Eigenvector points (requires semisimple action, e.g. order 5).
+        """Eigenvector points in eigenvalue order 1, e, ..., e^4 (requires
+        a semisimple action, e.g. order 5); computed once per action.
 
         Raises ValueError on an eigenspace of dimension 2 or more: its
         whole projective line or plane is fixed, not just a basis of it.
         """
-        pts = []
-        for k in range(5):
-            lam = CycloElem.e_power(k)
-            m = [
-                [a - lam if i == j else a for j, a in enumerate(row)]
-                for i, row in enumerate(self.matrix)
+        if self._fixed_points is None:
+            pts = []
+            for k in range(5):
+                lam = CycloElem.e_power(k)
+                m = [
+                    [a - lam if i == j else a for j, a in enumerate(row)]
+                    for i, row in enumerate(self.matrix)
+                ]
+                kernel = kernel_basis(m)
+                if len(kernel) > 1:
+                    raise ValueError(
+                        "eigenvalue zeta^%d has a %d-dimensional eigenspace; "
+                        "its fixed locus is not finite" % (k, len(kernel))
+                    )
+                pts += [ProjPoint(v) for v in kernel]
+            self._fixed_points = tuple(pts)
+        return self._fixed_points
+
+
+class ActionK(LinearAction):
+    """a_k = diag(e^k, e^(k+1), e^(k+2), e^(k+3)), k = 0..4."""
+
+    def __init__(self, k: int):
+        if not 0 <= k <= 4:
+            raise ValueError("k must be in 0..4")
+        super().__init__(
+            [
+                [CycloElem.e_power(k + i) if i == j else 0 for j in range(4)]
+                for i in range(4)
             ]
-            kernel = kernel_basis(m)
-            if len(kernel) > 1:
-                raise ValueError(
-                    "eigenvalue zeta^%d has a %d-dimensional eigenspace; its "
-                    "fixed locus is not finite" % (k, len(kernel))
-                )
-            for v in kernel:
-                if any(v):
-                    pts.append(ProjPoint(v))
-        # deduplicate projectively
-        out = []
-        for p in pts:
-            if all(p != q for q in out):
-                out.append(p)
-        return out
+        )
+        self.k = k
+
+    def __repr__(self):
+        return "ActionK(%d)" % self.k

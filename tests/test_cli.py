@@ -8,6 +8,7 @@ import pytest
 
 from cuspidal import catalog, cli, groebner, pipeline, schemas
 from cuspidal.cli import main
+from cuspidal.zfive import ActionK
 
 
 def run_cli(capsys, *argv):
@@ -287,8 +288,10 @@ PINNED_REPORTS = {
     ("surface-report", "vdgz_quartic"): "ee7ee70b035cd16dd4ba2d96fc2d7c041e7c12c8b902b22d42aa532bd731b07f",
     ("surface-report", "vdgz_quintic"): "144232c6b7c1932b3afe3e35612b6173a610681ea63f02250b1b34d76dc03348",
     ("reproduce-construction",): "809179f348a7a564bebd6bc4da03c1c07a0a89484e69503ee096526b82a2253a",
-    ("divisibility", "new_quintic"): "e0646b71df27c2d245982c0d818be521fc31a165486a5b93329cb03a5e69509a",
-    ("divisibility", "vdgz_quintic"): "e7b2d68cff1a03b45972c6735e024e6d6f33ed016d52b48fdc777e0a0cc58f01",
+    # re-pinned when the action_invariant_and_free stage joined their
+    # stage lists (docs/DECISIONS.md D25)
+    ("divisibility", "new_quintic"): "8b77692d0d4dcda8a573ddc48f05dbbca552e097b7aed4fe2d6e37dada7f966f",
+    ("divisibility", "vdgz_quintic"): "76074318b5ec766876c6ffc08d22cf3458fe7931f4789e7d075436bd6c1fe9c3",
 }
 
 # where a session fixture already holds a report's certificate, the
@@ -339,10 +342,12 @@ def test_unknown_name_error_is_plain_message(capsys, command, message):
 # them (before docs/DECISIONS.md D12): the transcripts print the blow-up
 # substitutions and strict transforms, so a change in either changes it
 PINNED_TRANSCRIPT_REPORTS = {
-    ("divisibility", "vdgz_quintic"): "318e258ac9e618cea17ed0d51a78fe01e14795f27e1e027edf669d112d85495e",
-    # pinned before its stages and transcript came from one recorder; the
-    # plane of its excess test is the first of a fixed list (D21)
-    ("divisibility", "new_quintic"): "6035b22b17c532ad6f91f1343619e1b941e1bea5b3d76e9a4888f733f862daaa",
+    # re-pinned with the action_invariant_and_free stage and without the
+    # transcript key that repeated the stage list (docs/DECISIONS.md D25);
+    # the plane of new_quintic's excess test is the first of a fixed list
+    # (D21)
+    ("divisibility", "vdgz_quintic"): "51764bc5624deb3b8ce5e1d27f2900d075d0f4bcc13610b70ec440623767d848",
+    ("divisibility", "new_quintic"): "22f9282c92e95d7cae5519d3738327edd66bca3b8d89b79b9f5e57de53158e2a",
     ("surface-report", "new_quintic"): "0ea7cd9dd142cdeacff27cea40848e38ff7f00156df4de432c396e8c1817d80b",
     # its chart_gb_sizes read all four chart bases, three of them served
     # by groebner's table of repeated ideals (docs/DECISIONS.md D14)
@@ -413,6 +418,42 @@ def test_divisibility_negative_control_quintic(monkeypatch, capsys, equation, re
     assert rep["pass"] is False
     assert "stage failed: quintic_certification" in rep["error"]
     assert reason in rep["error"]
+
+
+def _vdgz_quintic_under_a0(monkeypatch):
+    # the VdGZ quintic with a_0 in place of its own action: a_0 moves
+    # none of its 15 cusps off a fixed point, so the A2 certificate
+    # passes, but a_0 neither preserves the quintic nor acts freely on it
+    poly = catalog.get("vdgz_quintic").poly
+    entry = catalog.SurfaceEntry("vdgz_quintic", poly, ActionK(0), 5)
+    monkeypatch.setitem(catalog._ENTRIES, "vdgz_quintic", entry)
+
+    def later_stage(*args):
+        pytest.fail("a stage after action_invariant_and_free ran")
+
+    monkeypatch.setattr(pipeline, "vdgz_curves", later_stage)
+
+
+def test_divisibility_negative_control_action_not_invariant_nor_free(monkeypatch):
+    _vdgz_quintic_under_a0(monkeypatch)
+    with pytest.raises(pipeline.PipelineError) as ev:
+        pipeline.divisibility_pipeline("vdgz_quintic")
+    message = str(ev.value)
+    assert message.startswith("stage failed: action_invariant_and_free")
+    assert "'invariant': False, 'free': False" in message
+    assert (
+        "'fixed_points_on_surface': ['(1 : 0 : 0 : 0)', '(0 : 1 : 0 : 0)', "
+        "'(0 : 0 : 1 : 0)', '(0 : 0 : 0 : 1)']" in message
+    )
+
+
+def test_divisibility_negative_control_action_exits_1(monkeypatch, capsys):
+    _vdgz_quintic_under_a0(monkeypatch)
+    code, out, err = run_cli(capsys, "--json", "divisibility", "vdgz_quintic")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert rep["error"].startswith("stage failed: action_invariant_and_free")
 
 
 def test_bench_tracer_targets_resolve():

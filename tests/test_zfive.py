@@ -5,17 +5,28 @@ import pytest
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, VDGZ_ACTION, XYZW, get
 from cuspidal.cyclofield import ALPHA, CycloElem, ratio
 from cuspidal.multipoly import ProjPoint, QZ5
+from cuspidal import zfive
 from cuspidal.zfive import (
     ActionK,
     LinearAction,
+    degree_monomials,
     free_action_check,
     invariant_basis,
     orbit,
     orbits,
-    weight_residue,
 )
 
 R = XYZW
+COORDINATE_POINTS = [
+    ProjPoint([1 if i == j else 0 for j in range(4)]) for i in range(4)
+]
+
+
+def residue(exp, k):
+    """Reference: a_k scales x^a y^b z^c w^d by e^r, r = k(a+b+c+d) + b +
+    2c + 3d mod 5."""
+    a, b, c, d = exp
+    return (k * (a + b + c + d) + b + 2 * c + 3 * d) % 5
 
 
 def test_invariant_basis_degree4_action0():
@@ -44,7 +55,7 @@ def test_invariant_basis_degree5_same_for_all_k():
     # enumeration oracle: residue of a degree-5 monomial is independent of k
     for exp in base:
         for k in range(5):
-            assert weight_residue(exp, k) == 0
+            assert residue(exp, k) == 0
     for k in range(1, 5):
         assert invariant_basis(5, k) == base
     # the published quintic uses only invariant monomials
@@ -58,8 +69,64 @@ def test_action_scales_monomials_by_residue():
         k = rng.randrange(5)
         mono = R.from_terms([(exp, QZ5.one)])
         acted = ActionK(k).on_poly(mono)
-        r = weight_residue(exp, k)
+        r = residue(exp, k)
         assert acted == mono.scale(CycloElem.e_power(r))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_action_k_is_a_diagonal_linear_action(k):
+    act = ActionK(k)
+    assert isinstance(act, LinearAction)
+    assert act.matrix == [
+        [CycloElem.e_power(k + i) if i == j else 0 for j in range(4)]
+        for i in range(4)
+    ]
+    assert repr(act) == "ActionK(%d)" % k
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_action_k_scales_every_monomial_by_its_residue(k):
+    act = ActionK(k)
+    for d in range(6):
+        for exp in degree_monomials(d):
+            mono = R.from_terms([(exp, QZ5.one)])
+            scaled = mono.scale(CycloElem.e_power(residue(exp, k)))
+            assert act.on_poly(mono) == scaled
+            assert act.is_invariant(mono) == (residue(exp, k) == 0)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_action_k_fixed_points_are_the_coordinate_points(k):
+    # listed in eigenvalue order 1, e, ..., e^4: the coordinate point i
+    # has eigenvalue e^(k+i), so k = 0 and k = 1 keep coordinate order
+    got = ActionK(k).fixed_points()
+    assert list(got) == sorted(COORDINATE_POINTS, key=lambda p: (k + p.chart()) % 5)
+    if k == 0:
+        assert list(got) == COORDINATE_POINTS
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_invariant_basis_is_the_residue_zero_monomials(k):
+    for d in range(7):
+        want = [e for e in degree_monomials(d) if residue(e, k) == 0]
+        assert invariant_basis(d, k) == want
+    assert invariant_basis(5, k) == invariant_basis(5, 0)
+
+
+def test_fixed_points_computed_once(monkeypatch):
+    calls = []
+    real = zfive.kernel_basis
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(zfive, "kernel_basis", counting)
+    for act in (ActionK(0), LinearAction(VDGZ_ACTION.matrix)):
+        calls.clear()
+        first = act.fixed_points()
+        assert act.fixed_points() is first
+        assert len(calls) == 5  # one eigen-kernel per fifth root of unity
 
 
 def test_action_order_five():
@@ -111,10 +178,17 @@ def test_invariance_of_catalog_surfaces():
     act = ActionK(0)
     assert act.is_invariant(R.parse(NEW_QUARTIC_TEXT))
     assert act.is_invariant(R.parse(NEW_QUINTIC_TEXT))
+    # a degree-5 monomial has the same residue under every a_k
+    for k in range(1, 5):
+        assert ActionK(k).is_invariant(R.parse(NEW_QUINTIC_TEXT))
+        assert not ActionK(k).is_invariant(R.parse(NEW_QUARTIC_TEXT))
+    assert not act.is_invariant(get("vdgz_quintic").poly)
 
 
 def test_free_action_check_quintic():
     s = R.parse(NEW_QUINTIC_TEXT)
+    for k in range(5):
+        assert free_action_check(s, ActionK(k)).free
     v = free_action_check(s, ActionK(0))
     assert v.free
     # in particular F(0,0,1,0) = -136/3 + 220/3*(e^3+e^2) != 0
