@@ -106,8 +106,8 @@ def vdgz_lines():
     """The 15 lines on the Van der Geer-Zagier quintic.
 
     In P^4 they are spanned by pairing two coordinate pairs with opposite
-    signs and zeroing the remaining coordinate; each is cut in P^3 by two
-    linear forms.
+    signs and zeroing the remaining coordinate; each is cut in P^3 by the
+    two linear forms x_a + x_b and x_c + x_d (x_zero = 0 follows on s1 = 0).
     """
     ring = XYZW
     x, y, z, w = ring.gens()
@@ -124,8 +124,9 @@ def vdgz_lines():
                 continue
             seen.add(key)
             (a, b), (c, d) = pair
-            forms = [coords[a] + coords[b], coords[c] + coords[d], coords[zero_i]]
-            # the three forms have rank 2 on s1 = 0; keep two independent ones
+            # independent on s1 = 0: a relation between them there would be
+            # a multiple of s1, whose coefficient of x_zero is 1, not 0
+            forms = [coords[a] + coords[b], coords[c] + coords[d]]
             label = "%s+%s=%s+%s=%s=0" % (
                 names5[a],
                 names5[b],

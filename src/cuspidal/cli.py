@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands:
-  surface-report NAME|FILE   singularity certificate + free-action check
+  surface-report NAME|FILE   singularity certificate, with the action's
+                             invariance and freeness
   reproduce-construction     replay the quartic -> quintic construction
   divisibility NAME          intersection lattice and 3-divisibility
 
@@ -9,6 +10,11 @@ Exit codes: 0 all requested certificates pass, 1 certificate/stage
 failure, 2 parse or usage error.  Progress goes to stderr; stdout carries
 only the report (JSON with --json, text otherwise).  No report depends on
 a random choice: --seed is accepted and ignored (docs/DECISIONS.md D21).
+
+surface-report has one report builder: the certificate of `classify_all`
+carries the action verdict (invariant_under_action, free_action), and
+--transcript adds each chart's degree, point count and Groebner basis
+size (docs/DECISIONS.md D26).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .singcert import (
     SingularLocusNotInvariant,
     classify_all,
 )
-from .zfive import ActionK, free_action_check
+from .zfive import ActionK
 
 
 def _progress(msg):
@@ -56,19 +62,14 @@ def _load_surface(arg, action_k):
 def cmd_surface_report(args):
     name, poly, action = _load_surface(args.surface, args.action)
     _progress("certifying singular locus of %s ..." % name)
-    if args.chart is not None:
-        report = _chart_only_report(name, poly, args.chart)
-        _emit(args, report)
-        return 0 if report.get("pass", True) else 1
     try:
         cert = classify_all(poly, name, action=action)
     except (SingularInCodimensionOne, SingularLocusNotInvariant) as ev:
         _emit(args, {"surface": name, "pass": False, "error": str(ev)})
         return 1
-    fav = free_action_check(poly, action=action)
     report = cert.to_json()
-    report["free_action"] = fav.to_json()
-    report["invariant_under_action"] = action.is_invariant(poly)
+    report["free_action"] = cert.free_action.to_json()
+    report["invariant_under_action"] = cert.invariant
     ok = cert.verdict in ("all_A1", "all_A2", "smooth")
     report["pass"] = ok
     if args.transcript:
@@ -85,35 +86,6 @@ def cmd_surface_report(args):
         }
     _emit(args, report)
     return 0 if ok else 1
-
-
-def _chart_only_report(name, poly, chart_name):
-    from .groebner import NotZeroDimensional
-    from .multipoly import jacobian
-    from .singcert import ChartData
-
-    ring = poly.ring
-    if chart_name not in ring.vars:
-        raise ValueError("unknown chart %r" % chart_name)
-    chart = ChartData(jacobian(poly), ring.vars.index(chart_name))
-    try:
-        scheme = chart.scheme
-    except NotZeroDimensional as ev:
-        error = SingularInCodimensionOne(chart_name, ev.witness_var)
-        return {
-            "surface": name,
-            "chart": chart_name,
-            "pass": False,
-            "error": str(error),
-        }
-    return {
-        "surface": name,
-        "chart": chart_name,
-        "chart_degree": scheme.degree,
-        "chart_points": chart.radical.degree,
-        "gb_size": len(scheme.gb.polys),
-        "partial": True,
-    }
 
 
 def cmd_reproduce_construction(args):
@@ -202,7 +174,6 @@ def build_parser():
         choices=range(5),
         help="action index k of an equation file (default 0)",
     )
-    sr.add_argument("--chart", default=None, help="restrict to one chart")
     sr.set_defaults(fn=cmd_surface_report)
 
     rc = sub.add_parser(

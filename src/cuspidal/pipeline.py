@@ -26,7 +26,7 @@ from .singcert import (
     SingularLocusNotInvariant,
     classify_all,
 )
-from .zfive import free_action_check, orbit, orbits
+from .zfive import orbit, orbits
 
 
 def quartic_nodes():
@@ -101,8 +101,7 @@ def vdgz_curves(S, action):
     lines = catalog.vdgz_lines()
     curves = []
     for label, forms in lines:
-        indep = _two_independent(forms)
-        curves.append(CurveOnSurface(label, indep, 1, 0))
+        curves.append(CurveOnSurface(label, forms, 1, 0))
     # orbit structure through the action on generating planes
     line_orbits = orbits(
         curves,
@@ -121,20 +120,6 @@ def vdgz_curves(S, action):
             )
         families.append(fam)
     return families
-
-
-def _two_independent(forms):
-    rows = []
-    keep = []
-    for f in forms:
-        coeffs = f.linear_coeffs()
-        trial = rows + [coeffs]
-        if linalg.rank(trial) == len(trial):
-            rows.append(coeffs)
-            keep.append(f)
-        if len(keep) == 2:
-            return keep
-    raise PipelineError("line needs two independent forms")
 
 
 def _same_pencil(gens_a, gens_b):
@@ -208,13 +193,11 @@ def divisibility_pipeline(name):
     )
     # the orbit sums are divided by 5, and the quotient exists, only for a
     # free action that preserves S (docs/DECISIONS.md D25)
-    invariant = action.is_invariant(S)
-    verdict = free_action_check(S, action)
     stages.check(
         "action_invariant_and_free",
-        invariant and verdict.free,
-        invariant=invariant,
-        **verdict.to_json(),
+        cert.invariant and cert.free_action.free,
+        invariant=cert.invariant,
+        **cert.free_action.to_json(),
     )
 
     if name == "new_quintic":

@@ -15,7 +15,6 @@ from .linsys import check_double_points, conditioned_system, impose_cusps
 from .multipoly import proportional
 from .schemas import PipelineError, Stages
 from .singcert import classify_all
-from .zfive import free_action_check
 
 
 def reproduce_construction(progress=None, quartic_override=None):
@@ -85,13 +84,14 @@ def reproduce_construction(progress=None, quartic_override=None):
         )
 
         scert = classify_all(sent.poly, "quintic", action=sent.action)
-        fav = free_action_check(sent.poly, action=sent.action)
         stages.check(
             "quintic_cusp_certificate",
-            scert.verdict == "all_A2" and scert.n_points == 15 and fav.free,
+            scert.verdict == "all_A2"
+            and scert.n_points == 15
+            and scert.free_action.free,
             verdict=scert.verdict,
             n_points=scert.n_points,
-            free_action=fav.free,
+            free_action=scert.free_action.free,
         )
     except PipelineError:
         return {"stages": stages, "pass": False}

@@ -47,6 +47,7 @@ from .groebner import (
     zero_dim_analyze,
 )
 from .multipoly import Poly, ProjPoint, Ring, hessian, jacobian
+from .zfive import free_action_check
 
 
 class SingularInCodimensionOne(ValueError):
@@ -217,14 +218,28 @@ def _pieces(ring, charts):
 
 
 class SingularityCertificate:
-    def __init__(self, surface_name, report, verdict, n1, n2, strata, orbits=None):
+    def __init__(
+        self,
+        surface_name,
+        report,
+        verdict,
+        n1,
+        n2,
+        strata,
+        invariant,
+        free_action,
+        orbits,
+    ):
         self.surface_name = surface_name
         self.report = report
         self.verdict = verdict  # "all_A1" | "all_A2" | "smooth" | "mixed_or_worse"
         self.n1 = n1
         self.n2 = n2
         self.strata = strata
-        self.orbits = orbits or []
+        # None without an action; orbits also None when it moves F
+        self.invariant = invariant
+        self.free_action = free_action
+        self.orbits = orbits
 
     @property
     def n_points(self):
@@ -249,26 +264,22 @@ class SingularityCertificate:
 
 
 def classify_all(F: Poly, surface_name="surface", action=None):
-    """Full scheme-level certificate for the singular locus of F."""
+    """Full scheme-level certificate for the singular locus of F; with an
+    action, also whether the action preserves F and acts freely on it, and
+    the orbits of the singular points (docs/DECISIONS.md D26)."""
     report = singular_scheme(F)
     if report.positive_dimensional is not None:
         raise SingularInCodimensionOne(
             report.positive_dimensional["chart"],
             report.positive_dimensional["witness_var"],
         )
+    invariant = free_action = orbits = None
+    if action is not None:
+        invariant = action.is_invariant(F)
+        free_action = free_action_check(F, action)
+        orbits = _orbit_analysis(F, report, free_action.offending, invariant)
     n = report.n_points
     tau = report.tau_total
-    if n == 0:
-        cert = SingularityCertificate(
-            surface_name,
-            report,
-            "smooth",
-            0,
-            0,
-            {"rank_le1": "empty", "degenerate": "empty"},
-        )
-        return cert
-
     H = hessian(F)
     rank_le1_empty = True
     degenerate_empty = True
@@ -294,19 +305,17 @@ def classify_all(F: Poly, surface_name="surface", action=None):
         else ("all" if degenerate_all else "mixed"),
     }
 
-    if degenerate_empty and tau == n:
+    if n == 0:
+        verdict, n1, n2 = "smooth", 0, 0
+    elif degenerate_empty and tau == n:
         verdict, n1, n2 = "all_A1", n, 0
     elif rank_le1_empty and degenerate_all and tau == 2 * n:
         verdict, n1, n2 = "all_A2", 0, n
     else:
         verdict, n1, n2 = "mixed_or_worse", None, None
 
-    orbits = None
-    if action is not None:
-        orbits = _orbit_analysis(F, report, action)
-
     return SingularityCertificate(
-        surface_name, report, verdict, n1, n2, strata, orbits=orbits
+        surface_name, report, verdict, n1, n2, strata, invariant, free_action, orbits
     )
 
 
@@ -349,23 +358,26 @@ def hessian_minor_vectors(alg, H, ci):
     return [alg.raw_coeffs(m) for m in minors2], [alg.raw_coeffs(m) for m in minors3]
 
 
-def _orbit_analysis(F: Poly, report, action):
-    """Scheme-level orbit decomposition of the singular points.
+def _orbit_analysis(F: Poly, report, fixed_on_surface, invariant):
+    """Scheme-level orbit decomposition of the singular points under an
+    order-5 action with a finite fixed locus, given the fixed points on F.
 
-    The action's full projective fixed locus is finite and known; every
-    non-fixed singular point lies in a free orbit of size 5.  Raises
-    SingularLocusNotInvariant when their count is not a multiple of 5.
+    A singular point lies on F (Euler), so the fixed singular points are
+    among fixed_on_surface.  Raises SingularLocusNotInvariant when the
+    other singular points do not number a multiple of 5: a locus closed
+    under the action splits them into free 5-orbits.  The rows need the
+    locus closed, which holds when the action preserves F, so they are
+    returned only then, and None otherwise (docs/DECISIONS.md D26).
     """
-    n = report.n_points
     parts = jacobian(F)
-    fixed_sing = []
-    for p in action.fixed_points():
-        vals = [g.eval(list(p.coords)) for g in parts]
-        if not any(vals):
-            fixed_sing.append(p)
-    free_count = n - len(fixed_sing)
+    fixed_sing = [
+        p for p in fixed_on_surface if not any(g.eval(list(p.coords)) for g in parts)
+    ]
+    free_count = report.n_points - len(fixed_sing)
     if free_count % 5 != 0:
         raise SingularLocusNotInvariant(free_count)
+    if not invariant:
+        return None
     orbits = [{"size": 1, "representative": repr(p)} for p in fixed_sing]
     orbits += [{"size": 5} for _ in range(free_count // 5)]
     return orbits

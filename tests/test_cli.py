@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from cuspidal import catalog, cli, groebner, pipeline, schemas
+from cuspidal import catalog, cli, groebner, pipeline, reproduce, schemas, zfive
 from cuspidal.cli import main
+from cuspidal.singcert import classify_all
 from cuspidal.zfive import ActionK
 
 
@@ -75,37 +76,27 @@ def test_surface_report_unknown_name(capsys):
     assert code == 2
 
 
-def test_surface_report_chart_restriction(capsys):
+def test_surface_report_transcript_chart_w(new_quartic_cert, monkeypatch, capsys):
+    # the 15 non-fixed nodes of the new quartic fill chart w: its scheme
+    # and radical have degree 15, from a basis of 10 polynomials
+    monkeypatch.setattr(cli, "classify_all", lambda *args, **kwargs: new_quartic_cert)
+    code, out, err = run_cli(
+        capsys, "--json", "--transcript", "surface-report", "new_quartic"
+    )
+    assert code == 0
+    transcript = json.loads(out)["transcript"]
+    w = catalog.XYZW.vars.index("w")
+    keys = ("chart_degrees", "chart_points", "chart_gb_sizes")
+    assert [transcript[k][w] for k in keys] == [15, 15, 10]
+
+
+def test_surface_report_chart_is_usage_error(capsys):
+    # there is no one-chart report: --transcript prints every chart's data
     code, out, err = run_cli(
         capsys, "--json", "surface-report", "new_quartic", "--chart", "w"
     )
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["partial"] is True
-    assert rep["chart_degree"] == 15
-    assert rep["chart_points"] == 15
-
-
-def test_surface_report_chart_singular_in_codimension_one(tmp_path, capsys):
-    # chart w of x^2*y^2 = 0 is singular along a curve: a typed failure,
-    # with the full report's message, not a traceback
-    f = tmp_path / "xy.txt"
-    f.write_text("x^2*y^2\n")
-    code, out, err = run_cli(
-        capsys, "--json", "surface-report", str(f), "--chart", "w"
-    )
-    assert code == 1
-    assert json.loads(out) == {
-        "surface": "xy.txt",
-        "chart": "w",
-        "pass": False,
-        "error": "singular in codimension one (chart w, variable x)",
-    }
-    code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
-    assert code == 1
-    assert json.loads(out)["error"] == (
-        "singular in codimension one (chart w, variable x)"
-    )
+    assert code == 2
+    assert out == ""
 
 
 def test_surface_report_from_file(tmp_path, capsys):
@@ -125,13 +116,18 @@ def test_surface_report_parse_error(tmp_path, capsys):
 
 
 def test_surface_report_codimension_one_is_certificate_failure(tmp_path, capsys):
+    # x^2*y^2 = 0 is singular along two planes, first seen in chart w: a
+    # typed failure with the certificate's message, not a traceback
     f = tmp_path / "planes.txt"
     f.write_text("x^2*y^2")
     code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
     assert code == 1
     rep = json.loads(out)
-    assert rep["pass"] is False
-    assert "codimension one" in rep["error"]
+    assert rep == {
+        "surface": "planes.txt",
+        "pass": False,
+        "error": "singular in codimension one (chart w, variable x)",
+    }
 
 
 def test_surface_report_negative_control_a2_plus_a1(tmp_path, capsys):
@@ -395,6 +391,65 @@ def test_surface_report_locus_not_closed_under_action(tmp_path, capsys):
         "singular locus not closed under the action: 1 singular points off "
         "the fixed locus, not a multiple of 5"
     )
+
+
+def test_surface_report_vdgz_quintic_file_under_a0(tmp_path, capsys):
+    # read from a file, the VdGZ quintic takes the default a_0, which
+    # neither preserves it nor acts freely on it: the A2 certificate
+    # stands, and the report has no orbit rows (docs/DECISIONS.md D26)
+    import jsonschema
+
+    poly = catalog.get("vdgz_quintic").poly
+    f = tmp_path / "vdgz.txt"
+    f.write_text(str(poly))
+    code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
+    assert code == 0
+    rep = json.loads(out)
+    jsonschema.validate(rep, schemas.SINGULARITY_CERTIFICATE_SCHEMA)
+    assert rep["verdict"] == "all_A2"
+    assert rep["invariant_under_action"] is False
+    assert rep["free_action"] == {
+        "free": False,
+        "fixed_points_on_surface": [
+            "(1 : 0 : 0 : 0)",
+            "(0 : 1 : 0 : 0)",
+            "(0 : 0 : 1 : 0)",
+            "(0 : 0 : 0 : 1)",
+        ],
+    }
+    assert rep["orbits"] is None
+    assert classify_all(poly, action=ActionK(0)).orbits is None
+
+
+def _count_free_action_checks(monkeypatch):
+    """Route every reference to free_action_check in the package through
+    a counter; returns the list of surfaces it was called on."""
+    real = zfive.free_action_check
+    surfaces = []
+
+    def counted(F, action):
+        surfaces.append(F)
+        return real(F, action)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspidal"):
+            if getattr(module, "free_action_check", None) is real:
+                monkeypatch.setattr(module, "free_action_check", counted)
+    return surfaces
+
+
+def test_surface_report_checks_the_action_once(monkeypatch, capsys):
+    surfaces = _count_free_action_checks(monkeypatch)
+    code, out, err = run_cli(capsys, "--json", "surface-report", "new_quintic")
+    assert code == 0
+    assert surfaces == [catalog.get("new_quintic").poly]
+
+
+def test_reproduce_checks_the_action_once_per_surface(monkeypatch):
+    surfaces = _count_free_action_checks(monkeypatch)
+    assert reproduce.reproduce_construction()["pass"] is True
+    quartic, quintic = (catalog.get(n).poly for n in ("new_quartic", "new_quintic"))
+    assert surfaces == [quartic, quintic]
 
 
 @pytest.mark.parametrize(
