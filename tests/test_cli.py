@@ -90,6 +90,26 @@ def test_surface_report_transcript_chart_w(new_quartic_cert, monkeypatch, capsys
     assert [transcript[k][w] for k in keys] == [15, 15, 10]
 
 
+def test_surface_report_chart_singular_in_codimension_one(tmp_path, capsys):
+    # chart w of x^2*y^2 = 0 is singular along a curve: the per-chart
+    # report (--transcript) is a typed failure with the certificate's
+    # message, in JSON and in text, not a traceback
+    f = tmp_path / "xy.txt"
+    f.write_text("x^2*y^2\n")
+    code, out, err = run_cli(
+        capsys, "--json", "--transcript", "surface-report", str(f)
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "surface": "xy.txt",
+        "pass": False,
+        "error": "singular in codimension one (chart w, variable x)",
+    }
+    code, out, err = run_cli(capsys, "--transcript", "surface-report", str(f))
+    assert code == 1
+    assert "error: singular in codimension one (chart w, variable x)" in out
+
+
 def test_surface_report_chart_is_usage_error(capsys):
     # there is no one-chart report: --transcript prints every chart's data
     code, out, err = run_cli(
