@@ -11,6 +11,13 @@ failure, 2 parse or usage error.  Progress goes to stderr; stdout carries
 only the report (JSON with --json, text otherwise).  No report depends on
 a random choice: --seed is accepted and ignored (docs/DECISIONS.md D21).
 
+`main(argv)` returns the exit code and never exits, so tests and tracers
+call it in process.  `run()` is the process entry point, for both
+`python -m cuspidal.cli` and the `cuspidal` console script: it flushes the
+report and ends the process at once, skipping interpreter teardown, or
+exits normally under a profiler or tracer or when the flush fails
+(docs/DECISIONS.md D27).
+
 surface-report has one report builder: the certificate of `classify_all`
 carries the action verdict (invariant_under_action, free_action), and
 --transcript adds each chart's degree, point count and Groebner basis
@@ -203,5 +210,35 @@ def main(argv=None):
         return 2
 
 
+def _observed():
+    """Whether a profiler, tracer or monitoring tool is attached: each
+    writes its results after the program returns."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
+
+
+def run():
+    """Run `main` on the command line and end the process with its code.
+
+    Every certificate and the report are finished when `main` returns,
+    and the package registers no atexit callback, starts no thread and
+    writes no file, so once stdout and stderr are flushed the only work
+    left is interpreter teardown, which `os._exit` skips.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # a closed pipe: fail at exit as the interpreter does
+        sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

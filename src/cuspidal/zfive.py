@@ -122,6 +122,7 @@ class LinearAction:
     def __init__(self, matrix):
         self.matrix = [[as_cyclo(v) for v in row] for row in matrix]
         self._fixed_points = None
+        self._row_forms = {}  # ring -> {variable index: row form}
 
     def on_point(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(
@@ -129,9 +130,14 @@ class LinearAction:
         )
 
     def on_poly(self, p: Poly) -> Poly:
-        """F(M x): substitute each variable by the corresponding row form."""
-        forms = [p.ring.linear_form(row) for row in self.matrix]
-        return p.subs(dict(enumerate(forms)))
+        """F(M x): substitute each variable by the corresponding row form;
+        the forms are built once per ring."""
+        forms = self._row_forms.get(p.ring)
+        if forms is None:
+            forms = self._row_forms[p.ring] = {
+                i: p.ring.linear_form(row) for i, row in enumerate(self.matrix)
+            }
+        return p.subs(forms)
 
     def is_invariant(self, p: Poly) -> bool:
         return self.on_poly(p) == p

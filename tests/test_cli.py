@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +14,8 @@ from cuspidal.cli import main
 from cuspidal.singcert import classify_all
 from cuspidal.zfive import ActionK
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -19,9 +24,8 @@ def run_cli(capsys, *argv):
 
 
 def _modules_loaded_by(code):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -534,12 +538,166 @@ def test_divisibility_negative_control_action_exits_1(monkeypatch, capsys):
 def test_bench_tracer_targets_resolve():
     # perfbench/tracer.py wraps its targets by name; a deleted or renamed
     # target would break only a traced bench run, so install them here
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    bench = os.path.join(os.path.dirname(src), "perfbench")
+    bench = os.path.join(os.path.dirname(SRC), "perfbench")
     code = "import tracer; print(len(tracer.install()))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, bench]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, bench]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) > 0
+
+
+# -- the process entry point (docs/DECISIONS.md D27) ----------------------
+
+
+def run_entry(tmp_path, *argv, head=("-m", "cuspidal.cli")):
+    """(exit code, stdout bytes, stderr text) of a fresh CLI process whose
+    stdout is a file, as a shell redirection gives it."""
+    out = tmp_path / "stdout"
+    with open(out, "wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, *head, *argv],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=fh,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    return proc.returncode, out.read_bytes(), proc.stderr
+
+
+def test_entry_path_prints_the_report_of_main(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--json", "surface-report", "new_quartic")
+    assert code == 0
+    assert run_entry(tmp_path, "--json", "surface-report", "new_quartic")[:2] == (
+        0,
+        out.encode(),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--json", "surface-report", "new_quartic", "--chart", "w"),
+        ("--json", "surface-report", "nonsense"),
+    ],
+    ids=["usage", "unknown_name"],
+)
+def test_entry_path_usage_error(tmp_path, argv):
+    code, out, err = run_entry(tmp_path, *argv)
+    assert (code, out) == (2, b"")
+    assert err
+
+
+def test_entry_path_certificate_failure_prints_whole_report(tmp_path):
+    f = tmp_path / "planes.txt"
+    f.write_text("x^2*y^2")
+    code, out, err = run_entry(tmp_path, "--json", "surface-report", str(f))
+    report = {
+        "surface": "planes.txt",
+        "pass": False,
+        "error": "singular in codimension one (chart w, variable x)",
+    }
+    assert (code, out) == (1, (json.dumps(report, indent=2) + "\n").encode())
+
+
+def test_console_script_is_the_main_block_entry():
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        scripts = fh.read().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, attr = re.search(r'^cuspidal = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    entry = getattr(importlib.import_module(module), attr)
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    main_block = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(main_block) == 1
+    [stmt] = main_block[0].body
+    assert ast.unparse(stmt) == "run()"
+    assert entry is cli.run
+
+
+def test_entry_path_under_profiler_prints_report_then_profile(tmp_path, capsys):
+    # cProfile prints its table after the program returns: run() must not
+    # end the process itself when a profiler is attached
+    code, report, err = run_cli(capsys, "--json", "surface-report", "new_quartic")
+    code, out, err = run_entry(
+        tmp_path,
+        "--json",
+        "surface-report",
+        "new_quartic",
+        head=("-m", "cProfile", "-m", "cuspidal.cli"),
+    )
+    assert code == 0
+    assert out.startswith(report.encode())
+    table = out[len(report) :].decode()
+    assert re.search(r"\d+ function calls", table)
+    assert "Ordered by" in table
+
+
+def test_entry_path_broken_pipe_fails_at_exit(tmp_path):
+    # a buffered report into a pipe nobody reads: the flush fails, and the
+    # process exits as the interpreter does when its final flush fails
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    f = tmp_path / "planes.txt"
+    f.write_text("x^2*y^2")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspidal.cli", "surface-report", str(f)],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert "Exception ignored" in proc.stderr
+    assert "BrokenPipeError" in proc.stderr
+
+
+class _Exited(Exception):
+    pass
+
+
+@pytest.fixture
+def exit_calls(monkeypatch):
+    """The codes run() passes to os._exit, which here raises instead of
+    ending the test process."""
+    calls = []
+
+    def fake_exit(code):
+        calls.append(code)
+        raise _Exited(code)
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setattr(sys, "argv", ["cuspidal", "--json", "surface-report", "nonsense"])
+    return calls
+
+
+def test_run_ends_the_process_with_the_code_of_main(exit_calls, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_observed", lambda: False)
+    with pytest.raises(_Exited):
+        cli.run()
+    assert exit_calls == [2]
+    assert json.loads(capsys.readouterr().err)["error"].startswith("unknown surface")
+
+
+def test_run_exits_normally_under_a_tracer(exit_calls):
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: None)
+    try:
+        assert cli._observed()
+        with pytest.raises(SystemExit) as ev:
+            cli.run()
+    finally:
+        sys.settrace(previous)
+    assert ev.value.code == 2
+    assert exit_calls == []
+

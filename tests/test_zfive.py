@@ -4,7 +4,7 @@ import pytest
 
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, VDGZ_ACTION, XYZW, get
 from cuspidal.cyclofield import ALPHA, CycloElem, ratio
-from cuspidal.multipoly import ProjPoint, QZ5
+from cuspidal.multipoly import ProjPoint, QZ5, Ring
 from cuspidal import zfive
 from cuspidal.zfive import (
     ActionK,
@@ -127,6 +127,35 @@ def test_fixed_points_computed_once(monkeypatch):
         first = act.fixed_points()
         assert act.fixed_points() is first
         assert len(calls) == 5  # one eigen-kernel per fifth root of unity
+
+
+@pytest.mark.parametrize("name", ["new_quartic", "new_quintic", "vdgz_quartic", "vdgz_quintic"])
+def test_on_poly_builds_the_row_forms_once_per_ring(name, monkeypatch):
+    # the images are those of substituting freshly built row forms, and
+    # the four forms are built once for each ring the action meets
+    ent = get(name)
+    act = LinearAction(ent.action.matrix)
+    other = Ring(("x", "y", "z", "w", "t"))
+    polys = [ent.poly, R.var("x") + 2 * R.var("w"), R.var("y") ** 3 * R.var("z")]
+    polys += [other.var("t") * other.var("x") ** 2 + other.var("w")]
+
+    def fresh_image(p):
+        return p.subs({i: p.ring.linear_form(row) for i, row in enumerate(act.matrix)})
+
+    want = [fresh_image(p) for p in polys]
+    calls = []
+    real = Ring.linear_form
+
+    def counting(ring, coeffs):
+        calls.append(ring)
+        return real(ring, coeffs)
+
+    monkeypatch.setattr(Ring, "linear_form", counting)
+    for _ in range(3):
+        assert [act.on_poly(p) for p in polys] == want
+    assert calls == [R] * 4 + [other] * 4
+    assert act.is_invariant(ent.poly)
+    assert len(calls) == 8
 
 
 def test_action_order_five():
