@@ -15,8 +15,8 @@ a random choice: --seed is accepted and ignored (docs/DECISIONS.md D21).
 call it in process.  `run()` is the process entry point, for both
 `python -m cuspidal.cli` and the `cuspidal` console script: it flushes the
 report and ends the process at once, skipping interpreter teardown, or
-exits normally under a profiler or tracer or when the flush fails
-(docs/DECISIONS.md D27).
+exits normally under a profiler or tracer or when the report meets a
+closed stdout, which exits 120 (docs/DECISIONS.md D27, D28).
 
 surface-report has one report builder: the certificate of `classify_all`
 carries the action verdict (invariant_under_action, free_action), and
@@ -227,9 +227,17 @@ def run():
     Every certificate and the report are finished when `main` returns,
     and the package registers no atexit callback, starts no thread and
     writes no file, so once stdout and stderr are flushed the only work
-    left is interpreter teardown, which `os._exit` skips.
+    left is interpreter teardown, which `os._exit` skips.  A report that
+    meets a closed stdout fails as a failed final flush does, with exit
+    120 and the error on stderr, whether the flush here finds the pipe
+    closed or a write inside `main` does (unbuffered, or a report larger
+    than the buffer).
     """
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError as ev:
+        print("%s: %s" % (type(ev).__name__, ev), file=sys.stderr)
+        sys.exit(120)
     try:
         sys.stdout.flush()
         sys.stderr.flush()

@@ -27,7 +27,15 @@ from . import linalg
 from .cyclofield import ONE, ZERO
 from .groebner import NotZeroDimensional, buchberger, normal_form, zero_dim_analyze
 from .modp import rational_roots
-from .multipoly import Poly, ProjPoint, Ring, minors, proportional, restrict_to_plane
+from .multipoly import (
+    Poly,
+    ProjPoint,
+    Ring,
+    degrevlex_key,
+    minors,
+    proportional,
+    restrict_to_plane,
+)
 from .singcert import (
     ChartData,
     degree_part,
@@ -441,18 +449,22 @@ def blow_up_charts(cring: Ring):
     return out
 
 
-def strict_transform(p: Poly, bring: Ring, images):
-    """Pull p through the blow-up and divide by the largest power of w."""
-    q = p.subs(dict(enumerate(images)), ring=bring)
-    if q.is_zero:
-        return q, 0
-    widx = bring.nvars - 1
-    mult = min(e[widx] for e, _ in q.terms)
-    if mult:
-        q = bring.from_terms(
-            (e[:widx] + (e[widx] - mult,), c) for e, c in q.terms
-        )
-    return q, mult
+def strict_transform(p: Poly, bring: Ring, mchart: int):
+    """Pull p through blow-up chart m (`blow_up_charts`) and divide by the
+    largest power of w: (strict transform, that power).
+
+    The chart's ring map sends u^e to v^e' w^|e|, e' the exponents of the
+    kept directions, with the coefficient unchanged; distinct monomials go
+    to distinct ones, so the pull-back is an exponent map and its terms
+    need only be sorted in the chart ring's order.  The largest power of
+    w dividing it is the least total degree of p's terms
+    (docs/DECISIONS.md D28)."""
+    if p.is_zero:
+        return bring.zero, 0
+    mult = min(sum(e) for e, _ in p.terms)
+    terms = [(e[:mchart] + e[mchart + 1 :] + (sum(e) - mult,), c) for e, c in p.terms]
+    terms.sort(key=lambda t: degrevlex_key(t[0]), reverse=True)
+    return Poly(bring, tuple(terms)), mult
 
 
 def _exceptional_supported_length(gens, bring, mchart):
@@ -489,7 +501,7 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
     charts = blow_up_charts(cring)
     strict_by_chart = []
     for mchart, bring, images in charts:
-        fs, mult = strict_transform(flocal, bring, images)
+        fs, mult = strict_transform(flocal, bring, mchart)
         if mult != 2:
             raise ResolutionError("surface multiplicity at the cusp is not 2")
         strict_by_chart.append((mchart, bring, images, fs))
@@ -532,7 +544,7 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
         for mchart, bring, images, fs in strict_by_chart:
             sg = []
             for g in loc:
-                gs, _ = strict_transform(g, bring, images)
+                gs, _ = strict_transform(g, bring, mchart)
                 if not gs.is_zero:
                     sg.append(gs)
             per_chart.append((mchart, bring, sg))
@@ -541,7 +553,7 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
     # in blow-up chart m the exceptional line {l = 0} is cut out by the
     # strict transform of l
     lines_by_chart = [
-        [strict_transform(l, bring, imgs)[0] for _, bring, imgs, _ in strict_by_chart]
+        [strict_transform(l, bring, m)[0] for m, bring, _, _ in strict_by_chart]
         for l in (l1, l2)
     ]
     for curve in incident:

@@ -35,7 +35,10 @@ Q(zeta5)-rational end the extraction as a typed NonRationalResidual
 linear algebra on the quotient runs on the raw Z[zeta5] echelon of
 `linalg` (D9): pivots scaled to their norm, one content gcd per reduced
 vector, and CycloElems only at the interface.  Each scheme has one
-quotient algebra, which memoises its operators (D16).
+quotient algebra, which memoises its operators (D16) and its Krylov
+results; a stable image stops at the nilpotency index of its operator
+when the scheme is reduced or a memoised minimal polynomial gives it,
+and otherwise when the rank holds (D28).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
+from operator import itemgetter
 
 from . import unipoly
 from .cyclofield import ONE, ZERO, _raw, as_cyclo, canon, conj_product, phi5_mul
@@ -397,7 +401,10 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
     lead of a basis without it, so the basis is the run's on the rest
     plus the split variables, in decreasing lead order, or {1}.  The run
     on the rest is looked up in `_BASES` first, by the positional terms
-    of its monic generators; a hit is rebuilt in the caller's ring.
+    of its monic generators; a hit is rebuilt in the caller's ring.  A
+    generator that is already monic is kept as it is, so callers that
+    pass the same generators again (`singcert.chart_piece`) make them
+    monic once.
     """
     gens = [g for g in gens if isinstance(g, Poly) and not g.is_zero]
     if ring is None:
@@ -408,9 +415,12 @@ def buchberger(gens, ring=None) -> GroebnerBasis:
         return GroebnerBasis(ring, ())
     zero = {g.lm() for g in gens if len(g.terms) == 1 and mono_deg(g.lm()) == 1}
     if zero:
-        split = [k for k in range(ring.nvars) if any(e[k] for e in zero)]
+        # a term is kept when its exponents at the split variables are
+        # those of the constant monomial
+        split = itemgetter(*[k for k in range(ring.nvars) if any(e[k] for e in zero)])
+        free = split(ring._zero_mono)
         gens = [
-            Poly(ring, tuple([t for t in g.terms if not any(t[0][k] for k in split)]))
+            Poly(ring, tuple([t for t in g.terms if split(t[0]) == free]))
             for g in gens
         ]
     gens = [g.monic() for g in gens if g.terms]
@@ -585,9 +595,15 @@ class QuotientAlgebra:
     built only where vectors leave: the eliminant, the Krylov coordinates
     and the public vectors.
 
-    Operators and stable images are memoised by the polynomial's terms
-    for the life of the algebra, so a chart's pieces and strata that ask
-    about the same coordinate build its operator once.
+    Operators, Krylov results and stable images are memoised by the
+    polynomial's terms for the life of the algebra, so a chart's pieces
+    and strata that ask about the same coordinate build its operator
+    once.  A stable image takes as many echelon passes as the nilpotency
+    index of its operator when that index is known for free: at most 1
+    on a reduced scheme, else the order at t = 0 of a minimal polynomial
+    that `krylov` has already found; the radical's eliminants of the
+    chart variables are those.  Otherwise the passes run until the rank
+    holds (docs/DECISIONS.md D28).
     """
 
     def __init__(self, scheme: ZeroDimScheme):
@@ -598,7 +614,8 @@ class QuotientAlgebra:
         red = self._red = scheme.gb.reducers()
         self._packed = [pack(m) for m in self.basis]
         self._position = {m: i for i, m in enumerate(self._packed)}
-        self._operators = {}  # p.terms -> (columns, rows)
+        self._operators = {}  # p.terms -> (columns, rows, rational)
+        self._krylov = {}  # p.terms -> (minimal polynomial, Krylov rows)
         self._stable = {}  # p.terms -> rows of the stable image of mult-by-p
 
     def raw_nf(self, p: Poly):
@@ -645,33 +662,63 @@ class QuotientAlgebra:
         return [self.raw_coeffs(rem) for rem in self._products(p)]
 
     def _operator(self, p: Poly):
-        """Multiplication by p as (columns, rows), up to the one scale L,
-        the lcm of its denominators: integer 4-tuples, the columns dense
-        and the rows sparse [(j, n), ...]."""
+        """Multiplication by p as (columns, rows, rational), up to the one
+        scale L, the lcm of its denominators: integer 4-tuples, the columns
+        dense and the rows sparse [(j, n), ...], and whether every entry
+        is rational, which picks `_apply`'s loop."""
         op = self._operators.get(p.terms)
         if op is None:
             rems = self._products(p)
             L = lcm(1, *[d for rem in rems for _, _, d in rem])
             cols = [self._dense(rem, L) for rem in rems]
             rows = [[] for _ in self.basis]
+            rational = True
             for j, col in enumerate(cols):
                 for i, x in enumerate(col):
                     if x != _ZERO4:
                         rows[i].append((j, x))
-            op = self._operators[p.terms] = (cols, rows)
+                        if x[1] or x[2] or x[3]:
+                            rational = False
+            op = self._operators[p.terms] = (cols, rows, rational)
         return op
 
+    def _nilpotency_index(self, p: Poly):
+        """A k with p^k A the stable image, when one is known without
+        work: 1 on a reduced scheme, where mult-by-p has no nilpotent
+        part, else the least, the order at t = 0 of p's minimal polynomial
+        t^k r(t), r(0) != 0, if `krylov(p)` has run; None otherwise.  As
+        1 generates A, that minimal polynomial is the one of mult-by-p,
+        so A is ker p^k (+) p^k A (docs/DECISIONS.md D28)."""
+        if self.scheme.is_radical:
+            return 1
+        kr = self._krylov.get(p.terms)
+        if kr is None:
+            return None
+        return next(k for k, c in enumerate(kr[0]) if c)
+
     def _stable_image(self, p: Poly):
-        """Echelon vectors spanning the stable image of mult-by-p."""
+        """Echelon vectors spanning the stable image of mult-by-p: the
+        image of p^k, k the nilpotency index when it is known
+        (`_nilpotency_index`), else of the first power whose rank the next
+        power keeps."""
         image = self._stable.get(p.terms)
         if image is None:
-            cols, op = self._operator(p)
+            cols, op, rational = self._operator(p)
+
+            def times_p(rows):
+                return _echelon(_apply(op, r, rational) for _, _, r, _ in rows)
+
             rows = _echelon(cols)
-            while True:  # p^(k+1) A inside p^k A: stable once the rank holds
-                nxt = _echelon(_apply(op, r) for _, _, r, _ in rows)
-                if len(nxt) == len(rows):
-                    break
-                rows = nxt
+            k = self._nilpotency_index(p)
+            if k is not None:
+                for _ in range(k - 1):
+                    rows = times_p(rows)
+            else:
+                while True:  # p^(j+1) A inside p^j A: stable once the rank holds
+                    nxt = times_p(rows)
+                    if len(nxt) == len(rows):
+                        break
+                    rows = nxt
             image = self._stable[p.terms] = tuple([r for _, _, r, _ in rows])
         return image
 
@@ -682,13 +729,13 @@ class QuotientAlgebra:
         operators of the variables, found by exact elimination with no
         random choices.  True means V(I + (elements)) is empty.
         """
-        var_rows = [self._operator(v)[1] for v in self.ring.gens()]
+        ops = [self._operator(v) for v in self.ring.gens()]
         rows = []
         pending = [_int_vector(v)[0] for v in vectors]
         while pending and len(rows) < len(self.basis):
             red = _echelon_add(rows, pending.pop())
             if red is not None:
-                pending.extend(_apply(op, red) for op in var_rows)
+                pending.extend(_apply(op, red, rational) for _, op, rational in ops)
         return len(rows) == len(self.basis)
 
     def supported_length(self, polys):
@@ -721,7 +768,15 @@ class QuotientAlgebra:
         reduction kernel with w's nonzero entries as raw numerators, so w
         itself is never reduced.  An echelon row keeps the nonzero entries
         of a vector and of its combo, with vector = sum(combo[j] * p^j mod I).
+        The result is memoised by p's terms, and its minimal polynomial
+        gives `_stable_image` the nilpotency index of mult-by-p.
         """
+        kr = self._krylov.get(p.terms)
+        if kr is None:
+            kr = self._krylov[p.terms] = self._run_krylov(p)
+        return kr
+
+    def _run_krylov(self, p: Poly):
         n = len(self.basis)
         red = self._red
         Dp, ps = red.packed(p.terms, red.one)

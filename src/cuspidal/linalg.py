@@ -13,9 +13,11 @@ rational integer N, then divided by its content.  Reducing v by a row is
 v <- N * v - v[pivot] * row, with no gcd; a remainder takes one content
 gcd when it becomes a row.  The Z[e] products of a reduction
 (`_lincomb`) and of an operator applied to a vector (`_apply`) are
-`phi5_mul`'s written out, with no call per entry (D20).  `rref` sorts
-the rows by pivot, clears each pivot column in the other rows, and
-divides each row by its pivot: CycloElems are built only there.
+`phi5_mul`'s written out, with no call per entry (D20), and each takes
+4 integer products an entry when its multiplier, or the whole operator,
+is rational (D12, D28).  `rref` sorts the rows by pivot, clears each
+pivot column in the other rows, and divides each row by its pivot:
+CycloElems are built only there.
 """
 
 from __future__ import annotations
@@ -145,10 +147,25 @@ def _echelon(vectors):
     return rows
 
 
-def _apply(op_rows, v):
+def _apply(op_rows, v, rational):
     """M * v for M given by sparse integer rows [(j, n), ...]; the zero
-    entries of v are skipped and `phi5_mul`'s product is written out."""
+    entries of v are skipped.  Like `_lincomb`, it has one loop for a
+    rational M (every n1 = n2 = n3 = 0), 4 products an entry, and one for
+    any other, with `phi5_mul`'s product written out (D12, D20)."""
     out = []
+    if rational:
+        for row in op_rows:
+            a0 = a1 = a2 = a3 = 0
+            for j, (n0, _, _, _) in row:
+                x = v[j]
+                if x != _ZERO4:
+                    x0, x1, x2, x3 = x
+                    a0 += n0 * x0
+                    a1 += n0 * x1
+                    a2 += n0 * x2
+                    a3 += n0 * x3
+            out.append((a0, a1, a2, a3))
+        return out
     for row in op_rows:
         a0 = a1 = a2 = a3 = 0
         for j, (n0, n1, n2, n3) in row:

@@ -304,16 +304,22 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n by repeated squaring: n.bit_length() - 1 squares and one
+        product for each further set bit of n, so no square is formed past
+        the top bit and no product is taken with 1 (docs/DECISIONS.md D28)."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        acc = self.ring.one
+        if n == 0:
+            return self.ring.one
+        acc = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             n >>= 1
-        return acc
+            if not n:
+                return acc
+            base = base * base
 
     def _coerce(self, other):
         if isinstance(other, Poly):

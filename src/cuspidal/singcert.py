@@ -148,12 +148,14 @@ def chart_ring(ring: Ring, chart_index: int) -> Ring:
 def chart_piece(gens, chart_index: int):
     """Affine chart ci of V(gens) in P^n, for its piece (the points whose
     last nonzero coordinate is x_ci): (chart ring, the nonzero
-    dehomogenised gens in their order, the later coordinates, which vanish
-    on the piece).  V(chart gens + later) is the piece."""
+    dehomogenised gens in their order, made monic, the later coordinates,
+    which vanish on the piece).  V(chart gens + later) is the piece; the
+    generators are monic so that `buchberger`, which every test of the
+    piece calls on them, need not make them so again."""
     cring = chart_ring(gens[0].ring, chart_index)
     cgens = [to_chart(g, chart_index, cring) for g in gens]
     later = [cring.var(v) for v in cring.vars[chart_index:]]
-    return cring, [g for g in cgens if not g.is_zero], later
+    return cring, [g.monic() for g in cgens if not g.is_zero], later
 
 
 def to_chart(p: Poly, chart_index: int, cring: Ring) -> Poly:

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from cuspidal import catalog, modp
@@ -15,6 +18,7 @@ from cuspidal.curvegeom import (
     pair_intersection_away_from,
     poly_square_root,
     resolve_cusp,
+    strict_transform,
     tangent_cone_lines,
 )
 from cuspidal.multipoly import ProjPoint, proportional, restrict_to_plane
@@ -232,6 +236,52 @@ def test_exceptional_length_counts_a_double_point_on_the_chart_boundary():
     v_x, v_z, w = bring.gens()
     assert _exceptional_supported_length([w, v_x, v_z**2], bring, 1) == 2
     assert _exceptional_supported_length([w, v_x, v_z**2, v_z], bring, 1) == 1
+
+
+def reference_strict_transform(p, bring, images):
+    """The pull-back through `Poly.subs` that `strict_transform` ran
+    before its exponent map, then divided by the largest power of w."""
+    q = p.subs(dict(enumerate(images)), ring=bring)
+    if q.is_zero:
+        return q, 0
+    widx = bring.nvars - 1
+    mult = min(e[widx] for e, _ in q.terms)
+    if mult:
+        q = bring.from_terms((e[:widx] + (e[widx] - mult,), c) for e, c in q.terms)
+    return q, mult
+
+
+@pytest.mark.parametrize("mchart", range(3))
+def test_strict_transform_matches_subs_route(mchart):
+    # random polynomials with rational and Q(zeta5) coefficients, some
+    # with no low-degree terms, the zero polynomial, and the VdGZ
+    # quintic's local surface at a cusp: the same terms, coefficients and
+    # multiplicity in each blow-up chart
+    rng = random.Random(2831 + mchart)
+    cring = chart_ring(R, 3)
+    m, bring, images = blow_up_charts(cring)[mchart]
+    assert m == mchart
+    r = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    coeffs = [lambda: CycloElem.from_rat(r()), lambda: CycloElem([r() for _ in range(4)])]
+    cusp = ProjPoint([-1, -1, 0, 1])
+    polys = [cring.zero, local_surface(catalog.get("vdgz_quintic").poly, cusp)[0]]
+    for trial in range(30):
+        low = trial % 4
+        terms = []
+        for _ in range(rng.randint(1, 8)):
+            e = [0, 0, 0]
+            for _ in range(rng.randint(low, low + 4)):
+                e[rng.randrange(3)] += 1
+            terms.append((tuple(e), coeffs[trial % 2]()))
+        polys.append(cring.from_terms(terms))
+    mults = set()
+    for p in polys:
+        got, mult = strict_transform(p, bring, mchart)
+        want, want_mult = reference_strict_transform(p, bring, images)
+        assert got == want and str(got) == str(want) and mult == want_mult
+        assert got.ring is bring
+        mults.add(mult)
+    assert {0, 1, 2, 3} <= mults
 
 
 def test_pair_intersection_away_from():

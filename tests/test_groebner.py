@@ -23,8 +23,10 @@ from cuspidal.groebner import (
     spoly,
     zero_dim_analyze,
 )
+from cuspidal.linalg import _apply, _echelon
 from cuspidal.multipoly import Poly, Ring, jacobian, mono_lcm, pack, unpack
-from cuspidal.singcert import chart_ring, to_chart
+from cuspidal.pipeline import divisibility_pipeline
+from cuspidal.singcert import ChartData, chart_ring, classify_all, to_chart
 
 
 def small_int(rng, span):
@@ -609,6 +611,50 @@ def test_split_zero_coordinates_random():
         _assert_split_exact(gens + more, var)
 
 
+def reference_split_prep(gens, ring):
+    """The generators `buchberger` gave its run before the exponent test of
+    D28: the split variables filtered out with a test per term, and every
+    generator made monic."""
+    gens = [g for g in gens if not g.is_zero]
+    zero = {g.lm() for g in gens if len(g.terms) == 1 and sum(g.lm()) == 1}
+    if zero:
+        split = [k for k in range(ring.nvars) if any(e[k] for e in zero)]
+        gens = [
+            Poly(ring, tuple([t for t in g.terms if not any(t[0][k] for k in split)]))
+            for g in gens
+        ]
+    return [g.monic() for g in gens if g.terms]
+
+
+def test_split_filter_matches_per_term_filter(monkeypatch):
+    # one, two or three split variables, scaled, among generators that are
+    # monic or not: the run gets the generators the per-term test gave it
+    rng = random.Random(2841)
+    ring = Ring(("x", "y", "z", "w"))
+    runs = []
+    run = groebner._run
+
+    def recorded(gens, ring):
+        runs.append(gens)
+        return run(gens, ring)
+
+    monkeypatch.setattr(groebner, "_run", recorded)
+    split_counts = set()
+    for _ in range(40):
+        monkeypatch.setattr(groebner, "_BASES", {})
+        gens = [rand_poly(rng, ring, deg=3, nterms=5, coeff=cyclo_coeff) for _ in range(3)]
+        gens.append(gens[0].monic() if not gens[0].is_zero else ring.one)
+        split = rng.sample(ring.vars, rng.randint(1, 3))
+        gens += [ring.var(v).scale(cyclo_coeff(rng, 3) or ONE) for v in split]
+        rng.shuffle(gens)
+        runs.clear()
+        buchberger(gens, ring=ring)
+        want = reference_split_prep(gens, ring)
+        assert [g.terms for g in runs[0]] == [g.terms for g in want]
+        split_counts.add(len(split))
+    assert split_counts == {1, 2, 3}
+
+
 def test_table_serves_renamed_permuted_ideal(monkeypatch):
     monkeypatch.setattr(groebner, "_BASES", {})
     ring = Ring(("x", "y", "z"))
@@ -848,6 +894,134 @@ def test_supported_length_agrees_with_buchberger_random():
 def test_supported_length_agrees_with_buchberger_random_cyclo():
     # Q(zeta5) coefficients: pivots with e-terms and mixed denominators
     _supported_length_agrees_with_buchberger(random.Random(3142), cyclo_coeff)
+
+
+def _same_span(a, b):
+    """Do two lists of raw Z[e] vectors span the same space?"""
+    ra, rb = len(_echelon(a)), len(_echelon(b))
+    return ra == rb == len(_echelon(list(a) + list(b)))
+
+
+def _rank_loop(scheme):
+    """A fresh algebra of the scheme whose stable images always take the
+    rank loop, the index never being known."""
+    alg = QuotientAlgebra(scheme)
+    alg._nilpotency_index = lambda p: None
+    return alg
+
+
+def _true_index(alg, p):
+    """The least k with rank(p^k) == rank(p^(k + 1)), from the ranks of
+    the powers of the operator, p^0 the identity."""
+    cols, op, rational = alg._operator(p)
+    ranks = [len(alg.basis)]
+    rows = _echelon(cols)
+    while len(rows) != ranks[-1]:
+        ranks.append(len(rows))
+        rows = _echelon(_apply(op, r, rational) for _, _, r, _ in rows)
+    return len(ranks) - 1
+
+
+def _index_rule_agrees_with_rank_loop(rng, coeff):
+    ring = Ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    taken = collections.Counter()
+    for _ in range(16):
+        # split into x = 0 and x = a; a triple point along y and a double
+        # point along z when their tails vanish
+        a = rng.choice([-2, -1, 1, 2])
+        tails = [
+            rand_poly(rng, ring, deg=1, coeff=coeff) if rng.random() < 0.6 else ring.zero
+            for _ in range(2)
+        ]
+        gens = [x**2 - a * x, y**3 + tails[0], z**2 + tails[1]]
+        scheme = zero_dim_analyze(buchberger(gens, ring=ring))
+        # the eliminants of x, y and z run on scheme.algebra here
+        radical = radical_zero_dim(scheme)
+        for alg in (scheme.algebra, radical.algebra):
+            ref = _rank_loop(alg.scheme)
+            known, unknown = (rand_poly(rng, ring, coeff=coeff) for _ in range(2))
+            alg.krylov(known)
+            probes = [x, y, z, x - a, known, unknown, y * (x - a)]
+            for p in probes:
+                k = alg._nilpotency_index(p)
+                if alg.scheme.is_radical:
+                    taken["reduced"] += 1
+                    assert k == 1 and _true_index(alg, p) <= 1
+                elif k is None:
+                    taken["unknown"] += 1
+                else:
+                    assert k == _true_index(alg, p)
+                    taken[min(k, 2)] += 1
+                assert _same_span(alg._stable_image(p), ref._stable_image(p))
+                _, op, rational = alg._operator(p)
+                assert rational == all(not any(n[1:]) for row in op for _, n in row)
+            for _ in range(3):
+                polys = rng.sample(probes, rng.randint(1, 3))
+                assert alg.supported_length(polys) == ref.supported_length(polys)
+    assert set(taken) == {"reduced", "unknown", 0, 1, 2}
+
+
+def test_index_rule_agrees_with_rank_loop_random():
+    _index_rule_agrees_with_rank_loop(random.Random(2801), small_int)
+
+
+def test_index_rule_agrees_with_rank_loop_random_cyclo():
+    _index_rule_agrees_with_rank_loop(random.Random(2802), cyclo_coeff)
+
+
+def test_index_rule_on_the_chart_boundary_double_point():
+    # the conic [x, yz - w^2] meets the line [x, y] in a double point at
+    # (0:0:1:0), on the boundary of chart z (docs/DECISIONS.md D23): the
+    # chart scheme is (x, y, w^2), where mult-by-w has index 2
+    x, y, z, w = XYZW.gens()
+    chart = ChartData([x, y * z - w**2, x, y], 2)
+    assert chart.radical.degree == 1  # runs the eliminants of x, y and w
+    alg = chart.scheme.algebra
+    assert alg._nilpotency_index(chart.later[0]) == 2
+    assert (chart.length, chart.points) == (2, 1)
+    ref = _rank_loop(chart.scheme)
+    assert ref.supported_length(chart.later) == 2
+    w_ = chart.later[0]
+    assert _same_span(alg._stable_image(w_), ref._stable_image(w_))
+
+
+@pytest.mark.parametrize("name, runs", [("new_quintic", 13), ("vdgz_quintic", 6)])
+def test_divisibility_krylov_runs(name, runs, monkeypatch):
+    # the index rule reads minimal polynomials that radicals and point
+    # extraction have found; it runs no Krylov iteration of its own, and
+    # a repeated question is served by the memo (docs/DECISIONS.md D28)
+    seen = []
+    run = QuotientAlgebra._run_krylov
+
+    def counted(alg, p):
+        seen.append((alg, p.terms))
+        return run(alg, p)
+
+    monkeypatch.setattr(QuotientAlgebra, "_run_krylov", counted)
+    divisibility_pipeline(name)
+    assert len(seen) == len(set(seen)) == runs
+
+
+def test_stable_image_echelon_passes_on_vdgz_quintic(monkeypatch):
+    # the stable images of classify_all take 11 echelon passes with the
+    # index rule and 19 with the rank loop alone: a lost memo or index
+    # shows as a count, not only as time
+    passes = []
+    echelon = groebner._echelon
+
+    def counted(vectors):
+        passes.append(1)
+        return echelon(vectors)
+
+    monkeypatch.setattr(groebner, "_echelon", counted)
+    ent = catalog.get("vdgz_quintic")
+    classify_all(ent.poly, ent.name, action=ent.action)
+    assert len(passes) == 11
+    passes.clear()
+    monkeypatch.setattr(QuotientAlgebra, "_nilpotency_index", lambda alg, p: None)
+    classify_all(ent.poly, ent.name, action=ent.action)
+    assert len(passes) == 19
 
 
 def reference_krylov(alg, p):

@@ -5,7 +5,7 @@ import pytest
 
 from cuspidal import catalog, linalg
 from cuspidal.curvegeom import tangent_cone_lines
-from cuspidal.cyclofield import CycloElem
+from cuspidal.cyclofield import CycloElem, phi5_mul
 from cuspidal.multipoly import ProjPoint
 from cuspidal.singcert import local_surface
 
@@ -127,6 +127,31 @@ def test_raw_echelon_matches_reference_gauss_jordan(entry):
         ("deficient", True), ("deficient", False), ("full", False),
         "wide", "tall", "square", "zero row",
     }
+
+
+def test_apply_rational_loop_matches_general_loop():
+    # a rational operator (n1 = n2 = n3 = 0 at every entry) gives the same
+    # image by its 4-product loop as by the general loop, and both give
+    # the sum of phi5_mul products
+    rng = random.Random(2811)
+    zero = (0, 0, 0, 0)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        rows = []
+        for _ in range(n):
+            cols = sorted(rng.sample(range(n), rng.randint(0, n)))
+            rows.append([(j, (rng.randint(-9, 9), 0, 0, 0)) for j in cols])
+        v = [
+            zero if rng.random() < 0.3 else tuple(rng.randint(-9, 9) for _ in range(4))
+            for _ in range(n)
+        ]
+        want = []
+        for row in rows:
+            acc = zero
+            for j, m in row:
+                acc = tuple(a + b for a, b in zip(acc, phi5_mul(m, v[j])))
+            want.append(acc)
+        assert linalg._apply(rows, v, True) == linalg._apply(rows, v, False) == want
 
 
 def test_raw_echelon_edge_shapes():

@@ -541,6 +541,34 @@ def test_raw_products_and_powers_match_elementwise(kind, assert_canonical):
         assert_canonical(got)
 
 
+def test_pow_matches_repeated_products_with_fewest_products(monkeypatch):
+    # n = 0..9: the repeated product, from n.bit_length() - 1 squares and
+    # one product per further set bit, so no square past the top bit
+    # (s_5 of the VdGZ quintic once built (x+y+z+w)^8) and no product by 1
+    rng = random.Random(2821)
+    ring = Ring(("x", "y", "z"))
+    p = rand_poly(rng, ring, deg=2, nterms=4)
+    wants = [ring.one]
+    for _ in range(9):
+        wants.append(wants[-1] * p)
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for n, want in enumerate(wants):
+        calls.clear()
+        got = p**n
+        assert got == want and str(got) == str(want)
+        products = n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+        assert len(calls) == products
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 @pytest.mark.parametrize("kind", RAW_KINDS)
 def test_raw_subs_match_elementwise(kind, assert_canonical):
     # substitutions that leave some variables as they are, ring maps into a

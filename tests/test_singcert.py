@@ -5,9 +5,11 @@ from cuspidal.multipoly import ProjPoint, QZ5, jacobian
 from cuspidal.singcert import (
     SingularInCodimensionOne,
     classify_all,
+    chart_piece,
     classify_at_point,
     same_singular_locus,
     singular_scheme,
+    to_chart,
 )
 
 R = catalog.XYZW
@@ -19,6 +21,18 @@ def test_smooth_quadric_empty_scheme():
     assert rep.n_points == 0 and rep.tau_total == 0
     cert = classify_all(x**2 + y**2 + z**2 + w**2)
     assert cert.verdict == "smooth"
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_chart_piece_generators_are_monic(name):
+    # the dehomogenised Jacobian in its order, each made monic once, so
+    # that buchberger's monic() hands every one back as it is
+    parts = jacobian(catalog.get(name).poly)
+    for ci in range(4):
+        ring, gens, _ = chart_piece(parts, ci)
+        want = [to_chart(g, ci, ring) for g in parts]
+        assert [g.terms for g in gens] == [g.monic().terms for g in want if g]
+        assert all(g.monic() is g for g in gens)
 
 
 def test_positive_dimensional_reported():
