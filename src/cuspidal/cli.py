@@ -59,8 +59,11 @@ def _load_surface(arg, action_k):
             )
         return entry.name, entry.poly, entry.action
     if os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
+        try:
+            with open(arg) as fh:
+                text = fh.read()
+        except OSError as ev:  # a directory, or no read permission
+            raise ValueError("cannot read equation file %r: %s" % (arg, ev.strerror))
         poly = catalog.XYZW.parse(text)
         return os.path.basename(arg), poly, ActionK(action_k or 0)
     raise KeyError("unknown surface %r (not a catalog name or file)" % arg)

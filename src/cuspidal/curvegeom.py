@@ -14,6 +14,11 @@
   where the later coordinates vanish (`singcert.ChartData`,
   docs/DECISIONS.md D23), and over a cusp that of the blow-up chart
   scheme on its part of the exceptional plane (D19);
+* the degree-1 path: when every generator of the curves involved is a
+  linear form, the intersection away from the cusps is P(ker M) of the
+  stacked coefficient rows, and a line's row at a cusp is read off its
+  direction; anything else, or a premise that fails, takes the chart
+  schemes and strict transforms (D29);
 * self-intersections on the resolved quintic by adjunction with
   K = O(1) (crepancy of rational double point resolutions):
   C~^2 = 2 p_a(C~) - 2 - deg C.
@@ -21,6 +26,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import linalg
@@ -33,6 +39,7 @@ from .multipoly import (
     Ring,
     degrevlex_key,
     minors,
+    mono_deg,
     proportional,
     restrict_to_plane,
 )
@@ -296,10 +303,37 @@ def curve_lies_on(curve: CurveOnSurface, F: Poly) -> bool:
 # scheme-length helpers
 
 
+def linear_form_rows(gens):
+    """The coefficient rows of gens when every generator is a linear form
+    (all its terms of degree 1), else None: the input property that sends
+    a question to the degree-1 path (docs/DECISIONS.md D29)."""
+    if gens and all(mono_deg(e) == 1 for g in gens for e, _ in g.terms):
+        return [g.linear_coeffs() for g in gens]
+    return None
+
+
 def pair_intersection_away_from(curveC, curveD, excluded_points):
     """Total intersection length of two distinct curves outside the
     excluded points (exact; the ambient lengths equal surface intersection
-    multiplicities at smooth surface points)."""
+    multiplicities at smooth surface points).
+
+    When both curves are cut out by linear forms, V(C) meet V(D) is the
+    reduced linear space P(ker M), M the stacked coefficient rows: no
+    point has length 0, one point length 1 unless it is excluded
+    (docs/DECISIONS.md D29).  A larger kernel, or any other curve, takes
+    the chart pieces (`chart_pair_intersection`)."""
+    rows = linear_form_rows(curveC.gens + curveD.gens)
+    if rows is not None:
+        kern = linalg.kernel_basis(rows)
+        if len(kern) < 2:
+            return sum(1 for v in kern if ProjPoint(v) not in excluded_points)
+    return chart_pair_intersection(curveC, curveD, excluded_points)
+
+
+def chart_pair_intersection(curveC, curveD, excluded_points):
+    """`pair_intersection_away_from` by chart schemes, for any curves: the
+    length of each chart piece of V(C) meet V(D), less the supported
+    length at each excluded point of the piece (D23)."""
     total = 0
     for chart in _chart_pieces(curveC.gens + curveD.gens):
         length = chart.length
@@ -524,22 +558,26 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
     )
     res.smooth_verified = True
 
-    strict_gens = {}
     incident = []
     point = list(cusp.coords)
     for curve in curves:
-        # incidence is exact evaluation at the cusp; only a curve through
-        # it is shifted, and a generator that is S itself (the T3
-        # sections) is already shifted
+        # incidence is exact evaluation at the cusp
         if any(g.eval(point) for g in curve.gens):
             res.curve_rows[curve.name] = (0, 0)
-            continue
+        else:
+            incident.append(curve)
+
+    @functools.cache
+    def strict_gens_of(curve):
+        """Per blow-up chart, (mchart, bring, the strict transforms of the
+        curve's local generators).  Only a curve through the cusp is
+        shifted, and a generator that is S itself (the T3 sections) is
+        already shifted."""
         loc = [
             flocal if g is S else to_chart(g, ci, cring).subs(shift)
             for g in curve.gens
         ]
         loc = [g for g in loc if not g.is_zero]
-        incident.append(curve)
         per_chart = []
         for mchart, bring, images, fs in strict_by_chart:
             sg = []
@@ -548,7 +586,7 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
                 if not gs.is_zero:
                     sg.append(gs)
             per_chart.append((mchart, bring, sg))
-        strict_gens[curve.name] = per_chart
+        return per_chart
 
     # in blow-up chart m the exceptional line {l = 0} is cut out by the
     # strict transform of l
@@ -556,31 +594,60 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
         [strict_transform(l, bring, m)[0] for m, bring, _, _ in strict_by_chart]
         for l in (l1, l2)
     ]
+    # a line through the cusp meets the exceptional plane once,
+    # transversally, at its direction (docs/DECISIONS.md D29)
+    directions = {}
     for curve in incident:
+        v = _line_direction(curve.gens, ci)
+        if v is not None:
+            directions[curve.name] = v
+            res.curve_rows[curve.name] = tuple(
+                int(not l.eval(list(v.coords))) for l in (l1, l2)
+            )
+            res.curve_smooth[curve.name] = True
+            continue
         res.curve_rows[curve.name] = tuple(
             sum(
                 _exceptional_supported_length(sg + [bring.var("w_"), lc], bring, mchart)
-                for (mchart, bring, sg), lc in zip(strict_gens[curve.name], lines)
+                for (mchart, bring, sg), lc in zip(strict_gens_of(curve), lines)
             )
             for lines in lines_by_chart
         )
         res.curve_smooth[curve.name] = _curve_smooth_over_exceptional(
-            strict_gens[curve.name]
+            strict_gens_of(curve)
         )
 
     for a in range(len(incident)):
         for b in range(a + 1, len(incident)):
             cu, cv = incident[a], incident[b]
-            length = 0
-            for pos in range(3):
-                mchart, bring, sg_u = strict_gens[cu.name][pos]
-                _, _, sg_v = strict_gens[cv.name][pos]
-                length += _exceptional_supported_length(
-                    list(sg_u) + list(sg_v), bring, mchart
+            du, dv = directions.get(cu.name), directions.get(cv.name)
+            if du is not None and dv is not None and du != dv:
+                # lines with distinct directions: disjoint strict transforms
+                length = 0
+            else:
+                length = sum(
+                    _exceptional_supported_length(sg_u + sg_v, bring, mchart)
+                    for (mchart, bring, sg_u), (_, _, sg_v) in zip(
+                        strict_gens_of(cu), strict_gens_of(cv)
+                    )
                 )
             res.pair_over_cusp[(cu.name, cv.name)] = length
             res.pair_over_cusp[(cv.name, cu.name)] = length
     return res
+
+
+def _line_direction(gens, chart_index):
+    """The direction, as a point of the exceptional plane, of the line
+    that the linear forms gens cut out through a point of chart
+    chart_index, or None when gens are not all linear forms or do not cut
+    out a line.  A linear form vanishing at the point has, in the shifted
+    chart coordinates, its own coefficients less the chart one as its
+    local form, so the direction spans their kernel."""
+    rows = linear_form_rows(gens)
+    if rows is None:
+        return None
+    kern = linalg.kernel_basis([r[:chart_index] + r[chart_index + 1 :] for r in rows])
+    return ProjPoint(kern[0]) if len(kern) == 1 else None
 
 
 def _curve_smooth_over_exceptional(per_chart):

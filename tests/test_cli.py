@@ -34,12 +34,19 @@ def _modules_loaded_by(code):
 
 def test_cli_import_leaves_out_point_extraction_modules():
     # modp serves point extraction and the cusp geometry of the
-    # divisibility and reproduce commands, so a CLI process that runs
-    # neither does not compile it; extfield is a leaf that no module
-    # imports: importing every other module leaves it out
+    # divisibility and reproduce commands, and curvegeom, pipeline and
+    # lattice serve only divisibility, so a CLI process that runs neither
+    # (surface-report) does not compile them; extfield is a leaf that no
+    # module imports: importing every other module leaves it out
     loaded = _modules_loaded_by("import cuspidal.cli")
     assert "cuspidal.groebner" in loaded
-    assert not loaded & {"cuspidal.extfield", "cuspidal.modp"}
+    assert not loaded & {
+        "cuspidal.extfield",
+        "cuspidal.modp",
+        "cuspidal.curvegeom",
+        "cuspidal.pipeline",
+        "cuspidal.lattice",
+    }
     package = os.path.dirname(os.path.abspath(cli.__file__))
     others = sorted(
         "cuspidal." + name[:-3]
@@ -580,8 +587,9 @@ def test_entry_path_prints_the_report_of_main(tmp_path, capsys):
     [
         ("--json", "surface-report", "new_quartic", "--chart", "w"),
         ("--json", "surface-report", "nonsense"),
+        ("--json", "surface-report", SRC),
     ],
-    ids=["usage", "unknown_name"],
+    ids=["usage", "unknown_name", "directory"],
 )
 def test_entry_path_usage_error(tmp_path, argv):
     code, out, err = run_entry(tmp_path, *argv)

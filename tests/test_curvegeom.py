@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from cuspidal import catalog, modp
+from cuspidal import catalog, curvegeom, modp
 from cuspidal.cyclofield import ALPHA, CycloElem
 from cuspidal.curvegeom import (
     CurveOnSurface,
@@ -11,6 +12,7 @@ from cuspidal.curvegeom import (
     SquareRootFailure,
     _exceptional_supported_length,
     blow_up_charts,
+    chart_pair_intersection,
     curve_lies_on,
     curve_singular_points,
     find_tropes,
@@ -21,7 +23,9 @@ from cuspidal.curvegeom import (
     strict_transform,
     tangent_cone_lines,
 )
+from cuspidal.groebner import NotZeroDimensional
 from cuspidal.multipoly import ProjPoint, proportional, restrict_to_plane
+from cuspidal.pipeline import divisibility_pipeline
 from cuspidal.singcert import chart_ring, degree_part, local_surface
 from cuspidal.zfive import ActionK, orbits
 
@@ -313,6 +317,124 @@ def test_pair_intersection_tangential():
     assert pair_intersection_away_from(conic, secant, []) == 2
     assert pair_intersection_away_from(conic, secant, [p0]) == 1
     assert pair_intersection_away_from(conic, secant, [p1]) == 1
+
+
+# -- the degree-1 path (docs/DECISIONS.md D29) -----------------------------
+
+
+def vdgz_line_curves():
+    return [CurveOnSurface(label, forms, 1, 0) for label, forms in catalog.vdgz_lines()]
+
+
+def through(curve, point):
+    return not any(g.eval(list(point.coords)) for g in curve.gens)
+
+
+@pytest.mark.parametrize("excluded", ["cusps", "none"])
+def test_linear_pair_intersection_matches_chart_pieces(excluded, monkeypatch):
+    # all 105 pairs of the 15 VdGZ lines: P(ker M) gives the chart-piece
+    # length, with and without the 15 cusps excluded
+    points = catalog.vdgz_cusps() if excluded == "cusps" else []
+    pairs = list(itertools.combinations(vdgz_line_curves(), 2))
+    want = [chart_pair_intersection(C, D, points) for C, D in pairs]
+    # the linear path answers every pair: the chart pieces are not reached
+    monkeypatch.setattr(curvegeom, "chart_pair_intersection", None)
+    got = [pair_intersection_away_from(C, D, points) for C, D in pairs]
+    assert len(got) == 105 and got == want
+    assert sum(got) == {"cusps": 30, "none": 45}[excluded]
+
+
+def test_line_rows_over_cusps_match_strict_transforms(monkeypatch):
+    # at each of the 15 VdGZ cusps, the rows, pair lengths and smoothness
+    # of the 15 lines read off their directions equal those of the
+    # strict transforms
+    S = catalog.get("vdgz_quintic").poly
+    lines = vdgz_line_curves()
+    cusps = catalog.vdgz_cusps()
+    with monkeypatch.context() as m:
+        # no strict-transform length on the linear path
+        m.setattr(curvegeom, "_exceptional_supported_length", None)
+        m.setattr(curvegeom, "_curve_smooth_over_exceptional", None)
+        linear = [resolve_cusp(S, p, lines) for p in cusps]
+    monkeypatch.setattr(curvegeom, "linear_form_rows", lambda gens: None)
+    strict = [resolve_cusp(S, p, lines) for p in cusps]
+    for cusp, a, b in zip(cusps, linear, strict):
+        assert a.curve_rows == b.curve_rows
+        assert a.pair_over_cusp == b.pair_over_cusp
+        assert a.curve_smooth == b.curve_smooth
+        # two lines through each cusp, one on each exceptional line
+        on = [c.name for c in lines if through(c, cusp)]
+        assert sorted(a.curve_rows[n] for n in on) == [(0, 1), (1, 0)]
+        assert set(a.pair_over_cusp.values()) == {0}
+        assert set(a.curve_smooth) == set(on)
+
+
+def test_line_tangent_to_a_conic_takes_the_strict_path(
+    new_divisibility, node_data, monkeypatch
+):
+    # the line tangent to the conic T1.0 at a cusp shares its direction
+    # there: the pair's length over the cusp comes from the strict
+    # transforms and is 1, while the line's own row is read off its
+    # direction
+    S = catalog.get("new_quintic").poly
+    conic = new_divisibility.families[0][0]
+    plane, quad = conic.gens
+    cusp = next(p for p in node_data["cusps"] if through(conic, p))
+    at = list(cusp.coords)
+    tangent_plane = R.linear_form([quad.partial(i).eval(at) for i in range(4)])
+    line = CurveOnSurface("tangent", [plane, tangent_plane], 1, 0)
+    assert through(line, cusp)
+    calls = []
+    length = curvegeom._exceptional_supported_length
+
+    def counted(gens, bring, mchart):
+        calls.append(mchart)
+        return length(gens, bring, mchart)
+
+    monkeypatch.setattr(curvegeom, "_exceptional_supported_length", counted)
+    res = resolve_cusp(S, cusp, [conic, line])
+    assert res.pair_over_cusp[("T1.0", "tangent")] == 1
+    assert res.pair_over_cusp[("tangent", "T1.0")] == 1
+    assert res.curve_rows == {"T1.0": (0, 1), "tangent": (0, 1)}
+    assert res.curve_smooth == {"T1.0": True, "tangent": True}
+    # six lengths for the conic's row, three for the pair, none for the
+    # line's row
+    assert len(calls) == 9
+
+
+def test_one_line_twice_fails_as_before():
+    # the same line under other generators: the kernel is a plane, so
+    # the chart pieces find a curve; at a cusp on it the two directions
+    # agree, so the strict transforms find a shared component
+    lines = vdgz_line_curves()
+    line = lines[0]
+    f, g = line.gens
+    again = CurveOnSurface("again", [f + g, f - g], 1, 0)
+    cusps = catalog.vdgz_cusps()
+    for points in ([], cusps):
+        with pytest.raises(NotZeroDimensional):
+            pair_intersection_away_from(line, again, points)
+    cusp = next(p for p in cusps if through(line, p))
+    with pytest.raises(ResolutionError, match="share a component"):
+        resolve_cusp(catalog.get("vdgz_quintic").poly, cusp, [line, again])
+
+
+@pytest.mark.parametrize("name, fired", [("new_quintic", 0), ("vdgz_quintic", 33)])
+def test_linear_path_fires_only_on_lines(name, fired, monkeypatch):
+    # the conics and plane sections of the new quintic never take the
+    # degree-1 path; on VdGZ it answers the 27 pair intersections and the
+    # 6 lines through the three cusp representatives
+    seen = []
+    rows_of = curvegeom.linear_form_rows
+
+    def counted(gens):
+        rows = rows_of(gens)
+        seen.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(curvegeom, "linear_form_rows", counted)
+    divisibility_pipeline(name)
+    assert seen and sum(seen) == fired
 
 
 def test_t3_member_has_five_double_points(new_divisibility):
