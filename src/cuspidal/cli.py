@@ -84,15 +84,10 @@ def cmd_surface_report(args):
     report["pass"] = ok
     if args.transcript:
         report["transcript"] = {
-            "chart_gb_sizes": [
-                len(c.scheme.gb.polys) if c else None for c in cert.report.charts
-            ],
-            "chart_degrees": [
-                c.scheme.degree if c else None for c in cert.report.charts
-            ],
-            "chart_points": [
-                c.radical.degree if c else None for c in cert.report.charts
-            ],
+            # classify_all has raised unless every chart is zero-dimensional
+            "chart_gb_sizes": [len(c.scheme.gb.polys) for c in cert.report.charts],
+            "chart_degrees": [c.scheme.degree for c in cert.report.charts],
+            "chart_points": [p["chart_points"] for p in cert.report.pieces],
         }
     _emit(args, report)
     return 0 if ok else 1

@@ -380,7 +380,6 @@ class CuspResolution:
         self.curve_rows = {}
         self.pair_over_cusp = {}
         self.curve_smooth = {}
-        self.smooth_verified = False
 
     @property
     def transcripts(self):
@@ -556,7 +555,6 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
         cring.vars,
         [(mchart, images, fs) for mchart, _, images, fs in strict_by_chart],
     )
-    res.smooth_verified = True
 
     incident = []
     point = list(cusp.coords)

@@ -601,9 +601,11 @@ class QuotientAlgebra:
     once.  A stable image takes as many echelon passes as the nilpotency
     index of its operator when that index is known for free: at most 1
     on a reduced scheme, else the order at t = 0 of a minimal polynomial
-    that `krylov` has already found; the radical's eliminants of the
-    chart variables are those.  Otherwise the passes run until the rank
-    holds (docs/DECISIONS.md D28).
+    that `krylov` has already found.  Only the last chart's scheme has
+    such polynomials from `singcert`, the eliminants of its radical;
+    every other chart takes no radical, its piece ideal does (D30).
+    Otherwise the passes run until the rank holds (docs/DECISIONS.md
+    D28).
     """
 
     def __init__(self, scheme: ZeroDimScheme):

@@ -55,10 +55,10 @@ PUBLISHED_NULLSPACE = (2, 4, 2, -2, -2, -4, -3, 3, 0)
 
 
 class IntersectionLattice:
-    def __init__(self, matrix, labels=LABELS, assumptions=None):
-        self.labels = tuple(labels)
+    """A symmetric integer matrix on the classes of `LABELS`."""
+
+    def __init__(self, matrix):
         self.matrix = [list(map(int, row)) for row in matrix]
-        self.assumptions = dict(assumptions or ASSUMPTIONS)
         n = len(self.matrix)
         for row in self.matrix:
             if len(row) != n:
@@ -75,7 +75,7 @@ class IntersectionLattice:
         """The same lattice presented with cusps permuted/swapped."""
         idx = _relabel_index(cusp_permutation, per_cusp_swaps, t_swap)
         m = [[self.matrix[i][j] for j in idx] for i in idx]
-        return IntersectionLattice(m, self.labels, self.assumptions)
+        return IntersectionLattice(m)
 
 
 def _relabel_index(cusp_permutation, per_cusp_swaps, t_swap):
@@ -136,13 +136,13 @@ def _primitive_int(v):
 class DivisibilityCertificate:
     """The 3-divisibility relation extracted from the nullspace vector."""
 
-    def __init__(self, vector, swaps, t_swap, mod3, M, assumptions):
+    def __init__(self, vector, swaps, t_swap, mod3, M):
         self.vector = tuple(vector)
         self.swaps = tuple(swaps)  # per-cusp label swaps applied
         self.t_swap = t_swap
         self.mod3 = tuple(mod3)
         self.M = tuple(M)  # integral divisor coefficients: L = 2t - M
-        self.assumptions = dict(assumptions)
+        self.assumptions = dict(ASSUMPTIONS)
 
     def relation_text(self):
         """The divisibility relation in the lattice's own labels (the mod-3
@@ -200,9 +200,7 @@ def divisibility_certificate(lattice: IntersectionLattice, v) -> DivisibilityCer
             ):
                 pattern = [2, 1, 2, 1, 2, 1, 0, 0, 0]
                 M = [(a - b) // 3 for a, b in zip(w, pattern)]
-                return DivisibilityCertificate(
-                    w, swaps, t_swap, mod3, M, lattice.assumptions
-                )
+                return DivisibilityCertificate(w, swaps, t_swap, mod3, M)
     raise NoDivisibilityPattern(
         "no mod-3 labelling produces the (2,1) cusp pattern"
     )
@@ -301,7 +299,7 @@ def mat_vec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
-def match_published(matrix, published=PUBLISHED_MATRIX, skip_entries=()):
+def match_published(matrix, skip_entries=()):
     """Find a relabelling carrying matrix onto the published display.
 
     Searched: permutations of the three cusp blocks, per-cusp swaps, and
@@ -315,7 +313,7 @@ def match_published(matrix, published=PUBLISHED_MATRIX, skip_entries=()):
             for t_swap in (False, True):
                 idx = _relabel_index(perm, swaps, t_swap)
                 if all(
-                    matrix[idx[i]][idx[j]] == published[i][j]
+                    matrix[idx[i]][idx[j]] == PUBLISHED_MATRIX[i][j]
                     for i in range(9)
                     for j in range(9)
                     if (i, j) not in skip
@@ -324,10 +322,10 @@ def match_published(matrix, published=PUBLISHED_MATRIX, skip_entries=()):
                         {
                             "position": [i, j],
                             "computed": matrix[idx[i]][idx[j]],
-                            "published": published[i][j],
+                            "published": PUBLISHED_MATRIX[i][j],
                         }
                         for (i, j) in sorted(skip)
-                        if matrix[idx[i]][idx[j]] != published[i][j]
+                        if matrix[idx[i]][idx[j]] != PUBLISHED_MATRIX[i][j]
                     ]
                     return {
                         "cusp_permutation": list(perm),
@@ -338,7 +336,7 @@ def match_published(matrix, published=PUBLISHED_MATRIX, skip_entries=()):
     return None
 
 
-def assemble(a_rows, t_pair_totals, t_self, labels=LABELS) -> IntersectionLattice:
+def assemble(a_rows, t_pair_totals, t_self) -> IntersectionLattice:
     """Build the 9x9 quotient lattice.
 
     a_rows: per cusp orbit i (0..2), per T family j (0..2), the pair
@@ -364,4 +362,4 @@ def assemble(a_rows, t_pair_totals, t_self, labels=LABELS) -> IntersectionLattic
         m[6 + j][6 + i] = val
     for j in range(3):
         m[6 + j][6 + j] = t_self[j]
-    return IntersectionLattice(m, labels)
+    return IntersectionLattice(m)

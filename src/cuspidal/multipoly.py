@@ -371,30 +371,22 @@ class Poly:
 
     # -- substitution ------------------------------------------------------
 
-    def subs(self, assignment, ring=None):
+    def subs(self, assignment):
         """Substitute {var index or name: Poly or scalar} simultaneously.
 
-        Unassigned variables stay.  With ``ring``, a ring map into that
-        ring: the images and scalars live there, and every variable must
-        be assigned (ValueError otherwise).  The powers of each image are
-        built by successive products and cached per variable; each term's
-        product of image powers is expanded into one dict of raw sums,
-        which is sorted and brought to lowest terms once.
+        Unassigned variables stay.  The powers of each image are built by
+        successive products and cached per variable; each term's product
+        of image powers is expanded into one dict of raw sums, which is
+        sorted and brought to lowest terms once.
         """
-        src = self.ring
-        target = src if ring is None else ring
-        images = [None] * src.nvars
+        ring = self.ring
+        images = [ring.var(v) for v in ring.vars]
         for k, v in assignment.items():
-            i = k if isinstance(k, int) else src.vars.index(k)
-            images[i] = v if isinstance(v, Poly) else target.from_scalar(v)
-        for i, v in enumerate(images):
-            if v is None:
-                if ring is not None:
-                    raise ValueError("ring map leaves %s unassigned" % src.vars[i])
-                images[i] = target.var(src.vars[i])
-        one = target.one
+            i = k if isinstance(k, int) else ring.vars.index(k)
+            images[i] = v if isinstance(v, Poly) else ring.from_scalar(v)
+        one = ring.one
         powers = [[one, v] for v in images]
-        zero = target._zero_mono
+        zero = ring._zero_mono
         out = {}
         for e, c in self.terms:
             factors = []
@@ -408,7 +400,7 @@ class Poly:
             for fac in factors[:-1]:
                 part = _mul_terms_into({}, part, fac).items()
             _mul_terms_into(out, part, factors[-1] if factors else one.terms)
-        return target._from_products(out)
+        return ring._from_products(out)
 
     def eval(self, coords):
         """Full evaluation at a point; the terms' values are summed on raw

@@ -155,7 +155,7 @@ class DivisibilityResult:
         cert = self.certificate
         report = {
             "surface": self.surface,
-            "labels": list(self.lattice.labels),
+            "labels": list(lattice.LABELS),
             "matrix": self.lattice.matrix,
             "det": self.lattice.determinant(),
             "nullspace": [list(v) for v in self.nullspace_basis],
@@ -240,9 +240,7 @@ def divisibility_pipeline(name):
     resolutions = []
     for r, rep in enumerate(reps):
         res = resolve_cusp(S, rep, all_curves)
-        ok = res.smooth_verified and all(
-            res.curve_smooth.get(c.name, True) for c in all_curves
-        )
+        ok = all(res.curve_smooth.get(c.name, True) for c in all_curves)
         stages.check(
             "cusp_resolution_%d" % (r + 1),
             ok,

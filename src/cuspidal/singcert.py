@@ -5,14 +5,15 @@ pieces matching the projective normalization (last nonzero coordinate
 = 1), so every singular point is counted exactly once.  Piece ci lies in
 affine chart ci where the later coordinates vanish.  `ChartData` is the
 one chart-piece object, here and in `curvegeom`: one small Buchberger
-run on the chart's generators plus those coordinates tests the piece
-for emptiness, and the chart's own scheme and radical are built only
+run on the chart's generators plus those coordinates, the piece ideal,
+tests the piece for emptiness, and the chart's own scheme is built only
 for a nonempty piece and for the last chart (docs/DECISIONS.md D10).
-A piece's length (here its Tjurina degree) and its distinct-point count
-are the lengths of the chart scheme and of the chart radical supported
-where the later coordinates vanish, read from stable images of their
-multiplication matrices (D3, D23).  The degree and point count of a
-chart that is not built are summed from the pieces it meets.
+A piece's length (here its Tjurina degree) is the length of the chart
+scheme supported where the later coordinates vanish, read from stable
+images of its multiplication matrices (D3, D23); its distinct-point
+count is the degree of the radical of the piece ideal (D30).  Every
+chart's degree and point count are summed by one rule from its own
+piece and the later pieces it meets.
 
 Classification is by Hessian rank stratification plus Tjurina
 accounting and never needs point coordinates:
@@ -38,7 +39,6 @@ from itertools import combinations
 from . import linalg
 from .cyclofield import ZERO
 from .groebner import (
-    GroebnerBasis,
     NotZeroDimensional,
     ZeroDimScheme,
     buchberger,
@@ -75,14 +75,15 @@ class ChartData:
     """Affine chart ci of V(gens) in P^n and its piece, the points whose
     last nonzero coordinate is x_ci (`chart_piece`).
 
-    `empty` tests the piece by one Buchberger run on gens + later, so an
-    empty piece never builds its chart; the last chart's piece is the
-    whole chart and takes no test (docs/DECISIONS.md D10).  The chart's
-    run (`scheme`) and its radical are made on first use.  The piece's
-    length and point count are the supported lengths on {later = 0} of
-    the chart scheme and of the chart radical (D3): slicing the scheme by
-    the later coordinates would undercount a non-reduced point on the
-    chart boundary (D23).
+    The piece ideal is gens + later.  Its one Buchberger run
+    (`piece_basis`) is the emptiness test, so an empty piece never builds
+    its chart; the last chart's piece is the whole chart and takes no
+    test (docs/DECISIONS.md D10).  The chart's run (`scheme`) is made on
+    first use.  The piece's length is the supported length on
+    {later = 0} of the chart scheme (D3): slicing the scheme by the later
+    coordinates would undercount a non-reduced point on the chart
+    boundary (D23).  Its points are the degree of `piece_radical`, the
+    radical of the piece ideal (D30).
     """
 
     def __init__(self, gens, chart_index):
@@ -90,18 +91,16 @@ class ChartData:
         self.ring, self.gens, self.later = chart_piece(gens, chart_index)
 
     @cached_property
+    def piece_basis(self):
+        return buchberger(self.gens + self.later, ring=self.ring)
+
+    @cached_property
     def empty(self):
-        if not self.later:
-            return False
-        return buchberger(self.gens + self.later, ring=self.ring).is_trivial()
+        return bool(self.later) and self.piece_basis.is_trivial()
 
     @cached_property
     def scheme(self):
         return zero_dim_analyze(buchberger(self.gens, ring=self.ring))
-
-    @cached_property
-    def radical(self):
-        return radical_zero_dim(self.scheme)
 
     @cached_property
     def length(self):
@@ -109,20 +108,18 @@ class ChartData:
 
     @cached_property
     def points(self):
-        return 0 if self.empty else self.radical.algebra.supported_length(self.later)
+        return self.piece_radical.degree
 
     @cached_property
     def piece_radical(self):
-        """The piece's points as a radical scheme: the chart radical cut by
-        the later coordinates, which stays reduced (a subscheme of a
-        reduced zero-dimensional scheme is reduced); degree 0, with the
-        chart unbuilt, for an empty piece."""
+        """The piece's points as a radical scheme: the Seidenberg radical
+        of the piece ideal, of the chart scheme itself for the last chart;
+        degree 0, with the chart unbuilt, for an empty piece."""
         if self.empty:
-            return ZeroDimScheme(GroebnerBasis(self.ring, [self.ring.one]), ())
+            return ZeroDimScheme(self.piece_basis, ())
         if not self.later:
-            return self.radical
-        gb = buchberger(list(self.radical.gb.polys) + self.later, ring=self.ring)
-        return ZeroDimScheme(gb, zero_dim_analyze(gb).std_monomials, is_radical=True)
+            return radical_zero_dim(self.scheme)
+        return radical_zero_dim(zero_dim_analyze(self.piece_basis))
 
 
 class SingularSchemeReport:
@@ -169,6 +166,8 @@ def singular_scheme(F: Poly) -> SingularSchemeReport:
     is nonempty or it is the last chart (docs/DECISIONS.md D10)."""
     if not F.is_homogeneous():
         raise ValueError("surface polynomial must be homogeneous")
+    if F.degree() < 1:
+        raise ValueError("surface polynomial must not be a constant")
     ring = F.ring
     parts = jacobian(F)
     charts = [ChartData(parts, ci) for ci in range(ring.nvars)]
@@ -187,26 +186,23 @@ def singular_scheme(F: Poly) -> SingularSchemeReport:
 
 
 def _pieces(ring, charts):
-    """One report row per chart.  A chart whose piece is empty is not
-    built: its degree and point count add up, over the later nonempty
-    pieces, the length and the points off the plane x_ci = 0
-    (docs/DECISIONS.md D10)."""
+    """One report row per chart.  The degree and point count of chart ci
+    add, to its own piece's length and points, the length and the points
+    off the plane x_ci = 0 of each later nonempty piece, so a chart whose
+    piece is empty is never built (docs/DECISIONS.md D10, D30)."""
     pieces = []
     for ci, chart in enumerate(charts):
-        if not chart.empty:
-            degree, points = chart.scheme.degree, chart.radical.degree
-        else:
-            degree = points = 0
-            for k in charts[ci + 1 :]:
-                if not k.points:
-                    continue
-                on = k.later + [k.ring.var(ring.vars[ci])]
-                # points and length of piece k on the plane x_ci = 0: with
-                # no point there, there is no length either
-                on_points = k.radical.algebra.supported_length(on)
-                on_length = on_points and k.scheme.algebra.supported_length(on)
-                points += k.points - on_points
-                degree += k.length - on_length
+        degree, points = chart.length, chart.points
+        for k in charts[ci + 1 :]:
+            if not k.points:
+                continue
+            x = k.ring.var(ring.vars[ci])
+            # points and length of piece k on the plane x_ci = 0: with no
+            # point there, there is no length either
+            on_points = k.piece_radical.algebra.supported_length([x])
+            on_length = on_points and k.scheme.algebra.supported_length(k.later + [x])
+            points += k.points - on_points
+            degree += k.length - on_length
         pieces.append(
             {
                 "chart": ring.vars[ci],

@@ -23,7 +23,7 @@ from math import prod
 
 from .cyclofield import ONE, CycloElem, as_cyclo
 from .linalg import kernel_basis
-from .multipoly import Poly, ProjPoint, Ring, degrevlex_key
+from .multipoly import Poly, ProjPoint, degrevlex_key
 
 
 def orbit(x, step):
@@ -73,22 +73,18 @@ def degree_monomials(d: int):
     return sorted(expos, key=degrevlex_key, reverse=True)
 
 
-def invariant_basis(d: int, k: int, ring: Ring | None = None):
+def invariant_basis(d: int, k: int):
     """All degree-d monomials that a_k fixes, as exponent tuples.
 
-    Deterministic order: descending degrevlex.  Pass a ring to get Poly
-    generators instead of raw exponent tuples.
+    Deterministic order: descending degrevlex.
     """
     diag = [row[i] for i, row in enumerate(ActionK(k).matrix)]
     powers = [[c**n for n in range(d + 1)] for c in diag]
-    expos = [
+    return [
         e
         for e in degree_monomials(d)
         if prod(p[n] for p, n in zip(powers, e)) == ONE
     ]
-    if ring is None:
-        return expos
-    return [Poly(ring, ((e, ONE),)) for e in expos]
 
 
 class FreeActionVerdict:

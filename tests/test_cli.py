@@ -379,6 +379,10 @@ PINNED_TRANSCRIPT_REPORTS = {
     # its chart_gb_sizes read all four chart bases, three of them served
     # by groebner's table of repeated ideals (docs/DECISIONS.md D14)
     ("surface-report", "vdgz_quintic"): "d73992ab94a857f666ca4ba1cac316a372031df89d6d2e458a00415ea27deb3f",
+    # the catalog surfaces with a nonempty piece off chart w, so their
+    # chart rows sum a built chart's own piece with the later ones (D30)
+    ("surface-report", "new_quartic"): "4690ed1dd394ba6688c42c3dfcdca440421da48d10b2b8a79ffa1dc5849ae0fd",
+    ("surface-report", "vdgz_quartic"): "58880e87ae7519f862fb268e4b17d4e05db7a8b178932941f7c01f305be3bed7",
 }
 
 
@@ -422,6 +426,19 @@ def test_surface_report_locus_not_closed_under_action(tmp_path, capsys):
         "singular locus not closed under the action: 1 singular points off "
         "the fixed locus, not a multiple of 5"
     )
+
+
+@pytest.mark.parametrize("text", ["0", "1", "e", "x^2+y"])
+def test_surface_report_rejects_a_file_that_is_no_surface(text, tmp_path, capsys):
+    # a constant defines no surface (V(1) is empty, V(0) all of P^3), and
+    # neither does an inhomogeneous polynomial: a usage error, not a
+    # certificate
+    f = tmp_path / "not_a_surface.txt"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err.strip().splitlines()[-1])
 
 
 def test_surface_report_vdgz_quintic_file_under_a0(tmp_path, capsys):

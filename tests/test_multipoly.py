@@ -8,7 +8,6 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, XYZW
-from cuspidal.curvegeom import blow_up_charts
 from cuspidal.cyclofield import ALPHA, ONE, ZERO, CycloElem, ratio
 from cuspidal.groebner import buchberger, normal_form, zero_dim_analyze
 from cuspidal.multipoly import (
@@ -358,22 +357,6 @@ def reference_subs(p, assignment):
     return out
 
 
-def reference_poly_map(p, target, images):
-    """The ring map `curvegeom.poly_map` of before D12: images[i], a
-    target Poly, for variable i, term by term."""
-    out = target.zero
-    cache = {}
-    for e, c in p.terms:
-        term = target.from_scalar(c)
-        for i, k in enumerate(e):
-            if k:
-                if (i, k) not in cache:
-                    cache[(i, k)] = images[i] ** k
-                term = term * cache[(i, k)]
-        out = out + term
-    return out
-
-
 def _rand_scalar(rng):
     return CycloElem([ratio(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
 
@@ -417,26 +400,6 @@ def test_subs_matches_reference_random():
     assert seen == set(kinds)
 
 
-def test_subs_ring_map_matches_reference():
-    # the blow-up charts' monomial images, and random linear images into a
-    # larger ring; a ring map must assign every variable
-    rng = random.Random(6262)
-    cring = Ring(("x", "y", "z"))
-    big = Ring(("a", "b", "c", "d"))
-    for trial in range(12):
-        p = rand_poly(rng, cring, deg=5, nterms=10)
-        for _, bring, images in blow_up_charts(cring):
-            got = p.subs(dict(enumerate(images)), ring=bring)
-            want = reference_poly_map(p, bring, images)
-            assert got == want and str(got) == str(want)
-        images = [_rand_image(rng, big, "linear") for _ in range(3)]
-        got = p.subs(dict(enumerate(images)), ring=big)
-        assert got == reference_poly_map(p, big, images)
-    _, bring, images = blow_up_charts(cring)[0]
-    with pytest.raises(ValueError):
-        p.subs({0: images[0], 2: images[2]}, ring=bring)
-
-
 # -- raw Q(zeta5) arithmetic against the element-wise loop (D15) --------------
 
 
@@ -453,12 +416,13 @@ def elementwise_mul(a, b):
     return a.ring.from_terms(acc.items())
 
 
-def elementwise_subs(p, images, target):
-    """The ring map sending variable i to images[i], term by term on
+def elementwise_subs(p, images):
+    """The substitution sending variable i to images[i], term by term on
     `elementwise_mul`, the terms added one at a time."""
-    out = target.zero
+    ring = p.ring
+    out = ring.zero
     for e, c in p.terms:
-        term = target.from_scalar(c)
+        term = ring.from_scalar(c)
         for i, k in enumerate(e):
             for _ in range(k):
                 term = elementwise_mul(term, images[i])
@@ -571,12 +535,10 @@ def test_pow_matches_repeated_products_with_fewest_products(monkeypatch):
 
 @pytest.mark.parametrize("kind", RAW_KINDS)
 def test_raw_subs_match_elementwise(kind, assert_canonical):
-    # substitutions that leave some variables as they are, ring maps into a
-    # larger ring, and the blow-up charts' monomial ring maps
+    # substitutions of scalars and linear forms that leave some variables
+    # as they are
     rng = random.Random(1616)
     cring = Ring(("x", "y", "z"))
-    big = Ring(("a", "b", "c", "d"))
-    charts = blow_up_charts(cring)
     for trial in range(24):
         p = kind_poly(rng, cring, kind, deg=4, nterms=8)
         assignment = {}
@@ -589,16 +551,10 @@ def test_raw_subs_match_elementwise(kind, assert_canonical):
             v if isinstance(v, Poly) else cring.from_scalar(v)
             for v in (assignment.get(i, g) for i, g in enumerate(cring.gens()))
         ]
-        maps = [(assignment, None, images, cring)]
-        images = [kind_linear(rng, big, kind) for _ in range(3)]
-        maps.append((dict(enumerate(images)), big, images, big))
-        _, bring, images = charts[trial % len(charts)]
-        maps.append((dict(enumerate(images)), bring, images, bring))
-        for assignment, ring, images, target in maps:
-            got = p.subs(assignment, ring=ring)
-            want = elementwise_subs(p, images, target)
-            assert got == want and str(got) == str(want)
-            assert_canonical(got)
+        got = p.subs(assignment)
+        want = elementwise_subs(p, images)
+        assert got == want and str(got) == str(want)
+        assert_canonical(got)
 
 
 @pytest.mark.parametrize("kind", RAW_KINDS)

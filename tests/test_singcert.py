@@ -1,6 +1,7 @@
 import pytest
 
 from cuspidal import catalog
+from cuspidal.groebner import buchberger, radical_zero_dim
 from cuspidal.multipoly import ProjPoint, QZ5, jacobian
 from cuspidal.singcert import (
     SingularInCodimensionOne,
@@ -197,7 +198,7 @@ def test_hessian_minor_vectors_match_ambient_minors(fixture, request):
     charts = [c for c in cert.report.charts if c is not None and c.scheme.degree]
     assert charts
     for chart in charts:
-        alg = QuotientAlgebra(chart.radical)
+        alg = QuotientAlgebra(radical_zero_dim(chart.scheme))
         got = hessian_minor_vectors(alg, H, chart.chart_index)
         for k, vecs in zip((2, 3), got):
             want = [
@@ -210,20 +211,42 @@ def test_hessian_minor_vectors_match_ambient_minors(fixture, request):
 FOUR_A1_QUARTIC = "y^2*(x^2+z^2)+z^2*(x^2+w^2)+w^2*(x^2+y^2)+x*y*z*w"
 
 
-@pytest.mark.parametrize(
+SEVEN_SURFACES = pytest.mark.parametrize(
     "text",
     catalog.names() + [A2_PLUS_A1, A4_QUINTIC, FOUR_A1_QUARTIC],
     ids=catalog.names() + ["A2_plus_A1", "A4_quintic", "four_A1"],
 )
+
+
+def _surface(text):
+    return catalog.get(text).poly if text in catalog.names() else R.parse(text)
+
+
+@SEVEN_SURFACES
 def test_derived_chart_counts_match_built_charts(text):
-    # a chart with an empty piece is not built; its degree and point count
-    # are derived from the later pieces and must equal the chart's own
-    F = catalog.get(text).poly if text in catalog.names() else R.parse(text)
-    rep = singular_scheme(F)
+    # every chart's degree and point count are summed from its own piece
+    # and the later pieces (docs/DECISIONS.md D10, D30); they must equal
+    # the degrees of the chart scheme and of its radical, built here
+    rep = singular_scheme(_surface(text))
     assert len(rep.pieces) == len(rep.charts) == 4
     for piece, chart in zip(rep.pieces, rep.charts):
         assert piece["chart_degree"] == chart.scheme.degree, piece["chart"]
-        assert piece["chart_points"] == chart.radical.degree, piece["chart"]
+        radical = radical_zero_dim(chart.scheme)
+        assert piece["chart_points"] == radical.degree, piece["chart"]
+
+
+@SEVEN_SURFACES
+def test_piece_radical_is_chart_radical_cut_by_later(text):
+    # rad(I + L) = rad(I) + L for the ideal L of the later coordinates,
+    # as a closed subscheme of a reduced zero-dimensional scheme is
+    # reduced: the two reduced bases are the same polynomials (D30)
+    rep = singular_scheme(_surface(text))
+    pieces = [c for c in rep.charts if c.points]
+    assert pieces
+    for chart in pieces:
+        radical = radical_zero_dim(chart.scheme)
+        want = buchberger(list(radical.gb.polys) + chart.later, ring=chart.ring)
+        assert chart.piece_radical.gb.polys == want.polys, chart.chart_index
 
 
 @pytest.mark.parametrize(
