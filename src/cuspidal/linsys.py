@@ -12,15 +12,14 @@ unknown coefficients and over Q(zeta5) (docs/DECISIONS.md D17):
   evaluated condition.
 
 Also here: the one-parameter cusp-imposing solve (roots b of the gcd of
-all order-3 Hessian minor conditions of L1 + b*L2), membership checking
-for the published solution of the quartic search scheme, and the
+the conditions det h = 0, h the chart Hessian of L1 + b*L2), membership
+checking for the published solution of the quartic search scheme, and the
 Kummer-type non-existence check on the Van der Geer-Zagier cusps.
 
 The cusp conditions are read in the locus algebras, never expanded in
-the ambient ring: a minor of the Hessian of L1 + b*L2 is a cubic in b,
-so its vectors at b = 0, 1, 2, 3 (`singcert.hessian_minor_vectors`)
-give its four coefficient vectors by one exact Vandermonde solve
-(docs/DECISIONS.md D23).
+the ambient ring: det h is a cubic in b, so its vectors at b = 0, 1, 2,
+3 (`singcert.hessian_minor_vectors`) give its four coefficient vectors
+by one exact Vandermonde solve (docs/DECISIONS.md D23, D31).
 """
 
 from __future__ import annotations
@@ -147,24 +146,25 @@ class CuspSolveReport:
 
 
 def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
-    """Solve for b making every order-3 Hessian minor of L1 + b L2 vanish
-    on the given loci (the double points being already imposed).
+    """Solve for b making det h vanish on the given loci, h the chart
+    Hessian of L1 + b L2: as the double points are imposed, that is the
+    projective Hessian's rank <= 2 there (docs/DECISIONS.md D31).
 
-    The conditions are the entries of each minor's coefficient vectors
-    in b, solved from its values at b = 0, 1, 2, 3 (module docstring).
+    The conditions are the entries of det h's coefficient vectors in b,
+    solved from its values at b = 0, 1, 2, 3 (module docstring).
     Returns the roots in Q(zeta5) of the gcd of all induced univariate
     conditions in b (`modp.rational_roots`), and the degree of the
     unsolved residual factor (0 when everything is accounted for).
     """
     nodes = range(4)
-    rows = []  # per node: [b^0..b^3] + every minor vector entry on every locus
+    rows = []  # per node: [b^0..b^3] + the det h vector of every locus
     for b in nodes:
         row = [as_cyclo(b**j) for j in nodes]
-        H = hessian(L1 + L2.scale(b))
+        F = L1 + L2.scale(b)
         for chart_index, scheme in loci:
-            _, vecs3 = hessian_minor_vectors(scheme.algebra, H, chart_index)
-            for vec in vecs3:
-                row.extend(vec)
+            h = hessian(to_chart(F, chart_index, scheme.ring))
+            _, (det,) = hessian_minor_vectors(scheme.algebra, h)
+            row.extend(det)
         rows.append(row)
     coeffs, _ = linalg.rref(rows)  # rows b^j of the coefficient vectors
     conds = []  # univariate polynomials in b over Q(zeta5)

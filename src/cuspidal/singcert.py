@@ -18,17 +18,17 @@ piece and the later pieces it meets.
 Classification is by Hessian rank stratification plus Tjurina
 accounting and never needs point coordinates:
 
-* rank(projective Hessian) <= 3 at singular points (Euler), and the
-  rank-3 locus is exactly the A1 stratum (tau = 1);
+* rank(projective Hessian) = rank(chart Hessian h) <= 3 at singular
+  points (Euler, D31), and the rank-3 locus is the A1 stratum (tau = 1);
 * corank-2-or-worse points (rank <= 1) are excluded by proving that
   stratum empty, so a degenerate point has rank exactly 2, hence is of
   type A_k with k >= 2 and tau = k; tau_total = 2n then forces k = 2
   everywhere.
 
 A stratum V(I + J) is empty iff J generates R/sqrt(I) (Nullstellensatz),
-decided by linear algebra on the radical of each nonempty piece.  The
-minors spanning J are formed inside R/sqrt(I) from the reduced Hessian
-entries, never expanded in the ambient ring (docs/DECISIONS.md D2).
+decided by linear algebra on the radical of each nonempty piece.  J is
+spanned by the 2x2 minors of h or by det h, formed inside R/sqrt(I)
+from h's reduced entries, never expanded (docs/DECISIONS.md D2).
 """
 
 from __future__ import annotations
@@ -278,7 +278,6 @@ def classify_all(F: Poly, surface_name="surface", action=None):
         orbits = _orbit_analysis(F, report, free_action.offending, invariant)
     n = report.n_points
     tau = report.tau_total
-    H = hessian(F)
     rank_le1_empty = True
     degenerate_empty = True
     degenerate_all = True
@@ -288,7 +287,8 @@ def classify_all(F: Poly, surface_name="surface", action=None):
         # V(I + J) = V(sqrt(I) + J): every stratum is read on R/sqrt(I),
         # once per point on the piece that holds it
         alg = chart.piece_radical.algebra
-        vecs2, vecs3 = hessian_minor_vectors(alg, H, chart.chart_index)
+        h = hessian(to_chart(F, chart.chart_index, alg.ring))
+        vecs2, vecs3 = hessian_minor_vectors(alg, h)
         if not alg.generates_whole(vecs2):
             rank_le1_empty = False
         if not alg.generates_whole(vecs3):
@@ -317,19 +317,18 @@ def classify_all(F: Poly, surface_name="surface", action=None):
     )
 
 
-def hessian_minor_vectors(alg, H, ci):
+def hessian_minor_vectors(alg, H):
     """NF vectors in alg = R/sqrt(I) of the 2x2 and 3x3 minors of the
-    symmetric Hessian H in chart ci (a piece radical here, a point locus
-    in `linsys.impose_cusps`), one per row set <= column set, built
-    from the reduced entries and reduced again (docs/DECISIONS.md D2): each
+    symmetric chart Hessian H over alg.ring (on a piece radical here, a
+    point locus in `linsys.impose_cusps`; D31), one per row set <= column
+    set, built from the reduced entries and reduced again (D2): each
     cofactor sum seeds the reduction term by term (D8).  A reduced entry
     or 2x2 minor is packed once, from its raw remainder (D16)."""
     n = len(H)
     h = {}
     for i in range(n):
         for j in range(i, n):
-            entry = alg.raw_nf(to_chart(H[i][j], ci, alg.ring))
-            h[i, j] = h[j, i] = common_denominator(entry)
+            h[i, j] = h[j, i] = common_denominator(alg.raw_nf(H[i][j]))
     pairs = list(combinations(range(n), 2))
     m2 = {}
     minors2 = []

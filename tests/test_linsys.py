@@ -10,6 +10,7 @@ from cuspidal.linsys import (
     proportional,
     verify_sc_membership,
 )
+from cuspidal.modp import rational_roots
 from cuspidal.multipoly import ProjPoint, QZ5
 from cuspidal.singcert import classify_all
 from cuspidal.zfive import ActionK, invariant_basis, orbits
@@ -102,6 +103,50 @@ def test_impose_cusps_already_cuspidal(loci15):
     rep = impose_cusps(s, zero, loci15)
     # every condition is identically satisfied: gcd is trivial, no roots
     assert rep.residual_degree == 0
+
+
+def test_impose_cusps_gcd_is_the_projective_minor_gcd(loci15, monkeypatch):
+    # every L1 + b L2 is singular on the locus, so the conditions of det h,
+    # h the chart Hessian, and of the ten 3x3 minors of the projective
+    # Hessian span one space of cubics in b: one gcd, up to a unit
+    # (docs/DECISIONS.md D31)
+    from itertools import combinations
+
+    from cuspidal import linalg, linsys, unipoly
+    from cuspidal.cyclofield import as_cyclo
+    from cuspidal.multipoly import hessian, minors
+    from cuspidal.singcert import to_chart
+
+    seen = []
+
+    def recording(g):
+        seen.append(g)
+        return rational_roots(g)
+
+    monkeypatch.setattr(linsys, "rational_roots", recording)
+    L1, L2 = conditioned_system(5, 0, loci=loci15).basis
+    assert len(impose_cusps(L1, L2, loci15).roots) == 1
+    (g,) = seen
+
+    ((ci, scheme),) = loci15
+    triples = list(combinations(range(4), 3))
+    rows = []
+    for b in range(4):
+        full = minors(hessian(L1 + L2.scale(b)), 3)
+        row = [as_cyclo(b**j) for j in range(4)]
+        for a in range(len(triples)):
+            for c in range(a, len(triples)):
+                m = to_chart(full[a * len(triples) + c], ci, scheme.ring)
+                row.extend(scheme.algebra.nf_coeffs(m))
+        rows.append(row)
+    coeffs, _ = linalg.rref(rows)  # row j: the b^j coefficients
+    want = None
+    for col in range(4, len(rows[0])):
+        cond = unipoly.trim([coeffs[j][col] for j in range(4)], QZ5)
+        if cond:
+            want = cond if want is None else unipoly.gcd_monic(want, cond, QZ5)
+    assert unipoly.deg(want, QZ5) >= 1
+    assert unipoly.monic(g, QZ5) == unipoly.monic(want, QZ5)
 
 
 def test_linear_system_contains():

@@ -1,13 +1,17 @@
+from itertools import combinations
+
 import pytest
 
-from cuspidal import catalog
+from cuspidal import catalog, linalg
+from cuspidal.cyclofield import ZERO
 from cuspidal.groebner import buchberger, radical_zero_dim
-from cuspidal.multipoly import ProjPoint, QZ5, jacobian
+from cuspidal.multipoly import ProjPoint, QZ5, hessian, jacobian, minors
 from cuspidal.singcert import (
     SingularInCodimensionOne,
     classify_all,
     chart_piece,
     classify_at_point,
+    hessian_minor_vectors,
     same_singular_locus,
     singular_scheme,
     to_chart,
@@ -176,36 +180,52 @@ def test_certificate_json_schema(new_quintic_cert):
 )
 def test_hessian_minor_vectors_match_ambient_minors(fixture, request):
     # every minor built from reduced entries has the vector of the
-    # ambient determinant reduced in the chart, on every nonempty chart
-    from itertools import combinations
-
+    # determinant of the chart Hessian expanded in the chart ring and
+    # reduced, on every nonempty chart
     from cuspidal.groebner import QuotientAlgebra
-    from cuspidal.multipoly import hessian, minors
-    from cuspidal.singcert import hessian_minor_vectors, to_chart
 
     cert = request.getfixturevalue(fixture)
     F = catalog.get(cert.surface_name).poly
-    H = hessian(F)
-    ambient = {}
-    for k in (2, 3):
-        sets = list(combinations(range(4), k))
-        full = minors(H, k)
-        ambient[k] = [
-            full[a * len(sets) + b]
-            for a in range(len(sets))
-            for b in range(a, len(sets))
-        ]
     charts = [c for c in cert.report.charts if c is not None and c.scheme.degree]
     assert charts
     for chart in charts:
+        h = hessian(to_chart(F, chart.chart_index, chart.ring))
         alg = QuotientAlgebra(radical_zero_dim(chart.scheme))
-        got = hessian_minor_vectors(alg, H, chart.chart_index)
+        got = hessian_minor_vectors(alg, h)
         for k, vecs in zip((2, 3), got):
-            want = [
-                alg.nf_coeffs(to_chart(m, chart.chart_index, chart.ring))
-                for m in ambient[k]
-            ]
+            want = [alg.nf_coeffs(m) for m in _upper_minors(h, k)]
             assert vecs == want
+
+
+def _upper_minors(H, k):
+    """The k x k minors of the symmetric H, expanded, one per row set <=
+    column set in lex order."""
+    sets = list(combinations(range(len(H)), k))
+    full = minors(H, k)
+    return [
+        full[a * len(sets) + b] for a in range(len(sets)) for b in range(a, len(sets))
+    ]
+
+
+def _ideal_closure(alg, vecs):
+    """The reduced echelon rows of the ideal of alg that the NF vectors
+    generate: their span closed under multiplication by the variables."""
+    ops = [alg.mult_columns(v) for v in alg.ring.gens()]
+
+    def times(cols, v):
+        out = [ZERO] * len(v)
+        for x, col in zip(v, cols):
+            if x:
+                out = [o + x * c for o, c in zip(out, col)]
+        return out
+
+    span = [r for r in linalg.rref(vecs)[0] if any(r)]
+    while True:
+        grown = span + [times(cols, r) for cols in ops for r in span]
+        rows = [r for r in linalg.rref(grown)[0] if any(r)]
+        if len(rows) == len(span):
+            return span
+        span = rows
 
 
 FOUR_A1_QUARTIC = "y^2*(x^2+z^2)+z^2*(x^2+w^2)+w^2*(x^2+y^2)+x*y*z*w"
@@ -249,6 +269,75 @@ def test_piece_radical_is_chart_radical_cut_by_later(text):
         assert chart.piece_radical.gb.polys == want.polys, chart.chart_index
 
 
+@SEVEN_SURFACES
+def test_chart_hessian_minors_generate_the_projective_ideals(text, monkeypatch):
+    # at a singular point p with p_ci = 1, H(p) p = 0 (Euler), so the
+    # projective Hessian H has the rank of the chart Hessian h; R/sqrt(I)
+    # is reduced, so on every nonempty piece the six 2x2 minors of h and
+    # the 21 of H generate one ideal, and det h and the ten 3x3 minors of
+    # H another (docs/DECISIONS.md D31)
+    from cuspidal import singcert
+
+    calls = []
+
+    def recording(alg, H):
+        vecs = hessian_minor_vectors(alg, H)
+        calls.append((alg, vecs))
+        return vecs
+
+    monkeypatch.setattr(singcert, "hessian_minor_vectors", recording)
+    F = _surface(text)
+    cert = classify_all(F)
+    pieces = [c for c in cert.report.charts if c.points]
+    assert [alg for alg, _ in calls] == [c.piece_radical.algebra for c in pieces]
+    H = hessian(F)
+    for chart, (alg, (vecs2, vecs3)) in zip(pieces, calls):
+        assert (len(vecs2), len(vecs3)) == (6, 1)
+        for k, vecs in ((2, vecs2), (3, vecs3)):
+            want = [
+                alg.nf_coeffs(to_chart(m, chart.chart_index, alg.ring))
+                for m in _upper_minors(H, k)
+            ]
+            assert _ideal_closure(alg, vecs) == _ideal_closure(alg, want), (
+                chart.chart_index,
+                k,
+            )
+
+
+def test_hessian_minor_reductions_per_piece(monkeypatch):
+    # the six 2x2 minors and the determinant of the chart Hessian are
+    # 7 reductions per piece with points (docs/DECISIONS.md D31); the
+    # replay takes them on the quartic's two pieces, on the locus at each
+    # of the nodes b = 0..3 and on the quintic's one piece
+    from cuspidal.groebner import QuotientAlgebra
+    from cuspidal.reproduce import reproduce_construction
+
+    calls = []
+    real = QuotientAlgebra.raw_nf_products
+
+    def counting(self, products):
+        calls.append(products)
+        return real(self, products)
+
+    monkeypatch.setattr(QuotientAlgebra, "raw_nf_products", counting)
+    counts = {}
+    for name in catalog.names():
+        ent = catalog.get(name)
+        calls.clear()
+        cert = classify_all(ent.poly, name, action=ent.action)
+        counts[name] = len(calls)
+        assert len(calls) == 7 * sum(1 for c in cert.report.charts if c.points)
+    assert counts == {
+        "new_quartic": 14,
+        "new_quintic": 7,
+        "vdgz_quartic": 14,
+        "vdgz_quintic": 14,
+    }
+    calls.clear()
+    assert reproduce_construction()["pass"]
+    assert len(calls) == 7 * (2 + 4 + 1) == 49
+
+
 @pytest.mark.parametrize(
     "text, chart, var",
     [
@@ -271,13 +360,24 @@ def test_positive_dimensional_witness_pinned(text, chart, var):
     )
 
 
-def test_empty_piece_charts_are_not_built():
+def test_empty_piece_charts_are_not_built(monkeypatch):
     # every cusp of the new quintic is in piece w: charts x, y and z are
-    # settled by their emptiness tests alone
+    # settled by their emptiness tests alone, and the one radical taken
+    # is chart w's
+    from cuspidal import singcert
+
+    radicals = []
+
+    def counting(scheme):
+        radicals.append(scheme.ring.vars)
+        return radical_zero_dim(scheme)
+
+    monkeypatch.setattr(singcert, "radical_zero_dim", counting)
     ent = catalog.get("new_quintic")
     cert = classify_all(ent.poly, ent.name, action=ent.action)
     assert [p["npoints"] for p in cert.report.pieces] == [0, 0, 0, 15]
+    assert radicals == [("x", "y", "z")]
     for chart in cert.report.charts[:3]:
-        assert "scheme" not in vars(chart) and "radical" not in vars(chart)
+        assert "scheme" not in vars(chart)
         assert chart.length == chart.points == chart.piece_radical.degree == 0
     assert "scheme" in vars(cert.report.charts[3])
