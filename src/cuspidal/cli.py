@@ -2,7 +2,8 @@
 
 Subcommands:
   surface-report NAME|FILE   singularity certificate, with the action's
-                             invariance and freeness
+                             invariance and freeness: a catalog surface's
+                             own action, a_0 for an equation file
   reproduce-construction     replay the quartic -> quintic construction
   divisibility NAME          intersection lattice and 3-divisibility
 
@@ -45,18 +46,10 @@ def _progress(msg):
     sys.stderr.flush()
 
 
-def _load_surface(arg, action_k):
-    """Catalog entry by name, or a parsed equation file."""
-    try:
+def _load_surface(arg):
+    """Catalog entry by name, or a parsed equation file under a_0."""
+    if arg in catalog.names():
         entry = catalog.get(arg)
-    except KeyError:
-        pass
-    else:
-        if action_k is not None:
-            raise ValueError(
-                "--action applies to equation files only: catalog surface "
-                "%r carries its own action" % arg
-            )
         return entry.name, entry.poly, entry.action
     if os.path.exists(arg):
         try:
@@ -65,12 +58,12 @@ def _load_surface(arg, action_k):
         except OSError as ev:  # a directory, or no read permission
             raise ValueError("cannot read equation file %r: %s" % (arg, ev.strerror))
         poly = catalog.XYZW.parse(text)
-        return os.path.basename(arg), poly, ActionK(action_k or 0)
+        return os.path.basename(arg), poly, ActionK(0)
     raise KeyError("unknown surface %r (not a catalog name or file)" % arg)
 
 
 def cmd_surface_report(args):
-    name, poly, action = _load_surface(args.surface, args.action)
+    name, poly, action = _load_surface(args.surface)
     _progress("certifying singular locus of %s ..." % name)
     try:
         cert = classify_all(poly, name, action=action)
@@ -172,12 +165,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sr = sub.add_parser("surface-report", help="certify a surface's singularities")
-    sr.add_argument("surface", help="catalog name or equation file")
     sr.add_argument(
-        "--action",
-        type=int,
-        choices=range(5),
-        help="action index k of an equation file (default 0)",
+        "surface", help="catalog name, or equation file certified under a_0"
     )
     sr.set_defaults(fn=cmd_surface_report)
 

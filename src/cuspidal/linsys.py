@@ -18,7 +18,7 @@ Kummer-type non-existence check on the Van der Geer-Zagier cusps.
 
 The cusp conditions are read in the locus algebras, never expanded in
 the ambient ring: det h is a cubic in b, so its vectors at b = 0, 1, 2,
-3 (`singcert.hessian_minor_vectors`) give its four coefficient vectors
+3 (`singcert.hessian_det_vector`) give its four coefficient vectors
 by one exact Vandermonde solve (docs/DECISIONS.md D23, D31).
 """
 
@@ -31,7 +31,7 @@ from .groebner import normal_form
 from .modp import rational_roots
 from .multipoly import QZ5, Poly, ProjPoint, hessian
 from .multipoly import proportional  # noqa: F401  re-exported, not called here
-from .singcert import hessian_minor_vectors, to_chart
+from .singcert import hessian_det_vector, to_chart
 from .zfive import ActionK, degree_monomials, invariant_basis, orbit
 
 
@@ -163,8 +163,7 @@ def impose_cusps(L1: Poly, L2: Poly, loci) -> CuspSolveReport:
         F = L1 + L2.scale(b)
         for chart_index, scheme in loci:
             h = hessian(to_chart(F, chart_index, scheme.ring))
-            _, (det,) = hessian_minor_vectors(scheme.algebra, h)
-            row.extend(det)
+            row.extend(hessian_det_vector(scheme.algebra, h))
         rows.append(row)
     coeffs, _ = linalg.rref(rows)  # rows b^j of the coefficient vectors
     conds = []  # univariate polynomials in b over Q(zeta5)

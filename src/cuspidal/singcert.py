@@ -61,8 +61,8 @@ class SingularInCodimensionOne(ValueError):
 
 
 class SingularLocusNotInvariant(Exception):
-    """The singular points off the action's fixed locus are not a union of
-    free 5-orbits, so the locus is not closed under the action."""
+    """The singular points off the fixed locus of an action that preserves
+    the surface are no union of free 5-orbits: a miscount (D32)."""
 
     def __init__(self, free_count):
         super().__init__(
@@ -317,55 +317,64 @@ def classify_all(F: Poly, surface_name="surface", action=None):
     )
 
 
+_PAIRS = list(combinations(range(3), 2))
+
+
 def hessian_minor_vectors(alg, H):
-    """NF vectors in alg = R/sqrt(I) of the 2x2 and 3x3 minors of the
-    symmetric chart Hessian H over alg.ring (on a piece radical here, a
-    point locus in `linsys.impose_cusps`; D31), one per row set <= column
-    set, built from the reduced entries and reduced again (D2): each
-    cofactor sum seeds the reduction term by term (D8).  A reduced entry
-    or 2x2 minor is packed once, from its raw remainder (D16)."""
-    n = len(H)
+    """NF vectors in alg = R/sqrt(I) of the six 2x2 minors (row set <=
+    column set) and of the determinant of the symmetric 3x3 chart Hessian
+    H over alg.ring (D31): 7 reductions.  By symmetry the minors on
+    columns {1, 2} are the determinant's minors on rows {1, 2}."""
+    h, lower, det = _cofactor_det(alg, H)
+    minors2 = [
+        lower[r] if c == (1, 2) else _minor2(alg, h, r, c)
+        for a, r in enumerate(_PAIRS)
+        for c in _PAIRS[a:]
+    ]
+    return [alg.raw_coeffs(m) for m in minors2], [alg.raw_coeffs(det)]
+
+
+def hessian_det_vector(alg, H):
+    """The NF vector of det H alone (for `linsys.impose_cusps`): 4 reductions."""
+    return alg.raw_coeffs(_cofactor_det(alg, H)[2])
+
+
+def _cofactor_det(alg, H):
+    """det H in alg by cofactors along row 0: the reduced entries (D2),
+    each packed once from its raw remainder (D16), the raw 2x2 minors on
+    rows {1, 2} by their columns, and the raw determinant, each cofactor
+    sum seeding its reduction term by term (D8)."""
     h = {}
-    for i in range(n):
-        for j in range(i, n):
+    for i in range(3):
+        for j in range(i, 3):
             h[i, j] = h[j, i] = common_denominator(alg.raw_nf(H[i][j]))
-    pairs = list(combinations(range(n), 2))
-    m2 = {}
-    minors2 = []
-    for a, (r0, r1) in enumerate(pairs):
-        for c0, c1 in pairs[a:]:
-            m = alg.raw_nf_products(
-                [(1, h[r0, c0], h[r1, c1]), (-1, h[r0, c1], h[r1, c0])]
-            )
-            m2[(r0, r1), (c0, c1)] = m2[(c0, c1), (r0, r1)] = common_denominator(m)
-            minors2.append(m)
-    triples = list(combinations(range(n), 3))
-    minors3 = []
-    for a, (r0, r1, r2) in enumerate(triples):
-        for c0, c1, c2 in triples[a:]:
-            rest = (r1, r2)
-            m = alg.raw_nf_products(
-                [
-                    (1, h[r0, c0], m2[rest, (c1, c2)]),
-                    (-1, h[r0, c1], m2[rest, (c0, c2)]),
-                    (1, h[r0, c2], m2[rest, (c0, c1)]),
-                ]
-            )
-            minors3.append(m)
-    return [alg.raw_coeffs(m) for m in minors2], [alg.raw_coeffs(m) for m in minors3]
+    lower = {c: _minor2(alg, h, (1, 2), c) for c in _PAIRS}
+    cofactors = [(1, 0, (1, 2)), (-1, 1, (0, 2)), (1, 2, (0, 1))]
+    det = alg.raw_nf_products(
+        [(sign, h[0, j], common_denominator(lower[c])) for sign, j, c in cofactors]
+    )
+    return h, lower, det
+
+
+def _minor2(alg, h, rows, cols):
+    (r0, r1), (c0, c1) = rows, cols
+    return alg.raw_nf_products([(1, h[r0, c0], h[r1, c1]), (-1, h[r0, c1], h[r1, c0])])
 
 
 def _orbit_analysis(F: Poly, report, fixed_on_surface, invariant):
     """Scheme-level orbit decomposition of the singular points under an
-    order-5 action with a finite fixed locus, given the fixed points on F.
+    order-5 action with a finite fixed locus, given the fixed points on F;
+    None when the action does not preserve F (docs/DECISIONS.md D26, D32).
 
-    A singular point lies on F (Euler), so the fixed singular points are
-    among fixed_on_surface.  Raises SingularLocusNotInvariant when the
-    other singular points do not number a multiple of 5: a locus closed
-    under the action splits them into free 5-orbits.  The rows need the
-    locus closed, which holds when the action preserves F, so they are
-    returned only then, and None otherwise (docs/DECISIONS.md D26).
+    A linear action that preserves F preserves its Jacobian ideal, so the
+    singular locus is a union of fixed points and free 5-orbits.  The
+    fixed singular points are among fixed_on_surface (Euler), so a count
+    of the others that is no multiple of 5 is a miscount, and raises
+    SingularLocusNotInvariant.  For a locus that need not be closed under
+    the action, such a count proves nothing, and none is checked.
     """
+    if not invariant:
+        return None
     parts = jacobian(F)
     fixed_sing = [
         p for p in fixed_on_surface if not any(g.eval(list(p.coords)) for g in parts)
@@ -373,8 +382,6 @@ def _orbit_analysis(F: Poly, report, fixed_on_surface, invariant):
     free_count = report.n_points - len(fixed_sing)
     if free_count % 5 != 0:
         raise SingularLocusNotInvariant(free_count)
-    if not invariant:
-        return None
     orbits = [{"size": 1, "representative": repr(p)} for p in fixed_sing]
     orbits += [{"size": 5} for _ in range(free_count // 5)]
     return orbits

@@ -24,16 +24,6 @@ def trim(p, field):
     return list(p[: d + 1])
 
 
-def add(p, q, field):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else field.zero
-        b = q[i] if i < len(q) else field.zero
-        out.append(field.add(a, b))
-    return trim(out, field)
-
-
 def sub(p, q, field):
     n = max(len(p), len(q))
     out = []

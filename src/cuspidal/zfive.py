@@ -4,9 +4,12 @@ one action type (docs/DECISIONS.md D25).
 ActionK(k) is the diagonal action a_k : (x,y,z,w) -> e^k (x, y e, z e^2,
 w e^3).  Projectively all five a_k coincide with diag(1, e, e^2, e^3),
 whose full fixed locus consists of the four coordinate points (distinct
-eigenvalues).  A monomial is a_k-invariant iff the product of the
-diagonal entries to its exponents is 1.  The permutation action on the
-Van der Geer-Zagier surfaces is a LinearAction too.
+eigenvalues), and every answer here is the same for all five: F = 0 is
+preserved when F(Mx) = lambda F, and no factor e^j of M changes the order
+of the fixed points (docs/DECISIONS.md D32).  A monomial is fixed by a_k
+iff the product of the diagonal entries to its exponents is 1.  The
+permutation action on the Van der Geer-Zagier surfaces is a LinearAction
+too.
 
 Every orbit in the package is walked here: orbit(x, step) follows one
 element round its cycle, and orbits(items, step, same) partitions a list
@@ -136,31 +139,39 @@ class LinearAction:
         return p.subs(forms)
 
     def is_invariant(self, p: Poly) -> bool:
-        return self.on_poly(p) == p
+        """Whether the action preserves V(p): p(Mx) = lambda p for one
+        scalar lambda, read off p's leading term (docs/DECISIONS.md D32)."""
+        image = self.on_poly(p)
+        return image == p.scale(image.coeff_of(p.lm()) / p.lc())
 
     def fixed_points(self):
-        """Eigenvector points in eigenvalue order 1, e, ..., e^4 (requires
-        a semisimple action, e.g. order 5); computed once per action.
+        """Eigenvector points of an action with four distinct eigenvalues
+        among 1, e, ..., e^4, computed once per action.  One power e^g is
+        then no eigenvalue, and the points come in eigenvalue order from
+        e^(g+1) on, cyclically; e^j M rotates all eigenvalues and e^g
+        alike, so it lists the points as M does (docs/DECISIONS.md D32).
 
-        Raises ValueError on an eigenspace of dimension 2 or more: its
-        whole projective line or plane is fixed, not just a basis of it.
+        Raises ValueError otherwise, e.g. on an eigenspace of dimension 2
+        or more: its whole projective line or plane is fixed.
         """
         if self._fixed_points is None:
-            pts = []
+            kernels = []
             for k in range(5):
                 lam = CycloElem.e_power(k)
                 m = [
                     [a - lam if i == j else a for j, a in enumerate(row)]
                     for i, row in enumerate(self.matrix)
                 ]
-                kernel = kernel_basis(m)
-                if len(kernel) > 1:
-                    raise ValueError(
-                        "eigenvalue zeta^%d has a %d-dimensional eigenspace; "
-                        "its fixed locus is not finite" % (k, len(kernel))
-                    )
-                pts += [ProjPoint(v) for v in kernel]
-            self._fixed_points = tuple(pts)
+                kernels.append(kernel_basis(m))
+            dims = [len(kernel) for kernel in kernels]
+            if dims.count(0) != 1:
+                raise ValueError(
+                    "eigenspaces of 1, e, ..., e^4 of dimensions %s: the fixed "
+                    "points need four distinct eigenvalues among them" % dims
+                )
+            g = dims.index(0)
+            cycle = kernels[g + 1 :] + kernels[:g]
+            self._fixed_points = tuple(ProjPoint(v) for (v,) in cycle)
         return self._fixed_points
 
 

@@ -195,25 +195,17 @@ def test_reproduce_action_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("surface", ["new_quartic", "file"])
-def test_surface_report_action_out_of_range(tmp_path, capsys, surface):
+def test_surface_report_action_is_usage_error(tmp_path, capsys, surface):
+    # one projective action per surface: a catalog surface carries its
+    # own, an equation file is certified under a_0, and the five a_k are
+    # one action, so there is no --action (docs/DECISIONS.md D32)
     if surface == "file":
         f = tmp_path / "smooth.txt"
         f.write_text("x^2+y^2+z^2+w^2")
         surface = str(f)
-    code, out, err = run_cli(capsys, "--json", "surface-report", surface, "--action", "9")
-    assert code == 2
-    assert out == "" and "invalid choice" in err
-
-
-def test_surface_report_action_with_catalog_name(capsys):
-    # a catalog surface carries its own action, so --action with a
-    # catalog name is a usage error
-    code, out, err = run_cli(
-        capsys, "--json", "surface-report", "new_quartic", "--action", "3"
-    )
+    code, out, err = run_cli(capsys, "--json", "surface-report", surface, "--action", "1")
     assert code == 2
     assert out == ""
-    assert "carries its own action" in json.loads(err)["error"]
 
 
 def test_divisibility_rejects_quartic(capsys):
@@ -413,19 +405,22 @@ def test_report_independent_of_seed(flags, pins, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == pins[argv]
 
 
-def test_surface_report_locus_not_closed_under_action(tmp_path, capsys):
-    # one A1 point at (1:1:1:1), which a_0 does not fix: a typed failure
-    # with a report on stdout, not a traceback
+def test_surface_report_locus_of_a_surface_not_preserved_has_no_orbits(
+    tmp_path, capsys
+):
+    # one A1 point at (1:1:1:1), which a_0 does not fix: a_0 does not
+    # preserve the surface, so its one-point locus need not be closed
+    # under a_0, and the A1 certificate stands without orbit rows or a
+    # count check (docs/DECISIONS.md D32)
     f = tmp_path / "a1_moved.txt"
     f.write_text("(x-w)*(y-w)*w^3+(z-w)^2*w^3+(x-w)^5+(y-w)^5+(z-w)^5")
     code, out, err = run_cli(capsys, "--json", "surface-report", str(f))
-    assert code == 1
+    assert code == 0
     rep = json.loads(out)
-    assert rep["surface"] == "a1_moved.txt" and rep["pass"] is False
-    assert rep["error"] == (
-        "singular locus not closed under the action: 1 singular points off "
-        "the fixed locus, not a multiple of 5"
-    )
+    assert rep["surface"] == "a1_moved.txt" and rep["pass"] is True
+    assert (rep["verdict"], rep["n_points"]) == ("all_A1", 1)
+    assert rep["invariant_under_action"] is False
+    assert rep["orbits"] is None
 
 
 @pytest.mark.parametrize("text", ["0", "1", "e", "x^2+y"])
@@ -503,8 +498,12 @@ def test_reproduce_checks_the_action_once_per_surface(monkeypatch):
 @pytest.mark.parametrize(
     "equation, reason",
     [
-        # one A4 point at (0:0:0:1), which the VdGZ action moves
-        ("x*y*w^3+x^5+y^5+z^5", "not closed under the action"),
+        # one A4 point at (0:0:0:1), which the VdGZ action moves: the
+        # action does not preserve the quintic, and the point is no A2
+        (
+            "x*y*w^3+x^5+y^5+z^5",
+            "{'verdict': 'mixed_or_worse', 'n_points': 1, 'tau_total': 4}",
+        ),
         ("x^2*y^2*w+x^5+y^5", "singular in codimension one"),
     ],
     ids=["a4", "codimension_one"],

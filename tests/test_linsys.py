@@ -84,7 +84,7 @@ def test_impose_cusps_roots_off_the_interpolation_nodes(loci15, pencil):
     assert rep.residual_degree == 0
 
 
-def test_impose_cusps_synthetic_cases():
+def test_gcd_monic_of_two_conditions_is_their_common_factor():
     from cuspidal import unipoly
 
     # gcd({b^2 - 1, b - 1}) = b - 1 -> root 1

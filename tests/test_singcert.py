@@ -1,4 +1,6 @@
+import json
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from cuspidal.singcert import (
     singular_scheme,
     to_chart,
 )
+from cuspidal.zfive import ActionK
 
 R = catalog.XYZW
 
@@ -335,7 +338,42 @@ def test_hessian_minor_reductions_per_piece(monkeypatch):
     }
     calls.clear()
     assert reproduce_construction()["pass"]
-    assert len(calls) == 7 * (2 + 4 + 1) == 49
+    # the cusp solve reads det h alone: the three 2x2 minors on rows
+    # {1, 2} and the cofactor sum, 4 per locus and node
+    assert len(calls) == 7 * 2 + 4 * 4 + 7 * 1 == 37
+
+
+@pytest.mark.parametrize("name", ["new_quartic", "new_quintic", "vdgz_quintic"])
+def test_certificate_is_the_same_for_every_a_k(name):
+    # the five a_k are one projective action, so they give one
+    # certificate: invariance up to a scalar and a scalar-free order of
+    # the fixed points (docs/DECISIONS.md D32)
+    F = catalog.get(name).poly
+    seen = set()
+    for k in range(5):
+        cert = classify_all(F, name, action=ActionK(k))
+        rep = (cert.to_json(), cert.free_action.to_json(), cert.invariant)
+        seen.add(json.dumps(rep, sort_keys=True))
+    assert len(seen) == 1
+    (rep,) = seen
+    assert json.loads(rep)[2] is (name != "vdgz_quintic")
+
+
+@pytest.mark.parametrize("fixture", ["new_quartic_cert", "new_quintic_cert"])
+def test_orbit_count_check_catches_a_miscount(fixture, request):
+    # on a preserved surface the locus is a union of fixed points and free
+    # 5-orbits, so a point count off by one must raise
+    from cuspidal.singcert import SingularLocusNotInvariant, _orbit_analysis
+
+    cert = request.getfixturevalue(fixture)
+    F = catalog.get(cert.surface_name).poly
+    offending = cert.free_action.offending
+    assert cert.invariant
+    assert _orbit_analysis(F, cert.report, offending, True) == cert.orbits
+    miscounted = SimpleNamespace(n_points=cert.n_points + 1)
+    with pytest.raises(SingularLocusNotInvariant):
+        _orbit_analysis(F, miscounted, offending, True)
+    assert _orbit_analysis(F, miscounted, offending, False) is None
 
 
 @pytest.mark.parametrize(

@@ -92,17 +92,21 @@ def test_action_k_scales_every_monomial_by_its_residue(k):
             mono = R.from_terms([(exp, QZ5.one)])
             scaled = mono.scale(CycloElem.e_power(residue(exp, k)))
             assert act.on_poly(mono) == scaled
-            assert act.is_invariant(mono) == (residue(exp, k) == 0)
+            # preserved up to the scalar e^residue (docs/DECISIONS.md D32)
+            assert act.is_invariant(mono)
+    # a sum of two monomials with different residues is not preserved
+    x, y = R.var("x"), R.var("y")
+    assert residue((1, 0, 0, 0), k) != residue((0, 1, 0, 0), k)
+    assert not act.is_invariant(x + y)
+    assert not act.is_invariant(x**5 - 2 * y**2 * x**3)
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_action_k_fixed_points_are_the_coordinate_points(k):
-    # listed in eigenvalue order 1, e, ..., e^4: the coordinate point i
-    # has eigenvalue e^(k+i), so k = 0 and k = 1 keep coordinate order
-    got = ActionK(k).fixed_points()
-    assert list(got) == sorted(COORDINATE_POINTS, key=lambda p: (k + p.chart()) % 5)
-    if k == 0:
-        assert list(got) == COORDINATE_POINTS
+    # the coordinate point i has eigenvalue e^(k+i), so e^(k+4) is
+    # missing and the points come from e^k on: coordinate order for every
+    # k (docs/DECISIONS.md D32)
+    assert list(ActionK(k).fixed_points()) == COORDINATE_POINTS
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -207,11 +211,21 @@ def test_invariance_of_catalog_surfaces():
     act = ActionK(0)
     assert act.is_invariant(R.parse(NEW_QUARTIC_TEXT))
     assert act.is_invariant(R.parse(NEW_QUINTIC_TEXT))
-    # a degree-5 monomial has the same residue under every a_k
+    # the five a_k are one projective action: a degree-5 monomial has the
+    # same residue under every a_k, and the quartic's monomials share one
     for k in range(1, 5):
         assert ActionK(k).is_invariant(R.parse(NEW_QUINTIC_TEXT))
-        assert not ActionK(k).is_invariant(R.parse(NEW_QUARTIC_TEXT))
+        assert ActionK(k).is_invariant(R.parse(NEW_QUARTIC_TEXT))
     assert not act.is_invariant(get("vdgz_quintic").poly)
+
+
+def test_new_quartic_is_preserved_by_a_1_up_to_e4():
+    # a_1 = diag(e, e^2, e^3, e^4) scales each of the quartic's monomials
+    # by e^4: the surface is preserved, though F(a_1 x) != F
+    F = R.parse(NEW_QUARTIC_TEXT)
+    act = ActionK(1)
+    assert act.on_poly(F) == F.scale(CycloElem.e_power(4))
+    assert act.is_invariant(F)
 
 
 def test_free_action_check_quintic():
