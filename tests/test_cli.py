@@ -195,17 +195,28 @@ def test_reproduce_action_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("surface", ["new_quartic", "file"])
-def test_surface_report_action_is_usage_error(tmp_path, capsys, surface):
-    # one projective action per surface: a catalog surface carries its
-    # own, an equation file is certified under a_0, and the five a_k are
-    # one action, so there is no --action (docs/DECISIONS.md D32)
+def test_surface_report_action_out_of_range(tmp_path, capsys, surface):
+    # one projective action per surface: an equation file is certified
+    # under a_0 and the five a_k are one action, so there is no --action
+    # and no index is in range (docs/DECISIONS.md D32)
     if surface == "file":
         f = tmp_path / "smooth.txt"
         f.write_text("x^2+y^2+z^2+w^2")
         surface = str(f)
-    code, out, err = run_cli(capsys, "--json", "surface-report", surface, "--action", "1")
+    code, out, err = run_cli(capsys, "--json", "surface-report", surface, "--action", "9")
+    assert code == 2
+    assert out == "" and "unrecognized arguments: --action 9" in err
+
+
+def test_surface_report_action_with_catalog_name(capsys):
+    # a catalog surface carries its own action, so --action with a
+    # catalog name is a usage error, even with a former action index
+    code, out, err = run_cli(
+        capsys, "--json", "surface-report", "new_quartic", "--action", "3"
+    )
     assert code == 2
     assert out == ""
+    assert "unrecognized arguments: --action 3" in err
 
 
 def test_divisibility_rejects_quartic(capsys):
