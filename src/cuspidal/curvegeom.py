@@ -4,16 +4,20 @@
   restriction is a doubled conic (candidates are the exact planes through
   node triples, with exact incidence);
 * strict-transform intersection numbers at a cusp from one point
-  blow-up: an A2 point has a rank-2 tangent cone; the exceptional curve
-  of the blow-up is the corresponding pair of lines, which realize the
-  two (-2)-curves of the A2 chain (they meet once; the strict transform
-  of the surface is verified smooth along them);
+  blow-up: an A2 point has a rank-2 tangent cone, split in closed form
+  over the complement of its kernel (docs/DECISIONS.md D33); the
+  exceptional curve of the blow-up is the corresponding pair of lines,
+  which realize the two (-2)-curves of the A2 chain (they meet once; the
+  strict transform of the surface is verified smooth along them);
 * intersections of two curves away from and over the cusps, as exact
-  scheme lengths inside partitioned charts: away from the cusps, the
-  length of a chart piece is the supported length of the chart scheme
-  where the later coordinates vanish (`singcert.ChartData`,
-  docs/DECISIONS.md D23), and over a cusp that of the blow-up chart
-  scheme on its part of the exceptional plane (D19);
+  lengths of `singcert.ChartData` pieces: away from the cusps, the
+  pieces of P^3 (last nonzero coordinate = 1), each the supported length
+  of its chart scheme where the later coordinates vanish (D23); over a
+  cusp, the pieces of the exceptional plane, one per blow-up chart,
+  where w and the later directions vanish (D23, D33).  An empty piece
+  builds no chart scheme, and the smoothness of the blown-up surface and
+  of the strict-transform curves along the exceptional plane is one
+  Jacobian criterion asked of the same pieces;
 * the degree-1 path: when every generator of the curves involved is a
   linear form, the intersection away from the cusps is P(ker M) of the
   stacked coefficient rows, and a line's row at a cusp is read off its
@@ -30,8 +34,8 @@ import functools
 import itertools
 
 from . import linalg
-from .cyclofield import ONE, ZERO
-from .groebner import NotZeroDimensional, buchberger, normal_form, zero_dim_analyze
+from .cyclofield import ONE
+from .groebner import NotZeroDimensional, buchberger, normal_form
 from .modp import rational_roots
 from .multipoly import (
     Poly,
@@ -45,6 +49,7 @@ from .multipoly import (
 )
 from .singcert import (
     ChartData,
+    chart_piece,
     degree_part,
     local_surface,
     quadratic_matrix,
@@ -263,7 +268,7 @@ def _chart_pieces(gens):
     the chart of the piece holding a dense part of a curve is."""
     out = []
     for ci in range(gens[0].ring.nvars):
-        chart = ChartData(gens, ci)
+        chart = ChartData(ci, *chart_piece(gens, ci))
         if not chart.empty and chart.scheme.degree:
             out.append(chart)
     return out
@@ -410,34 +415,14 @@ def tangent_cone_lines(flocal: Poly, cring: Ring):
     if linalg.rank(m) != 2:
         raise ResolutionError("tangent cone rank is not 2 (not an A2 datum)")
     kern = linalg.kernel_basis(m)[0]
-    comp = []
-    for i in range(3):
-        v = [ZERO] * 3
-        v[i] = ONE
-        trial = [list(u) for u in comp] + [v, list(kern)]
-        if linalg.rank(trial) == len(trial):
-            comp.append(v)
-        if len(comp) == 2:
-            break
-    v1, v2 = comp
-
-    def q_bilin(u, v):
-        out = ZERO
-        for i in range(3):
-            for j in range(3):
-                out = out + u[i] * m[i][j] * v[j]
-        return out
-
-    a = q_bilin(v1, v1)
-    b = 2 * q_bilin(v1, v2)
-    c = q_bilin(v2, v2)
-    # rows 0 and 1 of the inverse of the basis matrix [v1 v2 kern]: the
-    # linear forms s and t with u = s(u) v1 + t(u) v2 + (.) kern
-    basis = [v1, v2, kern]
-    s_row = linalg.solve(basis, [ONE, ZERO, ZERO])
-    t_row = linalg.solve(basis, [ZERO, ONE, ZERO])
-    s_poly = cring.linear_form(s_row)
-    t_poly = cring.linear_form(t_row)
+    # e_i, e_j, kern is a basis for k the last index with kern_k != 0 and
+    # i < j the others; s and t are its coordinate forms of e_i and e_j,
+    # u = s(u) e_i + t(u) e_j + (.) kern (docs/DECISIONS.md D33)
+    k = max(p for p in range(3) if kern[p])
+    i, j = (p for p in range(3) if p != k)
+    u = cring.gens()
+    s_poly, t_poly = (u[p] - u[k].scale(kern[p] / kern[k]) for p in (i, j))
+    a, b, c = m[i][i], 2 * m[i][j], m[j][j]
     if not a:
         l1 = t_poly
         l2 = s_poly.scale(b) + t_poly.scale(c)
@@ -500,23 +485,38 @@ def strict_transform(p: Poly, bring: Ring, mchart: int):
     return Poly(bring, tuple(terms)), mult
 
 
+def _exceptional_piece(gens, bring, mchart):
+    """Blow-up chart m's part of the exceptional plane in V(gens), as a
+    `singcert.ChartData` piece: the points of w = 0 whose last nonzero
+    direction is m, where the later directions bring.gens()[m:-1] vanish,
+    as in `singcert.chart_piece`.  The three charts' pieces partition the
+    exceptional plane, so each exceptional point counts in one chart."""
+    return ChartData(mchart, bring, gens, [bring.var("w_")] + bring.gens()[mchart:-1])
+
+
 def _exceptional_supported_length(gens, bring, mchart):
-    """Length of V(gens) supported on blow-up chart m's part of the
-    exceptional plane w = 0: the points whose last nonzero direction is
-    m, where the later directions bring.gens()[m:-1] vanish, as in
-    `singcert.chart_piece`.  So each exceptional point counts in one
-    chart."""
-    gens = [g for g in gens if not g.is_zero]
-    gb0 = buchberger(gens, ring=bring)
-    if gb0.is_trivial():
-        return 0
+    """Length of V(gens) on blow-up chart m's piece of the exceptional
+    plane; an empty piece builds no chart scheme (docs/DECISIONS.md D33)."""
     try:
-        scheme = zero_dim_analyze(gb0)
+        return _exceptional_piece(gens, bring, mchart).length
     except NotZeroDimensional:
         raise ResolutionError("strict transforms share a component over the cusp")
-    return scheme.algebra.supported_length(
-        [bring.var("w_")] + bring.gens()[mchart:-1]
-    )
+
+
+def _smooth_over_exceptional(per_chart, codim):
+    """Jacobian criterion along the exceptional plane for a scheme of
+    codimension codim, given per blow-up chart as (mchart, bring, its
+    generators there): no point of the chart's piece where the codim x
+    codim minors of the Jacobian vanish too (1: the partials of the
+    strict transform of the surface, 2: the 2x2 minors of a curve's).
+    A chart with fewer than codim generators is skipped."""
+    for mchart, bring, gens in per_chart:
+        if len(gens) < codim:
+            continue
+        jac = [[g.partial(i) for i in range(bring.nvars)] for g in gens]
+        if not _exceptional_piece(gens + minors(jac, codim), bring, mchart).empty:
+            return False
+    return True
 
 
 def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
@@ -539,15 +539,11 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
             raise ResolutionError("surface multiplicity at the cusp is not 2")
         strict_by_chart.append((mchart, bring, images, fs))
 
-    # smoothness of the blown-up surface along the exceptional fiber
-    for mchart, bring, images, fs in strict_by_chart:
-        gens = [fs] + [fs.partial(i) for i in range(bring.nvars)]
-        gens.append(bring.var("w_"))
-        gb = buchberger([g for g in gens if not g.is_zero], ring=bring)
-        if not gb.is_trivial():
-            raise ResolutionError(
-                "strict transform singular along the exceptional locus"
-            )
+    # smoothness of the blown-up surface along the exceptional plane
+    if not _smooth_over_exceptional(
+        [(mchart, bring, [fs]) for mchart, bring, _, fs in strict_by_chart], 1
+    ):
+        raise ResolutionError("strict transform singular along the exceptional locus")
 
     res = CuspResolution(
         cusp,
@@ -611,9 +607,8 @@ def resolve_cusp(S: Poly, cusp: ProjPoint, curves) -> CuspResolution:
             )
             for lines in lines_by_chart
         )
-        res.curve_smooth[curve.name] = _curve_smooth_over_exceptional(
-            strict_gens_of(curve)
-        )
+        smooth = _smooth_over_exceptional(strict_gens_of(curve), 2)
+        res.curve_smooth[curve.name] = smooth
 
     for a in range(len(incident)):
         for b in range(a + 1, len(incident)):
@@ -646,22 +641,6 @@ def _line_direction(gens, chart_index):
         return None
     kern = linalg.kernel_basis([r[:chart_index] + r[chart_index + 1 :] for r in rows])
     return ProjPoint(kern[0]) if len(kern) == 1 else None
-
-
-def _curve_smooth_over_exceptional(per_chart):
-    """Jacobian criterion for the strict-transform curve on the w = 0 fiber."""
-    for mchart, bring, sg in per_chart:
-        gens = [g for g in sg if not g.is_zero]
-        if len(gens) < 2:
-            continue
-        jac = [[g.partial(i) for i in range(bring.nvars)] for g in gens]
-        mins = [m for m in minors(jac, 2) if not m.is_zero]
-        # on chart m's part of the exceptional plane, as above
-        probe = gens + mins + [bring.var("w_")] + bring.gens()[mchart:-1]
-        gb = buchberger([g for g in probe if not g.is_zero], ring=bring)
-        if not gb.is_trivial():
-            return False
-    return True
 
 
 def curve_singular_points(curve: CurveOnSurface):

@@ -583,10 +583,10 @@ class QuotientAlgebra:
     """Linear algebra on R/I for a zero-dimensional ideal; one per scheme
     (`ZeroDimScheme.algebra`).
 
-    The public vectors (`nf_coeffs`, `raw_coeffs`, `mult_columns`) hold
-    CycloElems.  Underneath, NF(m * p) for the standard monomials m comes
-    raw from the reduction kernel, p packed once, and the elimination runs
-    on `linalg`'s raw Z[e] rows (docs/DECISIONS.md D9, D16): a vector is a
+    The public vectors (`nf_coeffs`, `raw_coeffs`) hold CycloElems.
+    Underneath, NF(m * p) for the standard monomials m comes raw from
+    the reduction kernel, p packed once, and the elimination runs on
+    `linalg`'s raw Z[e] rows (docs/DECISIONS.md D9, D16): a vector is a
     list of integer 4-tuples, and the multiplication operator of p is
     integer columns and sparse rows over one denominator L, read from the
     raw remainders.  Spans (`supported_length`, `generates_whole`) ignore
@@ -658,10 +658,6 @@ class QuotientAlgebra:
         red = self._red
         D, ps = common_denominator(self.raw_nf(p))
         return [red.raw_remainder([(m - red.one, _ONE, D, ps)]) for m in self._packed]
-
-    def mult_columns(self, p: Poly):
-        """Columns of the multiplication-by-p operator."""
-        return [self.raw_coeffs(rem) for rem in self._products(p)]
 
     def _operator(self, p: Poly):
         """Multiplication by p as (columns, rows, rational), up to the one

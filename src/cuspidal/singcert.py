@@ -3,11 +3,13 @@
 The singular locus of a surface F = 0 in P^3 is split into four disjoint
 pieces matching the projective normalization (last nonzero coordinate
 = 1), so every singular point is counted exactly once.  Piece ci lies in
-affine chart ci where the later coordinates vanish.  `ChartData` is the
-one chart-piece object, here and in `curvegeom`: one small Buchberger
-run on the chart's generators plus those coordinates, the piece ideal,
-tests the piece for emptiness, and the chart's own scheme is built only
-for a nonempty piece and for the last chart (docs/DECISIONS.md D10).
+affine chart ci where the later coordinates vanish (`chart_piece`).
+`ChartData` is the one chart-piece object, here and in `curvegeom`,
+which also asks it about the pieces of the exceptional plane of a cusp
+blow-up (D33): one small Buchberger run on the chart's generators plus
+the equations of the piece, the piece ideal, tests the piece for
+emptiness, and the chart's own scheme is built only for a nonempty
+piece and for the last chart (docs/DECISIONS.md D10).
 A piece's length (here its Tjurina degree) is the length of the chart
 scheme supported where the later coordinates vanish, read from stable
 images of its multiplication matrices (D3, D23); its distinct-point
@@ -72,23 +74,27 @@ class SingularLocusNotInvariant(Exception):
 
 
 class ChartData:
-    """Affine chart ci of V(gens) in P^n and its piece, the points whose
-    last nonzero coordinate is x_ci (`chart_piece`).
+    """One chart piece: the points of V(gens) in affine chart chart_index,
+    with coordinate ring `ring`, where the equations `later` vanish.  In
+    P^n (`chart_piece`), piece ci is the points whose last nonzero
+    coordinate is x_ci, and later the later coordinates; in blow-up chart
+    m of a cusp (`curvegeom._exceptional_piece`), it is chart m's part of
+    the exceptional plane, and later w and the later directions (D33).
 
     The piece ideal is gens + later.  Its one Buchberger run
     (`piece_basis`) is the emptiness test, so an empty piece never builds
-    its chart; the last chart's piece is the whole chart and takes no
-    test (docs/DECISIONS.md D10).  The chart's run (`scheme`) is made on
-    first use.  The piece's length is the supported length on
-    {later = 0} of the chart scheme (D3): slicing the scheme by the later
-    coordinates would undercount a non-reduced point on the chart
-    boundary (D23).  Its points are the degree of `piece_radical`, the
-    radical of the piece ideal (D30).
+    its chart; a piece with no later equation, the last chart of P^n, is
+    the whole chart and takes no test (docs/DECISIONS.md D10).  The
+    chart's run (`scheme`) is made on first use.  The piece's length is
+    the supported length on {later = 0} of the chart scheme (D3): slicing
+    the scheme by the later equations would undercount a non-reduced
+    point on the chart boundary (D23).  Its points are the degree of
+    `piece_radical`, the radical of the piece ideal (D30).
     """
 
-    def __init__(self, gens, chart_index):
+    def __init__(self, chart_index, ring, gens, later):
         self.chart_index = chart_index
-        self.ring, self.gens, self.later = chart_piece(gens, chart_index)
+        self.ring, self.gens, self.later = ring, gens, later
 
     @cached_property
     def piece_basis(self):
@@ -170,7 +176,7 @@ def singular_scheme(F: Poly) -> SingularSchemeReport:
         raise ValueError("surface polynomial must not be a constant")
     ring = F.ring
     parts = jacobian(F)
-    charts = [ChartData(parts, ci) for ci in range(ring.nvars)]
+    charts = [ChartData(ci, *chart_piece(parts, ci)) for ci in range(ring.nvars)]
     positive = None
     for ci, chart in enumerate(charts):
         if chart.empty:

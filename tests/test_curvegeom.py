@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal import catalog, curvegeom, modp
-from cuspidal.cyclofield import ALPHA, CycloElem
+from cuspidal import catalog, curvegeom, groebner, linalg, modp, singcert
+from cuspidal.cyclofield import ALPHA, ONE, ZERO, CycloElem
 from cuspidal.curvegeom import (
     CurveOnSurface,
     ResolutionError,
     SquareRootFailure,
     _exceptional_supported_length,
+    _smooth_over_exceptional,
     blow_up_charts,
     chart_pair_intersection,
     curve_lies_on,
@@ -23,10 +24,10 @@ from cuspidal.curvegeom import (
     strict_transform,
     tangent_cone_lines,
 )
-from cuspidal.groebner import NotZeroDimensional
-from cuspidal.multipoly import ProjPoint, proportional, restrict_to_plane
-from cuspidal.pipeline import divisibility_pipeline
-from cuspidal.singcert import chart_ring, degree_part, local_surface
+from cuspidal.groebner import NotZeroDimensional, buchberger, zero_dim_analyze
+from cuspidal.multipoly import ProjPoint, minors, proportional, restrict_to_plane
+from cuspidal.pipeline import divisibility_pipeline, new_quintic_curves
+from cuspidal.singcert import chart_ring, degree_part, local_surface, quadratic_matrix
 from cuspidal.zfive import ActionK, orbits
 
 R = catalog.XYZW
@@ -230,6 +231,238 @@ def test_tangent_cone_missed_slopes_need_an_extension(monkeypatch):
         tangent_cone_lines(flocal, cring)
 
 
+def reference_tangent_cone_lines(quad, cring):
+    """`tangent_cone_lines` on a rank-2 form before the closed form: the
+    complement of kern by rank trials (e_i kept in index order while the
+    chosen vectors, e_i and kern are independent), the binary form by the
+    bilinear form of m, and s, t by solving against the basis [v1 v2
+    kern].  Returns (l1, l2, kern, the binary form's (a, b, c)), with l1
+    and l2 None when the root finder finds no two slopes."""
+    m = quadratic_matrix(quad, cring)
+    kern = linalg.kernel_basis(m)[0]
+    comp = []
+    for i in range(3):
+        v = [ZERO] * 3
+        v[i] = ONE
+        if linalg.rank(comp + [v, list(kern)]) == len(comp) + 2:
+            comp.append(v)
+        if len(comp) == 2:
+            break
+    v1, v2 = comp
+
+    def q_bilin(u, v):
+        return sum((u[i] * m[i][j] * v[j] for i in range(3) for j in range(3)), ZERO)
+
+    a, b, c = q_bilin(v1, v1), 2 * q_bilin(v1, v2), q_bilin(v2, v2)
+    basis = [v1, v2, kern]
+    s_poly = cring.linear_form(linalg.solve(basis, [ONE, ZERO, ZERO]))
+    t_poly = cring.linear_form(linalg.solve(basis, [ZERO, ONE, ZERO]))
+    if not a:
+        l1, l2 = t_poly, s_poly.scale(b) + t_poly.scale(c)
+    else:
+        slopes, _ = modp.rational_roots([c, b, a])
+        if len(slopes) < 2:
+            return None, None, kern, (a, b, c)
+        r1, r2 = slopes
+        l1, l2 = (s_poly - t_poly.scale(r1)).scale(a), s_poly - t_poly.scale(r2)
+    assert l1 * l2 == quad
+    l1, l2 = sorted((l1.monic(), l2.monic()), key=str)
+    return l1, l2, kern, (a, b, c)
+
+
+SQRT5 = -1 - 2 * ALPHA  # sqrt5 = -1 - 2e^2 - 2e^3
+
+
+def random_rank2_cone(rng, cring, k, kind):
+    """l1 * l2 for two linear forms vanishing on a kernel vector whose
+    last nonzero entry is at k, with nonzero entries before it: rational
+    forms, the conjugates s +- sqrt5 t of rational s and t, or ("a=0")
+    rational forms with l1 vanishing on e_i too, i the first index other
+    than k, so that m_ii = 0."""
+    kern = [rng.choice([-3, -2, -1, 1, 2]) for _ in range(k)] + [1] + [0] * (2 - k)
+    i = 1 if k == 0 else 0
+
+    def annihilating(zero_at=None):
+        coeffs = [
+            CycloElem.from_int(rng.randint(-5, 5)) / rng.randint(1, 3) for _ in kern
+        ]
+        for p in (zero_at, k):
+            if p is not None:
+                coeffs[p] = ZERO
+        # kern_k = 1: the entry at k cancels the others on kern
+        coeffs[k] = -sum((c * e for c, e in zip(coeffs, kern)), ZERO)
+        return cring.linear_form(coeffs)
+
+    if kind == "sqrt5":
+        s, t = annihilating(), annihilating()
+        return (s + t.scale(SQRT5)) * (s - t.scale(SQRT5))
+    return annihilating(i if kind == "a=0" else None) * annihilating()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["rational", "sqrt5", "a=0"])
+def test_tangent_cone_lines_match_complement_and_solve(k, kind, monkeypatch):
+    # seeded rank-2 cones with the kernel's last nonzero entry at k: the
+    # closed-form complement gives the binary form of the rank trials and
+    # solves, and so the same lines and kernel, or the same failure when
+    # the root finder misses the slopes (docs/DECISIONS.md D33)
+    rng = random.Random(3300 + 10 * k + len(kind))
+    cring = chart_ring(R, 3)
+    forms = []
+    roots = modp.rational_roots
+    monkeypatch.setattr(
+        curvegeom, "rational_roots", lambda cs: forms.append(cs) or roots(cs)
+    )
+    split = 0
+    for _ in range(8):
+        quad = random_rank2_cone(rng, cring, k, kind)
+        if linalg.rank(quadratic_matrix(quad, cring)) != 2:
+            continue  # l1 and l2 proportional, or one of them zero
+        l1, l2, kern, (a, b, c) = reference_tangent_cone_lines(quad, cring)
+        assert max(p for p in range(3) if kern[p]) == k and (k == 0 or kern[0])
+        assert not a or kind != "a=0"
+        forms.clear()
+        if l1 is None:
+            with pytest.raises(ResolutionError, match="quadratic extension"):
+                tangent_cone_lines(quad, cring)
+        else:
+            got = tangent_cone_lines(quad, cring)
+            assert (str(got[0]), str(got[1]), got[2]) == (str(l1), str(l2), kern)
+            split += 1
+        assert forms == ([[c, b, a]] if a else [])
+    assert split >= 4
+
+
+def reference_exceptional_length(gens, bring, mchart):
+    """`_exceptional_supported_length` before chart pieces: the chart
+    scheme of gens, built whenever gens have a zero in the chart, and its
+    length supported on chart m's part of w = 0."""
+    gb = buchberger(gens, ring=bring)
+    if gb.is_trivial():
+        return 0
+    try:
+        scheme = zero_dim_analyze(gb)
+    except NotZeroDimensional:
+        raise ResolutionError("strict transforms share a component over the cusp")
+    return scheme.algebra.supported_length([bring.var("w_")] + bring.gens()[mchart:-1])
+
+
+def reference_smooth_over_exceptional(per_chart, codim):
+    """The two smoothness checks before chart pieces: the strict transform
+    of the surface with its partials on the whole of w = 0 in each chart,
+    and a curve's with its 2x2 minors on chart m's part of w = 0."""
+    for mchart, bring, gens in per_chart:
+        w = bring.var("w_")
+        if codim == 1:
+            (fs,) = gens
+            probe = [fs] + [fs.partial(i) for i in range(bring.nvars)] + [w]
+        elif len(gens) < 2:
+            continue
+        else:
+            jac = [[g.partial(i) for i in range(bring.nvars)] for g in gens]
+            probe = gens + minors(jac, 2) + [w] + bring.gens()[mchart:-1]
+        if not buchberger(probe, ring=bring).is_trivial():
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def new_quintic_at_cusps(node_data):
+    """The new quintic, its 15 curves and the three cusps that
+    `divisibility_pipeline` resolves, one per orbit, found without
+    resolving a cusp."""
+    ent = catalog.get("new_quintic")
+    Q = catalog.get(ent.companion).poly
+    families, _ = new_quintic_curves(
+        ent.poly, Q, node_data["nodes"], node_data["fixed"], ent.action
+    )
+    cusps = [
+        catalog.CHOSEN_NODE if catalog.CHOSEN_NODE in o else o[0]
+        for o in orbits(node_data["cusps"], ent.action.on_point)
+    ]
+    return ent.poly, [c for fam in families for c in fam], cusps, families
+
+
+def test_exceptional_pieces_match_the_buchberger_routes(
+    new_quintic_at_cusps, monkeypatch
+):
+    # every row, pair length and smoothness verdict of the new quintic's
+    # 15 curves at its three representative cusps is the one of the
+    # Buchberger routes the chart pieces replaced (docs/DECISIONS.md D33)
+    S, curves, cusps, _ = new_quintic_at_cusps
+    got = [resolve_cusp(S, p, curves) for p in cusps]
+    for name, reference in [
+        ("_exceptional_supported_length", reference_exceptional_length),
+        ("_smooth_over_exceptional", reference_smooth_over_exceptional),
+    ]:
+        monkeypatch.setattr(curvegeom, name, reference)
+    want = [resolve_cusp(S, p, curves) for p in cusps]
+    for a, b in zip(got, want):
+        assert a.curve_rows == b.curve_rows
+        assert a.pair_over_cusp == b.pair_over_cusp
+        assert a.curve_smooth == b.curve_smooth
+    # 22 points of the strict transforms on the exceptional lines, and
+    # every curve through a cusp is smooth over it
+    assert sum(sum(row) for a in got for row in a.curve_rows.values()) == 22
+    assert all(v for a in got for v in a.curve_smooth.values())
+
+
+def test_smoothness_verdicts_on_models():
+    # in each blow-up chart, V(v_a v_b + w^2) is singular at the origin
+    # of the chart, on the chart's piece of w = 0, and so is the curve
+    # V(w, v_a v_b); V(w, v_a) is smooth
+    for mchart, bring, _ in blow_up_charts(chart_ring(R, 3)):
+        va, vb, w = bring.gens()
+        cases = [
+            ([va * vb + w**2], 1, False),
+            ([w, va * vb], 2, False),
+            ([w, va], 2, True),
+        ]
+        for gens, codim, smooth in cases:
+            per_chart = [(mchart, bring, gens)]
+            assert _smooth_over_exceptional(per_chart, codim) is smooth
+            assert reference_smooth_over_exceptional(per_chart, codim) is smooth
+
+
+def test_resolve_cusp_analyzes_only_nonempty_exceptional_pieces(
+    new_quintic_at_cusps, monkeypatch
+):
+    # a strict-transform length builds its chart scheme only when the
+    # chart's piece of the exceptional plane is nonempty: 22 chart schemes
+    # at the new quintic's three representative cusps, against 174 when
+    # one was built wherever the generators had a zero in the chart
+    S, curves, cusps, _ = new_quintic_at_cusps
+    calls = []
+    analyze = groebner.zero_dim_analyze
+
+    def counted(gb):
+        calls.append(gb)
+        return analyze(gb)
+
+    for mod in (groebner, singcert, curvegeom):
+        if getattr(mod, "zero_dim_analyze", None) is analyze:
+            monkeypatch.setattr(mod, "zero_dim_analyze", counted)
+    for p in cusps:
+        resolve_cusp(S, p, curves)
+    assert len(calls) == 22
+
+
+def test_a_curve_listed_twice_shares_a_component_over_the_cusp(
+    new_quintic_at_cusps, node_data
+):
+    # negative control: one curve of each family under a second name, at
+    # a cusp it passes through; the shared component meets the
+    # exceptional plane, so some chart piece is nonempty and its chart
+    # scheme is positive-dimensional
+    S, _, _, families = new_quintic_at_cusps
+    for fam in families:
+        curve = fam[0]
+        again = CurveOnSurface("again", curve.gens, curve.degree, curve.pa_embedded)
+        cusp = next(p for p in node_data["cusps"] if through(curve, p))
+        with pytest.raises(ResolutionError, match="share a component over the cusp"):
+            resolve_cusp(S, cusp, [curve, again])
+
+
 def test_exceptional_length_counts_a_double_point_on_the_chart_boundary():
     # chart 1 keeps the exceptional points with v_z = 0: the point
     # v_x = v_z = 0 of V(w, v_x, v_z^2) has length 2 there; adding v_z as
@@ -357,10 +590,17 @@ def test_line_rows_over_cusps_match_strict_transforms(monkeypatch):
     S = catalog.get("vdgz_quintic").poly
     lines = vdgz_line_curves()
     cusps = catalog.vdgz_cusps()
+    smooth = curvegeom._smooth_over_exceptional
+
+    def surface_only(per_chart, codim):
+        # the blown-up surface is still checked, no curve is
+        assert codim == 1, "curve-smoothness probe on the linear path"
+        return smooth(per_chart, codim)
+
     with monkeypatch.context() as m:
         # no strict-transform length on the linear path
         m.setattr(curvegeom, "_exceptional_supported_length", None)
-        m.setattr(curvegeom, "_curve_smooth_over_exceptional", None)
+        m.setattr(curvegeom, "_smooth_over_exceptional", surface_only)
         linear = [resolve_cusp(S, p, lines) for p in cusps]
     monkeypatch.setattr(curvegeom, "linear_form_rows", lambda gens: None)
     strict = [resolve_cusp(S, p, lines) for p in cusps]

@@ -26,7 +26,7 @@ from cuspidal.groebner import (
 from cuspidal.linalg import _apply, _echelon
 from cuspidal.multipoly import Poly, Ring, jacobian, mono_lcm, pack, unpack
 from cuspidal.pipeline import divisibility_pipeline
-from cuspidal.singcert import ChartData, chart_ring, classify_all, to_chart
+from cuspidal.singcert import ChartData, chart_piece, chart_ring, classify_all, to_chart
 
 
 def small_int(rng, span):
@@ -848,7 +848,7 @@ def test_supported_length_small_ideals():
         assert _supported_by_linear_algebra(gb, polys) == want
     # an unreduced p has the multiplication map of NF(p)
     alg = zero_dim_analyze(buchberger([x**3 - x**2, y - x], ring=ring)).algebra
-    assert alg.mult_columns(x**7) == alg.mult_columns(x**2)
+    assert alg._operator(x**7)[0] == alg._operator(x**2)[0]
 
 
 def _supported_length_agrees_with_buchberger(rng, coeff):
@@ -975,7 +975,7 @@ def test_index_rule_on_the_chart_boundary_double_point():
     # (0:0:1:0), on the boundary of chart z (docs/DECISIONS.md D23): the
     # chart scheme is (x, y, w^2), where mult-by-w has index 2
     x, y, z, w = XYZW.gens()
-    chart = ChartData([x, y * z - w**2, x, y], 2)
+    chart = ChartData(2, *chart_piece([x, y * z - w**2, x, y], 2))
     # runs the eliminants of x, y and w on the chart scheme
     assert radical_zero_dim(chart.scheme).degree == 1
     alg = chart.scheme.algebra
@@ -1037,7 +1037,8 @@ def reference_krylov(alg, p):
     rows: (minpoly, rows), each row (pivot, row, combo) scaled to pivot 1
     with row = sum(combo[j] * p^j mod I)."""
     n = len(alg.basis)
-    cols = alg.mult_columns(p)
+    # the columns of mult-by-p: NF(m * p) for each standard monomial m
+    cols = [alg.nf_coeffs(alg.ring.from_terms([(m, ONE)]) * p) for m in alg.basis]
     v = [ZERO] * n
     zero_mono = (0,) * alg.ring.nvars
     if zero_mono in alg.index:

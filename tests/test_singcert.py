@@ -213,7 +213,11 @@ def _upper_minors(H, k):
 def _ideal_closure(alg, vecs):
     """The reduced echelon rows of the ideal of alg that the NF vectors
     generate: their span closed under multiplication by the variables."""
-    ops = [alg.mult_columns(v) for v in alg.ring.gens()]
+    # the columns of mult-by-v: NF(m * v) for each standard monomial m
+    ops = [
+        [alg.nf_coeffs(alg.ring.from_terms([(m, 1)]) * v) for m in alg.basis]
+        for v in alg.ring.gens()
+    ]
 
     def times(cols, v):
         out = [ZERO] * len(v)
