@@ -7,7 +7,8 @@ Cantor-Zassenhaus split, Hensel-lifted to Z[e]/(Phi5, p^2^k), and the
 four rational coordinates recovered by rational reconstruction.  Both
 rings are one class, ZetaModM, a field context for the polynomial
 routines of `unipoly`.  Every candidate is verified exactly before being
-returned, so the lifting never affects soundness, only completeness.
+returned, and one that fails is lifted further, up to MAX_LIFT steps, so
+the lifting never affects soundness, only completeness.
 
 rational_roots is the one way the package splits off roots in Q(zeta5)
 (docs/DECISIONS.md D24): it peels each root of roots_in_qz5 off exactly
@@ -213,14 +214,17 @@ def roots_in_qz5(coeffs):
         found = []
         for r in froots:
             root = _lift_root(coeffs, r, p)
-            if root is not None and unipoly.eval_poly(coeffs, root, QZ5).is_zero:
+            if root is not None:
                 found.append(root)
         return found
     return []
 
 
 def _lift_root(coeffs, root, p):
-    """Newton-lift a simple root mod p and rationally reconstruct it."""
+    """Newton-lift a simple root mod p to p^(2^MAX_LIFT) at most, and
+    return the first rational reconstruction that is a root of coeffs
+    exactly; a reconstruction that is not one only means the modulus is
+    still too small for the root's coordinates."""
     M = p
     for _ in range(MAX_LIFT):
         M *= M
@@ -234,7 +238,7 @@ def _lift_root(coeffs, root, p):
             return None
         root = ring.sub(root, step)
         cand = _try_reconstruct(root, M)
-        if cand is not None:
+        if cand is not None and unipoly.eval_poly(coeffs, cand, QZ5).is_zero:
             return cand
     return None
 

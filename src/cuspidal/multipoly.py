@@ -21,10 +21,10 @@ is a syntax error.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from fractions import Fraction
-from math import prod
+from math import lcm
 
 from .cyclofield import ONE, ZERO, CycloElem, as_cyclo, canon, cyclo_to_str, phi5_mul
 
@@ -61,6 +61,8 @@ class BaseFieldQZ5:
 
 
 QZ5 = BaseFieldQZ5()
+
+_ONE4 = (1, 0, 0, 0)  # the raw numerator of 1
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +405,37 @@ class Poly:
         return ring._from_products(out)
 
     def eval(self, coords):
-        """Full evaluation at a point; the terms' values are summed on raw
-        numerators."""
-        pow_cache = {}
-        vals = []
+        """Full evaluation at a point, on raw numerators (D15): the
+        coordinates are integer 4-tuples over one denominator D, their
+        powers and each term's product are `phi5_mul`s of 4-tuples, and a
+        term of degree m lies over its coefficient's denominator times
+        D^m.  The terms are summed over equal denominators, brought to a
+        common multiple otherwise, and the sum to lowest terms once."""
+        xs = [as_cyclo(c) for c in coords]
+        D = lcm(*[x.d for x in xs])
+        powers = [[_ONE4, tuple([n * (D // x.d) for n in x.n])] for x in xs]
+        dpowers = [1, D]
+        s0 = s1 = s2 = s3 = 0
+        sd = 1
         for e, c in self.terms:
-            v = [c]
+            v, m = c.n, 0
             for i, k in enumerate(e):
                 if k:
-                    p = pow_cache.get((i, k))
-                    if p is None:
-                        p = base = as_cyclo(coords[i])
-                        for _ in range(k - 1):
-                            p = p * base
-                        pow_cache[i, k] = p
-                    v.append(p)
-            vals.append(v)
-        s0, s1, s2, s3, sd = 0, 0, 0, 0, 1
-        for v in vals:
-            b0, b1, b2, b3 = reduce(phi5_mul, [p.n for p in v])
-            d = prod([p.d for p in v])
-            if d == sd:
-                s0, s1, s2, s3 = s0 + b0, s1 + b1, s2 + b2, s3 + b3
-            else:
-                s0, s1, s2, s3, sd = (s0 * d + b0 * sd, s1 * d + b1 * sd,
-                                      s2 * d + b2 * sd, s3 * d + b3 * sd, sd * d)
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(phi5_mul(pw[-1], pw[1]))
+                    v = phi5_mul(v, pw[k])
+                    m += k
+            while len(dpowers) <= m:
+                dpowers.append(dpowers[-1] * D)
+            d = c.d * dpowers[m]
+            b0, b1, b2, b3 = v
+            if d != sd:
+                L = lcm(sd, d)
+                f, g = L // sd, L // d
+                s0, s1, s2, s3, sd = s0 * f, s1 * f, s2 * f, s3 * f, L
+                b0, b1, b2, b3 = b0 * g, b1 * g, b2 * g, b3 * g
+            s0, s1, s2, s3 = s0 + b0, s1 + b1, s2 + b2, s3 + b3
         return canon((s0, s1, s2, s3), sd)
 
     # -- comparisons / printing ---------------------------------------------

@@ -26,7 +26,7 @@ from .singcert import (
     SingularLocusNotInvariant,
     classify_all,
 )
-from .zfive import orbit, orbits
+from .zfive import ActionK, orbit, orbits
 
 
 def quartic_nodes():
@@ -173,6 +173,20 @@ class DivisibilityResult:
         return report
 
 
+def _certify_quintic(S, name, action):
+    """The singularity certificate of S and the action's free-action
+    verdict, its fixed points in S's frame.  An action with an eigen
+    frame (P, H) certifies H = S(Py) under a_0, and a fixed point y on H
+    is reported as the point Py (docs/DECISIONS.md D34)."""
+    frame = action.eigen_frame(S)
+    if frame is None:
+        cert = classify_all(S, name, action=action)
+        return cert, cert.free_action
+    P, H = frame
+    cert = classify_all(H, name, action=ActionK(0))
+    return cert, cert.free_action.mapped(P)
+
+
 def divisibility_pipeline(name):
     """Full path from the catalog surface to its divisibility certificate."""
     stages = Stages()
@@ -181,7 +195,7 @@ def divisibility_pipeline(name):
     action = entry.action
 
     try:
-        cert = classify_all(S, name, action=action)
+        cert, free_action = _certify_quintic(S, name, action)
     except (SingularInCodimensionOne, SingularLocusNotInvariant) as ev:
         stages.check("quintic_certification", False, error=str(ev))
     stages.check(
@@ -195,9 +209,9 @@ def divisibility_pipeline(name):
     # free action that preserves S (docs/DECISIONS.md D25)
     stages.check(
         "action_invariant_and_free",
-        cert.invariant and cert.free_action.free,
+        cert.invariant and free_action.free,
         invariant=cert.invariant,
-        **cert.free_action.to_json(),
+        **free_action.to_json(),
     )
 
     if name == "new_quintic":

@@ -9,7 +9,10 @@ preserved when F(Mx) = lambda F, and no factor e^j of M changes the order
 of the fixed points (docs/DECISIONS.md D32).  A monomial is fixed by a_k
 iff the product of the diagonal entries to its exponents is 1.  The
 permutation action on the Van der Geer-Zagier surfaces is a LinearAction
-too.
+too.  A non-diagonal action that preserves F = 0 has an eigen frame: in
+the basis of its fixed points it is a_0, and F becomes H(y) = F(Py) on
+the monomials of one weight (`LinearAction.eigen_frame`,
+docs/DECISIONS.md D34).
 
 Every orbit in the package is walked here: orbit(x, step) follows one
 element round its cycle, and orbits(items, step, same) partitions a list
@@ -21,11 +24,11 @@ reject the list (docs/DECISIONS.md D11).
 from __future__ import annotations
 
 import operator
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import prod
 
 from .cyclofield import ONE, CycloElem, as_cyclo
-from .linalg import kernel_basis
+from .linalg import _echelon_add, kernel_basis, solve
 from .multipoly import Poly, ProjPoint, degrevlex_key
 
 
@@ -90,6 +93,28 @@ def invariant_basis(d: int, k: int):
     ]
 
 
+def _evaluation_grid(support, d):
+    """Points y of {1, ..., d+1}^4 by coordinate sum, then
+    lexicographically, each kept while its row of monomials y^e, e in
+    support, raises the rank of the rows kept before: (points, rows), a
+    square invertible system.  The grid always gets there for monomials
+    of degree d (docs/DECISIONS.md D34)."""
+    echelon, points, rows = [], [], []
+    for total in range(4, 4 * d + 5):
+        for a, b, c in product(range(1, d + 2), repeat=3):
+            y = (a, b, c, total - a - b - c)
+            if not 1 <= y[3] <= d + 1:
+                continue
+            row = [prod([t**n for t, n in zip(y, e)]) for e in support]
+            if _echelon_add(echelon, [(v, 0, 0, 0) for v in row]) is None:
+                continue
+            points.append(y)
+            rows.append([CycloElem.from_int(v) for v in row])
+            if len(rows) == len(support):
+                return points, rows
+    raise AssertionError("the grid spans every form of degree %d" % d)
+
+
 class FreeActionVerdict:
     def __init__(self, free: bool, offending):
         self.free = free
@@ -99,6 +124,12 @@ class FreeActionVerdict:
         if self.free:
             return "FreeActionVerdict(free)"
         return "FreeActionVerdict(fixed points on surface: %s)" % self.offending
+
+    def mapped(self, P):
+        """The verdict with each point y sent to Py: for H(y) = F(Py), the
+        verdict on F from the verdict on H (docs/DECISIONS.md D34)."""
+        to_input = LinearAction(P).on_point
+        return FreeActionVerdict(self.free, [to_input(y) for y in self.offending])
 
     def to_json(self):
         return {
@@ -120,7 +151,7 @@ class LinearAction:
 
     def __init__(self, matrix):
         self.matrix = [[as_cyclo(v) for v in row] for row in matrix]
-        self._fixed_points = None
+        self._eigen = None  # (g + 1, fixed points), see fixed_points
         self._row_forms = {}  # ring -> {variable index: row form}
 
     def on_point(self, p: ProjPoint) -> ProjPoint:
@@ -138,11 +169,54 @@ class LinearAction:
             }
         return p.subs(forms)
 
-    def is_invariant(self, p: Poly) -> bool:
-        """Whether the action preserves V(p): p(Mx) = lambda p for one
-        scalar lambda, read off p's leading term (docs/DECISIONS.md D32)."""
+    def invariance_scalar(self, p: Poly):
+        """The scalar lambda with p(Mx) = lambda p, read off p's leading
+        term, or None when the action moves V(p) (docs/DECISIONS.md D32)."""
         image = self.on_poly(p)
-        return image == p.scale(image.coeff_of(p.lm()) / p.lc())
+        lam = image.coeff_of(p.lm()) / p.lc()
+        return lam if image == p.scale(lam) else None
+
+    def is_invariant(self, p: Poly) -> bool:
+        """Whether the action preserves V(p)."""
+        return self.invariance_scalar(p) is not None
+
+    def eigen_frame(self, F: Poly):
+        """(P, H) with H(y) = F(Py) when this action is not diagonal and
+        preserves V(F), a form of positive degree d; None otherwise, and
+        for an action without four distinct eigenvalues among 1, e, ...,
+        e^4 (see `fixed_points`).
+
+        P's column i is fixed_points()[i], the eigenvector of e^(g+1+i),
+        so AP = PD with D = e^(g+1) a_0, and F(Ax) = e^k F makes
+        H(Dy) = e^k H(y): H lives on the monomials y^e with
+        sum((g+1+i) e_i) = k mod 5.  Their coefficients solve the
+        evaluations F(Py) at the points of `_evaluation_grid`
+        (docs/DECISIONS.md D34).
+        """
+        m = self.matrix
+        if all(not m[i][j] for i in range(4) for j in range(4) if i != j):
+            return None
+        d = F.degree()
+        if d < 1 or not F.is_homogeneous():
+            return None
+        lam = self.invariance_scalar(F)
+        if lam is None:
+            return None
+        try:
+            first, points = self._eigenbasis()
+        except ValueError:
+            return None
+        # A^5 = 1 (four distinct fifth roots of unity), so lam is some e^k
+        k = next(k for k in range(5) if lam == CycloElem.e_power(k))
+        support = [
+            e
+            for e in degree_monomials(d)
+            if sum((first + i) * n for i, n in enumerate(e)) % 5 == k
+        ]
+        grid, rows = _evaluation_grid(support, d)
+        P = [[p.coords[i] for p in points] for i in range(4)]
+        values = [F.eval([sum(a * c for a, c in zip(r, y)) for r in P]) for y in grid]
+        return P, F.ring.from_terms(zip(support, solve(rows, values)))
 
     def fixed_points(self):
         """Eigenvector points of an action with four distinct eigenvalues
@@ -154,7 +228,12 @@ class LinearAction:
         Raises ValueError otherwise, e.g. on an eigenspace of dimension 2
         or more: its whole projective line or plane is fixed.
         """
-        if self._fixed_points is None:
+        return self._eigenbasis()[1]
+
+    def _eigenbasis(self):
+        """(g + 1, fixed points): the exponent of the first point's
+        eigenvalue and the points of `fixed_points`."""
+        if self._eigen is None:
             kernels = []
             for k in range(5):
                 lam = CycloElem.e_power(k)
@@ -171,8 +250,8 @@ class LinearAction:
                 )
             g = dims.index(0)
             cycle = kernels[g + 1 :] + kernels[:g]
-            self._fixed_points = tuple(ProjPoint(v) for (v,) in cycle)
-        return self._fixed_points
+            self._eigen = g + 1, tuple(ProjPoint(v) for (v,) in cycle)
+        return self._eigen
 
 
 class ActionK(LinearAction):

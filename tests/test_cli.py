@@ -569,6 +569,41 @@ def test_divisibility_negative_control_action_exits_1(monkeypatch, capsys):
     assert rep["error"].startswith("stage failed: action_invariant_and_free")
 
 
+# the VdGZ quintic in the eigenbasis of VDGZ_ACTION (docs/DECISIONS.md D34)
+VDGZ_QUINTIC_EIGEN = (
+    "60*(x^5+y^5+z^5+w^5)+450*(x*y^3*z+x^3*z*w+y*z^3*w+x*y*w^3)"
+    "+1050*(x^2*y*z^2+x^2*y^2*w+y^2*z*w^2+x*z^2*w^2)"
+)
+
+
+def test_divisibility_certifies_vdgz_quintic_in_its_eigenbasis(monkeypatch, capsys):
+    # classify_all gets the 12-term form H(y) = S(Py) under a_0, and the
+    # two action-free stages report what surface-report certifies in the
+    # catalog's frame
+    seen = []
+    real = pipeline.classify_all
+
+    def recording(F, name, action=None):
+        seen.append((F, action))
+        return real(F, name, action=action)
+
+    monkeypatch.setattr(pipeline, "classify_all", recording)
+    res = pipeline.divisibility_pipeline("vdgz_quintic")
+    stages = {s["stage"]: s for s in res.stages}
+    ((H, action),) = seen
+    assert len(H.terms) == 12 and H == catalog.XYZW.parse(VDGZ_QUINTIC_EIGEN)
+    assert isinstance(action, ActionK)
+    code, out, err = run_cli(capsys, "--json", "surface-report", "vdgz_quintic")
+    assert code == 0
+    rep = json.loads(out)
+    quintic = stages["quintic_certification"]
+    keys = ("verdict", "n_points", "tau_total")
+    assert [quintic[k] for k in keys] == [rep[k] for k in keys] == ["all_A2", 15, 30]
+    free = stages["action_invariant_and_free"]
+    assert free["invariant"] is rep["invariant_under_action"] is True
+    assert {k: free[k] for k in rep["free_action"]} == rep["free_action"]
+
+
 def test_bench_tracer_targets_resolve():
     # perfbench/tracer.py wraps its targets by name; a deleted or renamed
     # target would break only a traced bench run, so install them here

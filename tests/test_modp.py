@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cuspidal import modp, unipoly
@@ -83,3 +85,29 @@ def test_rational_roots_without_a_usable_prime(monkeypatch):
     f = unipoly.mul([-5 * ONE, ZERO, ONE], [ONE, 2 * ONE], QZ5)
     assert rational_roots(f) == ([], f)
     assert rational_roots([ONE, 2 * ONE]) == ([-ratio(1, 2) * ONE], [2 * ONE])
+
+
+def test_rational_roots_lifts_past_a_false_reconstruction():
+    # -176 r^2 + 372 r - 171 has the roots (93 +- 15 sqrt5)/88; at p = 7 the
+    # first lift reconstructs -1 - 3e^2 - 3e^3, which is no root, and the
+    # lift goes on until the reconstruction is one
+    f = [-171 * ONE, 372 * ONE, -176 * ONE]
+    roots, residual = rational_roots(f)
+    want = {(93 + 15 * SQRT5) / 88, (93 - 15 * SQRT5) / 88}
+    assert set(roots) == want and len(roots) == 2
+    assert residual == [-176 * ONE]
+
+
+def test_rational_roots_of_seeded_quadratics_over_q_sqrt5():
+    # c (T - r)(T - r'), r = (a + b sqrt5)/q and r' its conjugate, has
+    # its roots in Q(sqrt5): both are found and peeled
+    rng = random.Random(3838)
+    for _ in range(40):
+        a, b = rng.randint(-200, 200), rng.choice([-1, 1]) * rng.randint(1, 60)
+        q = rng.randint(1, 120)
+        r, rbar = (a + b * SQRT5) / q, (a - b * SQRT5) / q
+        c = ratio(rng.choice([-1, 1]) * rng.randint(1, 300), rng.randint(1, 30))
+        f = unipoly.scale(unipoly.mul([-r, ONE], [-rbar, ONE], QZ5), c * ONE, QZ5)
+        roots, residual = rational_roots(f)
+        assert set(roots) == {r, rbar} and len(roots) == 2
+        assert residual == [c * ONE]

@@ -8,7 +8,16 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, XYZW
-from cuspidal.cyclofield import ALPHA, ONE, ZERO, CycloElem, ratio
+from cuspidal.cyclofield import (
+    ALPHA,
+    ONE,
+    ZERO,
+    CycloElem,
+    as_cyclo,
+    canon,
+    phi5_mul,
+    ratio,
+)
 from cuspidal.groebner import buchberger, normal_form, zero_dim_analyze
 from cuspidal.multipoly import (
     SLOT_BOUND,
@@ -571,6 +580,66 @@ def test_raw_partial_and_eval_match_elementwise(kind, assert_canonical):
         got = p.eval(coords)
         assert got == elementwise_eval(p, coords)
         assert got.d > 0 and gcd(got.d, *got.n) == 1
+
+
+def cyclo_power_eval(p, coords):
+    """Reference: `Poly.eval` as it was before its powers and products
+    stayed raw, with the coordinate powers as CycloElems and each term's
+    product over the product of their denominators."""
+    pow_cache = {}
+    s0, s1, s2, s3, sd = 0, 0, 0, 0, 1
+    for e, c in p.terms:
+        v = [c]
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in pow_cache:
+                    pw = base = as_cyclo(coords[i])
+                    for _ in range(k - 1):
+                        pw = pw * base
+                    pow_cache[i, k] = pw
+                v.append(pow_cache[i, k])
+        b = v[0].n
+        for f in v[1:]:
+            b = phi5_mul(b, f.n)
+        d = 1
+        for f in v:
+            d *= f.d
+        if d == sd:
+            s0, s1, s2, s3 = s0 + b[0], s1 + b[1], s2 + b[2], s3 + b[3]
+        else:
+            s0, s1, s2, s3, sd = (
+                s0 * d + b[0] * sd,
+                s1 * d + b[1] * sd,
+                s2 * d + b[2] * sd,
+                s3 * d + b[3] * sd,
+                sd * d,
+            )
+    return canon((s0, s1, s2, s3), sd)
+
+
+@pytest.mark.parametrize("kind", RAW_KINDS)
+def test_raw_eval_matches_cyclo_powers(kind):
+    # forms of degree 1..5 and mixed-degree polynomials, at points given
+    # as CycloElems, ints and Fractions, against the CycloElem-power route
+    rng = random.Random(3434)
+    for trial in range(60):
+        ring = Ring(("x", "y", "z", "w")[: 1 + trial % 4])
+        p = kind_poly(rng, ring, kind, deg=5, nterms=rng.randint(1, 12))
+        if trial % 2:
+            d = 1 + trial % 5
+            p = ring.from_terms((e, c) for e, c in p.terms if sum(e) == d)
+        coords = []
+        for _ in range(ring.nvars):
+            pick = rng.randrange(3)
+            if pick == 0:
+                coords.append(kind_coeff(rng, kind))
+            elif pick == 1:
+                coords.append(rng.randint(-5, 5))
+            else:
+                coords.append(Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+        got = p.eval(coords)
+        want = cyclo_power_eval(p, coords)
+        assert (got.n, got.d) == (want.n, want.d)
 
 
 def test_raw_paths_cancel_exactly(assert_canonical):

@@ -5,7 +5,7 @@ import pytest
 from cuspidal.catalog import NEW_QUARTIC_TEXT, NEW_QUINTIC_TEXT, VDGZ_ACTION, XYZW, get
 from cuspidal.cyclofield import ALPHA, CycloElem, ratio
 from cuspidal.multipoly import ProjPoint, QZ5, Ring
-from cuspidal import zfive
+from cuspidal import linalg, zfive
 from cuspidal.zfive import (
     ActionK,
     LinearAction,
@@ -284,3 +284,117 @@ def test_vdgz_action_order():
         q = VDGZ_ACTION.on_point(q)
     assert q == p
     assert len(orbit(p, VDGZ_ACTION.on_point)) == 5
+
+
+def _on_one_fixed_point():
+    """An invariant quintic of VDGZ_ACTION through exactly one of its fixed
+    points: -e C(4, 1) + C(3, 2) on s1 = 0, where C(a, b) is the cyclic
+    sum of x_k^a x_(k+1)^b over the five coordinates.  At the fixed point
+    (1, z, z^2, z^3, z^4) of z = e^j it is 5 z (z - e), zero for j = 1."""
+    x, y, z, w = R.gens()
+    c = [x, y, z, w, -(x + y + z + w)]
+
+    def cyclic(a, b):
+        return sum((c[k] ** a * c[(k + 1) % 5] ** b for k in range(5)), R.zero)
+
+    return cyclic(3, 2) - cyclic(4, 1).scale(CycloElem.e_power(1))
+
+
+@pytest.mark.parametrize("name, nterms", [("vdgz_quintic", 12), ("vdgz_quartic", 7)])
+def test_eigen_frame_is_the_substitution_by_the_column_forms(name, nterms):
+    # H(y) = F(Py), the route it replaces: F.subs over P's row forms, with
+    # P's columns the fixed points in their order
+    F = get(name).poly
+    P, H = VDGZ_ACTION.eigen_frame(F)
+    columns = [ProjPoint([row[i] for row in P]) for i in range(4)]
+    assert columns == list(VDGZ_ACTION.fixed_points())
+    assert H == F.subs({i: R.linear_form(row) for i, row in enumerate(P)})
+    assert len(H.terms) == nterms < len(F.terms)
+    assert all(c.d == 1 and not any(c.n[1:]) for _, c in H.terms)
+    # in the frame the action is a_0, which preserves H
+    assert ActionK(0).is_invariant(H)
+
+
+def test_eigen_frame_of_forms_over_q_zeta5_and_of_nonzero_weight():
+    # coefficients in Q(zeta5): 11 terms, as x^5 drops out of the weight
+    # class of 12 because F passes through the first fixed point
+    F = _on_one_fixed_point()
+    assert VDGZ_ACTION.invariance_scalar(F) == 1
+    P, H = VDGZ_ACTION.eigen_frame(F)
+    assert H == F.subs({i: R.linear_form(row) for i, row in enumerate(P)})
+    assert len(H.terms) == 11
+    # sum of e^(-k) x_k^5 over the five coordinates: F(Ax) = e F, so H
+    # lives on the monomials of weight 1, not 0
+    x, y, z, w = R.gens()
+    coords = [x, y, z, w, -(x + y + z + w)]
+    F = sum(
+        ((c**5).scale(CycloElem.e_power(-k)) for k, c in enumerate(coords)), R.zero
+    )
+    assert VDGZ_ACTION.invariance_scalar(F) == CycloElem.e_power(1)
+    P, H = VDGZ_ACTION.eigen_frame(F)
+    assert H == F.subs({i: R.linear_form(row) for i, row in enumerate(P)})
+    # and a_0 scales H by e, as A scales F
+    assert ActionK(0).invariance_scalar(H) == CycloElem.e_power(1)
+
+
+def test_eigen_frame_none_without_a_frame():
+    # the ActionK surfaces are certified as given
+    for name in ("new_quartic", "new_quintic"):
+        ent = get(name)
+        assert isinstance(ent.action, ActionK)
+        assert ent.action.eigen_frame(ent.poly) is None
+    # the a4 and codimension-one controls of divisibility: VDGZ_ACTION
+    # moves them
+    for text in ("x*y*w^3+x^5+y^5+z^5", "x^2*y^2*w+x^5+y^5"):
+        F = R.parse(text)
+        assert VDGZ_ACTION.invariance_scalar(F) is None
+        assert VDGZ_ACTION.eigen_frame(F) is None
+    # a non-diagonal action without fixed points: swapping x and y has
+    # the eigenvalue -1, no fifth root of unity
+    swap = LinearAction([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    F = R.parse("x^5+y^5+z^5+w^5")
+    assert swap.is_invariant(F)
+    assert swap.eigen_frame(F) is None
+    # and no form of positive degree
+    assert VDGZ_ACTION.eigen_frame(R.parse("x+y^2")) is None
+
+
+@pytest.mark.parametrize(
+    "name, on_surface",
+    [
+        ("vdgz_quintic", [False] * 4),
+        # s2 and s4 vanish at every fixed point
+        ("vdgz_quartic", [True] * 4),
+        ("one_fixed_point", [True, False, False, False]),
+    ],
+    ids=["vdgz_quintic", "vdgz_quartic", "one_fixed_point"],
+)
+def test_eigen_frame_carries_the_fixed_points(name, on_surface):
+    # H vanishes at coordinate point i exactly when F vanishes at
+    # fixed_points()[i], and the verdict on H maps back to the verdict on F
+    F = _on_one_fixed_point() if name == "one_fixed_point" else get(name).poly
+    P, H = VDGZ_ACTION.eigen_frame(F)
+    fixed = VDGZ_ACTION.fixed_points()
+    on_H = [not H.eval(list(p.coords)) for p in COORDINATE_POINTS]
+    assert on_H == [not F.eval(list(p.coords)) for p in fixed]
+    assert on_H == on_surface
+    verdict = free_action_check(F, VDGZ_ACTION)
+    mapped = free_action_check(H, ActionK(0)).mapped(P)
+    assert mapped.offending == verdict.offending
+    assert mapped.to_json() == verdict.to_json()
+
+
+def test_evaluation_grid_keeps_the_rank_raising_points():
+    # monomials without w: (1, 1, 1, 2) repeats the row of (1, 1, 1, 1)
+    # and is skipped
+    support = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 0, 0)]
+    points, rows = zfive._evaluation_grid(support, 2)
+    assert points == [(1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 1, 1), (2, 1, 1, 1)]
+    assert linalg.rank(rows) == 4
+    # every weight class of the quartics and quintics gets a square
+    # invertible system
+    for d in (4, 5):
+        for k in range(5):
+            support = [e for e in degree_monomials(d) if residue(e, k) == 0]
+            points, rows = zfive._evaluation_grid(support, d)
+            assert len(points) == len(support) == linalg.rank(rows)
